@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "util/rng.h"
 
@@ -73,17 +74,26 @@ int main() {
     for (SubscriptionId id : notify) newark_notified |= id == newark;
   }
 
-  const EngineStats& st = engine.stats();
-  std::printf("processed %llu events\n",
-              static_cast<unsigned long long>(st.events_processed));
+  // Running statistics come from the engine's metrics registry: every
+  // Match is one pipeline call, timed by accl_pipeline_batch_us.
+  obs::MetricsRegistry& reg = engine.metrics();
+  const double events =
+      static_cast<double>(reg.GetCounter("accl_pipeline_events_total")->Value());
+  const double verified = static_cast<double>(
+      reg.GetCounter("accl_pipeline_objects_verified_total")->Value());
+  const obs::Histogram* call_us = reg.GetHistogram("accl_pipeline_batch_us");
+  std::printf("processed %.0f events\n", events);
   std::printf("  avg subscribers notified per event : %.1f\n",
-              st.matches_per_event.mean());
+              static_cast<double>(
+                  reg.GetCounter("accl_pipeline_matches_total")->Value()) /
+                  events);
   std::printf("  avg subscriptions verified         : %.0f of %zu (%.1f%%)\n",
-              st.verified_per_event.mean(), engine.subscription_count(),
-              100.0 * st.verified_per_event.mean() /
+              verified / events, engine.subscription_count(),
+              100.0 * verified / events /
                   static_cast<double>(engine.subscription_count()));
   std::printf("  avg matching latency               : %.3f ms\n",
-              st.match_latency_ms.mean());
+              static_cast<double>(call_us->Sum()) / 1000.0 /
+                  static_cast<double>(call_us->Count()));
   std::printf("  clusters formed by adaptation      : %zu (%llu splits)\n",
               engine.index().cluster_count(),
               static_cast<unsigned long long>(

@@ -141,9 +141,9 @@ class QueryPatternTracker {
   /// Merges a folded accumulator into the current generation (one lock).
   void Record(const PatternAccumulator& acc);
 
-  /// Single-sample conveniences for unbatched paths (one lock each; the
-  /// single-event Match path and single Subscribe pay one uncontended
-  /// mutex acquisition per call when tracking is enabled).
+  /// Single-sample conveniences for unbatched paths (one lock each; a
+  /// single Subscribe pays one uncontended mutex acquisition per call when
+  /// tracking is enabled).
   void RecordEvent(const Box& b);
   void RecordSubscription(const Box& b);
 

@@ -48,7 +48,7 @@ struct ShardMetrics {
   uint64_t overflow_subscriptions = 0;
   /// Residual-serialization counter: pipeline workers that tried to claim
   /// a chunk of this shard's queue but found the shard mutex held (by
-  /// another worker's chunk or a concurrent single-event Match) and moved
+  /// another worker's chunk or a concurrent caller's) and moved
   /// on to steal elsewhere. High values on one shard mean its queue is
   /// the batch's serialization residue — the signal behind the wall-
   /// scaling gap the parallel benchmark tracks.

@@ -44,10 +44,29 @@ uint32_t SliceOf(const std::vector<float>& bounds, float x) {
 /// Chunk boundaries are fixed multiples (position p lives in chunk
 /// p / kMatchChunkSize), so a finalizer can locate any position's output
 /// without knowing the claim history. Small enough that one hot shard's
-/// queue is split across many mutex acquisitions (other workers interleave
-/// and a concurrent single-event Match is never starved), large enough
-/// that the per-chunk lock/unlock and countdown overhead stays amortized.
+/// queue is split across many mutex acquisitions (other workers and
+/// concurrent callers interleave instead of waiting out a whole batch),
+/// large enough that the per-chunk lock/unlock and countdown overhead
+/// stays amortized.
 constexpr size_t kMatchChunkSize = 16;
+
+/// Fence positions RebalanceLocked evaluates per boundary move: shed
+/// counts spread over ±25% of the exact gap-halving count.
+constexpr size_t kFenceCandidates = 9;
+
+/// Match's sink: appends the one event's sorted matches to the caller's
+/// vector, keeping whatever it already held.
+class AppendSink final : public MatchSink {
+ public:
+  explicit AppendSink(std::vector<ObjectId>* out) : out_(out) {}
+  void OnEventMatches(size_t, Span<const ObjectId> matches,
+                      uint64_t) override {
+    out_->insert(out_->end(), matches.begin(), matches.end());
+  }
+
+ private:
+  std::vector<ObjectId>* out_;
+};
 
 }  // namespace
 
@@ -65,8 +84,6 @@ struct SubscriptionEngine::PipelineScratch {
   /// the releasing head-CAS publishes it), so plain storage is race-free.
   std::unique_ptr<int64_t[]> ready_next;
   size_t event_cap = 0;
-  std::vector<uint32_t> matched;   ///< per event, post-dedup match count
-  std::vector<uint64_t> verified;  ///< per event, objects verified
 
   /// Treiber stack of events whose last visit completed, awaiting
   /// finalization (-1 = empty). Each event is pushed exactly once per
@@ -127,7 +144,7 @@ struct SubscriptionEngine::PipelineScratch {
 struct SubscriptionEngine::EngineObs {
   explicit EngineObs(obs::MetricsRegistry* r)
       : batches(r->GetCounter("accl_pipeline_batches_total",
-                              "MatchBatch pipeline runs")),
+                              "pipeline runs (MatchBatch or Match calls)")),
         events(r->GetCounter("accl_pipeline_events_total",
                              "events matched through the batch pipeline")),
         events_routed(r->GetCounter(
@@ -146,8 +163,12 @@ struct SubscriptionEngine::EngineObs {
             "lost ready-stack head races (finalize contention)")),
         matches(r->GetCounter("accl_pipeline_matches_total",
                               "post-dedup subscription notifications")),
-        batch_us(r->GetHistogram("accl_pipeline_batch_us",
-                                 "MatchBatch end-to-end duration (us)")),
+        objects_verified(r->GetCounter(
+            "accl_pipeline_objects_verified_total",
+            "subscriptions verified against events (all shard visits)")),
+        batch_us(r->GetHistogram(
+            "accl_pipeline_batch_us",
+            "MatchBatch or Match end-to-end duration (us)")),
         boundary_moves(r->GetCounter("accl_rebalance_boundary_moves_total",
                                      "fence moves applied")),
         subs_migrated(r->GetCounter(
@@ -191,6 +212,7 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* trylock_failures;
   obs::Counter* ready_pop_retries;
   obs::Counter* matches;
+  obs::Counter* objects_verified;
   obs::Histogram* batch_us;
   obs::Counter* boundary_moves;
   obs::Counter* subs_migrated;
@@ -253,19 +275,7 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
     return Status::InvalidArgument(
         "rebalance_trigger_ratio must be > 0 (and not NaN)");
   }
-  if (o.rebalance_fence_candidates < 1) {
-    return Status::InvalidArgument(
-        "rebalance_fence_candidates must be >= 1 (1 = the single-candidate "
-        "gap-halving planner)");
-  }
-  const bool custom = static_cast<bool>(o.partitioner);
   if (o.sharding == ShardingPolicy::kRange) {
-    if (custom) {
-      return Status::InvalidArgument(
-          "a custom partitioner is incompatible with ShardingPolicy::kRange "
-          "(it would silently disable routed dispatch and rebalancing; pick "
-          "one)");
-    }
     if (o.shards < 2) {
       return Status::InvalidArgument(
           "ShardingPolicy::kRange needs shards >= 2 (K-1 slice shards plus "
@@ -288,12 +298,11 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
   const AdaptiveRoutingOptions& a = o.adaptive;
   if ((a.enabled || a.overflow_split_shards > 0 || a.fence_dim >= 0 ||
        a.split_dim >= 0) &&
-      (o.sharding != ShardingPolicy::kRange || custom)) {
+      o.sharding != ShardingPolicy::kRange) {
     return Status::InvalidArgument(
         "adaptive routing (adaptive.enabled / overflow_split_shards / "
-        "fence_dim / split_dim) requires ShardingPolicy::kRange without a "
-        "custom partitioner — other policies have no fence dimension to "
-        "adapt");
+        "fence_dim / split_dim) requires ShardingPolicy::kRange — other "
+        "policies have no fence dimension to adapt");
   }
   if (a.fence_dim >= 0 &&
       static_cast<uint32_t>(a.fence_dim) >= schema.dims()) {
@@ -358,7 +367,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   options_.index.nd = schema_.dims();
   RoutingPlan plan;
   uint32_t physical_shards = options_.shards;
-  if (options_.sharding == ShardingPolicy::kRange && !options_.partitioner) {
+  if (options_.sharding == ShardingPolicy::kRange) {
     range_routed_ = true;
     num_range_shards_ = options_.shards - 1;
     // Split sub-shards are allocated up front (the shard table is never
@@ -474,20 +483,7 @@ uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, const Box& box,
                                       const RoutingPlan& plan) const {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   if (k == 1) return 0;
-  if (options_.partitioner) return options_.partitioner(id, box, k) % k;
-  switch (options_.sharding) {
-    case ShardingPolicy::kLeadingDimension: {
-      const float center = 0.5f * (box.lo(0) + box.hi(0));
-      const float clamped =
-          std::min(std::max(center, kDomainMin), kDomainMax);
-      return std::min(k - 1, static_cast<uint32_t>(
-                                 clamped * static_cast<float>(k)));
-    }
-    case ShardingPolicy::kRange:
-      return RangeShardFor(plan, box);
-    case ShardingPolicy::kHashId:
-      break;
-  }
+  if (range_routed_) return RangeShardFor(plan, box);
   uint64_t state = id;
   return static_cast<uint32_t>(SplitMix64(&state) % k);
 }
@@ -916,15 +912,6 @@ Relation SubscriptionEngine::RelationFor(const Event& event,
              : Relation::kIntersects;
 }
 
-void SubscriptionEngine::RecordEvent(size_t matches, size_t verified,
-                                     double latency_ms) {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.match_latency_ms.Add(latency_ms);
-  ++stats_.events_processed;
-  stats_.matches_per_event.Add(static_cast<double>(matches));
-  stats_.verified_per_event.Add(static_cast<double>(verified));
-}
-
 void SubscriptionEngine::Match(const Event& event,
                                std::vector<SubscriptionId>* out) {
   Match(event, options_.default_policy, out);
@@ -932,48 +919,8 @@ void SubscriptionEngine::Match(const Event& event,
 
 void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
                                std::vector<SubscriptionId>* out) {
-  ACCL_TRACE_SPAN("match_event");
-  Query q(event.box, RelationFor(event, policy));
-  WallTimer t;
-  size_t matched = 0;
-  size_t verified = 0;
-  {
-    // The pin covers routing AND shard execution: the grace period a
-    // migration waits out must include readers that routed with the old
-    // table but have not yet looked inside the source shard.
-    exec::EpochManager::Guard guard = epoch_.Pin();
-    const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-    // Returns the raw (pre-dedup) match count; the kRange branch discards
-    // it and recounts after deduplication instead.
-    const auto run = [&](Shard& sh) -> size_t {
-      sh.routed.fetch_add(1, std::memory_order_relaxed);
-      QueryMetrics m;
-      std::lock_guard<std::mutex> lk(sh.mu);
-      sh.index->Execute(q, out, &m);
-      verified += m.objects_verified;
-      return m.result_count;
-    };
-    if (range_routed_) {
-      const size_t first = out->size();
-      std::vector<uint32_t> route;
-      RouteEvent(snap->plan, event.box, &route);
-      for (const uint32_t s : route) run(*snap->shards[s]);
-      // A migrating subscription may be double-resident in two routed
-      // shards; the ObjectId sort makes duplicates adjacent and one
-      // unique pass removes them (this is also what makes the routed
-      // Match order deterministic across boundary configurations).
-      std::sort(out->begin() + first, out->end());
-      out->erase(std::unique(out->begin() + first, out->end()), out->end());
-      matched = out->size() - first;
-    } else {
-      for (const auto& sh : shards_) matched += run(*sh);
-    }
-  }  // unpin before MaybeAutoRebalance/MaybeAutoAdapt: their grace-period
-     // waits would otherwise deadlock on our own pin
-  RecordEvent(matched, verified, t.ElapsedMs());
-  if (tracker_ != nullptr) tracker_->RecordEvent(event.box);
-  MaybeAutoRebalance(1);
-  MaybeAutoAdapt(1);
+  AppendSink sink(out);
+  MatchBatchImpl(Span<const Event>(&event, 1), policy, nullptr, &sink);
 }
 
 void SubscriptionEngine::MatchBatch(Span<const Event> events,
@@ -1027,7 +974,7 @@ void SubscriptionEngine::ReleaseScratch(std::unique_ptr<PipelineScratch> s) {
 //   - Shard queues are executed in fixed kMatchChunkSize chunks; a worker
 //     claims the next chunk of (preferably) its affine shard under a
 //     try_lock, so a hot shard is interleaved across workers and a
-//     concurrent single-event Match is never starved for a whole batch.
+//     concurrent caller is never starved for a whole batch.
 //     Per-shard execution order stays the queue order regardless of which
 //     worker runs a chunk (claims advance under the shard mutex), so the
 //     per-shard adaptation sequence — and therefore every structure
@@ -1054,6 +1001,9 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
                                         MatchSink* sink) {
   const size_t ne = events.size();
   const size_t k = shards_.size();
+  // Routing and the tracker read every schema dimension of the box before
+  // Execute could check it.
+  for (const Event& ev : events) ACCL_CHECK(ev.box.dims() == schema_.dims());
   std::unique_ptr<PipelineScratch> scratch = AcquireScratch();
   PipelineScratch& ps = *scratch;
   MatchBatchResult* res = out != nullptr ? out : &ps.sink_result;
@@ -1113,8 +1063,6 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
     ps.ready_next.reset(new int64_t[ne]);
     ps.event_cap = ne;
   }
-  ps.matched.assign(ne, 0);
-  ps.verified.assign(ne, 0);
   ps.ready_head.store(-1, std::memory_order_relaxed);
   ps.events_done.store(0, std::memory_order_relaxed);
   for (size_t e = 0; e < ne; ++e) {
@@ -1141,8 +1089,10 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   }
   if (ps.chunks.size() < total_chunks) ps.chunks.resize(total_chunks);
 
+  // A single event (Match) stays on the calling thread: handing its few
+  // shard visits to the pool would cost more than it saves.
   const size_t workers =
-      pool_ != nullptr
+      pool_ != nullptr && ne > 1
           ? std::min(pool_->concurrency(), std::max<size_t>(1, total_chunks))
           : 1;
   if (ps.gather.size() < workers) ps.gather.resize(workers);
@@ -1179,30 +1129,9 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   obs_->trylock_failures->Add(trylock_fail_total);
   obs_->ready_pop_retries->Add(pop_retry_total);
   res->AggregateShards();
-  // Latency is read after the fan-out drains so the batch path reports the
-  // same end-to-end per-event cost Match() reports for its full path.
-  const double per_event_ms = t.ElapsedMs() / static_cast<double>(ne);
-  // Fold per-event values into local summaries OFF the lock, then merge:
-  // the stats lock is held O(1) per batch, not O(ne) (the former loop
-  // added the same averaged latency ne times while holding stats_mu_).
-  Summary matched_sum;
-  Summary verified_sum;
-  uint64_t matched_total = 0;
-  for (size_t e = 0; e < ne; ++e) {
-    matched_sum.Add(static_cast<double>(ps.matched[e]));
-    verified_sum.Add(static_cast<double>(ps.verified[e]));
-    matched_total += ps.matched[e];
-  }
-  obs_->matches->Add(matched_total);
+  // Read after the fan-out drains: the call's full end-to-end duration.
   obs_->batch_us->Record(static_cast<uint64_t>(
       std::max(0.0, std::round(t.ElapsedMs() * 1000.0))));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.match_latency_ms.AddN(ne, per_event_ms);
-    stats_.events_processed += ne;
-    stats_.matches_per_event.Merge(matched_sum);
-    stats_.verified_per_event.Merge(verified_sum);
-  }
   if (tracker_ != nullptr) {
     // Off-lock fold (pooled accumulator), one tracker merge per batch.
     ps.pattern.Reset(schema_.dims());
@@ -1229,6 +1158,8 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   // while cheap, are still shared cache lines.
   uint64_t chunks_claimed = 0;
   uint64_t chunks_stolen = 0;
+  uint64_t matched_total = 0;
+  uint64_t verified_total = 0;
   std::vector<ObjectId>& buf = ps.gather[worker_id];
 
   // Finalize one ready event: gather its per-shard slices through the
@@ -1257,8 +1188,8 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
     if (range_routed_) {
       buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
     }
-    ps.matched[e] = static_cast<uint32_t>(buf.size());
-    ps.verified[e] = verified;
+    matched_total += buf.size();
+    verified_total += verified;
     if (sink == nullptr) {
       res->matches[e].assign(buf.begin(), buf.end());
     } else {
@@ -1378,7 +1309,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
     if (executed) continue;
     if (first_pending < k) {
       // Every pending shard's mutex was momentarily held (another worker's
-      // chunk, or a concurrent single-event Match). If finalize work
+      // chunk, or a concurrent caller's). If finalize work
       // arrived meanwhile, loop back for it; otherwise block once on the
       // first pending shard — bounded by one chunk of the current holder —
       // instead of spinning.
@@ -1406,6 +1337,8 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   }
   obs_->chunks_claimed->Add(chunks_claimed);
   obs_->chunks_stolen->Add(chunks_stolen);
+  obs_->matches->Add(matched_total);
+  obs_->objects_verified->Add(verified_total);
 }
 
 void SubscriptionEngine::MaybeAutoRebalance(uint64_t events) {
@@ -1797,12 +1730,8 @@ bool SubscriptionEngine::RebalanceLocked(bool force) {
   // that lands in a gap is a good deal — but small spill differences must
   // not win, or the planner drifts off the halving point at every pass and
   // repeated passes converge noticeably slower.
-  // rebalance_fence_candidates == 1 reproduces the single-candidate
-  // planner exactly.
-  const size_t n_cand =
-      std::max<uint32_t>(1, options_.rebalance_fence_candidates);
-  const size_t j_lo = n_cand == 1 ? m : std::max<size_t>(1, m - m / 4);
-  const size_t j_hi = n_cand == 1 ? m : std::min(exts.size() - 1, m + m / 4);
+  const size_t j_lo = std::max<size_t>(1, m - m / 4);
+  const size_t j_hi = std::min(exts.size() - 1, m + m / 4);
   float fence_m = 0.0f;
   const bool have_m = fence_for(m, &fence_m);
   const uint64_t spill_m = have_m ? spill_for(fence_m) : 0;
@@ -1810,11 +1739,8 @@ bool SubscriptionEngine::RebalanceLocked(bool force) {
   float new_fence = 0.0f;
   uint64_t best_spill = 0;
   size_t best_dist = 0;
-  for (size_t c = 0; c < n_cand; ++c) {
-    const size_t j =
-        n_cand == 1
-            ? m
-            : j_lo + (j_hi - j_lo) * c / std::max<size_t>(1, n_cand - 1);
+  for (size_t c = 0; c < kFenceCandidates; ++c) {
+    const size_t j = j_lo + (j_hi - j_lo) * c / (kFenceCandidates - 1);
     float f;
     if (!fence_for(j, &f)) continue;
     const uint64_t spill = spill_for(f);
@@ -1992,16 +1918,6 @@ bool SubscriptionEngine::MakeRangeEvent(
   if (!schema_.MakeBox(ranges, &box)) return false;
   *out = Event::Range(std::move(box));
   return true;
-}
-
-EngineStats SubscriptionEngine::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
-}
-
-void SubscriptionEngine::ResetStats() {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_ = EngineStats();
 }
 
 }  // namespace accl

@@ -6,18 +6,20 @@
 //
 // The engine wraps the adaptive clustering index with an attribute schema,
 // subscription lifecycle management, the two event kinds the paper
-// describes (point events and range events), and running statistics.
+// describes (point events and range events). Running statistics live in
+// the engine's metrics registry (metrics(); accl_pipeline_* families).
 //
 // Scale-out (sharding): the subscription database can be partitioned across
 // K independent AdaptiveIndex shards (EngineOptions::shards). Each
-// subscription lives in exactly one shard, chosen by a pluggable
-// partitioner; per-shard answers are merged deterministically (sorted by
-// ObjectId), so the match sets are byte-identical to a single-shard
-// engine's. Reads fan out concurrently across shards on the engine's
-// thread pool; all per-shard work — including Execute's statistics updates
-// and the adaptive reorganization it may trigger — runs behind that
-// shard's mutex, so the reorganization logic itself is untouched by
-// concurrency.
+// subscription lives in exactly one shard, chosen by the sharding policy
+// (id hash or range routing); per-shard answers are merged
+// deterministically (sorted by ObjectId), so the match sets are
+// byte-identical to a single-shard engine's. Every match — a batch or a
+// single event — runs through one streamed pipeline; batches fan out
+// concurrently across shards on the engine's thread pool. All per-shard
+// work — including Execute's statistics updates and the adaptive
+// reorganization it may trigger — runs behind that shard's mutex, so the
+// reorganization logic itself is untouched by concurrency.
 //
 // Range-routed dispatch (ShardingPolicy::kRange): shards 0..K-2 own
 // contiguous slices of the *fence dimension's* domain (dimension 0 by
@@ -63,7 +65,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,7 +79,6 @@
 #include "core/adaptive_index.h"
 #include "exec/epoch.h"
 #include "exec/thread_pool.h"
-#include "util/summary.h"
 
 namespace accl {
 
@@ -113,13 +113,9 @@ enum class MatchPolicy : uint8_t {
 /// How subscriptions are partitioned across shards.
 enum class ShardingPolicy : uint8_t {
   /// Mix the subscription id through SplitMix64 and take it mod K. Spreads
-  /// load evenly regardless of the subscription distribution.
+  /// load evenly regardless of the subscription distribution; events are
+  /// broadcast to every shard.
   kHashId = 0,
-  /// Partition the leading dimension's box center into K equal slices.
-  /// Keeps spatially close subscriptions together, at the cost of possible
-  /// load skew. Events are still broadcast (the center says nothing about
-  /// extents, so no shard can be skipped).
-  kLeadingDimension,
   /// Range partitioning with routed, non-broadcast event dispatch: shards
   /// 0..K-2 own contiguous slices of the fence dimension (dimension 0
   /// unless adaptive.fence_dim or the online advisor says otherwise), the
@@ -129,14 +125,6 @@ enum class ShardingPolicy : uint8_t {
   /// adaptive).
   kRange,
 };
-
-/// Custom partitioner: maps (id, normalized subscription box, shard count)
-/// to a shard. The result is taken mod the shard count. A default
-/// (empty) function means "use `sharding`"; combining a partitioner with
-/// ShardingPolicy::kRange is rejected by validation (the partitioner would
-/// silently disable routing and rebalancing).
-using ShardPartitionFn =
-    std::function<uint32_t(SubscriptionId, const Box&, uint32_t)>;
 
 /// An incoming publication.
 struct Event {
@@ -148,14 +136,6 @@ struct Event {
 
   bool is_point = true;
   Box box;  ///< degenerate for point events
-};
-
-/// Aggregate engine statistics.
-struct EngineStats {
-  uint64_t events_processed = 0;
-  Summary matches_per_event;
-  Summary verified_per_event;
-  Summary match_latency_ms;
 };
 
 /// Tuning for the engine; forwards the index knobs.
@@ -172,8 +152,6 @@ struct EngineOptions {
   uint32_t match_threads = 0;
   /// How subscriptions are assigned to shards (ignored when K == 1).
   ShardingPolicy sharding = ShardingPolicy::kHashId;
-  /// Overrides `sharding` when set. Incompatible with kRange (validated).
-  ShardPartitionFn partitioner;
 
   // ---- kRange knobs (ignored by the other policies) ----
   /// Initial interior boundaries: strictly ascending, size K-2 (the K-1
@@ -190,12 +168,6 @@ struct EngineOptions {
   /// Auto-rebalance ignores imbalance until the total window load reaches
   /// this floor (tiny shards are cheap to visit; moving them is not).
   uint64_t rebalance_min_load = 512;
-  /// Fence positions RebalanceOnce evaluates per move (>= 1). 1 reproduces
-  /// the single-candidate gap-halving planner; larger values let the
-  /// planner pick, among shed counts within ±25% of the exact halving
-  /// count (so every candidate still roughly halves the load gap), the
-  /// fence predicting the least straddler spill into the overflow shard.
-  uint32_t rebalance_fence_candidates = 9;
 
   /// Workload-adaptive routing: online fence-dimension selection and
   /// overflow-shard splitting (kRange only; see api/adaptive_routing.h).
@@ -213,10 +185,10 @@ struct EngineOptions {
 ///     single consistent table, execute on the selected shards, unpin.
 ///     The only locks a match takes are the per-shard mutexes (required:
 ///     AdaptiveIndex::Execute is a logical read but a physical write — it
-///     updates the adaptation statistics) and, once at the end, a
-///     dedicated stats mutex. A match never blocks behind a rebalance; a
-///     rebalance never blocks behind a match except for the bounded grace
-///     period below.
+///     updates the adaptation statistics) and the pipeline-scratch
+///     freelist's. Statistics go to lock-free registry counters. A match
+///     never blocks behind a rebalance; a rebalance never blocks behind a
+///     match except for the bounded grace period below.
 ///
 ///   - Subscribe/SubscribeBatch/Unsubscribe may be called concurrently
 ///     from any threads. kRange subscribes serialize against rebalances
@@ -247,9 +219,9 @@ struct EngineOptions {
 class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
-  /// K >= 2 and no custom partitioner, boundary arrays must have size K-2
-  /// and be strictly ascending, trigger ratio > 0, a schema with >= 1
-  /// attribute, and index knobs the structure can actually run with
+  /// K >= 2, boundary arrays must have size K-2 and be strictly
+  /// ascending, trigger ratio > 0, a schema with >= 1 attribute, and
+  /// index knobs the structure can actually run with
   /// (division_factor >= 2, max_clusters >= 1). match_threads == 0 is
   /// valid (caller-thread execution).
   static Status ValidateOptions(const AttributeSchema& schema,
@@ -297,11 +269,12 @@ class SubscriptionEngine {
   }
 
   /// Matches an event against the database; appends notified subscription
-  /// ids to `*out`. For broadcast policies the appended ids are in
-  /// shard-major order (with one shard this is exactly the classic
-  /// engine's order); for kRange they are sorted ascending by ObjectId and
-  /// deduplicated (double-residency may surface a migrating subscription
-  /// in two shards). Uses the default policy unless overridden.
+  /// ids to `*out`, keeping its previous contents. Exactly a one-event
+  /// MatchBatch run on the calling thread: the appended ids are sorted
+  /// ascending by ObjectId and duplicate-free under every policy,
+  /// byte-identical to what MatchBatch would return for the event, and
+  /// the call counts toward the same accl_pipeline_* metrics. Uses the
+  /// default policy unless overridden.
   void Match(const Event& event, std::vector<SubscriptionId>* out);
   void Match(const Event& event, MatchPolicy policy,
              std::vector<SubscriptionId>* out);
@@ -322,9 +295,11 @@ class SubscriptionEngine {
   /// `out->overflow_shard` carries the `overflow_subscriptions` pressure
   /// gauge (kNoOverflowShard for broadcast policies — explicitly absent,
   /// not silently zero). `out->routing_version` / `out->epoch` record the
-  /// snapshot and epoch the batch ran under. Reusing one result object
-  /// across batches is allocation-free at steady state (capacity-
-  /// preserving Clear + engine-pooled pipeline scratch).
+  /// snapshot and epoch the batch ran under. A one-event batch runs on the
+  /// calling thread (fanning one event's visits out would cost more than
+  /// it saves). Every event's box must have the schema's dimensionality.
+  /// Reusing one result object across batches is allocation-free at steady
+  /// state (capacity-preserving Clear + engine-pooled pipeline scratch).
   void MatchBatch(Span<const Event> events, MatchBatchResult* out);
   void MatchBatch(Span<const Event> events, MatchPolicy policy,
                   MatchBatchResult* out);
@@ -335,7 +310,7 @@ class SubscriptionEngine {
   /// arbitrary and calls may come concurrently from several pool workers
   /// (see the MatchSink contract in api/batch.h). Emitted spans are
   /// byte-identical to what the materializing overload would have stored
-  /// at the same event index. Engine statistics are recorded identically.
+  /// at the same event index. Engine metrics are recorded identically.
   void MatchBatch(Span<const Event> events, MatchSink* sink);
   void MatchBatch(Span<const Event> events, MatchPolicy policy,
                   MatchSink* sink);
@@ -348,10 +323,6 @@ class SubscriptionEngine {
   /// Convenience: builds a range event from predicates.
   bool MakeRangeEvent(const std::vector<AttributeRange>& ranges,
                       Event* out) const;
-
-  /// Snapshot of the running statistics (copies under the stats lock).
-  EngineStats stats() const;
-  void ResetStats();
 
   // ---- Shard introspection ----
   size_t shard_count() const { return shards_.size(); }
@@ -381,7 +352,7 @@ class SubscriptionEngine {
 
   // ---- Range routing & online rebalancing (kRange only) ----
 
-  /// True when the engine routes events by leading-dimension range.
+  /// True when the engine routes events by range (ShardingPolicy::kRange).
   bool range_routed() const { return range_routed_; }
 
   /// Copy of the current snapshot's interior boundary array (empty for
@@ -502,7 +473,10 @@ class SubscriptionEngine {
   /// wired into this engine (epoch manager, WAL, checkpointer, log
   /// shipper) registers its metrics here under the accl_* naming scheme;
   /// the engine's own pipeline/rebalance/adaptive counters are
-  /// registry-owned. Components attach on wiring (AttachDurability /
+  /// registry-owned. Match statistics are read here: per call,
+  /// accl_pipeline_events_total, accl_pipeline_matches_total and
+  /// accl_pipeline_objects_verified_total count events, notifications and
+  /// verified subscriptions, and accl_pipeline_batch_us times the call. Components attach on wiring (AttachDurability /
   /// SetCheckpointer / LogShipper::Create), so a volatile engine's
   /// registry simply has no accl_wal_*/accl_ckpt_*/accl_repl_* entries.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
@@ -661,7 +635,6 @@ class SubscriptionEngine {
   void PublishSnapshot(RoutingPlan plan);
 
   static Relation RelationFor(const Event& event, MatchPolicy policy);
-  void RecordEvent(size_t matches, size_t verified, double latency_ms);
 
   // ---- Streamed batch pipeline (see MatchBatchImpl in the .cc) ----
 
@@ -671,7 +644,8 @@ class SubscriptionEngine {
   /// callers each get their own while capacity survives across batches.
   struct PipelineScratch;
 
-  /// Shared body of the four MatchBatch overloads. Exactly one of
+  /// Shared body of the four MatchBatch overloads and Match (a one-event
+  /// call with an appending sink). Exactly one of
   /// `out`/`sink` is non-null: `out` materializes per-event matches,
   /// `sink` streams them (metrics then accumulate into pooled scratch).
   void MatchBatchImpl(Span<const Event> events, MatchPolicy policy,
@@ -799,22 +773,14 @@ class SubscriptionEngine {
   /// Match/MatchBatch.
   mutable std::mutex meta_mu_;
   SubscriptionId next_id_ = 0;
-  /// Owner shard of each live subscription (needed by Unsubscribe for
-  /// custom/spatial partitioners whose input box is long gone, and kept
-  /// exact across migrations).
+  /// Owner shard of each live subscription (needed by Unsubscribe, whose
+  /// caller no longer has the box, and kept exact across migrations).
   std::unordered_map<SubscriptionId, uint32_t> shard_of_;
   /// Second residency during migration: id -> destination shard, present
   /// exactly while a copy lives in both shards. Unsubscribe erases both;
   /// the migration's cleanup pass claims ownership by removing the entry.
   std::unordered_map<SubscriptionId, uint32_t> second_home_;
   std::atomic<size_t> subscription_count_{0};
-
-  /// Guards stats_ only (its own lock so the match path never contends
-  /// with id allocation or ownership updates). The batch path holds it
-  /// O(1) per batch: per-event values are folded into local Summaries off
-  /// the lock and merged/bulk-added in one step.
-  mutable std::mutex stats_mu_;
-  EngineStats stats_;
 
   /// Freelist of pipeline scratch objects (capacity-preserving reuse
   /// across batches; one per concurrent MatchBatch caller at peak).

@@ -11,7 +11,7 @@ SeqScan::SeqScan(Dim nd, StorageScenario scenario, const SystemParams& sys)
       scenario_(scenario),
       sys_(sys),
       backend_(kernels::BackendRegistry::Instance().Resolve("")),
-      store_(nd, 0.0) {}
+      store_(nd) {}
 
 VerifyKernelInfo SeqScan::verify_kernel() const {
   return {backend_->name(), backend_->vector_width_floats()};

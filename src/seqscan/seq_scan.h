@@ -43,6 +43,8 @@ class SeqScan : public SpatialIndex {
   SystemParams sys_;
   /// Verification backend resolved once at construction (env / widest).
   const kernels::VerifyBackend* backend_;
+  /// Grows by the slot array's default reserve, so loading is amortized
+  /// O(1) per object (capacity feeds no cost or metric path).
   SlotArray store_;
   /// Reused per-query verification image (avoids per-query allocation).
   BatchQuery bq_;

@@ -66,35 +66,6 @@ TEST(EngineConfig, RangeNeedsAtLeastTwoShards) {
   EXPECT_NE(st.message().find("kRange"), std::string::npos);
 }
 
-TEST(EngineConfig, RangeRejectsCustomPartitioner) {
-  // Silently letting the partitioner win would disable routing and
-  // rebalancing behind the caller's back; the combination is an error.
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return static_cast<uint32_t>(id) % k;
-  };
-  Status st;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("partitioner"), std::string::npos);
-}
-
-TEST(EngineConfig, DefaultConstructedPartitionerMeansUnset) {
-  // An empty std::function is the documented "use `sharding`" value, not a
-  // null callable to crash on during the first Subscribe.
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = ShardPartitionFn();        // explicit empty
-  Status st;
-  auto engine = SubscriptionEngine::Create(SchemaWithDims(2), o, &st);
-  ASSERT_TRUE(st.ok()) << st.message();
-  ASSERT_NE(engine, nullptr);
-  EXPECT_TRUE(engine->range_routed());
-}
-
 TEST(EngineConfig, BoundaryArraySizeAndOrderValidated) {
   EngineOptions o;
   o.shards = 5;  // needs exactly 3 interior fences
@@ -178,17 +149,6 @@ TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow_split_shards"), std::string::npos);
-
-  // A custom partitioner disables range routing, so it conflicts too.
-  o = EngineOptions{};
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return static_cast<uint32_t>(id) % k;
-  };
-  o.adaptive.enabled = true;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
 }
 
 TEST(EngineConfig, AdaptiveDimensionsMustNameSchemaDimensions) {

@@ -191,8 +191,9 @@ TEST(ObsRegistry, AttachedMetricsAreReadAndDetachable) {
   obs::Counter mine;
   reg.Attach("accl_test_attached_total", &mine, "externally owned");
   mine.Add(11);
-  const obs::MetricValue* v =
-      reg.Snapshot().Find("accl_test_attached_total");
+  // Find points into the snapshot, so the snapshot must outlive the read.
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  const obs::MetricValue* v = snap.Find("accl_test_attached_total");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->counter, 11u);
   reg.Detach("accl_test_attached_total");
@@ -498,8 +499,8 @@ TEST(ObsEngineCoverage, FollowerExposesReplicationFamily) {
                   "accl_repl_records_applied_total", "accl_repl_cursor_lsn",
                   "accl_repl_lag_records", "accl_repl_ship_pass_us"},
                  "follower");
-  const obs::MetricValue* passes = shipper->engine()->metrics().Snapshot().Find(
-      "accl_repl_ship_passes_total");
+  const obs::MetricsSnapshot snap = shipper->engine()->metrics().Snapshot();
+  const obs::MetricValue* passes = snap.Find("accl_repl_ship_passes_total");
   ASSERT_NE(passes, nullptr);
   EXPECT_GE(passes->counter, 1u);
 

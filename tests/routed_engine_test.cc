@@ -526,80 +526,54 @@ TEST(RoutedEngine, OverflowPressureObservability) {
   EXPECT_TRUE(broadcast.GetRebalanceLoadSnapshot().range_loads.empty());
 }
 
-TEST(RoutedEngine, SpillAwarePlannerBeatsSingleCandidateOnDenseCut) {
+TEST(RoutedEngine, SpillAwarePlannerAvoidsDenseCut) {
   // Dense-cut workload: the donor slice (0.5, inf) holds three packs —
   // 170 narrow boxes in [0.52, 0.56], a dense pack of 80 WIDE boxes whose
   // lower endpoints crowd [0.600, 0.602] with hi0 = 0.9, and 150 narrow
   // boxes above 0.7. The exact gap-halving shed count (m = 200) puts the
-  // fence in the middle of the wide pack — every wide box below it
-  // straddles the new fence and spills to overflow — while shedding ~175
-  // puts the fence at the pack's leading edge and spills almost nothing.
-  // The spill-aware planner must find that fence; the single-candidate
-  // planner (rebalance_fence_candidates = 1) must not.
-  const auto build = [](uint32_t candidates) {
-    EngineOptions o = Opts(3, 0, ShardingPolicy::kRange, {0.5f});
-    o.rebalance_fence_candidates = candidates;
-    auto engine =
-        std::make_unique<SubscriptionEngine>(UnitSchema(), std::move(o));
-    const auto sub = [&](float lo, float hi) {
-      Box b = Box::FullDomain(kNd);
-      b.set(0, lo, hi);
-      engine->SubscribeBox(b);
-    };
-    for (int i = 0; i < 170; ++i) {
-      const float lo = 0.52f + 0.04f * static_cast<float>(i) / 170.0f;
-      sub(lo, lo + 0.005f);
-    }
-    for (int i = 0; i < 80; ++i) {
-      sub(0.600f + 0.002f * static_cast<float>(i) / 80.0f, 0.9f);
-    }
-    for (int i = 0; i < 150; ++i) {
-      const float lo = 0.70f + 0.25f * static_cast<float>(i) / 150.0f;
-      sub(lo, lo + 0.005f);
-    }
-    return engine;
+  // fence in the middle of the wide pack — the 30 wide boxes below it
+  // would straddle the new fence and spill to overflow — while shedding
+  // ~175 puts the fence at the pack's leading edge and spills almost
+  // nothing. The spill-aware planner must find that fence.
+  EngineOptions o = Opts(3, 0, ShardingPolicy::kRange, {0.5f});
+  SubscriptionEngine engine(UnitSchema(), std::move(o));
+  const auto sub = [&](float lo, float hi) {
+    Box b = Box::FullDomain(kNd);
+    b.set(0, lo, hi);
+    engine.SubscribeBox(b);
   };
-
-  auto naive = build(1);
-  auto smart = build(EngineOptions().rebalance_fence_candidates);
-  // Everything starts in the donor slice (shard 1).
-  ASSERT_EQ(naive->GetShardInfos()[1].subscriptions, 400u);
-
-  ASSERT_TRUE(naive->RebalanceOnce());
-  ASSERT_TRUE(smart->RebalanceOnce());
-  const auto naive_st = naive->rebalance_stats();
-  const auto smart_st = smart->rebalance_stats();
-  EXPECT_EQ(naive_st.boundary_moves, 1u);
-  EXPECT_EQ(smart_st.boundary_moves, 1u);
-  EXPECT_GT(smart_st.subscriptions_migrated, 0u);
-
-  // The single-candidate fence lands inside the wide pack; the
-  // spill-aware fence clears it almost entirely.
-  EXPECT_GT(naive_st.last_predicted_straddler_spill, 20u);
-  EXPECT_LT(smart_st.last_predicted_straddler_spill,
-            naive_st.last_predicted_straddler_spill / 2);
-
-  // The prediction is what the migration actually did: fewer overflow
-  // residents under the spill-aware planner, on the same workload.
-  const auto naive_load = naive->GetRebalanceLoadSnapshot();
-  const auto smart_load = smart->GetRebalanceLoadSnapshot();
-  EXPECT_EQ(naive_load.overflow_subscriptions,
-            naive_st.last_predicted_straddler_spill);
-  EXPECT_EQ(smart_load.overflow_subscriptions,
-            smart_st.last_predicted_straddler_spill);
-  EXPECT_LT(smart_load.overflow_subscriptions,
-            naive_load.overflow_subscriptions);
-
-  // Both planners still rebalanced: the donor shed a meaningful share and
-  // nothing was lost.
-  for (const auto& engine : {naive.get(), smart.get()}) {
-    size_t total = 0;
-    for (const auto& info : engine->GetShardInfos()) {
-      total += info.subscriptions;
-    }
-    EXPECT_EQ(total, 400u);
-    EXPECT_GT(engine->GetShardInfos()[0].subscriptions, 100u);
+  for (int i = 0; i < 170; ++i) {
+    const float lo = 0.52f + 0.04f * static_cast<float>(i) / 170.0f;
+    sub(lo, lo + 0.005f);
   }
+  for (int i = 0; i < 80; ++i) {
+    sub(0.600f + 0.002f * static_cast<float>(i) / 80.0f, 0.9f);
+  }
+  for (int i = 0; i < 150; ++i) {
+    const float lo = 0.70f + 0.25f * static_cast<float>(i) / 150.0f;
+    sub(lo, lo + 0.005f);
+  }
+  // Everything starts in the donor slice (shard 1).
+  ASSERT_EQ(engine.GetShardInfos()[1].subscriptions, 400u);
+
+  ASSERT_TRUE(engine.RebalanceOnce());
+  const auto st = engine.rebalance_stats();
+  EXPECT_EQ(st.boundary_moves, 1u);
+  EXPECT_GT(st.subscriptions_migrated, 0u);
+  // The spill-aware fence clears the wide pack almost entirely (the
+  // halving fence would spill 30).
+  EXPECT_LT(st.last_predicted_straddler_spill, 10u);
+
+  // The prediction is what the migration actually did.
+  EXPECT_EQ(engine.GetRebalanceLoadSnapshot().overflow_subscriptions,
+            st.last_predicted_straddler_spill);
+
+  // The planner still rebalanced: the donor shed a meaningful share and
+  // nothing was lost.
+  size_t total = 0;
+  for (const auto& info : engine.GetShardInfos()) total += info.subscriptions;
+  EXPECT_EQ(total, 400u);
+  EXPECT_GT(engine.GetShardInfos()[0].subscriptions, 100u);
 }
 
 TEST(RoutedEngine, RebalancePlannerReportsPredictedStraddlerSpill) {
@@ -630,6 +604,25 @@ TEST(RoutedEngine, RebalancePlannerReportsPredictedStraddlerSpill) {
   const auto load = engine.GetRebalanceLoadSnapshot();
   EXPECT_GE(load.overflow_subscriptions, st.last_predicted_straddler_spill);
 }
+
+#if GTEST_HAS_DEATH_TEST
+TEST(RoutedEngineDeathTest, EventMissingTheFenceDimensionIsRefused) {
+  // The fence dimension (4) lies beyond the 2-d event's box: routing would
+  // read past it. The pipeline entry Match and MatchBatch share refuses the
+  // event before anything reads it.
+  EngineOptions o = Opts(4, 0, ShardingPolicy::kRange);
+  o.adaptive.fence_dim = 4;
+  SubscriptionEngine engine(UnitSchema(), std::move(o));
+  engine.SubscribeBox(Box::FullDomain(kNd));
+  const Event short_event = Event::Range(Box::FullDomain(2));
+  std::vector<SubscriptionId> out;
+  EXPECT_DEATH(engine.Match(short_event, &out),
+               "box.dims\\(\\) == schema_.dims\\(\\)");
+  MatchBatchResult res;
+  EXPECT_DEATH(engine.MatchBatch(Span<const Event>(&short_event, 1), &res),
+               "box.dims\\(\\) == schema_.dims\\(\\)");
+}
+#endif
 
 }  // namespace
 }  // namespace accl

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "util/rng.h"
 
@@ -13,6 +14,10 @@ AttributeSchema AdsSchema() {
   s.AddAttribute("baths", 0, 5);
   s.AddAttribute("distance", 0, 100);
   return s;
+}
+
+uint64_t CounterValue(const SubscriptionEngine& engine, const char* name) {
+  return engine.metrics().GetCounter(name)->Value();
 }
 
 SubscriptionEngine MakeEngine() {
@@ -119,11 +124,25 @@ TEST(SdiEngine, StatsAccumulate) {
     out.clear();
     engine.Match(ev, &out);
   }
-  EXPECT_EQ(engine.stats().events_processed, 10u);
-  EXPECT_EQ(engine.stats().matches_per_event.count(), 10u);
-  EXPECT_GT(engine.stats().matches_per_event.mean(), 0.0);
-  engine.ResetStats();
-  EXPECT_EQ(engine.stats().events_processed, 0u);
+  // Every Match is one pipeline call: one event, one timed call.
+  EXPECT_EQ(CounterValue(engine, "accl_pipeline_events_total"), 10u);
+  EXPECT_EQ(engine.metrics().GetHistogram("accl_pipeline_batch_us")->Count(),
+            10u);
+  EXPECT_GT(CounterValue(engine, "accl_pipeline_matches_total"), 0u);
+  EXPECT_GT(CounterValue(engine, "accl_pipeline_objects_verified_total"), 0u);
+  // A window of calls is a delta between two snapshots.
+  const obs::MetricsSnapshot base = engine.metrics().Snapshot();
+  const auto events_since = [&] {
+    return engine.metrics()
+        .Snapshot()
+        .DeltaSince(base)
+        .Find("accl_pipeline_events_total")
+        ->counter;
+  };
+  EXPECT_EQ(events_since(), 0u);
+  out.clear();
+  engine.Match(ev, &out);
+  EXPECT_EQ(events_since(), 1u);
 }
 
 TEST(SdiEngine, HighVolumeStreamAdapts) {
@@ -151,9 +170,12 @@ TEST(SdiEngine, HighVolumeStreamAdapts) {
     engine.Match(ev, &out);
   }
   EXPECT_GT(engine.index().cluster_count(), 1u);
+  const double verified_per_event =
+      static_cast<double>(
+          CounterValue(engine, "accl_pipeline_objects_verified_total")) /
+      static_cast<double>(CounterValue(engine, "accl_pipeline_events_total"));
   const double verified_frac =
-      engine.stats().verified_per_event.mean() /
-      static_cast<double>(engine.subscription_count());
+      verified_per_event / static_cast<double>(engine.subscription_count());
   EXPECT_LT(verified_frac, 0.6);
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -91,7 +92,7 @@ TEST(ShardedEngine, MatchBatchParityAcrossShardAndThreadConfigs) {
     } configs[] = {
         {4, 0, ShardingPolicy::kHashId},
         {4, 4, ShardingPolicy::kHashId},
-        {3, 2, ShardingPolicy::kLeadingDimension},
+        {3, 2, ShardingPolicy::kRange},
         {8, 8, ShardingPolicy::kHashId},
     };
     for (const auto& cfg : configs) {
@@ -114,31 +115,6 @@ TEST(ShardedEngine, MatchBatchIsDeterministicAcrossRuns) {
   const auto ra = DriveWorkload(a, MatchPolicy::kIntersecting, 7);
   const auto rb = DriveWorkload(b, MatchPolicy::kIntersecting, 7);
   EXPECT_EQ(ra, rb);
-}
-
-TEST(ShardedEngine, CustomPartitionerRoutesAndStaysCorrect) {
-  EngineOptions o = Opts(4, 2);
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return (id / 3) % k;  // deliberately lumpy
-  };
-  SubscriptionEngine engine(UnitSchema(), o);
-  Rng rng(3);
-  std::vector<SubscriptionId> ids;
-  for (int i = 0; i < 200; ++i) {
-    ids.push_back(engine.SubscribeBox(testutil::RandomBox(rng, kNd, 0.5f)));
-  }
-  for (const SubscriptionId id : ids) {
-    EXPECT_EQ(engine.ShardOf(id), ((id / 3) % 4));
-  }
-  // Full-domain subscription must be found by any event.
-  const SubscriptionId all = engine.SubscribeBox(Box::FullDomain(kNd));
-  std::vector<float> pt(kNd, 0.5f);
-  std::vector<Event> evs = {Event::Point(std::move(pt))};
-  MatchBatchResult res;
-  engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
-  ASSERT_EQ(res.matches.size(), 1u);
-  EXPECT_TRUE(std::binary_search(res.matches[0].begin(),
-                                 res.matches[0].end(), all));
 }
 
 TEST(ShardedEngine, PerShardMetricsAggregateToTotal) {
@@ -168,6 +144,7 @@ TEST(ShardedEngine, PerShardMetricsAggregateToTotal) {
   for (const auto& info : infos) subs += info.subscriptions;
   EXPECT_EQ(subs, engine.subscription_count());
   EXPECT_EQ(subs, 1000u);
+  EXPECT_EQ(engine.ShardOf(12345u), engine.shard_count());  // unknown id
 }
 
 TEST(ShardedEngine, SingleEventMatchAgreesWithBatch) {
@@ -191,7 +168,55 @@ TEST(ShardedEngine, SingleEventMatchAgreesWithBatch) {
     engine2.Match(events[e], &single);
     EXPECT_EQ(testutil::Sorted(std::move(single)), res.matches[e]);
   }
-  EXPECT_EQ(engine.stats().events_processed, events.size());
+  EXPECT_EQ(
+      engine.metrics().GetCounter("accl_pipeline_events_total")->Value(),
+      events.size());
+}
+
+TEST(ShardedEngine, MatchIsAOneEventBatch) {
+  // Match runs the batch pipeline for one event: its output is byte-for-
+  // byte the one-event MatchBatch answer (ObjectId-sorted under a broadcast
+  // policy too — no sort here), appended after whatever `out` held, and
+  // counted by the same pipeline metrics. Two identically driven engines,
+  // because matching adapts each shard's clustering and with it the
+  // verified counts.
+  const auto build = [] {
+    auto engine =
+        std::make_unique<SubscriptionEngine>(UnitSchema(), Opts(4, 4));
+    Rng rng(23);
+    for (int i = 0; i < 800; ++i) {
+      engine->SubscribeBox(testutil::RandomBox(rng, kNd, 0.6f));
+    }
+    return engine;
+  };
+  auto single = build();
+  auto batch = build();
+  const obs::Counter* events =
+      single->metrics().GetCounter("accl_pipeline_events_total");
+  const obs::Counter* verified =
+      single->metrics().GetCounter("accl_pipeline_objects_verified_total");
+  Rng rng(29);
+  const std::vector<Event> evs = MakeEvents(rng, 64);
+  const std::vector<SubscriptionId> prefix = {987654u, 3u};
+  size_t multi = 0;
+  for (const Event& ev : evs) {
+    MatchBatchResult res;
+    batch->MatchBatch(Span<const Event>(&ev, 1), MatchPolicy::kIntersecting,
+                      &res);
+    std::vector<SubscriptionId> out = prefix;
+    const uint64_t events0 = events->Value();
+    const uint64_t verified0 = verified->Value();
+    single->Match(ev, MatchPolicy::kIntersecting, &out);
+    ASSERT_GE(out.size(), prefix.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    EXPECT_EQ(std::vector<SubscriptionId>(out.begin() + prefix.size(),
+                                          out.end()),
+              res.matches[0]);
+    EXPECT_EQ(events->Value(), events0 + 1);
+    EXPECT_EQ(verified->Value(), verified0 + res.total.objects_verified);
+    if (res.matches[0].size() > 1) ++multi;
+  }
+  EXPECT_GT(multi, evs.size() / 2);  // order is actually exercised
 }
 
 TEST(ShardedEngine, SubscribeBatchEquivalentToLoopSubscribeForAllPolicies) {
@@ -203,7 +228,7 @@ TEST(ShardedEngine, SubscribeBatchEquivalentToLoopSubscribeForAllPolicies) {
     uint32_t shards;
   } cases[] = {
       {ShardingPolicy::kHashId, 4},
-      {ShardingPolicy::kLeadingDimension, 4},
+      {ShardingPolicy::kRange, 3},  // the smallest rebalanceable shape
       {ShardingPolicy::kRange, 4},
       {ShardingPolicy::kRange, 2},  // degenerate: one slice + overflow
   };
@@ -295,8 +320,7 @@ TEST(ShardedEngine, SubscribeBatchInterleavesWithLoopSubscribeAndUnsubscribe) {
   SubscriptionEngine serial(UnitSchema(), Opts(1, 0));
   const auto expected = drive(serial);
   for (const ShardingPolicy policy :
-       {ShardingPolicy::kHashId, ShardingPolicy::kLeadingDimension,
-        ShardingPolicy::kRange}) {
+       {ShardingPolicy::kHashId, ShardingPolicy::kRange}) {
     SubscriptionEngine sharded(UnitSchema(), Opts(5, 3, policy));
     EXPECT_EQ(drive(sharded), expected)
         << "policy " << static_cast<int>(policy);
@@ -311,21 +335,6 @@ TEST(ShardedEngine, EmptySubscribeBatchIsANoOp) {
   EXPECT_EQ(engine.subscription_count(), 0u);
   const SubscriptionId next = engine.SubscribeBox(Box::FullDomain(kNd));
   EXPECT_EQ(next, 0u);  // no ids were burned
-}
-
-TEST(ShardedEngine, LeadingDimensionPartitionSpreadsByGeometry) {
-  SubscriptionEngine engine(UnitSchema(),
-                            Opts(4, 0, ShardingPolicy::kLeadingDimension));
-  Box low(kNd), high(kNd);
-  for (Dim d = 0; d < kNd; ++d) {
-    low.set(d, 0.0f, 0.1f);
-    high.set(d, 0.9f, 1.0f);
-  }
-  const SubscriptionId lo_id = engine.SubscribeBox(low);
-  const SubscriptionId hi_id = engine.SubscribeBox(high);
-  EXPECT_EQ(engine.ShardOf(lo_id), 0u);
-  EXPECT_EQ(engine.ShardOf(hi_id), 3u);
-  EXPECT_EQ(engine.ShardOf(12345u), engine.shard_count());  // unknown id
 }
 
 }  // namespace
