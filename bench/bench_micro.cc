@@ -91,7 +91,7 @@ void BM_CandidateAccountObject(benchmark::State& state) {
   Dataset ds = MakeData(nd, 1024);
   size_t i = 0;
   for (auto _ : state) {
-    cs.AccountObject(ds.box(i++ & 1023), +1.0);
+    cs.AccountObject(ds.box(i++ & 1023), +1);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -15,17 +15,6 @@ void QueryPatternTracker::Record(const PatternAccumulator& acc) {
   ring_[current_].Merge(acc.data());
 }
 
-void QueryPatternTracker::RecordEvent(const Box& b) {
-  events_observed_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(mu_);
-  PatternSnapshot& gen = ring_[current_];
-  ++gen.events;
-  for (Dim d = 0; d < nd_; ++d) {
-    ++gen.event_dims[d].lo[PatternBinOf(b.lo(d))];
-    ++gen.event_dims[d].hi[PatternBinOf(b.hi(d))];
-  }
-}
-
 void QueryPatternTracker::RecordSubscription(const Box& b) {
   subscriptions_observed_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);

@@ -141,10 +141,9 @@ class QueryPatternTracker {
   /// Merges a folded accumulator into the current generation (one lock).
   void Record(const PatternAccumulator& acc);
 
-  /// Single-sample conveniences for unbatched paths (one lock each; a
-  /// single Subscribe pays one uncontended mutex acquisition per call when
-  /// tracking is enabled).
-  void RecordEvent(const Box& b);
+  /// Single-subscription convenience for the unbatched Subscribe path (one
+  /// uncontended mutex acquisition per call when tracking is enabled).
+  /// Events always arrive through an accumulator and Record.
   void RecordSubscription(const Box& b);
 
   /// Sum of all live generations.

@@ -1,6 +1,7 @@
 #include "api/schema.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "util/check.h"
@@ -43,6 +44,9 @@ bool AttributeSchema::MakeBox(const std::vector<AttributeRange>& ranges,
     if (!d.has_value()) return false;
     if (seen[*d]) return false;
     seen[*d] = true;
+    // NaN compares false against everything, so it must be refused before
+    // the ordering test can wave it through.
+    if (!std::isfinite(r.lo) || !std::isfinite(r.hi)) return false;
     if (r.lo > r.hi) return false;
     const float lo = Normalize(*d, r.lo);
     const float hi = Normalize(*d, r.hi);
@@ -61,6 +65,7 @@ bool AttributeSchema::MakePoint(const std::vector<AttributeValue>& values,
   for (const AttributeValue& v : values) {
     auto d = DimensionOf(v.name);
     if (!d.has_value() || seen[*d]) return false;
+    if (!std::isfinite(v.value)) return false;
     seen[*d] = true;
     pt[*d] = Normalize(*d, v.value);
   }

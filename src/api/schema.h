@@ -56,12 +56,13 @@ class AttributeSchema {
   /// Builds a hyper-rectangle from range predicates. Attributes not
   /// mentioned span their whole domain (the paper's subscriptions leave
   /// unspecified attributes unconstrained). Returns false when a name is
-  /// unknown, duplicated, or a range is inverted/outside the domain
-  /// tolerance.
+  /// unknown, duplicated, or a range is inverted, non-finite (NaN or
+  /// infinite) or outside the domain tolerance.
   bool MakeBox(const std::vector<AttributeRange>& ranges, Box* out) const;
 
   /// Builds a point (as normalized coordinates) from attribute values.
-  /// Every attribute must be given exactly once.
+  /// Every attribute must be given exactly once, with a finite value;
+  /// returns false otherwise.
   bool MakePoint(const std::vector<AttributeValue>& values,
                  std::vector<float>* out) const;
 

@@ -10,6 +10,28 @@
 
 namespace accl {
 
+namespace {
+
+// The exploration ring holds one reorganization period of queries (every
+// pass replays all logs, so it never wraps in steady state), within bounds
+// that keep its memory small; with manual reorganization it wraps every
+// kRingWithoutPeriod queries.
+constexpr uint32_t kRingWithoutPeriod = 256;
+constexpr uint32_t kMaxRing = 1024;
+// Replay counts are bytes, so a log holds at most 255 explorations.
+constexpr uint32_t kMaxLog = 255;
+
+uint32_t RingCapacity(uint32_t reorg_period) {
+  if (reorg_period == 0) return kRingWithoutPeriod;
+  return std::min(reorg_period, kMaxRing);
+}
+
+uint32_t LogCapacity(uint32_t reorg_period) {
+  return std::min(RingCapacity(reorg_period), kMaxLog);
+}
+
+}  // namespace
+
 AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
     : cfg_(cfg),
       model_(CostModel::Make(
@@ -19,7 +41,8 @@ AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
               (cfg.division_factor + 1) / 2.0)),
       backend_(kernels::BackendRegistry::Instance().Resolve(
           cfg.verify_backend)),
-      sig_table_(cfg.nd, backend_) {
+      sig_table_(cfg.nd, backend_),
+      ring_(cfg.nd, cfg.division_factor, RingCapacity(cfg.reorg_period)) {
   ACCL_CHECK(cfg_.nd > 0);
   // Unknown names should be caught by validation (sdi::ValidateOptions)
   // before an index is ever constructed; here it is a programming error.
@@ -38,8 +61,9 @@ VerifyKernelInfo AdaptiveIndex::verify_kernel() const {
 
 ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
   ClusterId id;
-  auto c = std::make_unique<Cluster>(0, std::move(sig), cfg_.nd,
-                                     cfg_.reserve_fraction);
+  auto c = std::make_unique<Cluster>(
+      0, std::move(sig), cfg_.nd, cfg_.reserve_fraction,
+      cfg_.division_factor, total_weight_, LogCapacity(cfg_.reorg_period));
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
@@ -51,9 +75,6 @@ ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
   Cluster* cl = cluster(id);
   cl->id = id;
   cl->parent = parent;
-  cl->w0 = total_weight_;
-  cl->candidates = std::make_unique<CandidateSet>(
-      cl->sig, cfg_.division_factor, total_weight_);
   cl->sig_slot = sig_table_.Add(id, cl->sig);
   if (parent != kNoCluster) cluster(parent)->children.push_back(id);
   ++live_clusters_;
@@ -108,7 +129,7 @@ void AdaptiveIndex::Insert(ObjectId id, BoxView box) {
   Cluster* b = cluster(best);
   const uint32_t slot = static_cast<uint32_t>(b->objects.size());
   b->objects.Append(id, box);
-  b->candidates->AccountObject(box, +1.0);
+  b->candidates.AccountObject(box, +1);
   owner_.emplace(id, ObjectRef{best, slot});
   ++object_count_;
 }
@@ -147,7 +168,7 @@ bool AdaptiveIndex::Erase(ObjectId id) {
   Cluster* c = cluster(ref.cluster);
   ACCL_CHECK(c != nullptr && ref.slot < c->objects.size());
   ACCL_DCHECK(c->objects.id(ref.slot) == id);
-  c->candidates->AccountObject(c->objects.box(ref.slot), -1.0);
+  c->candidates.AccountObject(c->objects.box(ref.slot), -1);
   const ObjectId filler = c->objects.RemoveAt(ref.slot);
   owner_.erase(it);
   if (filler != kInvalidObject) {
@@ -192,17 +213,21 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     const Cluster* c = cluster(cid);
     verify_total += c->size();
     __builtin_prefetch(c->objects.coords_data());
-    __builtin_prefetch(c->candidates.get());
+    __builtin_prefetch(&c->candidates);
   }
-  // Second stage: the candidate headers are in flight now, so the indicator
-  // arrays behind them can be staged too.
+  // Second stage: the log headers are in flight now, so the log slots the
+  // explore loop appends to can be staged too.
   for (ClusterId cid : admitted_) {
-    __builtin_prefetch(cluster(cid)->candidates->q_data(), 1);
+    __builtin_prefetch(cluster(cid)->candidates.log_tail(), 1);
   }
   out->reserve(out->size() + verify_total);
 
   bq_.Assign(q.box.view(), q.rel);
-  qmasks_.Reset(cfg_.nd);
+  uint16_t slot = 0;
+  if (!admitted_.empty()) {
+    if (ring_.full()) ReplayAllLogs();
+    slot = ring_.Push(q);
+  }
   for (ClusterId cid : admitted_) {
     Cluster* c = cluster(cid);
 
@@ -216,11 +241,10 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
       m->sim_time_ms += cfg_.sys.disk_ms_per_byte *
                         static_cast<double>(c->objects.live_bytes());
     }
-    // Update performance indicators (paper Fig. 5 steps 7-10). Runs before
-    // the verification sweep so its scattered indicator-array stores drain
-    // in the background while the kernel streams the coordinate block.
+    // Update performance indicators (paper Fig. 5 steps 7-10): the
+    // cluster's own count now, its candidates' at the next replay.
     c->q += 1.0;
-    c->candidates->AccountQuery(q, &qmasks_);
+    LogExploration(c, slot);
 
     uint64_t cluster_dims = 0;
     backend_->NoteDispatch();
@@ -248,13 +272,30 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   }
 }
 
+void AdaptiveIndex::LogExploration(Cluster* c, uint16_t slot) {
+  if (c->candidates.Log(slot)) return;
+  c->candidates.Replay(ring_);
+  const bool logged = c->candidates.Log(slot);
+  ACCL_DCHECK(logged);
+  (void)logged;
+}
+
+void AdaptiveIndex::ReplayAllLogs() {
+  for (const auto& up : clusters_) {
+    if (up) up->candidates.Replay(ring_);
+  }
+  ring_.Clear();
+}
+
 void AdaptiveIndex::HalveAllStats() {
+  // Halving does not commute with the logged increments: count them first.
+  ReplayAllLogs();
   total_weight_ *= 0.5;
   for (const auto& up : clusters_) {
     if (!up) continue;
     up->q *= 0.5;
     up->w0 *= 0.5;
-    up->candidates->Halve();
+    up->candidates.Halve();
   }
 }
 
@@ -270,18 +311,26 @@ void AdaptiveIndex::Reorganize() {
   }
 
   // Paper Fig. 1, applied to every materialized cluster: merge if
-  // profitable, otherwise try to split.
+  // profitable, otherwise try to split. Every cluster that survives the
+  // pass has its exploration log replayed, so the ring is recycled after.
   for (size_t si = 0; si < snapshot.size(); ++si) {
     const ClusterId id = snapshot[si];
     Cluster* c = cluster(id);
     if (c == nullptr) continue;  // merged away earlier in this pass
-    if (si + 1 < snapshot.size()) {
-      // Stage the next cluster's split-scan data; the candidate indicator
-      // array is behind two pointer hops and otherwise stalls the scan.
-      const Cluster* nx = cluster(snapshot[si + 1]);
-      if (nx != nullptr) {
-        __builtin_prefetch(nx->candidates.get());
-        __builtin_prefetch(nx->candidates->n_data());
+    // Stage upcoming clusters in two steps: the record three ahead (its
+    // candidate header holds the block pointers), then the candidate block
+    // two ahead.
+    if (si + 3 < snapshot.size()) {
+      if (const Cluster* nx = cluster(snapshot[si + 3])) {
+        const auto* p = reinterpret_cast<const char*>(nx);
+        __builtin_prefetch(p);
+        __builtin_prefetch(p + 64);
+        __builtin_prefetch(p + 128);
+      }
+    }
+    if (si + 2 < snapshot.size()) {
+      if (const Cluster* nx = cluster(snapshot[si + 2])) {
+        nx->candidates.Prefetch();
       }
     }
     if (!c->is_root()) {
@@ -303,6 +352,7 @@ void AdaptiveIndex::Reorganize() {
     const size_t created = TryClusterSplit(id);
     reorg_stats_.last_pass_splits += created;
   }
+  ring_.Clear();
 }
 
 void AdaptiveIndex::MergeCluster(ClusterId cid) {
@@ -318,7 +368,7 @@ void AdaptiveIndex::MergeCluster(ClusterId cid) {
     ACCL_DCHECK(a->sig.MatchesObject(b));
     const uint32_t slot = static_cast<uint32_t>(a->objects.size());
     a->objects.Append(oid, b);
-    a->candidates->AccountObject(b, +1.0);
+    a->candidates.AccountObject(b, +1);
     owner_[oid] = ObjectRef{a->id, slot};
   }
   c->objects.Clear();
@@ -332,58 +382,50 @@ void AdaptiveIndex::MergeCluster(ClusterId cid) {
 
 size_t AdaptiveIndex::TryClusterSplit(ClusterId cid) {
   Cluster* c = cluster(cid);
-  if (c->ObservationWindow(total_weight_) < cfg_.min_observation) return 0;
-
   size_t created = 0;
   // Paper Fig. 3: greedily materialize the most profitable candidate, then
   // recompute (moved objects change the indicators of other candidates).
-  for (;;) {
-    if (live_clusters_ >= cfg_.max_clusters) break;
-    const CandidateSet& cs = *c->candidates;
+  while (c->ObservationWindow(total_weight_) >= cfg_.min_observation &&
+         live_clusters_ < cfg_.max_clusters) {
+    CandidateSet& cs = c->candidates;
     const double cand_window = total_weight_ - cs.created_weight();
     if (cand_window < cfg_.min_observation) break;
-    const double p_c = AccessProbOf(*c);
 
-    double best_beta = 0.0;
-    size_t best = static_cast<size_t>(-1);
-    // Branch-free scan of the packed indicator arrays: the qualification
-    // tests (object count, probability-gap hysteresis — see AdaptiveConfig —
-    // and benefit floor) are folded into one predicate so mixed candidate
-    // populations cause no mispredictions. Selection is identical to the
-    // branchy form: highest benefit, lowest index on ties.
-    const double* cn = cs.n_data();
-    const double* cq = cs.q_data();
-    const double min_n = static_cast<double>(cfg_.min_split_objects);
-    const double wdenom = cand_window + 1.0;
-    const double p_gap = cfg_.split_probability_ratio * p_c;
-    for (size_t i = 0; i < cs.size(); ++i) {
-      // The division is kept (not a reciprocal multiply) so the estimate is
-      // bit-identical to the scalar formulation and no borderline split
-      // decision can flip.
-      const double p_s = (cq[i] + 1.0) / wdenom;
-      const double beta = model_.MaterializationBenefit(p_c, p_s, cn[i]);
-      const bool ok = (cn[i] >= min_n) & (p_s <= p_gap) &
-                      (beta > cfg_.min_split_benefit_ms) & (beta > best_beta);
-      best_beta = ok ? beta : best_beta;
-      best = ok ? i : best;
-    }
+    // The split scan also counts and folds the exploration log. Candidates
+    // failing the object-count, probability-gap (see AdaptiveConfig) or
+    // benefit-floor tests can never be selected.
+    SplitScan scan;
+    scan.A = model_.A;
+    scan.B = model_.B;
+    scan.C = model_.C;
+    scan.p_c = AccessProbOf(*c);
+    scan.window = cand_window + 1.0;
+    scan.min_n = static_cast<double>(cfg_.min_split_objects);
+    scan.p_gap = cfg_.split_probability_ratio * scan.p_c;
+    scan.min_benefit = cfg_.min_split_benefit_ms;
+    if (beta_.size() < cs.padded_size()) beta_.resize(cs.padded_size());
+    const size_t best = cs.BestSplit(ring_, scan, beta_.data());
     if (best == static_cast<size_t>(-1)) break;
     MaterializeCandidate(cid, best);
     c = cluster(cid);
     ++created;
     ++reorg_stats_.splits;
   }
+  // When no scan ran, the log is still replayed so the ring can recycle.
+  c->candidates.Replay(ring_);
   if (created > 0) c->objects.Compact();
   return created;
 }
 
 ClusterId AdaptiveIndex::MaterializeCandidate(ClusterId cid, size_t ci) {
   Cluster* c = cluster(cid);
-  const Signature child_sig = c->candidates->MakeSignature(c->sig, ci);
+  const Signature child_sig = c->candidates.MakeSignature(c->sig, ci);
   ACCL_DCHECK(child_sig.RefinedFrom(c->sig));
-  // Copy the candidate's indicators before they are superseded.
-  const CandidateSet::Candidate cand = c->candidates->at(ci);
-  const double cand_w0 = c->candidates->created_weight();
+  // Copy the candidate's indicators before they are superseded (the split
+  // scan has just folded the log, so q is current).
+  ACCL_DCHECK(c->candidates.log_size() == 0);
+  const CandidateSet::Candidate cand = c->candidates.at(ci);
+  const double cand_w0 = c->candidates.created_weight();
 
   const ClusterId did = NewCluster(child_sig, cid);
   c = cluster(cid);  // the cluster table may have grown
@@ -401,8 +443,8 @@ ClusterId AdaptiveIndex::MaterializeCandidate(ClusterId cid, size_t ci) {
     const ObjectId oid = c->objects.id(i);
     const uint32_t slot = static_cast<uint32_t>(d->objects.size());
     d->objects.Append(oid, b);
-    d->candidates->AccountObject(b, +1.0);
-    c->candidates->AccountObject(b, -1.0);
+    d->candidates.AccountObject(b, +1);
+    c->candidates.AccountObject(b, -1);
     owner_[oid] = ObjectRef{did, slot};
     const ObjectId filler = c->objects.RemoveAt(i);
     if (filler != kInvalidObject) {
@@ -442,7 +484,7 @@ std::vector<AdaptiveIndex::ClusterInfo> AdaptiveIndex::GetClusterInfos()
     ci.parent = up->parent;
     ci.objects = up->size();
     ci.access_prob = AccessProbOf(*up);
-    ci.candidates = up->candidates->size();
+    ci.candidates = up->candidates.size();
     ci.utilization = up->objects.utilization();
     ci.depth = 0;
     for (ClusterId p = up->parent; p != kNoCluster;
@@ -490,12 +532,14 @@ void AdaptiveIndex::CheckInvariants() const {
     // Candidate object counts must equal a fresh recount.
     CandidateSet fresh(c.sig, cfg_.division_factor, 0.0);
     for (size_t i = 0; i < c.size(); ++i) {
-      fresh.AccountObject(c.objects.box(i), +1.0);
+      fresh.AccountObject(c.objects.box(i), +1);
     }
-    ACCL_CHECK(fresh.size() == c.candidates->size());
+    ACCL_CHECK(fresh.size() == c.candidates.size());
     for (size_t i = 0; i < fresh.size(); ++i) {
-      ACCL_CHECK(std::fabs(fresh.at(i).n - c.candidates->at(i).n) < 1e-6);
+      ACCL_CHECK(fresh.at(i).n == c.candidates.at(i).n);
     }
+    // Logs only name live ring slots.
+    ACCL_CHECK(c.candidates.log_size() <= ring_.size());
   }
   ACCL_CHECK(live == live_clusters_);
   ACCL_CHECK(objects == object_count_);
@@ -542,10 +586,10 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
     ACCL_CHECK(img.sig.dims() == cfg.nd);
     ACCL_CHECK(!idx->clusters_[img.id]);
     auto c = std::make_unique<Cluster>(img.id, img.sig, cfg.nd,
-                                       cfg.reserve_fraction);
+                                       cfg.reserve_fraction,
+                                       cfg.division_factor, 0.0,
+                                       LogCapacity(cfg.reorg_period));
     c->parent = img.parent;
-    c->candidates =
-        std::make_unique<CandidateSet>(c->sig, cfg.division_factor, 0.0);
     c->sig_slot = idx->sig_table_.Add(img.id, c->sig);
     const size_t stride = 2 * static_cast<size_t>(cfg.nd);
     ACCL_CHECK(img.coords.size() == img.ids.size() * stride);
@@ -553,7 +597,7 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
       const BoxView b(img.coords.data() + i * stride, cfg.nd);
       ACCL_CHECK(c->sig.MatchesObject(b));
       c->objects.Append(img.ids[i], b);
-      c->candidates->AccountObject(b, +1.0);
+      c->candidates.AccountObject(b, +1);
       auto [it, fresh] = idx->owner_.emplace(
           img.ids[i], ObjectRef{img.id, static_cast<uint32_t>(i)});
       ACCL_CHECK(fresh);

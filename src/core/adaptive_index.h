@@ -3,8 +3,9 @@
 //
 // The collection starts as a single *root cluster* accepting any object.
 // Every query explores all materialized clusters whose signatures admit it
-// and updates their performance indicators (and those of their virtual
-// candidate subclusters). Periodically — every `reorg_period` queries — the
+// and updates their performance indicators (those of their virtual
+// candidate subclusters are logged and counted at the next reorganization,
+// where they are read). Periodically — every `reorg_period` queries — the
 // structure is reorganized: each cluster is either merged back into its
 // parent (merging benefit function, eq. 5), kept, or split by greedily
 // materializing its most profitable candidate subclusters (materialization
@@ -220,6 +221,12 @@ class AdaptiveIndex : public SpatialIndex {
 
   void HalveAllStats();
 
+  /// Appends ring slot `slot` to `c`'s exploration log, replaying the log
+  /// first when it is full.
+  void LogExploration(Cluster* c, uint16_t slot);
+  /// Replays every cluster's log and recycles the ring.
+  void ReplayAllLogs();
+
   AdaptiveConfig cfg_;
   CostModel model_;
   /// Resolved verification backend (cfg_.verify_backend / env / widest).
@@ -236,8 +243,11 @@ class AdaptiveIndex : public SpatialIndex {
   SignatureTable sig_table_;
   /// Scratch for the ids admitted by the current query.
   std::vector<ClusterId> admitted_;
-  /// Per-query piece-admission masks shared across explored clusters.
-  QueryPieceMasks qmasks_;
+  /// The queries named by the clusters' exploration logs (candidate
+  /// statistics are counted at reorganization, not per exploration).
+  QueryRing ring_;
+  /// Split-scan benefits of the cluster being split (padded_size() long).
+  std::vector<double> beta_;
   /// Reused per-query verification image (avoids per-query allocation).
   BatchQuery bq_;
   /// Scratch for Insert's root-down descent.

@@ -1,11 +1,11 @@
 // A materialized database cluster (paper §3.1): a group of objects accessed
 // and checked together during spatial selections, described by a signature
 // and carrying performance indicators (exploring-query count, object count)
-// plus the statistics of its virtual candidate subclusters.
+// plus the statistics of its virtual candidate subclusters and the log of
+// explorations not yet counted into them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/clustering_function.h"
@@ -20,8 +20,31 @@ inline constexpr ClusterId kNoCluster = 0xFFFFFFFFu;
 
 /// One materialized cluster.
 struct Cluster {
-  Cluster(ClusterId id_in, Signature sig_in, Dim nd, double reserve_fraction)
-      : id(id_in), sig(std::move(sig_in)), objects(nd, reserve_fraction) {}
+  /// `created_weight` is the global decayed query weight at creation;
+  /// `log_capacity` bounds the explorations logged between replays.
+  /// `created_weight` is the global decayed query weight at creation;
+  /// `log_capacity` bounds the explorations logged between replays.
+  Cluster(ClusterId id_in, Signature sig_in, Dim nd, double reserve_fraction,
+          uint32_t division_factor, double created_weight,
+          uint32_t log_capacity)
+      : candidates(sig_in, division_factor, created_weight,
+                   kMinDivisibleWidth, log_capacity),
+        w0(created_weight),
+        id(id_in),
+        sig(std::move(sig_in)),
+        objects(nd, reserve_fraction) {}
+
+  // The fields an exploration and a reorganization pass touch come first.
+
+  /// Virtual candidate subclusters with their performance indicators and
+  /// this cluster's exploration log.
+  CandidateSet candidates;
+
+  /// Decayed count of queries that explored this cluster.
+  double q = 0.0;
+  /// Global decayed query weight when the cluster was created; the access
+  /// probability is estimated as q / (current_weight - w0).
+  double w0 = 0.0;
 
   ClusterId id;
   ClusterId parent = kNoCluster;
@@ -32,15 +55,6 @@ struct Cluster {
 
   Signature sig;
   SlotArray objects;
-
-  /// Decayed count of queries that explored this cluster.
-  double q = 0.0;
-  /// Global decayed query weight when the cluster was created; the access
-  /// probability is estimated as q / (current_weight - w0).
-  double w0 = 0.0;
-
-  /// Virtual candidate subclusters with their performance indicators.
-  std::unique_ptr<CandidateSet> candidates;
 
   bool is_root() const { return parent == kNoCluster; }
   size_t size() const { return objects.size(); }

@@ -13,16 +13,30 @@
 // Candidates are *virtual*: only their (dim, ia, ib) key and two performance
 // indicators are stored — the number of member objects matching them (n,
 // maintained incrementally on insert/move) and the number of exploring
-// queries matching them (q, counted while the owning cluster is explored).
+// queries matching them (q).
+//
+// The paper charges the q update to every exploration (the B term). Only the
+// split scan reads q, once per reorganization period, so an exploration
+// merely appends the query's QueryRing slot to the cluster's fixed-size
+// exploration log. The log is replayed into per-candidate byte counts and
+// folded into q where q is read: in the reorganization's split scan (fused
+// into its benefit pass), before statistics are halved, when the log fills,
+// and when the ring wraps. The fold equals the sequential `q += 1.0` steps
+// bit for bit, so every decision matches the eager accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "core/signature.h"
 #include "geometry/query.h"
 
 namespace accl {
+
+/// Variation intervals narrower than this are not divided further.
+inline constexpr float kMinDivisibleWidth = 1e-5f;
 
 /// The j-th of `f` equal pieces of a variation interval. Pieces are
 /// half-open except the last, which inherits the parent's closedness.
@@ -33,27 +47,74 @@ VarInterval Piece(const VarInterval& v, uint32_t j, uint32_t f);
 /// result always satisfies Piece(v, idx, f).Contains(x).
 int PieceIndex(const VarInterval& v, uint32_t f, float x);
 
-/// Per-query scratch shared across the CandidateSets a query explores.
-///
-/// A full-domain variation interval divides into the same piece boundaries
-/// in every cluster, so the per-dimension piece admission masks for such
-/// dimensions depend only on the query — computing them once per query and
-/// reusing them across clusters removes most of the cold-cache traffic of
-/// the statistics update. Reset() per query; filled lazily.
-struct QueryPieceMasks {
-  std::vector<uint8_t> valid;  ///< per dim: masks below are computed
-  std::vector<uint32_t> sm;    ///< admitted start pieces
-  std::vector<uint32_t> em;    ///< admitted end pieces
+/// `q` after `k` sequential `q += 1.0` steps, computed with one add per
+/// binade crossed instead of one per step. `q` must be non-negative.
+double FoldSteps(double q, uint32_t k);
 
-  void Reset(Dim nd) {
-    valid.assign(nd, 0);
-    sm.resize(nd);
-    em.resize(nd);
+namespace detail {
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+}  // namespace detail
+
+/// 64-byte-aligned byte storage.
+using AlignedBytes = std::unique_ptr<unsigned char[], detail::FreeDeleter>;
+
+/// The queries explored since an index last folded all of its candidate
+/// statistics. A slot holds the query box and relation plus its full-domain
+/// admission bytes: for every dimension, one 0/1 byte per candidate of a
+/// full-domain variation-interval pair, in the symmetric candidate order.
+/// Full-domain pieces have the same boundaries in every cluster, so these
+/// bytes are computed once per query and added straight into the counts of
+/// every full-domain dimension a replay touches.
+class QueryRing {
+ public:
+  QueryRing(Dim nd, uint32_t f, uint32_t capacity);
+
+  uint32_t size() const { return used_; }
+  bool full() const { return used_ == capacity_; }
+  /// Recycles every slot. Only valid once no log names a slot.
+  void Clear() { used_ = 0; }
+
+  /// Stores `q` in the next free slot and returns it. Requires !full().
+  uint16_t Push(const Query& q);
+
+  const uint8_t* slot(uint16_t s) const { return data_.get() + s * stride_; }
+  const uint8_t* admission(uint16_t s) const { return slot(s); }
+  const float* box(uint16_t s) const {
+    return reinterpret_cast<const float*>(slot(s) + box_offset_);
   }
+  Relation rel(uint16_t s) const {
+    return static_cast<Relation>(slot(s)[rel_offset_]);
+  }
+
+ private:
+  Dim nd_;
+  uint32_t f_;
+  uint32_t per_dim_;
+  uint32_t capacity_;
+  uint32_t used_ = 0;
+  size_t box_offset_;
+  size_t rel_offset_;
+  size_t stride_;
+  float bounds_[33];  ///< full-domain piece boundaries, f+1 of them
+  AlignedBytes data_;
+};
+
+/// Inputs of the split scan's benefit pass (paper eq. 3); see
+/// AdaptiveIndex::TryClusterSplit.
+struct SplitScan {
+  double A = 0.0, B = 0.0, C = 0.0;  ///< cost-model terms
+  double p_c = 0.0;          ///< owner's estimated access probability
+  double window = 0.0;       ///< candidate observation window + 1
+  double min_n = 0.0;        ///< fewest objects worth materializing
+  double p_gap = 0.0;        ///< highest qualifying candidate probability
+  double min_benefit = 0.0;  ///< benefit floor [ms/query]
 };
 
 /// The set of candidate subclusters of one cluster, with their performance
-/// indicators and fast (dim, piece) lookup.
+/// indicators, fast (dim, piece) lookup and the owner's exploration log.
+/// Everything lives in one aligned block.
 class CandidateSet {
  public:
   struct Candidate {
@@ -69,14 +130,18 @@ class CandidateSet {
   /// access probabilities are estimated over queries seen since then.
   /// Dimensions whose variation intervals are narrower than `min_width` are
   /// not divided further (they cannot productively discriminate).
+  /// `log_capacity` (at most 255) sizes the exploration log; 0 means
+  /// queries are only ever accounted directly (AccountQuery).
   CandidateSet(const Signature& sig, uint32_t f, double created_weight,
-               float min_width = 1e-5f);
+               float min_width = kMinDivisibleWidth,
+               uint32_t log_capacity = 0);
 
   uint32_t division_factor() const { return f_; }
   double created_weight() const { return w0_; }
-  size_t size() const { return key_.size(); }
+  size_t size() const { return size_; }
 
-  /// Assembled view of candidate `i` (indicators live in parallel arrays).
+  /// Assembled view of candidate `i`. `q` excludes logged explorations not
+  /// yet replayed.
   Candidate at(size_t i) const {
     const uint32_t k = key_[i];
     Candidate c;
@@ -88,92 +153,152 @@ class CandidateSet {
     return c;
   }
 
-  /// Direct access to the object-count indicator array (the reorganization
-  /// scan reads only this; keeping it packed avoids dragging the whole
-  /// candidate record through the cache).
-  const double* n_data() const { return n_.data(); }
-  const double* q_data() const { return q_.data(); }
-
   /// Adjusts candidate object counts for one object entering (delta=+1) or
   /// leaving (delta=-1) the owning cluster. The object must match the
   /// owning cluster's signature.
-  void AccountObject(BoxView o, double delta);
+  void AccountObject(BoxView o, int delta);
 
-  /// Increments q for every candidate whose signature admits `query`.
-  /// Called exactly when the owning cluster is explored. `shared` (optional)
-  /// caches the admission masks of full-domain dimensions across the
-  /// clusters one query explores.
-  void AccountQuery(const Query& query, QueryPieceMasks* shared = nullptr);
+  /// Increments q for every candidate whose signature admits `query`: the
+  /// log replay's count-and-fold for a single query, without a ring.
+  void AccountQuery(const Query& query);
+
+  /// Records that the owner was explored by the query in ring slot `s`.
+  /// Returns false, recording nothing, when the log is full.
+  bool Log(uint16_t s) {
+    if (log_len_ == log_capacity_) return false;
+    log_[log_len_++] = s;
+    return true;
+  }
+  size_t log_size() const { return log_len_; }
+
+  /// Counts the logged explorations and folds them into q; empties the log.
+  void Replay(const QueryRing& ring);
+
+  /// The split scan: a benefit pass that first replays the log, folding
+  /// it in the same sweep, and writes beta(s, c) (paper eq. 3) for every
+  /// qualifying candidate and 0 for the others to `beta`; then a selection
+  /// pass. Returns the candidate with the highest positive benefit, lowest
+  /// index on ties, or SIZE_MAX. `beta` needs room for padded_size().
+  size_t BestSplit(const QueryRing& ring, const SplitScan& scan,
+                   double* beta);
+  /// Candidate arrays are padded to a multiple of 16 entries.
+  size_t padded_size() const { return padded_; }
+
+  /// Stages what a replay and split scan touch first: the indicator
+  /// arrays, the counts, the log and the replay plan.
+  void Prefetch() const {
+    const auto* p = reinterpret_cast<const unsigned char*>(q_);
+    for (; p < pieces_; p += 64) __builtin_prefetch(p);
+  }
+  /// Where the next exploration will be logged.
+  const void* log_tail() const { return log_ + log_len_; }
 
   /// Materializes candidate `i`'s signature from the owning signature.
   Signature MakeSignature(const Signature& owner, size_t i) const;
 
   /// Halves all statistics (sliding-window decay), including the creation
-  /// weight so probability denominators stay consistent.
+  /// weight so probability denominators stay consistent. The log must be
+  /// empty: halving does not commute with the increments it holds.
   void Halve();
 
  private:
-  struct DimInfo {
-    VarInterval start_var;
-    VarInterval end_var;
-    int32_t first = -1;  ///< base into lookup_: f*f slots
-    bool divided = false;
-  };
-
-  /// Hot per-divided-dimension record for the accounting paths. Only
-  /// divided dimensions appear; the i-th record's cached piece boundaries
-  /// live at piece_bounds_[i * 2 * (f+1)] and its start-piece candidate
-  /// offsets at ia_bases_[i * (f+1)]. Keeping these dense (instead of
-  /// touching the full DimInfo table) roughly halves the cache lines an
-  /// exploration drags in.
+  /// Per divided dimension: what the insert path needs to place an object.
   struct QDim {
     uint16_t dim = 0;
     uint8_t start_hi_closed = 0;
     uint8_t end_hi_closed = 0;
-    /// Both variation intervals are the full domain: admission masks can be
-    /// shared across clusters (QueryPieceMasks) and the symmetric candidate
-    /// layout makes slice offsets pure arithmetic — the query-statistics
-    /// update then touches no per-cluster metadata beyond q.
-    uint8_t is_full_domain = 0;
     float start_lo = 0.0f;
     float end_lo = 0.0f;
-    uint32_t cand_begin = 0;   ///< first candidate of this dim
-    int32_t lookup_first = 0;  ///< base into lookup_: f*f slots
     /// Reciprocal piece widths (f / interval width), cached so the
     /// per-object accounting pays one multiply instead of two divisions.
     double start_inv_w = 0.0;
     double end_inv_w = 0.0;
   };
 
-  /// Compact per-divided-dim record for the per-query sweep: one cache line
-  /// covers eight dimensions. The full QDim is only consulted for refined
-  /// (non-full-domain) dimensions.
-  struct QHot {
-    uint16_t dim;
-    uint8_t is_full_domain;
-    uint8_t pad = 0;
+  /// Consecutive full-domain dimensions: their candidates and their ring
+  /// admission bytes are both contiguous, so one byte-vector add covers them.
+  struct Run {
     uint32_t cand_begin;
+    uint32_t adm_begin;
+    uint32_t len;
   };
 
-  uint32_t f_;
-  double w0_;
-  // Candidates in structure-of-arrays layout: the per-query sweep touches
-  // only q, the reorganization scan only n.
-  std::vector<uint32_t> key_;  ///< dim << 16 | ia << 8 | ib
-  std::vector<double> n_;      ///< member-object count indicator
-  std::vector<double> q_;      ///< (decayed) exploring-query indicator
-  std::vector<DimInfo> dims_;
-  std::vector<QDim> qdims_;  ///< divided dims, in dimension order
-  std::vector<QHot> qhot_;   ///< parallel to qdims_, query-path fields only
-  /// lookup_[first + ia*f + ib] = candidate index or -1.
-  std::vector<int32_t> lookup_;
-  /// Per divided dim: f+1 start offsets of each start-piece candidate group
-  /// (the query-accounting fast path increments whole contiguous slices);
-  /// entry f is the end of the dimension's candidate range.
-  std::vector<uint32_t> ia_bases_;
-  /// Flattened piece boundaries per divided dim: f+1 start boundaries then
-  /// f+1 end boundaries; piece j spans [bounds[j], bounds[j+1]].
-  std::vector<float> piece_bounds_;
+  /// A refined (not full-domain) divided dimension. Its pieces are
+  /// cluster-specific, so a replay tests each logged query box: candidate
+  /// (ia, ib) is admitted iff lo <= x && hi >= y, the per-candidate form of
+  /// the piece masks. Per chunk of 16 candidates, thresholds_ holds lo and
+  /// hi for intersects and encloses (sb[ia], eb[ib+1]), then for
+  /// contained-by (eb[ib], sb[ia+1]).
+  struct Refined {
+    uint16_t dim;
+    uint16_t index;  ///< divided-dim index (bounds(), bases())
+    uint32_t cand_begin;
+    uint32_t count;
+    uint32_t thresholds;  ///< first float of its chunks in thresholds_
+  };
+  static constexpr uint32_t kChunkFloats = 64;
+
+  /// Per relation, the ring boxes of the logged queries, for CountRefined.
+  struct LogBoxes {
+    const float* box[3][255];
+    uint32_t n[3] = {0, 0, 0};
+  };
+
+  /// Divided dim `i`'s f+1 start then f+1 end piece boundaries (piece j
+  /// spans [b[j], b[j+1]]).
+  const float* bounds(size_t i) const {
+    return reinterpret_cast<const float*>(pieces_ + i * piece_stride_);
+  }
+  /// Divided dim `i`'s f+1 start offsets of each start-piece candidate
+  /// group; entry f ends the dimension's range. Per start piece the
+  /// feasible end pieces are a suffix, so (ia, ib) is candidate
+  /// bases[ia] + ib - (f - group size).
+  const uint32_t* bases(size_t i) const {
+    return reinterpret_cast<const uint32_t*>(pieces_ + i * piece_stride_) +
+           2 * (f_ + 1);
+  }
+
+  /// Adds one query's admissions on divided dim `i` to counts_.
+  void CountDim(size_t i, float qlo, float qhi, Relation rel);
+  /// Replays the log into counts_ and empties it.
+  void CountLog(const QueryRing& ring);
+  /// CountLog's share for one refined dimension.
+  void CountRefined(const Refined& rd, const LogBoxes& boxes);
+  /// Whether adding up to `k` to every q is exact (one add then equals the
+  /// sequential steps); records that k is being added.
+  bool FoldIsExact(uint32_t k);
+  /// Folds counts_ (each at most `max_count`) into q_ and zeroes them.
+  void FoldCounts(uint32_t max_count);
+
+  // Header fields in the order an exploration, a replay and a split scan
+  // first need them. The arrays are views into block_, laid out in the same
+  // order: q, n, counts, log, replay plan (runs, refined dims, thresholds),
+  // per-dim pieces; the insert path's QDim records and the keys come last.
+  uint16_t* log_ = nullptr;  ///< ring slots of unreplayed explorations
+  uint32_t log_len_ = 0;
+  uint32_t log_capacity_ = 0;
+  double* q_ = nullptr;        ///< (decayed) exploring-query indicator
+  uint32_t* n_ = nullptr;      ///< member-object count indicator
+  uint8_t* counts_ = nullptr;  ///< replay scratch; zero between replays
+  Run* runs_ = nullptr;
+  Refined* refined_ = nullptr;
+  const float* thresholds_ = nullptr;
+  const unsigned char* pieces_ = nullptr;
+  uint32_t nruns_ = 0;
+  uint32_t nrefined_ = 0;
+  uint32_t size_ = 0;
+  uint32_t padded_ = 0;
+  uint32_t ndiv_ = 0;
+  uint32_t piece_stride_ = 0;  ///< bytes per divided dim in pieces_
+  uint32_t f_ = 0;
+  double w0_ = 0.0;
+  /// Exactness bookkeeping for the fold (see FoldIsExact).
+  uint32_t halvings_ = 0;
+  bool exact_ = true;
+  double q_bound_ = 0.0;
+  QDim* qdims_ = nullptr;  ///< divided dims, in dimension order
+  uint32_t* key_ = nullptr;  ///< dim << 16 | ia << 8 | ib
+  AlignedBytes block_;
 };
 
 }  // namespace accl

@@ -54,7 +54,7 @@ StaticClustering BuildStaticClustering(
 
     // Candidate indicators: exact object counts and query frequencies.
     CandidateSet cs(item.sig, options.division_factor, 0.0);
-    for (uint32_t mi : item.members) cs.AccountObject(data.box(mi), +1.0);
+    for (uint32_t mi : item.members) cs.AccountObject(data.box(mi), +1);
     if (item.depth < options.max_depth) {
       for (const Query& q : sample) {
         if (item.sig.AdmitsQuery(q)) cs.AccountQuery(q);
@@ -91,7 +91,7 @@ StaticClustering BuildStaticClustering(
         for (uint32_t mi : item.members) {
           if (child.sig.MatchesObject(data.box(mi))) {
             child.members.push_back(mi);
-            cs.AccountObject(data.box(mi), -1.0);
+            cs.AccountObject(data.box(mi), -1);
           } else {
             stay.push_back(mi);
           }

@@ -5,7 +5,10 @@
 // where p_c is the cluster's access probability, n_c its object count, and
 //   A = time to check the cluster signature (paid for every cluster),
 //   B = time to prepare the exploration + update query statistics
-//       (+ one disk seek in the disk scenario),
+//       (+ one disk seek in the disk scenario); AdaptiveIndex logs the
+//       exploration and pays the statistics update inside reorganization,
+//       but the model keeps charging it per exploration, as the paper does,
+//       so decisions are unchanged,
 //   C = time to verify one object (+ its transfer time in the disk scenario).
 //
 // Materialization benefit (eq. 3):  beta(s,c) = (p_c - p_s) n_s C - p_s B - A
@@ -43,6 +46,9 @@ struct SystemParams {
   /// subclusters"; with 10*Nd..16*Nd candidates per cluster this term
   /// dominates B in memory and is what stops the structure from splitting
   /// into clusters too small to amortize their own bookkeeping.
+  /// AdaptiveIndex now does that work when reorganizing (it replays a
+  /// per-cluster exploration log), but the modeled charge stays per
+  /// exploration so split and merge decisions match the paper's.
   double stat_update_ms_per_candidate = 2e-5;
   /// CPU object-verification rate. Paper: 300 MB/s => 3.18e-6 ms/byte.
   double verify_ms_per_byte = 1000.0 / (300.0 * 1024 * 1024);

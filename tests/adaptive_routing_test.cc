@@ -96,6 +96,15 @@ TEST(PatternTracker, BinClampingIsDeterministic) {
   EXPECT_NE(adapt::PatternBinOf(0.25f), adapt::PatternBinOf(0.75f));
 }
 
+// Records one event the way the match pipeline does: fold it into an
+// accumulator, then merge the accumulator.
+void RecordOneEvent(adapt::QueryPatternTracker* tracker, const Box& b) {
+  adapt::PatternAccumulator acc;
+  acc.Reset(kNd);
+  acc.AddEvent(b);
+  tracker->Record(acc);
+}
+
 TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
   adapt::QueryPatternTracker tracker(kNd);
   adapt::PatternAccumulator acc;
@@ -104,7 +113,7 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
   acc.AddEvent(NarrowOn(1, 0.7f, 0.1f));
   acc.AddSubscription(NarrowOn(2, 0.3f, 0.05f));
   tracker.Record(acc);
-  tracker.RecordEvent(NarrowOn(1, 0.2f, 0.1f));
+  RecordOneEvent(&tracker, NarrowOn(1, 0.2f, 0.1f));
   tracker.RecordSubscription(NarrowOn(2, 0.8f, 0.05f));
 
   const adapt::PatternSnapshot snap = tracker.Snapshot();
@@ -128,7 +137,7 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
 
 TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   adapt::QueryPatternTracker tracker(kNd);
-  tracker.RecordEvent(NarrowOn(0, 0.5f, 0.1f));
+  RecordOneEvent(&tracker, NarrowOn(0, 0.5f, 0.1f));
   for (size_t w = 0; w < adapt::QueryPatternTracker::kGenerations - 1; ++w) {
     tracker.AdvanceWindow();
     EXPECT_EQ(tracker.Snapshot().events, 1u) << "window " << w;
@@ -137,7 +146,7 @@ TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   EXPECT_EQ(tracker.Snapshot().events, 0u);
   EXPECT_EQ(tracker.events_observed(), 1u);  // lifetime counter unaffected
 
-  tracker.RecordEvent(NarrowOn(0, 0.5f, 0.1f));
+  RecordOneEvent(&tracker, NarrowOn(0, 0.5f, 0.1f));
   tracker.ResetWindow();  // full reset clears every generation at once
   EXPECT_EQ(tracker.Snapshot().events, 0u);
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "core/clustering_function.h"
 #include "util/rng.h"
 
@@ -183,7 +187,7 @@ TEST(CandidateSet, AccountObjectAgreesWithSignatures) {
     CandidateSet cs(sig, 4, 0.0);
     Box obj = RandomObjectIn(sig, rng);
     ASSERT_TRUE(sig.MatchesObject(obj.view()));
-    cs.AccountObject(obj.view(), +1.0);
+    cs.AccountObject(obj.view(), +1);
     for (size_t i = 0; i < cs.size(); ++i) {
       const Signature sub = cs.MakeSignature(sig, i);
       const double expect = sub.MatchesObject(obj.view()) ? 1.0 : 0.0;
@@ -199,8 +203,8 @@ TEST(CandidateSet, AccountObjectNegativeDeltaReverses) {
   CandidateSet cs(sig, 4, 0.0);
   std::vector<Box> objs;
   for (int i = 0; i < 50; ++i) objs.push_back(RandomObjectIn(sig, rng));
-  for (const Box& o : objs) cs.AccountObject(o.view(), +1.0);
-  for (const Box& o : objs) cs.AccountObject(o.view(), -1.0);
+  for (const Box& o : objs) cs.AccountObject(o.view(), +1);
+  for (const Box& o : objs) cs.AccountObject(o.view(), -1);
   for (size_t i = 0; i < cs.size(); ++i) EXPECT_EQ(cs.at(i).n, 0.0);
 }
 
@@ -249,7 +253,7 @@ TEST(CandidateSet, HalveScalesStats) {
   CandidateSet cs(sig, 4, 10.0);
   Rng rng(41);
   Box obj = RandomObjectIn(sig, rng);
-  cs.AccountObject(obj.view(), +1.0);
+  cs.AccountObject(obj.view(), +1);
   Query q = Query::Intersection(Box::FullDomain(2));
   cs.AccountQuery(q);
   cs.Halve();
@@ -275,6 +279,125 @@ TEST(CandidateSet, DivisionFactorEight) {
   // f=8 symmetric: 36 per dim.
   EXPECT_EQ(cs.size(), 72u);
 }
+
+// FoldSteps is the reference for the replay fold: k sequential += 1.0.
+TEST(FoldSteps, MatchesSequentialIncrements) {
+  Rng rng(91);
+  for (int iter = 0; iter < 20000; ++iter) {
+    // Values with long mantissas at every scale, as repeated halving of
+    // counts produces them, plus exact small integers and zero.
+    const int e1 = static_cast<int>(rng.NextBelow(40)) - 20;
+    const int e2 = static_cast<int>(rng.NextBelow(12));
+    const int e3 = static_cast<int>(rng.NextBelow(60));
+    double q = 0.0;
+    switch (iter % 4) {
+      case 0:
+        q = std::ldexp(rng.NextDouble(), e1);
+        break;
+      case 1:
+        q = static_cast<double>(rng.NextBelow(1000));
+        break;
+      case 2:  // just below a power of two: the next step crosses it
+        q = std::ldexp(1.0, e2) - std::ldexp(1.0, -e3);
+        break;
+    }
+    const uint32_t k = static_cast<uint32_t>(rng.NextBelow(256));
+    double expect = q;
+    for (uint32_t j = 0; j < k; ++j) expect += 1.0;
+    const double got = FoldSteps(q, k);
+    uint64_t a, b;
+    std::memcpy(&a, &expect, 8);
+    std::memcpy(&b, &got, 8);
+    ASSERT_EQ(a, b) << "q=" << q << " k=" << k;
+  }
+}
+
+TEST(CandidateSet, LogRefusesWhenFull) {
+  CandidateSet cs(Signature(2), 4, 0.0, kMinDivisibleWidth, 3);
+  EXPECT_TRUE(cs.Log(0));
+  EXPECT_TRUE(cs.Log(1));
+  EXPECT_TRUE(cs.Log(2));
+  EXPECT_FALSE(cs.Log(3));
+  EXPECT_EQ(cs.log_size(), 3u);
+}
+
+// Property: logging explorations and replaying them (counted into bytes,
+// folded once) leaves every candidate's q bit-identical to accounting each
+// exploration as it happens, for every relation, over full-domain and
+// refined asymmetric signatures, and also after more than 60 halvings, when
+// adding a count at once would round differently from the sequential steps.
+class ReplayProperty : public ::testing::TestWithParam<Relation> {};
+
+TEST_P(ReplayProperty, CountThenFoldMatchesPerQueryAccounting) {
+  const Relation rel = GetParam();
+  Rng rng(57 + static_cast<int>(rel));
+  const Dim nd = 5;
+  const uint32_t f = 4;
+  bool saw_inexact = false;
+  for (int iter = 0; iter < 24; ++iter) {
+    Signature sig(nd);
+    if (iter % 2 == 1) {
+      // Refine two dims with different start and end variation intervals.
+      for (const Dim d : {Dim{1}, Dim{3}}) {
+        const float s_lo = 0.4f * rng.NextFloat();
+        const float s_hi = s_lo + 0.1f + 0.3f * rng.NextFloat();
+        const float e_lo = s_lo + (s_hi - s_lo) * rng.NextFloat();
+        const float e_hi = std::min(1.0f, e_lo + 0.1f + 0.4f * rng.NextFloat());
+        sig.set(d, {s_lo, s_hi, false}, {e_lo, e_hi, e_hi == 1.0f});
+      }
+    }
+    CandidateSet logged(sig, f, 0.0, kMinDivisibleWidth, 255);
+    CandidateSet eager(sig, f, 0.0);
+    QueryRing ring(nd, f, 256);
+    // 80 rounds of counts, each after a halving: like a long-lived
+    // cluster's decayed statistics, q fills its mantissa and from then on
+    // adding a count at once can round differently from the steps.
+    for (int round = 0; round < 80; ++round) {
+      if (round > 0) {
+        logged.Halve();
+        eager.Halve();
+      }
+      std::vector<double> before(eager.size());
+      for (size_t i = 0; i < eager.size(); ++i) before[i] = eager.at(i).q;
+      CandidateSet counted(sig, f, 0.0);  // the exact per-candidate counts
+      ring.Clear();
+      const int k = 1 + static_cast<int>(
+                            rng.NextBelow(round % 16 == 15 ? 255 : 12));
+      for (int logged_queries = 0; logged_queries < k;) {
+        Box qb(nd);
+        for (Dim d = 0; d < nd; ++d) {
+          float a = rng.NextFloat(), b = rng.NextFloat();
+          if (a > b) std::swap(a, b);
+          qb.set(d, a, b);
+        }
+        const Query q(qb, rel);
+        if (!sig.AdmitsQuery(q)) continue;  // only explorations are logged
+        ASSERT_TRUE(logged.Log(ring.Push(q)));
+        eager.AccountQuery(q);
+        counted.AccountQuery(q);
+        ++logged_queries;
+      }
+      logged.Replay(ring);
+      ASSERT_EQ(logged.log_size(), 0u);
+      for (size_t i = 0; i < eager.size(); ++i) {
+        const double want = eager.at(i).q, got = logged.at(i).q;
+        uint64_t a, b;
+        std::memcpy(&a, &want, 8);
+        std::memcpy(&b, &got, 8);
+        ASSERT_EQ(a, b) << "cand " << i << " iter " << iter << " round "
+                        << round;
+        if (before[i] + counted.at(i).q != want) saw_inexact = true;
+      }
+    }
+  }
+  // The fallback to sequential steps was needed somewhere.
+  EXPECT_TRUE(saw_inexact);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRelations, ReplayProperty,
+                         ::testing::Values(Relation::kIntersects,
+                                           Relation::kContainedBy,
+                                           Relation::kEncloses));
 
 }  // namespace
 }  // namespace accl

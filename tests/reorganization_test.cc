@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/adaptive_index.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -229,6 +231,133 @@ TEST(Reorganization, InsertPrefersLowestAccessProbabilityCluster) {
   }
   EXPECT_GT(strictly_lower, 25);  // most objects find a cheaper host
   idx.CheckInvariants();
+}
+
+// ---- Decision parity -------------------------------------------------------
+//
+// Candidate query statistics are logged during exploration and counted at
+// reorganization; these digests pin every decision that reads them (split and
+// merge choices, the resulting per-query work and simulated time, and the
+// final cluster signatures) to the values of the eager per-exploration
+// accounting the paper describes.
+
+class Fnv {
+ public:
+  template <typename T>
+  void Add(const T& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      h_ = (h_ ^ b[i]) * 1099511628211ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+void DigestQuery(Fnv* h, const QueryMetrics& m) {
+  uint64_t sim_bits;
+  static_assert(sizeof(sim_bits) == sizeof(m.sim_time_ms), "");
+  std::memcpy(&sim_bits, &m.sim_time_ms, sizeof(sim_bits));
+  h->Add(sim_bits);
+  h->Add(static_cast<uint64_t>(m.groups_explored));
+  h->Add(static_cast<uint64_t>(m.objects_verified));
+  h->Add(static_cast<uint64_t>(m.dims_checked));
+}
+
+void DigestState(Fnv* h, const AdaptiveIndex& idx) {
+  const ReorgStats& rs = idx.reorg_stats();
+  h->Add(rs.passes);
+  h->Add(rs.splits);
+  h->Add(rs.merges);
+  h->Add(rs.last_pass_splits);
+  h->Add(rs.last_pass_merges);
+  for (const ClusterImage& img : idx.DumpClusters()) {
+    h->Add(img.id);
+    h->Add(img.parent);
+    for (Dim d = 0; d < img.sig.dims(); ++d) {
+      const VarInterval vs[2] = {img.sig.start_var(d), img.sig.end_var(d)};
+      for (const VarInterval& v : vs) {
+        h->Add(v.lo);
+        h->Add(v.hi);
+        h->Add(static_cast<uint8_t>(v.hi_closed));
+      }
+    }
+    for (const ObjectId id : img.ids) h->Add(id);
+  }
+}
+
+struct ParityRun {
+  uint64_t digest;
+  ReorgStats stats;
+};
+
+// Loads 4000 16-d uniform objects and runs `queries` intersection queries,
+// calling Reorganize() by hand after every `manual_every` queries (0 = never).
+ParityRun RunParity(const AdaptiveConfig& cfg, int queries, int manual_every) {
+  AdaptiveIndex idx(cfg);
+  UniformSpec spec;
+  spec.nd = 16;
+  spec.count = 4000;
+  spec.seed = 71;
+  Load(idx, GenerateUniform(spec));
+  const auto qs = GenerateQueriesWithExtent(
+      16, Relation::kIntersects, static_cast<size_t>(queries), 0.6, 73);
+  Fnv h;
+  std::vector<ObjectId> out;
+  QueryMetrics m;
+  for (int i = 0; i < queries; ++i) {
+    out.clear();
+    idx.Execute(qs[static_cast<size_t>(i)], &out, &m);
+    DigestQuery(&h, m);
+    if (manual_every != 0 && (i + 1) % manual_every == 0) idx.Reorganize();
+  }
+  DigestState(&h, idx);
+  idx.CheckInvariants();
+  return {h.value(), idx.reorg_stats()};
+}
+
+AdaptiveConfig ParityConfig() {
+  AdaptiveConfig cfg;
+  cfg.nd = 16;
+  cfg.min_observation = 2.0;
+  return cfg;
+}
+
+TEST(DecisionParity, FrequentHalvingReachesInexactFolds) {
+  // Halving every 4 queries: after ~50 halvings the statistics carry more
+  // fraction bits than a double adds exactly, so folding a count must fall
+  // back to the sequential increments.
+  AdaptiveConfig cfg = ParityConfig();
+  cfg.reorg_period = 10;
+  cfg.stats_halving_period = 4;
+  const ParityRun r = RunParity(cfg, 800, 0);
+  EXPECT_GT(r.stats.splits, 0u);
+  EXPECT_GT(r.stats.merges, 0u);
+  EXPECT_EQ(r.digest, 0xea108b331c5f9bdbull) << std::hex << r.digest;
+}
+
+TEST(DecisionParity, LogOverflowBetweenReorganizations) {
+  // The root is explored by every query, so over 1500 queries between
+  // passes it outgrows its exploration log several times over.
+  AdaptiveConfig cfg = ParityConfig();
+  cfg.reorg_period = 1500;
+  cfg.stats_halving_period = 512;
+  const ParityRun r = RunParity(cfg, 3000, 0);
+  EXPECT_GT(r.stats.splits, 0u);
+  EXPECT_EQ(r.digest, 0xedd67c69340dfac9ull) << std::hex << r.digest;
+}
+
+TEST(DecisionParity, RingWrapWithManualReorganization) {
+  // No automatic passes: the per-index query ring wraps several times
+  // before each manual Reorganize().
+  AdaptiveConfig cfg = ParityConfig();
+  cfg.reorg_period = 0;
+  cfg.stats_halving_period = 300;
+  const ParityRun r = RunParity(cfg, 3000, 1000);
+  EXPECT_GT(r.stats.splits, 0u);
+  EXPECT_EQ(r.digest, 0xe483e2179a0ea18eull) << std::hex << r.digest;
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/schema.h"
 
 namespace accl {
@@ -78,6 +80,40 @@ TEST(Schema, MakeBoxRejectsInvertedRange) {
   AttributeSchema s = ApartmentSchema();
   Box b;
   EXPECT_FALSE(s.MakeBox({{"price", 700, 400}}, &b));
+}
+
+// Non-finite bounds are refused: NaN slips past an ordering test (every
+// comparison with it is false), and an infinite bound is not a value in
+// the attribute's domain.
+TEST(Schema, MakeBoxRejectsNonFinite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const AttributeSchema s = ApartmentSchema();
+  for (const double bad : {nan, inf, -inf}) {
+    Box b;
+    EXPECT_FALSE(s.MakeBox({{"price", bad, 500}}, &b)) << bad;
+    EXPECT_FALSE(s.MakeBox({{"price", 100, bad}}, &b)) << bad;
+    EXPECT_FALSE(s.MakeBox({{"price", bad, bad}}, &b)) << bad;
+  }
+  Box b;
+  EXPECT_TRUE(s.MakeBox({{"price", 100, 500}}, &b));
+}
+
+TEST(Schema, MakePointRejectsNonFinite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const AttributeSchema s = ApartmentSchema();
+  for (const double bad : {nan, inf, -inf}) {
+    std::vector<float> pt;
+    EXPECT_FALSE(
+        s.MakePoint({{"price", bad}, {"rooms", 4}, {"baths", 2}}, &pt))
+        << bad;
+    EXPECT_FALSE(
+        s.MakePoint({{"price", 600}, {"rooms", 4}, {"baths", bad}}, &pt))
+        << bad;
+  }
+  std::vector<float> pt;
+  EXPECT_TRUE(s.MakePoint({{"price", 600}, {"rooms", 4}, {"baths", 2}}, &pt));
 }
 
 TEST(Schema, MakePointRequiresAllAttributes) {
