@@ -178,6 +178,56 @@ void BM_SeqScanQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqScanQuery)->Unit(benchmark::kMicrosecond);
 
+// Placement layer (paper Fig. 4) on its own: a 4096-object batch into a
+// converged index, through BulkInsert's cluster-major pass (arg 1) and
+// through a loop of Insert's per-object descent (arg 0). Each iteration
+// erases the batch again, untimed; placement depends only on the access
+// probabilities, which neither insertion nor erasure touches.
+void BM_AdaptiveBulkInsert(benchmark::State& state) {
+  const Dim nd = 16;
+  const size_t stride = 2 * static_cast<size_t>(nd);
+  Dataset ds = MakeData(nd, 3000);
+  AdaptiveConfig cfg;
+  cfg.nd = nd;
+  AdaptiveIndex idx(cfg);
+  for (size_t i = 0; i < ds.size(); ++i) idx.Insert(ds.ids[i], ds.box(i));
+  auto qs = GenerateQueriesWithExtent(nd, Relation::kIntersects, 2048, 0.3, 4);
+  std::vector<ObjectId> out;
+  for (size_t i = 0; i < 800; ++i) {
+    out.clear();
+    idx.Execute(qs[i % qs.size()], &out);
+  }
+  UniformSpec spec;
+  spec.nd = nd;
+  spec.count = 4096;
+  spec.seed = 10;
+  const Dataset batch = GenerateUniform(spec);
+  std::vector<ObjectId> ids(batch.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = 1000000 + batch.ids[i];
+  const bool bulk = state.range(0) != 0;
+  for (auto _ : state) {
+    if (bulk) {
+      idx.BulkInsert(Span<const ObjectId>(ids.data(), ids.size()),
+                     Span<const float>(batch.coords.data(),
+                                       ids.size() * stride));
+    } else {
+      for (size_t i = 0; i < ids.size(); ++i) idx.Insert(ids[i], batch.box(i));
+    }
+    benchmark::DoNotOptimize(idx.size());
+    state.PauseTiming();
+    idx.BulkErase(Span<const ObjectId>(ids.data(), ids.size()));
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ids.size()));
+  state.counters["clusters"] = static_cast<double>(idx.cluster_count());
+}
+BENCHMARK(BM_AdaptiveBulkInsert)
+    ->ArgName("bulk")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_UniformGeneration(benchmark::State& state) {
   for (auto _ : state) {
     UniformSpec spec;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "geometry/predicates.h"
 #include "kernels/backend_registry.h"
@@ -125,6 +126,10 @@ void AdaptiveIndex::Insert(ObjectId id, BoxView box) {
       if (cluster(ch)->sig.MatchesObject(box)) descent_.push_back(ch);
     }
   }
+  Place(id, box, best);
+}
+
+void AdaptiveIndex::Place(ObjectId id, BoxView box, ClusterId best) {
   ACCL_CHECK(best != kNoCluster);  // the root accepts everything
   Cluster* b = cluster(best);
   const uint32_t slot = static_cast<uint32_t>(b->objects.size());
@@ -134,13 +139,115 @@ void AdaptiveIndex::Insert(ObjectId id, BoxView box) {
   ++object_count_;
 }
 
+namespace {
+
+using ColumnRange = kernels::VerifyBackend::ColumnRange;
+
+// Appends the membership tests of `sig`'s variation intervals, one per
+// coordinate column (2d: starts, 2d+1: ends), as closed ranges: a
+// half-open [lo, hi) becomes [lo, pred(hi)], which accepts exactly the
+// same finite floats. Full-domain intervals are skipped unless `all`.
+void AppendTests(const Signature& sig, bool all,
+                 std::vector<ColumnRange>* tests) {
+  constexpr float kDown = -std::numeric_limits<float>::infinity();
+  for (uint32_t col = 0; col < 2 * sig.dims(); ++col) {
+    const VarInterval& v =
+        col % 2 ? sig.end_var(col / 2) : sig.start_var(col / 2);
+    if (!all && v.IsFullDomain()) continue;
+    const float hi = v.hi_closed ? v.hi : std::nextafter(v.hi, kDown);
+    tests->push_back(ColumnRange{col, v.lo, hi});
+  }
+}
+
+}  // namespace
+
 void AdaptiveIndex::BulkInsert(Span<const ObjectId> ids,
                                Span<const float> coords) {
   const size_t stride = 2 * static_cast<size_t>(cfg_.nd);
-  ACCL_CHECK(coords.size() == ids.size() * stride);
-  owner_.reserve(owner_.size() + ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Insert(ids[i], BoxView(coords.data() + i * stride, cfg_.nd));
+  const size_t n = ids.size();
+  ACCL_CHECK(coords.size() == n * stride);
+  if (n == 0) return;
+  // Grow only: libstdc++'s reserve also shrinks, which after erases
+  // rehashes the whole owner map for nothing.
+  if (static_cast<double>(owner_.size() + n) >
+      static_cast<double>(owner_.bucket_count()) * owner_.max_load_factor()) {
+    owner_.reserve(owner_.size() + n);
+  }
+
+  // Fig. 4's order, computed once: insertion never changes q, w0 or
+  // total_weight_, so the access probabilities are fixed for the batch and
+  // the first accepting cluster in (probability, id) order is the one
+  // Insert's descent picks. Every cluster accepting an object refines the
+  // root, which accepts all of them, so clusters ranked after the root
+  // can never win and are dropped.
+  struct Ranked {
+    double p;
+    ClusterId id;
+  };
+  std::vector<Ranked> order;
+  order.reserve(live_clusters_);
+  for (const auto& up : clusters_) {
+    if (up) order.push_back({AccessProbOf(*up), up->id});
+  }
+  std::sort(order.begin(), order.end(), [](const Ranked& a, const Ranked& b) {
+    return a.p < b.p || (a.p == b.p && a.id < b.id);
+  });
+  for (size_t r = 0; r < order.size(); ++r) {
+    if (order[r].id == root_) {
+      order.resize(r + 1);
+      break;
+    }
+  }
+
+  // Each ranked cluster's membership test, on the columns whose variation
+  // interval is narrower than the domain only. Skipping the full-domain
+  // ones is exact for objects inside the domain, which the root's test
+  // (on every column, run first) establishes.
+  std::vector<ColumnRange> root_tests;
+  AppendTests(cluster(root_)->sig, /*all=*/true, &root_tests);
+  std::vector<ColumnRange> tests;
+  std::vector<uint32_t> first_test(order.size() + 1);
+  for (size_t r = 0; r < order.size(); ++r) {
+    first_test[r] = static_cast<uint32_t>(tests.size());
+    AppendTests(cluster(order[r].id)->sig, /*all=*/false, &tests);
+  }
+  first_test[order.size()] = static_cast<uint32_t>(tests.size());
+
+  // Cluster-major placement per chunk: transpose the chunk into columns,
+  // then run every ranked cluster's test over all of it, keeping each
+  // object's lowest accepting rank. Columns are padded by 64 bytes: at an
+  // exact 4 KiB pitch a cluster's few columns would alias in L1.
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  const size_t chunk = std::min(n, kPlacementChunk);
+  const size_t col_stride = chunk + 16;
+  std::unique_ptr<float[]> cols(new float[stride * col_stride]);
+  std::vector<uint32_t> rank(chunk), in_root(chunk);
+  for (size_t base = 0; base < n; base += chunk) {
+    const size_t m = std::min(chunk, n - base);
+    const float* src = coords.data() + base * stride;
+    for (size_t i = 0; i < m; ++i, src += stride) {
+      for (size_t col = 0; col < stride; ++col) {
+        cols[col * col_stride + i] = src[col];
+      }
+    }
+    std::fill(rank.begin(), rank.begin() + m, kNone);
+    std::fill(in_root.begin(), in_root.begin() + m, kNone);
+    backend_->RankAccepting(cols.get(), col_stride, m, root_tests.data(),
+                            root_tests.size(), 0, in_root.data());
+    for (size_t r = 0; r < order.size(); ++r) {
+      backend_->RankAccepting(cols.get(), col_stride, m,
+                              tests.data() + first_test[r],
+                              first_test[r + 1] - first_test[r],
+                              static_cast<uint32_t>(r), rank.data());
+    }
+    // Append in input order, as the Insert loop would.
+    for (size_t i = 0; i < m; ++i) {
+      const ObjectId id = ids[base + i];
+      ACCL_CHECK(owner_.find(id) == owner_.end());
+      const uint32_t r = rank[i] | in_root[i];  // kNone unless in the root
+      Place(id, BoxView(coords.data() + (base + i) * stride, cfg_.nd),
+            r == kNone ? kNoCluster : order[r].id);
+    }
   }
 }
 

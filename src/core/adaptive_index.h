@@ -120,11 +120,26 @@ class AdaptiveIndex : public SpatialIndex {
   bool Erase(ObjectId id) override;
 
   /// Bulk insert: `ids[i]` with coordinates `coords[2*nd*i .. 2*nd*(i+1))`.
-  /// Placement is identical to calling Insert once per object in order —
-  /// the entry point exists so shard migration and batched Subscribe can
-  /// amortize the owner-map growth over the whole group instead of paying
-  /// incremental rehashes per object.
+  ///
+  /// Contract: the result is exactly that of calling Insert on each object
+  /// in input order — the same host cluster per object, the same slot
+  /// layout, owner map and DumpClusters image, and the same ACCL_CHECK
+  /// aborts (a duplicate id, or an object the root signature rejects,
+  /// aborts at that object after the ones before it are placed).
+  ///
+  /// Where Insert descends from the root per object, this places the batch
+  /// cluster-major (paper Fig. 4 over the whole group): the live clusters
+  /// are ranked once by (access probability, id) — insertion never changes
+  /// a probability — and each chunk of kPlacementChunk objects is tested
+  /// against every cluster's refined variation intervals with the
+  /// verification backend's RankAccepting op, keeping each object's
+  /// lowest accepting rank. Shard migration and recovery land their
+  /// groups through here.
   void BulkInsert(Span<const ObjectId> ids, Span<const float> coords);
+
+  /// Objects BulkInsert transposes and places per pass; its working set
+  /// is 2*nd columns of this many floats.
+  static constexpr size_t kPlacementChunk = 1024;
 
   /// Bulk erase-by-id: removes every listed id that is present and returns
   /// how many were. Unknown ids are skipped, not errors — this is the
@@ -203,6 +218,10 @@ class AdaptiveIndex : public SpatialIndex {
 
   ClusterId NewCluster(Signature sig, ClusterId parent);
   void FreeCluster(ClusterId id);
+
+  /// Appends a new object to cluster `best` (Insert's and BulkInsert's
+  /// common tail); aborts when no cluster accepted it.
+  void Place(ObjectId id, BoxView box, ClusterId best);
 
   /// paper Fig. 2. Moves all objects of `c` into its parent, reparents
   /// children, removes `c`.

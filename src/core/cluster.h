@@ -22,8 +22,6 @@ inline constexpr ClusterId kNoCluster = 0xFFFFFFFFu;
 struct Cluster {
   /// `created_weight` is the global decayed query weight at creation;
   /// `log_capacity` bounds the explorations logged between replays.
-  /// `created_weight` is the global decayed query weight at creation;
-  /// `log_capacity` bounds the explorations logged between replays.
   Cluster(ClusterId id_in, Signature sig_in, Dim nd, double reserve_fraction,
           uint32_t division_factor, double created_weight,
           uint32_t log_capacity)

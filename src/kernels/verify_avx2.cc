@@ -72,6 +72,33 @@ class Avx2Backend final : public VerifyBackend {
     }
     return count;
   }
+
+  void RankAccepting(const float* cols, size_t col_stride, size_t n,
+                     const ColumnRange* tests, size_t ntests, uint32_t rank,
+                     uint32_t* best) const override {
+    const __m256i rankv = _mm256_set1_epi32(static_cast<int>(rank));
+    const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256 m = all;
+      for (size_t t = 0; t < ntests; ++t) {
+        const __m256 x =
+            _mm256_loadu_ps(cols + tests[t].col * col_stride + i);
+        m = _mm256_and_ps(
+            m, _mm256_and_ps(
+                   _mm256_cmp_ps(x, _mm256_set1_ps(tests[t].lo), _CMP_GE_OQ),
+                   _mm256_cmp_ps(x, _mm256_set1_ps(tests[t].hi), _CMP_LE_OQ)));
+      }
+      // best = min(best, rank | ~accepted)
+      __m256i* bp = reinterpret_cast<__m256i*>(best + i);
+      const __m256i cand =
+          _mm256_or_si256(rankv, _mm256_xor_si256(_mm256_castps_si256(m),
+                                                  _mm256_castps_si256(all)));
+      _mm256_storeu_si256(bp, _mm256_min_epu32(_mm256_loadu_si256(bp), cand));
+    }
+    VerifyBackend::RankAccepting(cols + i, col_stride, n - i, tests, ntests,
+                                 rank, best + i);
+  }
 };
 
 }  // namespace

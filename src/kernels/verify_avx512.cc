@@ -67,6 +67,28 @@ class Avx512Backend final : public VerifyBackend {
     }
     return count;
   }
+
+  void RankAccepting(const float* cols, size_t col_stride, size_t n,
+                     const ColumnRange* tests, size_t ntests, uint32_t rank,
+                     uint32_t* best) const override {
+    const __m512i rankv = _mm512_set1_epi32(static_cast<int>(rank));
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+      __mmask16 m = 0xFFFF;
+      for (size_t t = 0; t < ntests; ++t) {
+        const __m512 x =
+            _mm512_loadu_ps(cols + tests[t].col * col_stride + i);
+        m = _mm512_mask_cmp_ps_mask(m, x, _mm512_set1_ps(tests[t].lo),
+                                    _CMP_GE_OQ);
+        m = _mm512_mask_cmp_ps_mask(m, x, _mm512_set1_ps(tests[t].hi),
+                                    _CMP_LE_OQ);
+      }
+      const __m512i b = _mm512_loadu_si512(best + i);
+      _mm512_storeu_si512(best + i, _mm512_mask_min_epu32(b, m, b, rankv));
+    }
+    VerifyBackend::RankAccepting(cols + i, col_stride, n - i, tests, ntests,
+                                 rank, best + i);
+  }
 };
 
 }  // namespace

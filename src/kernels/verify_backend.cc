@@ -27,4 +27,18 @@ size_t VerifyBackend::FilterSlotsSparse(const float* le, const float* ge,
   return kept;
 }
 
+void VerifyBackend::RankAccepting(const float* cols, size_t col_stride,
+                                  size_t n, const ColumnRange* tests,
+                                  size_t ntests, uint32_t rank,
+                                  uint32_t* best) const {
+  for (size_t i = 0; i < n; ++i) {
+    bool accepted = true;
+    for (size_t t = 0; t < ntests && accepted; ++t) {
+      const float x = cols[tests[t].col * col_stride + i];
+      accepted = x >= tests[t].lo && x <= tests[t].hi;
+    }
+    if (accepted && rank < best[i]) best[i] = rank;
+  }
+}
+
 }  // namespace accl::kernels

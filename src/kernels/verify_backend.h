@@ -101,6 +101,32 @@ class VerifyBackend {
                                    const uint32_t* in, size_t n,
                                    uint32_t* out_slots) const;
 
+  // ---- Batched placement (AdaptiveIndex::BulkInsert) -----------------
+  //
+  // One cluster's membership test over a chunk of `n` objects held
+  // column-major: value i of column c is cols[c * col_stride + i]
+  // (columns 2d and 2d+1 are the starts and ends in dimension d).
+  // Object i is accepted iff, for every t < ntests,
+  //
+  //     tests[t].lo <= cols[tests[t].col * col_stride + i] <= tests[t].hi
+  //
+  // (ordered compares: a NaN is never accepted; no tests accept all), and
+  // an accepted object keeps the lower of its rank and the cluster's:
+  //
+  //     best[i] = min(best[i], rank)   (unsigned)
+  //
+  // Every backend must leave exactly the scalar reference's best[]. The
+  // base-class implementation is that reference; the vector backends
+  // override it, since the -O2 build leaves the loop scalar.
+  struct ColumnRange {
+    uint32_t col;
+    float lo;
+    float hi;
+  };
+  virtual void RankAccepting(const float* cols, size_t col_stride, size_t n,
+                             const ColumnRange* tests, size_t ntests,
+                             uint32_t rank, uint32_t* best) const;
+
   // ---- Dispatch accounting -------------------------------------------
   //
   // Call sites that resolve a backend once and loop (the adaptive index's

@@ -71,6 +71,35 @@ class Sse2Backend final : public VerifyBackend {
     }
     return count;
   }
+
+  void RankAccepting(const float* cols, size_t col_stride, size_t n,
+                     const ColumnRange* tests, size_t ntests, uint32_t rank,
+                     uint32_t* best) const override {
+    // SSE2 has no unsigned 32-bit compare: flip the sign bits and compare
+    // signed.
+    const __m128i sign = _mm_set1_epi32(static_cast<int>(0x80000000u));
+    const __m128i rankv = _mm_set1_epi32(static_cast<int>(rank));
+    const __m128i rank_s = _mm_xor_si128(rankv, sign);
+    const __m128 all = _mm_castsi128_ps(_mm_set1_epi32(-1));
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      __m128 m = all;
+      for (size_t t = 0; t < ntests; ++t) {
+        const __m128 x = _mm_loadu_ps(cols + tests[t].col * col_stride + i);
+        const __m128 in = _mm_and_ps(_mm_cmpge_ps(x, _mm_set1_ps(tests[t].lo)),
+                                     _mm_cmple_ps(x, _mm_set1_ps(tests[t].hi)));
+        m = _mm_and_ps(m, in);
+      }
+      __m128i* bp = reinterpret_cast<__m128i*>(best + i);
+      const __m128i b = _mm_loadu_si128(bp);
+      const __m128i lower = _mm_cmplt_epi32(rank_s, _mm_xor_si128(b, sign));
+      const __m128i take = _mm_and_si128(lower, _mm_castps_si128(m));
+      _mm_storeu_si128(bp, _mm_or_si128(_mm_andnot_si128(take, b),
+                                        _mm_and_si128(take, rankv)));
+    }
+    VerifyBackend::RankAccepting(cols + i, col_stride, n - i, tests, ntests,
+                                 rank, best + i);
+  }
 };
 
 }  // namespace

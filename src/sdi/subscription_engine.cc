@@ -1801,21 +1801,24 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   };
   std::vector<SrcPlan> plans;
   plans.reserve(scan_shards.size());
-  for (const uint32_t src : scan_shards) {
-    SrcPlan sp;
-    sp.src = src;
-    sp.outgoing.resize(shards_.size());
-    {
-      std::lock_guard<std::mutex> lk(shards_[src]->mu);
-      shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
-        const uint32_t dst = RangeShardFor(plan, b);
-        if (dst == src) return;
-        Outgoing& o = sp.outgoing[dst];
-        o.ids.push_back(id);
-        o.coords.insert(o.coords.end(), b.data(), b.data() + stride);
-      });
+  {
+    ACCL_TRACE_SPAN("routing_migrate.scan");
+    for (const uint32_t src : scan_shards) {
+      SrcPlan sp;
+      sp.src = src;
+      sp.outgoing.resize(shards_.size());
+      {
+        std::lock_guard<std::mutex> lk(shards_[src]->mu);
+        shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
+          const uint32_t dst = RangeShardFor(plan, b);
+          if (dst == src) return;
+          Outgoing& o = sp.outgoing[dst];
+          o.ids.push_back(id);
+          o.coords.insert(o.coords.end(), b.data(), b.data() + stride);
+        });
+      }
+      plans.push_back(std::move(sp));
     }
-    plans.push_back(std::move(sp));
   }
 
   // Phase 2 — double-residency inserts: each moving subscription is copied
@@ -1826,30 +1829,33 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   // source copies; a route covering both shards finds two copies, which
   // the match-side adjacent-unique pass removes.
   size_t migrated = 0;
-  for (SrcPlan& sp : plans) {
-    for (uint32_t dst = 0; dst < shards_.size(); ++dst) {
-      Outgoing& o = sp.outgoing[dst];
-      if (o.ids.empty()) continue;
-      std::scoped_lock lk(meta_mu_, shards_[dst]->mu);
-      std::vector<ObjectId> ins_ids;
-      std::vector<float> ins_coords;
-      ins_ids.reserve(o.ids.size());
-      ins_coords.reserve(o.coords.size());
-      for (size_t i = 0; i < o.ids.size(); ++i) {
-        const ObjectId id = o.ids[i];
-        auto it = shard_of_.find(id);
-        // Unsubscribed between scan and insert: nothing to migrate.
-        if (it == shard_of_.end() || it->second != sp.src) continue;
-        ins_ids.push_back(id);
-        ins_coords.insert(ins_coords.end(), o.coords.begin() + i * stride,
-                          o.coords.begin() + (i + 1) * stride);
-        second_home_.emplace(id, dst);
-        sp.moved.emplace_back(id, dst);
+  {
+    ACCL_TRACE_SPAN("routing_migrate.insert");
+    for (SrcPlan& sp : plans) {
+      for (uint32_t dst = 0; dst < shards_.size(); ++dst) {
+        Outgoing& o = sp.outgoing[dst];
+        if (o.ids.empty()) continue;
+        std::scoped_lock lk(meta_mu_, shards_[dst]->mu);
+        std::vector<ObjectId> ins_ids;
+        std::vector<float> ins_coords;
+        ins_ids.reserve(o.ids.size());
+        ins_coords.reserve(o.coords.size());
+        for (size_t i = 0; i < o.ids.size(); ++i) {
+          const ObjectId id = o.ids[i];
+          auto it = shard_of_.find(id);
+          // Unsubscribed between scan and insert: nothing to migrate.
+          if (it == shard_of_.end() || it->second != sp.src) continue;
+          ins_ids.push_back(id);
+          ins_coords.insert(ins_coords.end(), o.coords.begin() + i * stride,
+                            o.coords.begin() + (i + 1) * stride);
+          second_home_.emplace(id, dst);
+          sp.moved.emplace_back(id, dst);
+        }
+        shards_[dst]->index->BulkInsert(
+            Span<const ObjectId>(ins_ids.data(), ins_ids.size()),
+            Span<const float>(ins_coords.data(), ins_coords.size()));
+        migrated += ins_ids.size();
       }
-      shards_[dst]->index->BulkInsert(
-          Span<const ObjectId>(ins_ids.data(), ins_ids.size()),
-          Span<const float>(ins_coords.data(), ins_coords.size()));
-      migrated += ins_ids.size();
     }
   }
 
@@ -1859,42 +1865,48 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   // loaded the new snapshot (seq_cst publish ordering). Readers of the new
   // table find the moving subscriptions at their destinations, so the
   // source copies below are dead weight for every possible reader.
-  PublishSnapshot(std::move(plan));
-  // Wait out the grace period but do NOT reclaim inline: retire work is
-  // amortized into pool idle time (the idle hook runs TryReclaim), so the
-  // publisher's wall cost is just the grace wait. Pool-less engines have
-  // no idle hook, so they reclaim here to bound retired_pending.
-  epoch_.WaitGrace();
-  if (pool_ == nullptr) epoch_.TryReclaim();
+  {
+    ACCL_TRACE_SPAN("routing_migrate.grace");
+    PublishSnapshot(std::move(plan));
+    // Wait out the grace period but do NOT reclaim inline: retire work is
+    // amortized into pool idle time (the idle hook runs TryReclaim), so the
+    // publisher's wall cost is just the grace wait. Pool-less engines have
+    // no idle hook, so they reclaim here to bound retired_pending.
+    epoch_.WaitGrace();
+    if (pool_ == nullptr) epoch_.TryReclaim();
+  }
 
   // Phase 4 — deferred source cleanup: flip ownership and bulk-erase the
   // stale source copies. An id whose second_home_ entry is gone was
   // unsubscribed mid-migration (Unsubscribe erased both copies); skip it.
-  for (SrcPlan& sp : plans) {
-    if (sp.moved.empty()) continue;
-    std::scoped_lock lk(meta_mu_, shards_[sp.src]->mu);
-    std::vector<ObjectId> erase_ids;
-    erase_ids.reserve(sp.moved.size());
-    std::vector<size_t> flips(shards_.size(), 0);
-    for (const auto& [id, dst] : sp.moved) {
-      auto jt = second_home_.find(id);
-      if (jt == second_home_.end()) continue;  // unsubscribed mid-flight
-      ACCL_DCHECK(jt->second == dst);
-      second_home_.erase(jt);
-      auto it = shard_of_.find(id);
-      ACCL_CHECK(it != shard_of_.end() && it->second == sp.src);
-      it->second = dst;
-      erase_ids.push_back(id);
-      ++flips[dst];
-    }
-    const size_t erased = shards_[sp.src]->index->BulkErase(
-        Span<const ObjectId>(erase_ids.data(), erase_ids.size()));
-    ACCL_CHECK(erased == erase_ids.size());
-    shards_[sp.src]->subs.fetch_sub(erase_ids.size(),
-                                    std::memory_order_relaxed);
-    for (uint32_t d = 0; d < shards_.size(); ++d) {
-      if (flips[d] != 0) {
-        shards_[d]->subs.fetch_add(flips[d], std::memory_order_relaxed);
+  {
+    ACCL_TRACE_SPAN("routing_migrate.erase");
+    for (SrcPlan& sp : plans) {
+      if (sp.moved.empty()) continue;
+      std::scoped_lock lk(meta_mu_, shards_[sp.src]->mu);
+      std::vector<ObjectId> erase_ids;
+      erase_ids.reserve(sp.moved.size());
+      std::vector<size_t> flips(shards_.size(), 0);
+      for (const auto& [id, dst] : sp.moved) {
+        auto jt = second_home_.find(id);
+        if (jt == second_home_.end()) continue;  // unsubscribed mid-flight
+        ACCL_DCHECK(jt->second == dst);
+        second_home_.erase(jt);
+        auto it = shard_of_.find(id);
+        ACCL_CHECK(it != shard_of_.end() && it->second == sp.src);
+        it->second = dst;
+        erase_ids.push_back(id);
+        ++flips[dst];
+      }
+      const size_t erased = shards_[sp.src]->index->BulkErase(
+          Span<const ObjectId>(erase_ids.data(), erase_ids.size()));
+      ACCL_CHECK(erased == erase_ids.size());
+      shards_[sp.src]->subs.fetch_sub(erase_ids.size(),
+                                      std::memory_order_relaxed);
+      for (uint32_t d = 0; d < shards_.size(); ++d) {
+        if (flips[d] != 0) {
+          shards_[d]->subs.fetch_add(flips[d], std::memory_order_relaxed);
+        }
       }
     }
   }

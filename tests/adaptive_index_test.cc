@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include "core/adaptive_index.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -204,6 +208,202 @@ TEST(AdaptiveIndex, EraseFromChildClusterMaintainsInvariants) {
   idx.CheckInvariants();
   auto all = RunQuery(idx, Query::Intersection(Box::FullDomain(2)));
   EXPECT_EQ(all.size(), idx.size());
+}
+
+// ---- BulkInsert equals sequential Insert -------------------------------
+
+// A box of extent <= `extent` per dimension inside [lo, lo + span]^nd.
+Box BoxIn(Rng& rng, Dim nd, float lo, float span, float extent) {
+  Box b(nd);
+  for (Dim d = 0; d < nd; ++d) {
+    const float len = extent * rng.NextFloat();
+    const float start = lo + (span - len) * rng.NextFloat();
+    b.set(d, start, start + len);
+  }
+  return b;
+}
+
+void RunQueries(AdaptiveIndex& idx, Rng& rng, int n, float lo, float span) {
+  std::vector<ObjectId> out;
+  for (int i = 0; i < n; ++i) {
+    out.clear();
+    idx.Execute(Query::Intersection(BoxIn(rng, idx.dims(), lo, span, 0.1f)),
+                &out);
+  }
+}
+
+// Converges an index on queries in the low corner, then moves the queries
+// to the high corner so the low clusters merge back: merges reparent their
+// children, which leaves children that are not candidates of their parent.
+// Deterministic, so two calls build identical twins.
+std::unique_ptr<AdaptiveIndex> ConvergedTwin() {
+  AdaptiveConfig cfg;
+  cfg.nd = 6;
+  cfg.reorg_period = 20;
+  cfg.min_observation = 4;
+  cfg.stats_halving_period = 40;
+  auto idx = std::make_unique<AdaptiveIndex>(cfg);
+  UniformSpec spec;
+  spec.nd = 6;
+  spec.count = 6000;
+  spec.seed = 43;
+  spec.max_extent = 0.3f;
+  Load(*idx, GenerateUniform(spec));
+  Rng rng(47);
+  RunQueries(*idx, rng, 1200, 0.0f, 0.45f);
+  RunQueries(*idx, rng, 1200, 0.5f, 0.5f);
+  return idx;
+}
+
+size_t NonCandidateChildren(const AdaptiveIndex& idx) {
+  const auto images = idx.DumpClusters();
+  size_t count = 0;
+  for (const ClusterImage& img : images) {
+    if (img.parent == kNoCluster) continue;
+    const Signature* parent = nullptr;
+    for (const ClusterImage& p : images) {
+      if (p.id == img.parent) parent = &p.sig;
+    }
+    if (parent == nullptr) {
+      ADD_FAILURE() << "cluster " << img.id << " has no parent image";
+      continue;
+    }
+    const CandidateSet cs(*parent, idx.config().division_factor, 0.0);
+    bool candidate = false;
+    for (size_t i = 0; i < cs.size() && !candidate; ++i) {
+      candidate = cs.MakeSignature(*parent, i) == img.sig;
+    }
+    if (!candidate) ++count;
+  }
+  return count;
+}
+
+void ExpectSameStructure(const AdaptiveIndex& a, const AdaptiveIndex& b) {
+  const auto ia = a.DumpClusters();
+  const auto ib = b.DumpClusters();
+  ASSERT_EQ(ia.size(), ib.size());
+  for (size_t i = 0; i < ia.size(); ++i) {
+    EXPECT_EQ(ia[i].id, ib[i].id);
+    EXPECT_EQ(ia[i].parent, ib[i].parent);
+    EXPECT_TRUE(ia[i].sig == ib[i].sig) << "cluster " << ia[i].id;
+    EXPECT_EQ(ia[i].ids, ib[i].ids) << "cluster " << ia[i].id;
+    EXPECT_EQ(ia[i].coords, ib[i].coords) << "cluster " << ia[i].id;
+  }
+}
+
+// Objects whose starts and ends sit exactly on the variation-interval
+// bounds of live signatures: on a half-open piece's upper bound (which that
+// piece rejects and its neighbour accepts), on the closed last piece's
+// upper bound, and on lower bounds.
+std::vector<float> BoundaryObjects(const AdaptiveIndex& idx, Rng& rng,
+                                   size_t n) {
+  const Dim nd = idx.dims();
+  const auto images = idx.DumpClusters();
+  std::vector<float> coords;
+  for (size_t i = 0; i < n; ++i) {
+    const Signature& sig = images[rng.NextBelow(images.size())].sig;
+    for (Dim d = 0; d < nd; ++d) {
+      const VarInterval& sv = sig.start_var(d);
+      const VarInterval& ev = sig.end_var(d);
+      float lo = rng.NextBelow(2) ? sv.hi : sv.lo;
+      float hi = rng.NextBelow(2) ? ev.hi : ev.lo;
+      if (rng.NextBelow(4) == 0) lo = hi = 1.0f;  // the closed last piece
+      if (lo > hi) std::swap(lo, hi);
+      coords.push_back(lo);
+      coords.push_back(hi);
+    }
+  }
+  return coords;
+}
+
+TEST(AdaptiveBulkInsert, EqualsSequentialInsert) {
+  auto bulk = ConvergedTwin();
+  auto seq = ConvergedTwin();
+  ASSERT_GT(bulk->reorg_stats().merges, 0u);
+  ASSERT_GT(bulk->cluster_count(), 10u);
+  ASSERT_GT(NonCandidateChildren(*bulk), 0u)
+      << "merges left no reparented children; the test lost its point";
+  ExpectSameStructure(*bulk, *seq);
+
+  const Dim nd = bulk->dims();
+  const size_t stride = 2 * static_cast<size_t>(nd);
+  const size_t chunk = AdaptiveIndex::kPlacementChunk;
+  Rng rng(53);
+  Rng qrng_bulk(59), qrng_seq(59);
+  ObjectId next_id = 100000;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                         size_t{5}, size_t{15}, size_t{16}, size_t{17},
+                         chunk - 1, chunk, chunk + 1, size_t{3000}}) {
+    std::vector<ObjectId> ids;
+    std::vector<float> coords;
+    // Two thirds random boxes (a spread of sizes and places), one third
+    // boundary objects, interleaved.
+    const std::vector<float> edge = BoundaryObjects(*bulk, rng, n);
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(next_id++);
+      if (i % 3 == 2) {
+        coords.insert(coords.end(), edge.begin() + i * stride,
+                      edge.begin() + (i + 1) * stride);
+      } else {
+        const Box b = RandomBox(rng, nd, i % 2 ? 0.05f : 0.6f);
+        coords.insert(coords.end(), b.data(), b.data() + stride);
+      }
+    }
+    bulk->BulkInsert(Span<const ObjectId>(ids.data(), ids.size()),
+                     Span<const float>(coords.data(), coords.size()));
+    for (size_t i = 0; i < n; ++i) {
+      seq->Insert(ids[i], BoxView(coords.data() + i * stride, nd));
+    }
+    ExpectSameStructure(*bulk, *seq);
+    for (const ObjectId id : ids) {
+      ASSERT_EQ(bulk->OwnerOf(id), seq->OwnerOf(id)) << "n=" << n;
+    }
+    bulk->CheckInvariants();
+    seq->CheckInvariants();
+    // Move the access probabilities (and so the placement ranking) on.
+    RunQueries(*bulk, qrng_bulk, 60, 0.2f, 0.6f);
+    RunQueries(*seq, qrng_seq, 60, 0.2f, 0.6f);
+  }
+  ASSERT_GT(bulk->cluster_count(), 10u);
+}
+
+TEST(AdaptiveBulkInsertDeathTest, OutOfDomainObjectAbortsLikeInsert) {
+  // On a converged index most clusters leave most dimensions full-domain,
+  // so without the root's test they would accept an object that lies
+  // outside the domain there.
+  auto idx = ConvergedTwin();
+  const Dim nd = idx->dims();
+  const size_t stride = 2 * static_cast<size_t>(nd);
+  Rng rng(61);
+  std::vector<ObjectId> ids;
+  std::vector<float> coords;
+  for (ObjectId i = 0; i < 40; ++i) {
+    ids.push_back(100000 + i);
+    const Box b = RandomBox(rng, nd, 0.3f);
+    coords.insert(coords.end(), b.data(), b.data() + stride);
+  }
+  float* bad = coords.data() + 17 * stride;
+  const auto bulk_insert = [&] {
+    idx->BulkInsert(Span<const ObjectId>(ids.data(), ids.size()),
+                    Span<const float>(coords.data(), coords.size()));
+  };
+  const char* kInsertAbort = "ACCL_CHECK failed: best != kNoCluster";
+  // Object 17 ends past the domain on dimension 1: no cluster accepts it.
+  const float good = bad[3];
+  bad[3] = 1.5f;
+  EXPECT_DEATH(idx->Insert(ids[17], BoxView(bad, nd)), kInsertAbort);
+  EXPECT_DEATH(bulk_insert(), kInsertAbort);
+  // A NaN coordinate is rejected the same way.
+  bad[3] = std::nanf("");
+  EXPECT_DEATH(idx->Insert(ids[17], BoxView(bad, nd)), kInsertAbort);
+  EXPECT_DEATH(bulk_insert(), kInsertAbort);
+  // A duplicate id in the batch aborts on the id check, as Insert does.
+  bad[3] = good;
+  ids[30] = ids[3];
+  EXPECT_DEATH(bulk_insert(), "owner_.find\\(id\\) == owner_.end\\(\\)");
+  ids[30] = 100030;
+  bulk_insert();
+  idx->CheckInvariants();
 }
 
 }  // namespace

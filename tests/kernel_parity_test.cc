@@ -10,11 +10,13 @@
 // plus degenerate point queries and boundary-touching coordinates.
 //
 // Also covered here: FilterSlotsDense/Sparse parity (the SignatureTable
-// seam), registry selection (widest supported), the ACCL_FORCE_BACKEND env
-// pin, the AdaptiveConfig::verify_backend request, and ValidateOptions'
-// rejection of unknown backend names.
+// seam), RankAccepting parity (BulkInsert's placement seam), registry
+// selection (widest supported), the ACCL_FORCE_BACKEND env pin, the
+// AdaptiveConfig::verify_backend request, and ValidateOptions' rejection
+// of unknown backend names.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -185,6 +187,83 @@ TEST(KernelParity, FilterSlotsDenseAndSparse) {
           ASSERT_EQ(sgot[i], sexpect[i]) << b->name() << " sparse slot order";
         }
       }
+    }
+  }
+}
+
+TEST(KernelParity, RankAcceptingAllBackends) {
+  // BulkInsert's placement op: per-object acceptance over column-major
+  // chunks, min-ranked into best[]. Sizes straddle every vector width's
+  // tail; values sit on the test bounds (ties must accept), one float
+  // either side of them, and include NaN (never accepted).
+  using ColumnRange = VerifyBackend::ColumnRange;
+  Rng rng(505);
+  const VerifyBackend* ref = Scalar();
+  const float kEdges[] = {0.0f, 0.25f, 0.5f, 1.0f};
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u,
+                   100u, 1023u}) {
+    const size_t ncols = 6;
+    const size_t col_stride = n + 5;  // padded, like BulkInsert's columns
+    std::vector<float> cols(ncols * col_stride);
+    for (float& x : cols) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          x = kEdges[rng.NextBelow(4)];
+          break;
+        case 1:
+          x = std::nextafter(kEdges[rng.NextBelow(4)],
+                             rng.NextBelow(2) ? 2.0f : -1.0f);
+          break;
+        case 2:
+          x = rng.NextBelow(50) == 0 ? std::nanf("") : -0.0f;
+          break;
+        default:
+          x = rng.NextFloat();
+      }
+    }
+    std::vector<uint32_t> expect(n, 0xFFFFFFFFu);
+    std::vector<std::vector<uint32_t>> got(
+        BackendRegistry::Instance().All().size(), expect);
+    // Successive "clusters" with 0..4 tests each, ranks ascending but with
+    // a few out-of-order ones so the min (not just first-wins) is checked.
+    for (uint32_t r = 0; r < 40; ++r) {
+      std::vector<ColumnRange> tests(r % 5);
+      for (ColumnRange& t : tests) {
+        t.col = static_cast<uint32_t>(rng.NextBelow(ncols));
+        const float a = kEdges[rng.NextBelow(3)];
+        t.lo = a;
+        t.hi = rng.NextBelow(2) ? kEdges[1 + rng.NextBelow(3)]
+                                : std::nextafter(a + 0.25f, 0.0f);
+      }
+      const uint32_t rank = r % 7 == 6 ? r / 2 : r + 10;
+      ref->RankAccepting(cols.data(), col_stride, n, tests.data(),
+                         tests.size(), rank, expect.data());
+      size_t k = 0;
+      for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
+        b->RankAccepting(cols.data(), col_stride, n, tests.data(),
+                         tests.size(), rank, got[k].data());
+        ASSERT_EQ(got[k], expect)
+            << b->name() << " n=" << n << " after rank " << rank;
+        ++k;
+      }
+    }
+    // Rank 10 ran with no tests, so it accepted every object.
+    for (size_t i = 0; i < n; ++i) EXPECT_LE(expect[i], 10u);
+  }
+
+  // Bounds are inclusive on both sides and a NaN never passes.
+  const float col[] = {std::nanf(""), 0.5f, 1.0f, std::nextafter(1.0f, 2.0f),
+                       std::nextafter(0.5f, 0.0f), 0.75f, 0.5f, 1.0f,
+                       -std::nanf(""), 0.6f, 0.4f, 1.0f, 0.5f, 0.9f, 2.0f,
+                       0.5f, 0.55f};
+  const size_t n = sizeof(col) / sizeof(col[0]);
+  const ColumnRange t{0, 0.5f, 1.0f};
+  for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
+    std::vector<uint32_t> best(n, 0xFFFFFFFFu);
+    b->RankAccepting(col, n, n, &t, 1, 7, best.data());
+    for (size_t i = 0; i < n; ++i) {
+      const bool in = col[i] >= 0.5f && col[i] <= 1.0f;
+      EXPECT_EQ(best[i], in ? 7u : 0xFFFFFFFFu) << b->name() << " i=" << i;
     }
   }
 }
