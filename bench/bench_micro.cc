@@ -4,6 +4,7 @@
 // of B), and structure maintenance operations.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/adaptive_index.h"
@@ -178,11 +179,14 @@ void BM_SeqScanQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqScanQuery)->Unit(benchmark::kMicrosecond);
 
-// Placement layer (paper Fig. 4) on its own: a 4096-object batch into a
-// converged index, through BulkInsert's cluster-major pass (arg 1) and
-// through a loop of Insert's per-object descent (arg 0). Each iteration
-// erases the batch again, untimed; placement depends only on the access
-// probabilities, which neither insertion nor erasure touches.
+// Placement layer (paper Fig. 4) on its own: 4096 objects into a converged
+// index, through a loop of Insert's per-object descent (bulk:0) or through
+// BulkInsert in batches of n (bulk:1). Batches too small for the
+// cluster-major pass (AdaptiveIndex::PlacesAsBatch) take the descent, so
+// the n = 1 and 4 arms time that side of BulkInsert's choice and n = 32
+// and 4096 the pass. Each iteration erases the objects again, untimed;
+// placement depends only on the access probabilities, which neither
+// insertion nor erasure touches.
 void BM_AdaptiveBulkInsert(benchmark::State& state) {
   const Dim nd = 16;
   const size_t stride = 2 * static_cast<size_t>(nd);
@@ -205,11 +209,15 @@ void BM_AdaptiveBulkInsert(benchmark::State& state) {
   std::vector<ObjectId> ids(batch.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = 1000000 + batch.ids[i];
   const bool bulk = state.range(0) != 0;
+  const size_t n = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
     if (bulk) {
-      idx.BulkInsert(Span<const ObjectId>(ids.data(), ids.size()),
-                     Span<const float>(batch.coords.data(),
-                                       ids.size() * stride));
+      for (size_t b = 0; b < ids.size(); b += n) {
+        const size_t m = std::min(n, ids.size() - b);
+        idx.BulkInsert(Span<const ObjectId>(ids.data() + b, m),
+                       Span<const float>(batch.coords.data() + b * stride,
+                                         m * stride));
+      }
     } else {
       for (size_t i = 0; i < ids.size(); ++i) idx.Insert(ids[i], batch.box(i));
     }
@@ -221,11 +229,16 @@ void BM_AdaptiveBulkInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ids.size()));
   state.counters["clusters"] = static_cast<double>(idx.cluster_count());
+  state.counters["batch_pass"] =
+      bulk && AdaptiveIndex::PlacesAsBatch(n, idx.cluster_count()) ? 1 : 0;
 }
 BENCHMARK(BM_AdaptiveBulkInsert)
-    ->ArgName("bulk")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"bulk", "n"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Args({1, 32})
+    ->Args({1, 4096})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_UniformGeneration(benchmark::State& state) {

@@ -166,7 +166,12 @@ void AdaptiveIndex::BulkInsert(Span<const ObjectId> ids,
   const size_t stride = 2 * static_cast<size_t>(cfg_.nd);
   const size_t n = ids.size();
   ACCL_CHECK(coords.size() == n * stride);
-  if (n == 0) return;
+  if (!PlacesAsBatch(n, live_clusters_)) {
+    for (size_t i = 0; i < n; ++i) {
+      Insert(ids[i], BoxView(coords.data() + i * stride, cfg_.nd));
+    }
+    return;
+  }
   // Grow only: libstdc++'s reserve also shrinks, which after erases
   // rehashes the whole owner map for nothing.
   if (static_cast<double>(owner_.size() + n) >

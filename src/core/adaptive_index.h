@@ -127,15 +127,30 @@ class AdaptiveIndex : public SpatialIndex {
   /// aborts (a duplicate id, or an object the root signature rejects,
   /// aborts at that object after the ones before it are placed).
   ///
-  /// Where Insert descends from the root per object, this places the batch
-  /// cluster-major (paper Fig. 4 over the whole group): the live clusters
-  /// are ranked once by (access probability, id) — insertion never changes
-  /// a probability — and each chunk of kPlacementChunk objects is tested
-  /// against every cluster's refined variation intervals with the
-  /// verification backend's RankAccepting op, keeping each object's
-  /// lowest accepting rank. Shard migration and recovery land their
-  /// groups through here.
+  /// A batch that PlacesAsBatch accepts is placed cluster-major (paper
+  /// Fig. 4 over the whole group): the live clusters are ranked once by
+  /// (access probability, id) — insertion never changes a probability —
+  /// and each chunk of kPlacementChunk objects is tested against every
+  /// cluster's refined variation intervals with the verification
+  /// backend's RankAccepting op, keeping each object's lowest accepting
+  /// rank. A smaller batch takes Insert's descent per object.
+  ///
+  /// Callers: shard migration (hundreds of objects per destination shard),
+  /// recovery's image restore (one group per shard), and WAL replay and
+  /// the follower's apply path (one call per log record, so usually n = 1).
   void BulkInsert(Span<const ObjectId> ids, Span<const float> coords);
+
+  /// Whether BulkInsert places `n` objects into an index of `clusters`
+  /// live clusters with the cluster-major pass. The pass ranks every live
+  /// cluster once per call, so it pays off only for batches that are
+  /// large against the cluster count: on converged 8-d and 16-d indexes
+  /// of 78 to 2081 clusters its per-object cost fell below the descent's
+  /// between n = 14 and n = 96, at about clusters/5 to clusters/22 (see
+  /// BM_AdaptiveBulkInsert). Below 32 objects the two stayed within ~35%
+  /// of each other on the small indexes, so the floor keeps the descent.
+  static constexpr bool PlacesAsBatch(size_t n, size_t clusters) {
+    return n >= 32 && 16 * n >= clusters;
+  }
 
   /// Objects BulkInsert transposes and places per pass; its working set
   /// is 2*nd columns of this many floats.

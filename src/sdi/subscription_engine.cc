@@ -1786,38 +1786,36 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   WallTimer migrate_timer;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
 
-  // Phase 1 — scan: collect the residents the new table routes elsewhere.
-  // The box views die with the scan lock, so coordinates are copied out
-  // per destination. (Between migrations second_home_ is empty, so every
-  // physical resident seen here is an owned, single-resident copy.)
-  struct Outgoing {
-    std::vector<ObjectId> ids;
-    std::vector<float> coords;
-  };
+  // Phase 1 — scan: collect the residents the new table routes elsewhere,
+  // grouped by destination shard. The box views die with the scan lock, so
+  // coordinates are copied out. (Between migrations second_home_ is empty,
+  // so every physical resident seen here is an owned, single-resident copy.)
   struct SrcPlan {
     uint32_t src;
-    std::vector<Outgoing> outgoing;                     // indexed by dst
-    std::vector<std::pair<ObjectId, uint32_t>> moved;   // (id, dst)
+    std::vector<std::pair<ObjectId, uint32_t>> moved;  // (id, dst)
+  };
+  struct Incoming {
+    std::vector<ObjectId> ids;
+    std::vector<uint32_t> from;  // index into plans
+    std::vector<float> coords;
   };
   std::vector<SrcPlan> plans;
   plans.reserve(scan_shards.size());
+  std::vector<Incoming> incoming(shards_.size());
   {
     ACCL_TRACE_SPAN("routing_migrate.scan");
     for (const uint32_t src : scan_shards) {
-      SrcPlan sp;
-      sp.src = src;
-      sp.outgoing.resize(shards_.size());
-      {
-        std::lock_guard<std::mutex> lk(shards_[src]->mu);
-        shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
-          const uint32_t dst = RangeShardFor(plan, b);
-          if (dst == src) return;
-          Outgoing& o = sp.outgoing[dst];
-          o.ids.push_back(id);
-          o.coords.insert(o.coords.end(), b.data(), b.data() + stride);
-        });
-      }
-      plans.push_back(std::move(sp));
+      const uint32_t k = static_cast<uint32_t>(plans.size());
+      plans.push_back(SrcPlan{src, {}});
+      std::lock_guard<std::mutex> lk(shards_[src]->mu);
+      shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
+        const uint32_t dst = RangeShardFor(plan, b);
+        if (dst == src) return;
+        Incoming& in = incoming[dst];
+        in.ids.push_back(id);
+        in.from.push_back(k);
+        in.coords.insert(in.coords.end(), b.data(), b.data() + stride);
+      });
     }
   }
 
@@ -1827,35 +1825,35 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   // insert, so Unsubscribe observes "entry implies both copies present"
   // atomically. Readers still route with the old snapshot and find the
   // source copies; a route covering both shards finds two copies, which
-  // the match-side adjacent-unique pass removes.
+  // the match-side adjacent-unique pass removes. Each destination takes
+  // its movers from every source in one BulkInsert, in scan order.
   size_t migrated = 0;
   {
     ACCL_TRACE_SPAN("routing_migrate.insert");
-    for (SrcPlan& sp : plans) {
-      for (uint32_t dst = 0; dst < shards_.size(); ++dst) {
-        Outgoing& o = sp.outgoing[dst];
-        if (o.ids.empty()) continue;
-        std::scoped_lock lk(meta_mu_, shards_[dst]->mu);
-        std::vector<ObjectId> ins_ids;
-        std::vector<float> ins_coords;
-        ins_ids.reserve(o.ids.size());
-        ins_coords.reserve(o.coords.size());
-        for (size_t i = 0; i < o.ids.size(); ++i) {
-          const ObjectId id = o.ids[i];
-          auto it = shard_of_.find(id);
-          // Unsubscribed between scan and insert: nothing to migrate.
-          if (it == shard_of_.end() || it->second != sp.src) continue;
-          ins_ids.push_back(id);
-          ins_coords.insert(ins_coords.end(), o.coords.begin() + i * stride,
-                            o.coords.begin() + (i + 1) * stride);
-          second_home_.emplace(id, dst);
-          sp.moved.emplace_back(id, dst);
+    for (uint32_t dst = 0; dst < shards_.size(); ++dst) {
+      Incoming& in = incoming[dst];
+      if (in.ids.empty()) continue;
+      std::scoped_lock lk(meta_mu_, shards_[dst]->mu);
+      size_t kept = 0;
+      for (size_t i = 0; i < in.ids.size(); ++i) {
+        const ObjectId id = in.ids[i];
+        SrcPlan& sp = plans[in.from[i]];
+        auto it = shard_of_.find(id);
+        // Unsubscribed between scan and insert: nothing to migrate.
+        if (it == shard_of_.end() || it->second != sp.src) continue;
+        if (kept != i) {
+          in.ids[kept] = id;
+          std::copy_n(in.coords.begin() + i * stride, stride,
+                      in.coords.begin() + kept * stride);
         }
-        shards_[dst]->index->BulkInsert(
-            Span<const ObjectId>(ins_ids.data(), ins_ids.size()),
-            Span<const float>(ins_coords.data(), ins_coords.size()));
-        migrated += ins_ids.size();
+        ++kept;
+        second_home_.emplace(id, dst);
+        sp.moved.emplace_back(id, dst);
       }
+      shards_[dst]->index->BulkInsert(
+          Span<const ObjectId>(in.ids.data(), kept),
+          Span<const float>(in.coords.data(), kept * stride));
+      migrated += kept;
     }
   }
 

@@ -331,9 +331,16 @@ TEST(AdaptiveBulkInsert, EqualsSequentialInsert) {
   Rng rng(53);
   Rng qrng_bulk(59), qrng_seq(59);
   ObjectId next_id = 100000;
+  size_t batch_passes = 0, descents = 0;
   for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
                          size_t{5}, size_t{15}, size_t{16}, size_t{17},
-                         chunk - 1, chunk, chunk + 1, size_t{3000}}) {
+                         size_t{32}, size_t{33}, size_t{47}, size_t{48},
+                         size_t{49}, chunk - 1, chunk, chunk + 1,
+                         size_t{3000}}) {
+    // Small batches take Insert's descent, the rest the cluster-major pass
+    // (whose vector tails the sizes around multiples of 16 cover).
+    ++(AdaptiveIndex::PlacesAsBatch(n, bulk->cluster_count()) ? batch_passes
+                                                               : descents);
     std::vector<ObjectId> ids;
     std::vector<float> coords;
     // Two thirds random boxes (a spread of sizes and places), one third
@@ -365,6 +372,8 @@ TEST(AdaptiveBulkInsert, EqualsSequentialInsert) {
     RunQueries(*seq, qrng_seq, 60, 0.2f, 0.6f);
   }
   ASSERT_GT(bulk->cluster_count(), 10u);
+  EXPECT_GE(batch_passes, 9u);
+  EXPECT_GE(descents, 8u);
 }
 
 TEST(AdaptiveBulkInsertDeathTest, OutOfDomainObjectAbortsLikeInsert) {
@@ -382,6 +391,7 @@ TEST(AdaptiveBulkInsertDeathTest, OutOfDomainObjectAbortsLikeInsert) {
     const Box b = RandomBox(rng, nd, 0.3f);
     coords.insert(coords.end(), b.data(), b.data() + stride);
   }
+  ASSERT_TRUE(AdaptiveIndex::PlacesAsBatch(ids.size(), idx->cluster_count()));
   float* bad = coords.data() + 17 * stride;
   const auto bulk_insert = [&] {
     idx->BulkInsert(Span<const ObjectId>(ids.data(), ids.size()),
@@ -393,6 +403,10 @@ TEST(AdaptiveBulkInsertDeathTest, OutOfDomainObjectAbortsLikeInsert) {
   bad[3] = 1.5f;
   EXPECT_DEATH(idx->Insert(ids[17], BoxView(bad, nd)), kInsertAbort);
   EXPECT_DEATH(bulk_insert(), kInsertAbort);
+  // A batch of one takes Insert's descent and aborts the same way.
+  EXPECT_DEATH(idx->BulkInsert(Span<const ObjectId>(ids.data() + 17, 1),
+                               Span<const float>(bad, stride)),
+               kInsertAbort);
   // A NaN coordinate is rejected the same way.
   bad[3] = std::nanf("");
   EXPECT_DEATH(idx->Insert(ids[17], BoxView(bad, nd)), kInsertAbort);
