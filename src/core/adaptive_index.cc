@@ -48,7 +48,7 @@ AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
   // Unknown names should be caught by validation (sdi::ValidateOptions)
   // before an index is ever constructed; here it is a programming error.
   ACCL_CHECK(backend_ != nullptr);
-  owner_.reserve(1024);
+  owner_.Reserve(1024);
   ACCL_CHECK(cfg_.division_factor >= 2);
   ACCL_CHECK(cfg_.reserve_fraction >= 0.0 && cfg_.reserve_fraction < 1.0);
   root_ = NewCluster(Signature(cfg_.nd), kNoCluster);
@@ -102,7 +102,7 @@ void AdaptiveIndex::FreeCluster(ClusterId id) {
 
 void AdaptiveIndex::Insert(ObjectId id, BoxView box) {
   ACCL_CHECK(box.dims() == cfg_.nd);
-  ACCL_CHECK(owner_.find(id) == owner_.end());
+  ACCL_CHECK(owner_.Find(id) == nullptr);
   // Paper Fig. 4: among the clusters whose signature accepts the object,
   // place it in the one with the lowest access probability. Because every
   // child signature refines its parent's, the accepting clusters form an
@@ -135,7 +135,7 @@ void AdaptiveIndex::Place(ObjectId id, BoxView box, ClusterId best) {
   const uint32_t slot = static_cast<uint32_t>(b->objects.size());
   b->objects.Append(id, box);
   b->candidates.AccountObject(box, +1);
-  owner_.emplace(id, ObjectRef{best, slot});
+  owner_.Insert(id, ObjectRef{best, slot});  // callers checked it is new
   ++object_count_;
 }
 
@@ -172,12 +172,7 @@ void AdaptiveIndex::BulkInsert(Span<const ObjectId> ids,
     }
     return;
   }
-  // Grow only: libstdc++'s reserve also shrinks, which after erases
-  // rehashes the whole owner map for nothing.
-  if (static_cast<double>(owner_.size() + n) >
-      static_cast<double>(owner_.bucket_count()) * owner_.max_load_factor()) {
-    owner_.reserve(owner_.size() + n);
-  }
+  owner_.Reserve(owner_.size() + n);
 
   // Fig. 4's order, computed once: insertion never changes q, w0 or
   // total_weight_, so the access probabilities are fixed for the batch and
@@ -248,7 +243,7 @@ void AdaptiveIndex::BulkInsert(Span<const ObjectId> ids,
     // Append in input order, as the Insert loop would.
     for (size_t i = 0; i < m; ++i) {
       const ObjectId id = ids[base + i];
-      ACCL_CHECK(owner_.find(id) == owner_.end());
+      ACCL_CHECK(owner_.Find(id) == nullptr);
       const uint32_t r = rank[i] | in_root[i];  // kNone unless in the root
       Place(id, BoxView(coords.data() + (base + i) * stride, cfg_.nd),
             r == kNone ? kNoCluster : order[r].id);
@@ -274,26 +269,26 @@ void AdaptiveIndex::ForEachObject(
 }
 
 bool AdaptiveIndex::Erase(ObjectId id) {
-  auto it = owner_.find(id);
-  if (it == owner_.end()) return false;
-  const ObjectRef ref = it->second;
+  const ObjectRef* found = owner_.Find(id);
+  if (found == nullptr) return false;
+  const ObjectRef ref = *found;
   Cluster* c = cluster(ref.cluster);
   ACCL_CHECK(c != nullptr && ref.slot < c->objects.size());
   ACCL_DCHECK(c->objects.id(ref.slot) == id);
   c->candidates.AccountObject(c->objects.box(ref.slot), -1);
   const ObjectId filler = c->objects.RemoveAt(ref.slot);
-  owner_.erase(it);
+  owner_.Erase(id);
   if (filler != kInvalidObject) {
     // `filler` is the (distinct) object swapped down from the cluster's
     // last slot; when the erased slot *was* the last slot RemoveAt reports
     // kInvalidObject, so a self-swap can never reach this lookup. The
     // checked find turns any owner-map/slot-array disagreement into a
-    // diagnosable abort instead of dereferencing end().
+    // diagnosable abort instead of dereferencing null.
     ACCL_DCHECK(filler != id);
-    auto fit = owner_.find(filler);
-    ACCL_CHECK(fit != owner_.end());
-    ACCL_DCHECK(fit->second.cluster == ref.cluster);
-    fit->second.slot = ref.slot;
+    ObjectRef* fref = owner_.Find(filler);
+    ACCL_CHECK(fref != nullptr);
+    ACCL_DCHECK(fref->cluster == ref.cluster);
+    fref->slot = ref.slot;
   }
   --object_count_;
   return true;
@@ -481,7 +476,7 @@ void AdaptiveIndex::MergeCluster(ClusterId cid) {
     const uint32_t slot = static_cast<uint32_t>(a->objects.size());
     a->objects.Append(oid, b);
     a->candidates.AccountObject(b, +1);
-    owner_[oid] = ObjectRef{a->id, slot};
+    owner_.Set(oid, ObjectRef{a->id, slot});
   }
   c->objects.Clear();
   for (ClusterId ch : c->children) {
@@ -557,13 +552,13 @@ ClusterId AdaptiveIndex::MaterializeCandidate(ClusterId cid, size_t ci) {
     d->objects.Append(oid, b);
     d->candidates.AccountObject(b, +1);
     c->candidates.AccountObject(b, -1);
-    owner_[oid] = ObjectRef{did, slot};
+    owner_.Set(oid, ObjectRef{did, slot});
     const ObjectId filler = c->objects.RemoveAt(i);
     if (filler != kInvalidObject) {
-      auto fit = owner_.find(filler);
-      ACCL_CHECK(fit != owner_.end());
-      ACCL_DCHECK(fit->second.cluster == cid);
-      fit->second.slot = static_cast<uint32_t>(i);
+      ObjectRef* fref = owner_.Find(filler);
+      ACCL_CHECK(fref != nullptr);
+      ACCL_DCHECK(fref->cluster == cid);
+      fref->slot = static_cast<uint32_t>(i);
     }
   }
   d->objects.Compact();
@@ -571,8 +566,14 @@ ClusterId AdaptiveIndex::MaterializeCandidate(ClusterId cid, size_t ci) {
 }
 
 ClusterId AdaptiveIndex::OwnerOf(ObjectId id) const {
-  auto it = owner_.find(id);
-  return it == owner_.end() ? kNoCluster : it->second.cluster;
+  const ObjectRef* ref = owner_.Find(id);
+  return ref == nullptr ? kNoCluster : ref->cluster;
+}
+
+BoxView AdaptiveIndex::ObjectBox(ObjectId id) const {
+  const ObjectRef* ref = owner_.Find(id);
+  if (ref == nullptr) return BoxView();
+  return cluster(ref->cluster)->objects.box(ref->slot);
 }
 
 double AdaptiveIndex::ExpectedQueryTimeMs() const {
@@ -636,10 +637,10 @@ void AdaptiveIndex::CheckInvariants() const {
     // including the exact slot.
     for (size_t i = 0; i < c.size(); ++i) {
       ACCL_CHECK(c.sig.MatchesObject(c.objects.box(i)));
-      auto it = owner_.find(c.objects.id(i));
-      ACCL_CHECK(it != owner_.end());
-      ACCL_CHECK(it->second.cluster == c.id);
-      ACCL_CHECK(it->second.slot == i);
+      const ObjectRef* ref = owner_.Find(c.objects.id(i));
+      ACCL_CHECK(ref != nullptr);
+      ACCL_CHECK(ref->cluster == c.id);
+      ACCL_CHECK(ref->slot == i);
     }
     // Candidate object counts must equal a fresh recount.
     CandidateSet fresh(c.sig, cfg_.division_factor, 0.0);
@@ -687,7 +688,7 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
   idx->live_clusters_ = 0;
   idx->root_ = kNoCluster;
   idx->sig_table_.Clear();
-  idx->owner_.clear();
+  idx->owner_.Clear();
   idx->object_count_ = 0;
 
   ClusterId max_id = 0;
@@ -710,10 +711,8 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
       ACCL_CHECK(c->sig.MatchesObject(b));
       c->objects.Append(img.ids[i], b);
       c->candidates.AccountObject(b, +1);
-      auto [it, fresh] = idx->owner_.emplace(
-          img.ids[i], ObjectRef{img.id, static_cast<uint32_t>(i)});
-      ACCL_CHECK(fresh);
-      (void)it;
+      ACCL_CHECK(idx->owner_.Insert(
+          img.ids[i], ObjectRef{img.id, static_cast<uint32_t>(i)}));
       ++idx->object_count_;
     }
     ++idx->live_clusters_;

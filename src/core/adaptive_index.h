@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/span.h"
@@ -28,6 +27,7 @@
 #include "core/cluster.h"
 #include "core/signature_table.h"
 #include "cost/cost_model.h"
+#include "util/flat_id_map.h"
 
 namespace accl {
 
@@ -202,6 +202,10 @@ class AdaptiveIndex : public SpatialIndex {
   /// Host cluster of a live object, or kNoCluster when the id is unknown.
   ClusterId OwnerOf(ObjectId id) const;
 
+  /// Box of a live object, or an empty view when the id is unknown. The
+  /// view is valid until the next mutation of the index.
+  BoxView ObjectBox(ObjectId id) const;
+
   /// Per-cluster snapshot for diagnostics, tests and examples.
   struct ClusterInfo {
     ClusterId id;
@@ -294,7 +298,7 @@ class AdaptiveIndex : public SpatialIndex {
     ClusterId cluster;
     uint32_t slot;
   };
-  std::unordered_map<ObjectId, ObjectRef> owner_;
+  FlatIdMap<ObjectRef> owner_;
   size_t object_count_ = 0;
 
   uint64_t total_queries_ = 0;

@@ -12,6 +12,14 @@
 
 #include <cmath>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "adapt/pattern_tracker.h"
 #include "adapt/routing_advisor.h"
 #include "durability/checkpoint.h"
@@ -53,6 +61,35 @@ constexpr size_t kMatchChunkSize = 16;
 /// Fence positions RebalanceLocked evaluates per boundary move: shed
 /// counts spread over ±25% of the exact gap-halving count.
 constexpr size_t kFenceCandidates = 9;
+
+/// Movers one migration slice inserts or erases under a single shard-lock
+/// hold: long enough for BulkInsert's batched placement pass, short enough
+/// that a match waiting for the shard is delayed by well under a typical
+/// batch.
+constexpr size_t kMigrationSlice = 128;
+
+/// Moves the migrator runs between two returns of free heap pages to the
+/// OS (see MigratorLoop). On perfbench match_stream (30k subscriptions,
+/// ~12k movers a move, 4-vCPU Xeon) trimming after every move cost ~1 ms
+/// of call p99 and never trimming left ~2 MiB more resident; trimming
+/// every 8th move avoided both.
+[[maybe_unused]] constexpr uint32_t kMovesPerTrim = 8;
+
+/// shard_of_ flag: the id also has a copy at its in-flight move's
+/// destination (which the source's moving_plan names).
+constexpr uint32_t kDoubleResident = 0x80000000u;
+
+/// The subscription boxes the engine accepts: every bound finite and
+/// lo <= hi in every dimension. Anything else would reach fence search,
+/// signature admission and the cluster statistics as garbage.
+bool WellFormed(const Box& b) {
+  for (Dim d = 0; d < b.dims(); ++d) {
+    const float lo = b.lo(d);
+    const float hi = b.hi(d);
+    if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo <= hi)) return false;
+  }
+  return true;
+}
 
 /// Match's sink: appends the one event's sorted matches to the caller's
 /// vector, keeping whatever it already held.
@@ -134,6 +171,32 @@ struct SubscriptionEngine::PipelineScratch {
   /// Off-lock fold buffer for the adaptive tracker's event sampling
   /// (pooled here so steady-state batches allocate nothing).
   adapt::PatternAccumulator pattern;
+
+  /// Per-shard events the newest plan routes, when a transitional
+  /// snapshot's union route visits more (the rebalancer's load signal).
+  std::vector<uint64_t> target_routed;
+};
+
+// A routing change past its scan (BeginMoveLocked): everything steps
+// (2)-(5) of the move routine need, owned by whichever thread finishes it.
+struct SubscriptionEngine::Move {
+  /// Per source shard: the movers inserted at their destinations so far,
+  /// in insertion order (the erase phase walks them).
+  struct Source {
+    uint32_t src;
+    std::vector<std::pair<ObjectId, uint32_t>> moved;  // (id, dst)
+  };
+  /// Per destination shard: the movers' ids, their source (index into
+  /// `sources`) and coordinates, in scan order.
+  struct Incoming {
+    std::vector<ObjectId> ids;
+    std::vector<uint32_t> from;
+    std::vector<float> coords;
+  };
+  RoutingPlan plan;  ///< the plan being installed
+  std::vector<Source> sources;
+  std::vector<Incoming> incoming;  ///< indexed by destination shard
+  WallTimer timer;                 ///< the move's wall time, from its scan
 };
 
 // Registry-owned handles for the engine's own metrics. Everything here is
@@ -183,6 +246,12 @@ struct SubscriptionEngine::EngineObs {
         migration_us(r->GetHistogram(
             "accl_rebalance_migration_us",
             "scan+insert+grace+cleanup duration per routing change (us)")),
+        transition_events(r->GetCounter(
+            "accl_pipeline_transition_events_total",
+            "events routed under a transitional (union) snapshot")),
+        transition_extra_visits(r->GetCounter(
+            "accl_pipeline_transition_extra_visits_total",
+            "shard visits the union route added over the newest plan's")),
         dimension_switches(r->GetCounter(
             "accl_adapt_dimension_switches_total",
             "online fence-dimension switches (advisor or manual)")),
@@ -219,6 +288,8 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* spill_total;
   obs::Gauge* spill_last;
   obs::Histogram* migration_us;
+  obs::Counter* transition_events;
+  obs::Counter* transition_extra_visits;
   obs::Counter* dimension_switches;
   obs::Counter* overflow_splits;
   obs::Counter* straddlers_split;
@@ -405,7 +476,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
     pool_ = std::make_unique<exec::ThreadPool>(options_.match_threads - 1);
     // Epoch-retire amortization: superseded routing snapshots are freed by
     // idle pool workers (TryReclaim is non-blocking and safe concurrently),
-    // not inline by the publisher — see ApplyRoutingLocked's WaitGrace.
+    // not inline by the publisher — see FinishMove's WaitGrace.
     // Safe lifetime: ~SubscriptionEngine joins the pool before epoch_ dies.
     pool_->SetIdleHook([this] { epoch_.TryReclaim(); });
   }
@@ -415,18 +486,35 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   snap->shards.reserve(shards_.size());
   for (const auto& sh : shards_) snap->shards.push_back(sh.get());
   snapshot_.store(snap, std::memory_order_seq_cst);
+  // Only auto-triggered moves run on the migrator; explicit calls run
+  // theirs on their own thread, so engines without auto moves need none.
+  if (range_routed_ &&
+      (options_.rebalance_period > 0 || options_.adaptive.enabled)) {
+    migrator_ = std::thread([this] { MigratorLoop(); });
+  }
 }
 
 SubscriptionEngine::~SubscriptionEngine() {
+  if (migrator_.joinable()) {
+    {
+      std::unique_lock<std::mutex> lk(rebalance_mu_);
+      WaitForMoveLocked(lk);
+      migrator_stop_ = true;
+    }
+    migrate_cv_.notify_one();
+    migrator_.join();
+  }
   pool_.reset();         // join workers before tearing down routing state
   epoch_.Synchronize();  // reclaim retired snapshots (no readers remain)
   delete snapshot_.load(std::memory_order_acquire);
 }
 
-void SubscriptionEngine::PublishSnapshot(RoutingPlan plan) {
+void SubscriptionEngine::PublishSnapshot(RoutingPlan plan,
+                                         std::optional<RoutingPlan> from) {
   const RoutingSnapshot* old = SnapshotUnderRebalanceLock();
   auto* next = new RoutingSnapshot();
   next->plan = std::move(plan);
+  next->from = std::move(from);
   next->version = old->version + 1;
   next->shards = old->shards;
   // seq_cst swap: a reader whose pin the next grace-period scan does not
@@ -497,6 +585,7 @@ SubscriptionId SubscriptionEngine::Subscribe(
 
 SubscriptionId SubscriptionEngine::SubscribeBox(const Box& box) {
   ACCL_CHECK(box.dims() == schema_.dims());
+  if (!WellFormed(box)) return kInvalidObject;
   // A follower's ids come only from the replicated log; refusing before
   // the allocation keeps the local allocator exactly at the log's heels.
   if (role() == EngineRole::kFollower) return kInvalidObject;
@@ -546,7 +635,7 @@ void SubscriptionEngine::ApplySubscribe(SubscriptionId id, const Box& box) {
   // Unsubscribe-able, and its decrement must never precede our increment.
   {
     std::lock_guard<std::mutex> lk(meta_mu_);
-    shard_of_.emplace(id, s);
+    shard_of_.Insert(id, s);
     subscription_count_.fetch_add(1, std::memory_order_relaxed);
   }
   rebalance_lk = {};  // tracker sampling needs no routing consistency
@@ -559,7 +648,10 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
   out->clear();
   if (n == 0) return;
   if (role() == EngineRole::kFollower) return;  // read-only; see SubscribeBox
-  for (const Box& b : boxes) ACCL_CHECK(b.dims() == schema_.dims());
+  for (const Box& b : boxes) {
+    ACCL_CHECK(b.dims() == schema_.dims());
+    if (!WellFormed(b)) return;  // refused whole, before any id or record
+  }
   SubscriptionId first;
   {
     // One id-allocation critical section for the whole batch.
@@ -634,7 +726,7 @@ void SubscriptionEngine::ApplySubscribeBatch(SubscriptionId first,
       const size_t nq = queues.size(s);
       const uint32_t* items = queues.items(s);
       for (size_t j = 0; j < nq; ++j) {
-        shard_of_.emplace(first + items[j], static_cast<uint32_t>(s));
+        shard_of_.Insert(first + items[j], static_cast<uint32_t>(s));
       }
     }
     subscription_count_.fetch_add(n, std::memory_order_relaxed);
@@ -658,7 +750,7 @@ bool SubscriptionEngine::Unsubscribe(SubscriptionId id) {
     // check races concurrent unsubscribes of the same id, but a logged
     // no-op record replays as a no-op — harmless either way.
     std::lock_guard<std::mutex> lk(meta_mu_);
-    if (shard_of_.find(id) == shard_of_.end()) return false;
+    if (shard_of_.Find(id) == nullptr) return false;
   }
   const Lsn lsn = wal_->AppendUnsubscribe(id);
   if (!wal_->WaitDurable(lsn)) return false;
@@ -669,50 +761,62 @@ bool SubscriptionEngine::Unsubscribe(SubscriptionId id) {
 }
 
 bool SubscriptionEngine::ApplyUnsubscribe(SubscriptionId id) {
-  uint32_t s;
-  uint32_t second = 0;
-  bool has_second = false;
-  {
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    auto it = shard_of_.find(id);
-    if (it == shard_of_.end()) return false;
-    s = it->second;
-    shard_of_.erase(it);
-    auto jt = second_home_.find(id);
-    if (jt != second_home_.end()) {
-      second = jt->second;
-      has_second = true;
-      second_home_.erase(jt);
+  // The owner's shard lock is taken before the map entry is removed, in
+  // the shard-then-meta order the migration slices use, so the removal,
+  // the read of the shard's moving_plan and the erase of the owner's copy
+  // form one step against a move's scan (which marks the shard), its
+  // double-residency flagging and its cleanup (which flips the owner). A
+  // flip between the peek and the lock sends us round again with the new
+  // owner.
+  for (;;) {
+    uint32_t s;
+    {
+      std::lock_guard<std::mutex> lk(meta_mu_);
+      const uint32_t* owner = shard_of_.Find(id);
+      if (owner == nullptr) return false;
+      s = *owner & ~kDoubleResident;
     }
-  }
-  // Both map entries are gone in one atomic step, so no migration phase
-  // will touch this id again (each phase re-checks the maps under
-  // meta_mu_) — the index copies below are exclusively ours to erase, and
-  // a mapped id must exist in its mapped shard(s).
-  {
-    std::lock_guard<std::mutex> lk(shards_[s]->mu);
+    std::unique_lock<std::mutex> shard_lk(shards_[s]->mu);
+    bool double_resident;
+    {
+      std::lock_guard<std::mutex> lk(meta_mu_);
+      const uint32_t* owner = shard_of_.Find(id);
+      if (owner == nullptr) return false;
+      if ((*owner & ~kDoubleResident) != s) continue;
+      double_resident = (*owner & kDoubleResident) != 0;
+      shard_of_.Erase(id);
+    }
+    // The map entry is gone, so no migration phase will touch this id
+    // again — the copies below are exclusively ours to erase. While `s`
+    // is a scan source of the in-flight move, its moving_plan names the
+    // id's destination, where `subs` counts a mover from the scan on (for
+    // every other resident of `s` the plan names `s` itself) and where a
+    // double-resident id has its second copy.
+    uint32_t dst = s;
+    if (shards_[s]->moving_plan != nullptr) {
+      const BoxView b = shards_[s]->index->ObjectBox(id);
+      ACCL_CHECK(!b.empty());
+      dst = RangeShardFor(*shards_[s]->moving_plan, b);
+    }
     const bool erased = shards_[s]->index->Erase(id);
     ACCL_CHECK(erased);
+    shard_lk.unlock();
+    shards_[dst]->subs.fetch_sub(1, std::memory_order_relaxed);
+    if (double_resident) {
+      ACCL_CHECK(dst != s);
+      std::lock_guard<std::mutex> lk(shards_[dst]->mu);
+      const bool dst_erased = shards_[dst]->index->Erase(id);
+      ACCL_CHECK(dst_erased);
+    }
+    subscription_count_.fetch_sub(1, std::memory_order_relaxed);
+    return true;
   }
-  shards_[s]->subs.fetch_sub(1, std::memory_order_relaxed);
-  if (has_second) {
-    // Mid-migration double residency: the destination copy was inserted
-    // under the same meta critical section that registered second_home_,
-    // so it must still be present. It never counted toward the
-    // destination's `subs` (ownership stays at the source until cleanup),
-    // so no counter update here.
-    std::lock_guard<std::mutex> lk(shards_[second]->mu);
-    const bool erased = shards_[second]->index->Erase(id);
-    ACCL_CHECK(erased);
-  }
-  subscription_count_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
 }
 
 size_t SubscriptionEngine::ShardOf(SubscriptionId id) const {
   std::lock_guard<std::mutex> lk(meta_mu_);
-  auto it = shard_of_.find(id);
-  return it == shard_of_.end() ? shards_.size() : it->second;
+  const uint32_t* owner = shard_of_.Find(id);
+  return owner == nullptr ? shards_.size() : *owner & ~kDoubleResident;
 }
 
 std::vector<SubscriptionEngine::ShardInfo> SubscriptionEngine::GetShardInfos()
@@ -721,7 +825,8 @@ std::vector<SubscriptionEngine::ShardInfo> SubscriptionEngine::GetShardInfos()
   infos.reserve(shards_.size());
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh->mu);
-    infos.push_back(ShardInfo{sh->index->size(), sh->index->cluster_count(),
+    infos.push_back(ShardInfo{sh->subs.load(std::memory_order_relaxed),
+                              sh->index->cluster_count(),
                               sh->routed.load(std::memory_order_relaxed)});
   }
   return infos;
@@ -749,7 +854,13 @@ uint64_t SubscriptionEngine::routing_version() const {
   return snapshot_.load(std::memory_order_seq_cst)->version;
 }
 
-void SubscriptionEngine::SynchronizeEpochs() { epoch_.Synchronize(); }
+void SubscriptionEngine::SynchronizeEpochs() {
+  {
+    std::unique_lock<std::mutex> lk(rebalance_mu_);
+    WaitForMoveLocked(lk);
+  }
+  epoch_.Synchronize();
+}
 
 void SubscriptionEngine::AttachDurability(durability::WriteAheadLog* wal) {
   wal_ = wal;
@@ -819,15 +930,16 @@ void SubscriptionEngine::CaptureDurableImage(
     std::lock_guard<std::mutex> lk(meta_mu_);
     out->next_id = next_id_;
   }
-  // kRange: hold the rebalance lock so a double-residency migration is
-  // ordered entirely before or after the scan — otherwise a subscription
-  // mid-flight from a not-yet-scanned source into an already-scanned
-  // destination would be invisible to both scans (and, being older than
-  // the WAL tail, lost). Subscribes briefly serialize with the capture;
-  // matching takes no lock we hold and never stalls.
+  // kRange: wait out an in-flight move and hold the rebalance lock so no
+  // double-residency migration overlaps the scan — otherwise a
+  // subscription mid-flight from a not-yet-scanned source into an
+  // already-scanned destination would be invisible to both scans (and,
+  // being older than the WAL tail, lost). Subscribes briefly serialize
+  // with the capture; matching takes no lock we hold and never stalls.
   std::unique_lock<std::mutex> rebalance_lk;
   if (range_routed_) {
     rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
+    WaitForMoveLocked(rebalance_lk);
   }
   exec::EpochManager::Guard guard = epoch_.Pin();
   const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
@@ -860,6 +972,7 @@ void SubscriptionEngine::RestoreSubscriptions(Span<const SubscriptionId> ids,
   const RoutingPlan* plan = &kNoPlan;
   if (range_routed_) {
     rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
+    WaitForMoveLocked(rebalance_lk);
     plan = &SnapshotUnderRebalanceLock()->plan;
   }
   // Group per target shard (the SubscribeBatch fast path) and land each
@@ -895,7 +1008,7 @@ void SubscriptionEngine::RestoreSubscriptions(Span<const SubscriptionId> ids,
     shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(meta_mu_);
     for (const ObjectId id : ins_ids) {
-      shard_of_.emplace(id, static_cast<uint32_t>(s));
+      shard_of_.Insert(id, static_cast<uint32_t>(s));
     }
   }
   subscription_count_.fetch_add(n, std::memory_order_relaxed);
@@ -1029,33 +1142,56 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
 
   // Per-shard work queues. Broadcast policies enqueue every event on every
   // shard; kRange asks the router, under the one snapshot the whole batch
-  // shares, which shards each event's box overlaps.
+  // shares, which shards each event's box overlaps. A transitional
+  // snapshot routes to the ascending union of both plans' shards, and
+  // tallies the newest plan's share apart for the rebalancer.
+  const bool transitional = snap->from.has_value();
   {
     ACCL_TRACE_SPAN("route_scatter");
-    if (range_routed_) {
+    if (transitional) {  // only kRange moves publish one
+      ps.target_routed.assign(k, 0);
+      ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
+        RouteEvent(snap->plan, events[e].box, targets);
+        for (const uint32_t t : *targets) ++ps.target_routed[t];
+        RouteEvent(*snap->from, events[e].box, targets);
+        // A few shard ids: sorting in place allocates nothing.
+        std::sort(targets->begin(), targets->end());
+        targets->erase(std::unique(targets->begin(), targets->end()),
+                       targets->end());
+      });
+    } else if (range_routed_) {
       ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
         RouteEvent(snap->plan, events[e].box, targets);
       });
-      // Overflow-pressure gauge: resident (owned) subscriptions in the
-      // overflow shard at dispatch time. overflow_shard names the entry so
-      // broadcast callers see "absent", never a silent zero.
-      res->overflow_shard = k - 1;
-      res->per_shard[k - 1].overflow_subscriptions =
-          snap->shards[k - 1]->subs.load(std::memory_order_relaxed);
     } else {
       ps.queues.BuildBroadcast(ne, k);
     }
+    if (range_routed_) {
+      // Overflow-pressure gauge: subscriptions homed in the overflow shard
+      // at dispatch time. overflow_shard names the entry so broadcast
+      // callers see "absent", never a silent zero.
+      res->overflow_shard = k - 1;
+      res->per_shard[k - 1].overflow_subscriptions =
+          snap->shards[k - 1]->subs.load(std::memory_order_relaxed);
+    }
   }
   uint64_t routed_total = 0;
+  uint64_t target_total = 0;
   for (size_t s = 0; s < k; ++s) {
-    res->per_shard[s].events_routed = ps.queues.size(s);
+    const uint64_t visits = ps.queues.size(s);
+    const uint64_t routed = transitional ? ps.target_routed[s] : visits;
+    res->per_shard[s].events_routed = visits;
     res->per_shard[s].resident_subscriptions =
         snap->shards[s]->subs.load(std::memory_order_relaxed);
-    snap->shards[s]->routed.fetch_add(ps.queues.size(s),
-                                      std::memory_order_relaxed);
-    routed_total += ps.queues.size(s);
+    snap->shards[s]->routed.fetch_add(routed, std::memory_order_relaxed);
+    routed_total += visits;
+    target_total += routed;
   }
   obs_->events_routed->Add(routed_total);
+  if (transitional) {
+    obs_->transition_events->Add(ne);
+    obs_->transition_extra_visits->Add(routed_total - target_total);
+  }
 
   // Per-event countdowns and the ready stack.
   if (ps.event_cap < ne) {
@@ -1113,7 +1249,7 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   ACCL_DCHECK(ps.events_done.load(std::memory_order_relaxed) == ne);
   // Shard reads are done. Unpinning now shortens the grace period
   // concurrent migrations wait for — and MaybeAutoRebalance below must
-  // not run pinned.
+  // not run pinned (it may wait for an in-flight move's grace period).
   guard.Release();
 
   uint64_t trylock_fail_total = 0;
@@ -1348,15 +1484,19 @@ void SubscriptionEngine::MaybeAutoRebalance(uint64_t events) {
       options_.rebalance_period) {
     return;
   }
-  // If an auto-rebalance is already in flight there is nothing useful to
+  // If another caller is evaluating right now there is nothing useful to
   // queue behind it. An atomic flag — not mutex try_lock, which the
   // standard allows to fail spuriously — keeps the skip deterministic for
-  // deterministic call sequences (single callers always pass).
+  // deterministic call sequences. The flag covers the evaluation only, not
+  // the migrator's share of a move: a single caller never skips, and its
+  // decision to move waits for a move still in flight instead (inside
+  // RebalanceLocked, before the scan).
   if (rebalance_inflight_.exchange(true, std::memory_order_acquire)) return;
   {
-    std::lock_guard<std::mutex> lk(rebalance_mu_);
+    std::unique_lock<std::mutex> lk(rebalance_mu_);
     events_since_check_.store(0, std::memory_order_relaxed);
-    RebalanceLocked(/*force=*/false);
+    RebalanceLocked(lk, /*force=*/false);
+    HandOffStagedMoveLocked();
   }
   rebalance_inflight_.store(false, std::memory_order_release);
 }
@@ -1369,19 +1509,21 @@ void SubscriptionEngine::MaybeAutoAdapt(uint64_t events) {
       options_.adaptive.sample_window) {
     return;
   }
-  // Same deterministic-skip discipline as MaybeAutoRebalance: an atomic
-  // flag, not mutex try_lock, so single-caller sequences never skip a
-  // window at random.
+  // Same deterministic-skip discipline as MaybeAutoRebalance: the flag
+  // covers the evaluation only, so a single caller never skips a window,
+  // and a decision to move waits for a move still in flight.
   if (adapt_inflight_.exchange(true, std::memory_order_acquire)) return;
   {
-    std::lock_guard<std::mutex> lk(rebalance_mu_);
+    std::unique_lock<std::mutex> lk(rebalance_mu_);
     adapt_events_since_window_.store(0, std::memory_order_relaxed);
-    EvaluateAdaptiveLocked();
+    EvaluateAdaptiveLocked(lk);
+    HandOffStagedMoveLocked();
   }
   adapt_inflight_.store(false, std::memory_order_release);
 }
 
-bool SubscriptionEngine::EvaluateAdaptiveLocked() {
+bool SubscriptionEngine::EvaluateAdaptiveLocked(
+    std::unique_lock<std::mutex>& lk) {
   obs_->windows_evaluated->Add(1);
   const adapt::PatternSnapshot pattern = tracker_->Snapshot();
   tracker_->AdvanceWindow();
@@ -1401,9 +1543,13 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked() {
 
   adapt::RoutingDecision d = advisor_->Evaluate(pattern, st);
   {
-    std::lock_guard<std::mutex> lk(adapt_estimates_mu_);
+    std::lock_guard<std::mutex> elk(adapt_estimates_mu_);
     last_estimates_ = std::move(d.estimates);
   }
+  if (d.kind == adapt::RoutingDecision::Kind::kNone) return false;
+  // A decision was made against the newest plan, which an in-flight move
+  // already counts by; only its scan needs that move to have finished.
+  WaitForMoveLocked(lk);
   switch (d.kind) {
     case adapt::RoutingDecision::Kind::kNone:
       return false;
@@ -1415,7 +1561,7 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked() {
       RoutingPlan plan;
       plan.dim = d.dim;
       plan.bounds = std::move(d.fences);
-      ApplyRoutingLocked(std::move(plan), AllShardIds());
+      BeginMoveLocked(std::move(plan), AllShardIds());
       obs_->dimension_switches->Add(1);
       ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
       // The old pattern argued for this switch; it must not immediately
@@ -1428,11 +1574,11 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked() {
       return true;
     }
     case adapt::RoutingDecision::Kind::kSplitOverflow: {
-      RoutingPlan plan = cur;
+      RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
       plan.split_dim = static_cast<int32_t>(d.dim);
       plan.split_bounds = std::move(d.fences);
       const size_t moved =
-          ApplyRoutingLocked(std::move(plan), OverflowShardIds());
+          BeginMoveLocked(std::move(plan), OverflowShardIds());
       obs_->overflow_splits->Add(1);
       obs_->straddlers_split->Add(moved);
       ACCL_TRACE_INSTANT("adapt_overflow_split",
@@ -1482,8 +1628,11 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
 
 bool SubscriptionEngine::RebalanceOnce() {
   if (!range_routed_) return false;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
-  return RebalanceLocked(/*force=*/true);
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  WaitForMoveLocked(lk);
+  const bool moved = RebalanceLocked(lk, /*force=*/true);
+  RunStagedMove(lk);
+  return moved;
 }
 
 std::vector<uint32_t> SubscriptionEngine::AllShardIds() const {
@@ -1508,23 +1657,26 @@ bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
   for (size_t i = 1; i < bounds.size(); ++i) {
     if (!(bounds[i - 1] < bounds[i])) return false;
   }
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  WaitForMoveLocked(lk);
   // Arbitrary table change: any shard may hold re-routed residents, so the
   // migration scan covers all of them (overflow drains too). The fence
   // dimension and split state carry over unchanged.
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
   plan.bounds = bounds;
-  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  BeginMoveLocked(std::move(plan), AllShardIds());
   obs_->boundary_moves->Add(1);
   for (size_t s = 0; s < shards_.size(); ++s) {
     routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
   }
+  RunStagedMove(lk);
   return true;
 }
 
 bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   if (!range_routed_ || dim >= schema_.dims()) return false;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  WaitForMoveLocked(lk);
   const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
   if (cur.dim == dim) return true;
   RoutingPlan plan;
@@ -1532,13 +1684,14 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   plan.bounds = cur.bounds;  // positions retained; the straddler SET changes
   // An active split is cleared: its slicing was chosen against the old
   // dimension's straddler population.
-  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  BeginMoveLocked(std::move(plan), AllShardIds());
   obs_->dimension_switches->Add(1);
   ACCL_TRACE_INSTANT("adapt_dimension_switch", dim);
   if (tracker_ != nullptr) tracker_->ResetWindow();
   for (size_t s = 0; s < shards_.size(); ++s) {
     routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
   }
+  RunStagedMove(lk);
   return true;
 }
 
@@ -1551,27 +1704,31 @@ bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
   for (size_t i = 1; i < fences.size(); ++i) {
     if (!(fences[i - 1] < fences[i])) return false;
   }
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  WaitForMoveLocked(lk);
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
   plan.split_dim = static_cast<int32_t>(dim);
   plan.split_bounds = fences;
   // Only the overflow family can re-route: range-slice residents are not
   // straddlers, so their home is unaffected by split fences.
-  const size_t moved = ApplyRoutingLocked(std::move(plan), OverflowShardIds());
+  const size_t moved = BeginMoveLocked(std::move(plan), OverflowShardIds());
   obs_->overflow_splits->Add(1);
   obs_->straddlers_split->Add(moved);
   ACCL_TRACE_INSTANT("adapt_overflow_split", static_cast<uint32_t>(moved));
+  RunStagedMove(lk);
   return true;
 }
 
 bool SubscriptionEngine::ClearOverflowSplit() {
   if (!range_routed_) return false;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  WaitForMoveLocked(lk);
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
   if (plan.split_dim < 0) return true;
   plan.split_dim = -1;
   plan.split_bounds.clear();
-  ApplyRoutingLocked(std::move(plan), OverflowShardIds());
+  BeginMoveLocked(std::move(plan), OverflowShardIds());
+  RunStagedMove(lk);
   return true;
 }
 
@@ -1605,21 +1762,28 @@ SubscriptionEngine::GetRebalanceLoadSnapshot() const {
   return snap;
 }
 
-bool SubscriptionEngine::RebalanceLocked(bool force) {
+bool SubscriptionEngine::RebalanceLocked(std::unique_lock<std::mutex>& lk,
+                                         bool force) {
   const size_t rk = num_range_shards_;  // overflow family excluded
   if (rk < 2) return false;
 
   // Window loads: resident subscriptions plus events routed since the last
   // rebalance — a shard can be hot because it is big or because the event
-  // stream concentrates on it, and a boundary move helps with both.
+  // stream concentrates on it, and a boundary move helps with both. Both
+  // count by the newest plan, so an in-flight move does not change them.
   std::vector<uint64_t> load(rk);
   uint64_t total = 0;
-  for (size_t s = 0; s < rk; ++s) {
-    const uint64_t window = shards_[s]->routed.load(std::memory_order_relaxed) -
-                            routed_at_reset_[s];
-    load[s] = shards_[s]->subs.load(std::memory_order_relaxed) + window;
-    total += load[s];
-  }
+  const auto window_loads = [&] {
+    total = 0;
+    for (size_t s = 0; s < rk; ++s) {
+      const uint64_t window =
+          shards_[s]->routed.load(std::memory_order_relaxed) -
+          routed_at_reset_[s];
+      load[s] = shards_[s]->subs.load(std::memory_order_relaxed) + window;
+      total += load[s];
+    }
+  };
+  window_loads();
   if (!force) {
     if (total < options_.rebalance_min_load) return false;
     uint64_t hottest = 0;
@@ -1629,6 +1793,13 @@ bool SubscriptionEngine::RebalanceLocked(bool force) {
         options_.rebalance_trigger_ratio * mean) {
       return false;
     }
+  }
+  // The donor scan below needs every resident in one home. While waiting
+  // another caller may have changed the loads; re-read them (for a single
+  // caller they are unchanged).
+  if (move_in_flight_) {
+    WaitForMoveLocked(lk);
+    window_loads();
   }
   // Pick the adjacent pair with the largest load gap (only adjacent slices
   // share a fence, so only they can trade residents with one boundary
@@ -1771,7 +1942,7 @@ bool SubscriptionEngine::RebalanceLocked(bool force) {
   // un-straddle their residents too.
   std::vector<uint32_t> scan{static_cast<uint32_t>(h)};
   for (const uint32_t s : OverflowShardIds()) scan.push_back(s);
-  ApplyRoutingLocked(std::move(plan), scan);
+  BeginMoveLocked(std::move(plan), scan);
   obs_->boundary_moves->Add(1);
   for (size_t s = 0; s < shards_.size(); ++s) {
     routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
@@ -1779,139 +1950,246 @@ bool SubscriptionEngine::RebalanceLocked(bool force) {
   return true;
 }
 
-size_t SubscriptionEngine::ApplyRoutingLocked(
+void SubscriptionEngine::WaitForMoveLocked(
+    std::unique_lock<std::mutex>& lk) const {
+  move_done_cv_.wait(lk, [this] { return !move_in_flight_; });
+}
+
+size_t SubscriptionEngine::BeginMoveLocked(
     RoutingPlan plan, const std::vector<uint32_t>& scan_shards) {
-  ACCL_TRACE_SPAN_ARG("routing_migrate",
+  ACCL_CHECK(!move_in_flight_);
+  ACCL_TRACE_SPAN_ARG("routing_migrate.scan",
                       static_cast<uint32_t>(scan_shards.size()));
-  WallTimer migrate_timer;
+  auto m = std::make_unique<Move>();
+  RoutingPlan from = SnapshotUnderRebalanceLock()->plan;
+  m->plan = std::move(plan);
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
 
-  // Phase 1 — scan: collect the residents the new table routes elsewhere,
+  // Step 1 — scan: collect the residents the new plan routes elsewhere,
   // grouped by destination shard. The box views die with the scan lock, so
-  // coordinates are copied out. (Between migrations second_home_ is empty,
-  // so every physical resident seen here is an owned, single-resident copy.)
-  struct SrcPlan {
-    uint32_t src;
-    std::vector<std::pair<ObjectId, uint32_t>> moved;  // (id, dst)
-  };
-  struct Incoming {
-    std::vector<ObjectId> ids;
-    std::vector<uint32_t> from;  // index into plans
-    std::vector<float> coords;
-  };
-  std::vector<SrcPlan> plans;
-  plans.reserve(scan_shards.size());
-  std::vector<Incoming> incoming(shards_.size());
-  {
-    ACCL_TRACE_SPAN("routing_migrate.scan");
-    for (const uint32_t src : scan_shards) {
-      const uint32_t k = static_cast<uint32_t>(plans.size());
-      plans.push_back(SrcPlan{src, {}});
-      std::lock_guard<std::mutex> lk(shards_[src]->mu);
-      shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
-        const uint32_t dst = RangeShardFor(plan, b);
-        if (dst == src) return;
-        Incoming& in = incoming[dst];
-        in.ids.push_back(id);
-        in.from.push_back(k);
-        in.coords.insert(in.coords.end(), b.data(), b.data() + stride);
-      });
-    }
+  // coordinates are copied out. (Between moves nobody is double-resident,
+  // so every physical resident seen here is an owned, single copy.)
+  // Each scanned shard is marked with the plan under the scan's lock; see
+  // ApplyUnsubscribe.
+  m->sources.reserve(scan_shards.size());
+  m->incoming.resize(shards_.size());
+  std::vector<size_t> leaving(shards_.size(), 0);
+  for (const uint32_t src : scan_shards) {
+    const uint32_t k = static_cast<uint32_t>(m->sources.size());
+    m->sources.push_back(Move::Source{src, {}});
+    std::lock_guard<std::mutex> lk(shards_[src]->mu);
+    shards_[src]->moving_plan = &m->plan;
+    shards_[src]->index->ForEachObject([&](ObjectId id, BoxView b) {
+      const uint32_t dst = RangeShardFor(m->plan, b);
+      if (dst == src) return;
+      Move::Incoming& in = m->incoming[dst];
+      in.ids.push_back(id);
+      in.from.push_back(k);
+      in.coords.insert(in.coords.end(), b.data(), b.data() + stride);
+      ++leaving[src];
+    });
   }
+  size_t movers = 0;
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    const size_t arriving = m->incoming[s].ids.size();
+    movers += arriving;
+    // Re-count the movers at their new homes now, so the rebalancer's
+    // inputs are final from this publish on.
+    shards_[s]->subs.fetch_add(arriving, std::memory_order_relaxed);
+    shards_[s]->subs.fetch_sub(leaving[s], std::memory_order_relaxed);
+  }
+  obs_->subs_migrated->Add(movers);
 
-  // Phase 2 — double-residency inserts: each moving subscription is copied
-  // into its destination shard while the source copy stays live, and its
-  // second home is registered in the SAME meta critical section as the
-  // insert, so Unsubscribe observes "entry implies both copies present"
-  // atomically. Readers still route with the old snapshot and find the
-  // source copies; a route covering both shards finds two copies, which
-  // the match-side adjacent-unique pass removes. Each destination takes
-  // its movers from every source in one BulkInsert, in scan order.
-  size_t migrated = 0;
+  if (movers == 0) {
+    // Nothing changes home: publish the plan directly.
+    for (const uint32_t src : scan_shards) {
+      std::lock_guard<std::mutex> lk(shards_[src]->mu);
+      shards_[src]->moving_plan = nullptr;
+    }
+    PublishSnapshot(std::move(m->plan));
+    obs_->migration_us->Record(static_cast<uint64_t>(
+        std::max(0.0, std::round(m->timer.ElapsedMs() * 1000.0))));
+    return 0;
+  }
+  // Until the movers are inserted, events must reach both homes.
+  PublishSnapshot(m->plan, std::move(from));
+  move_in_flight_ = true;
+  staged_move_ = std::move(m);
+  return movers;
+}
+
+void SubscriptionEngine::RunStagedMove(std::unique_lock<std::mutex>& lk) {
+  std::unique_ptr<Move> m = std::move(staged_move_);
+  lk.unlock();
+  if (m != nullptr) FinishMove(std::move(m));
+}
+
+void SubscriptionEngine::HandOffStagedMoveLocked() {
+  if (staged_move_ == nullptr) return;
+  ACCL_DCHECK(migrator_.joinable());  // auto moves imply the thread
+  migrate_cv_.notify_one();
+}
+
+void SubscriptionEngine::MigratorLoop() {
+#if defined(__linux__)
+  // SCHED_BATCH: no wake-up preemption. The matching caller wakes this
+  // thread on its way out of the call that decided the move; a normal
+  // thread woken there, having slept long, preempts the caller on the
+  // caller's own CPU and makes that call wait for the move after all.
+  const sched_param batch{};
+  pthread_setschedparam(pthread_self(), SCHED_BATCH, &batch);
+#endif
+  [[maybe_unused]] uint32_t moves_since_trim = 0;
+  std::unique_lock<std::mutex> lk(rebalance_mu_);
+  for (;;) {
+    migrate_cv_.wait(
+        lk, [this] { return staged_move_ != nullptr || migrator_stop_; });
+    if (staged_move_ == nullptr) return;  // stop, nothing staged
+    RunStagedMove(lk);
+#if defined(__GLIBC__)
+    // A move frees about what it allocated (scan buffers, source copies,
+    // relocated cluster storage), but this thread allocates from its own
+    // malloc arena, whose free pages the matching threads never reuse, and
+    // theirs it never reuses. Handing the free pages back keeps the
+    // resident set near live data instead of both arenas' high-water
+    // marks; doing it every kMovesPerTrim moves keeps the page release
+    // (and its TLB shootdowns) off most matching calls.
+    if (++moves_since_trim == kMovesPerTrim) {
+      malloc_trim(0);
+      moves_since_trim = 0;
+    }
+#endif
+    lk.lock();
+  }
+}
+
+void SubscriptionEngine::FinishMove(std::unique_ptr<Move> m) {
+  ACCL_TRACE_SPAN("routing_migrate");
+  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
+
+  // Step 2 — double-residency inserts: each moving subscription is copied
+  // into its destination shard while the source copy stays live. Readers
+  // find the source copies; a route covering both shards finds two copies,
+  // which the match-side adjacent-unique pass removes. Each destination
+  // takes its movers in scan order, one slice per shard-lock hold
+  // (BulkInsert equals an Insert loop, so the slicing does not change
+  // placement). The meta lock is held only for the owner-map work around
+  // the insert: first to drop movers unsubscribed since the scan, then to
+  // flag the inserted ones kDoubleResident. An id unsubscribed between the
+  // two found only its source copy to erase, so its fresh destination copy
+  // is erased here, still under the shard lock; its `subs` charge went to
+  // the destination already (ApplyUnsubscribe's moving_plan).
   {
     ACCL_TRACE_SPAN("routing_migrate.insert");
+    std::vector<ObjectId> orphans;
     for (uint32_t dst = 0; dst < shards_.size(); ++dst) {
-      Incoming& in = incoming[dst];
-      if (in.ids.empty()) continue;
-      std::scoped_lock lk(meta_mu_, shards_[dst]->mu);
-      size_t kept = 0;
-      for (size_t i = 0; i < in.ids.size(); ++i) {
-        const ObjectId id = in.ids[i];
-        SrcPlan& sp = plans[in.from[i]];
-        auto it = shard_of_.find(id);
-        // Unsubscribed between scan and insert: nothing to migrate.
-        if (it == shard_of_.end() || it->second != sp.src) continue;
-        if (kept != i) {
-          in.ids[kept] = id;
-          std::copy_n(in.coords.begin() + i * stride, stride,
-                      in.coords.begin() + kept * stride);
+      Move::Incoming& in = m->incoming[dst];
+      for (size_t b = 0; b < in.ids.size(); b += kMigrationSlice) {
+        const size_t e = std::min(in.ids.size(), b + kMigrationSlice);
+        std::lock_guard<std::mutex> shard_lk(shards_[dst]->mu);
+        size_t kept = b;
+        {
+          std::lock_guard<std::mutex> meta_lk(meta_mu_);
+          for (size_t i = b; i < e; ++i) {
+            const uint32_t* owner = shard_of_.Find(in.ids[i]);
+            if (owner == nullptr || *owner != m->sources[in.from[i]].src) {
+              continue;  // unsubscribed since the scan: nothing to migrate
+            }
+            if (kept != i) {
+              in.ids[kept] = in.ids[i];
+              in.from[kept] = in.from[i];
+              std::copy_n(in.coords.begin() + i * stride, stride,
+                          in.coords.begin() + kept * stride);
+            }
+            ++kept;
+          }
         }
-        ++kept;
-        second_home_.emplace(id, dst);
-        sp.moved.emplace_back(id, dst);
+        shards_[dst]->index->BulkInsert(
+            Span<const ObjectId>(in.ids.data() + b, kept - b),
+            Span<const float>(in.coords.data() + b * stride,
+                              (kept - b) * stride));
+        orphans.clear();
+        {
+          std::lock_guard<std::mutex> meta_lk(meta_mu_);
+          for (size_t i = b; i < kept; ++i) {
+            const ObjectId id = in.ids[i];
+            uint32_t* owner = shard_of_.Find(id);
+            if (owner == nullptr) {
+              orphans.push_back(id);
+              continue;
+            }
+            *owner |= kDoubleResident;
+            m->sources[in.from[i]].moved.emplace_back(id, dst);
+          }
+        }
+        const size_t erased = shards_[dst]->index->BulkErase(
+            Span<const ObjectId>(orphans.data(), orphans.size()));
+        ACCL_CHECK(erased == orphans.size());
       }
-      shards_[dst]->index->BulkInsert(
-          Span<const ObjectId>(in.ids.data(), kept),
-          Span<const float>(in.coords.data(), kept * stride));
-      migrated += kept;
     }
   }
 
-  // Phase 3 — publish, then wait out the grace period: after Synchronize
-  // returns, every reader that routed with the old table has finished its
-  // shard reads, and any reader it did not wait for is guaranteed to have
-  // loaded the new snapshot (seq_cst publish ordering). Readers of the new
-  // table find the moving subscriptions at their destinations, so the
-  // source copies below are dead weight for every possible reader.
+  // Steps 3 and 4 — publish the final snapshot, then wait out the grace
+  // period: after it, every reader that routed with the old or the
+  // transitional table has finished its shard reads, and any reader it
+  // did not wait for is guaranteed to have loaded the final snapshot
+  // (seq_cst publish ordering), which finds every mover at its
+  // destination. The source copies below are then dead weight.
   {
     ACCL_TRACE_SPAN("routing_migrate.grace");
-    PublishSnapshot(std::move(plan));
+    {
+      std::lock_guard<std::mutex> lk(rebalance_mu_);
+      PublishSnapshot(m->plan);
+    }
     // Wait out the grace period but do NOT reclaim inline: retire work is
-    // amortized into pool idle time (the idle hook runs TryReclaim), so the
-    // publisher's wall cost is just the grace wait. Pool-less engines have
-    // no idle hook, so they reclaim here to bound retired_pending.
+    // amortized into pool idle time (the idle hook runs TryReclaim). Pool-
+    // less engines have no idle hook, so they reclaim here to bound
+    // retired_pending.
     epoch_.WaitGrace();
     if (pool_ == nullptr) epoch_.TryReclaim();
   }
 
-  // Phase 4 — deferred source cleanup: flip ownership and bulk-erase the
-  // stale source copies. An id whose second_home_ entry is gone was
+  // Step 5 — deferred source cleanup: flip ownership and bulk-erase the
+  // stale source copies, one slice per shard-lock hold, with the meta lock
+  // held for the flips only. An id whose map entry is gone was
   // unsubscribed mid-migration (Unsubscribe erased both copies); skip it.
+  // The `subs` counts moved at the scan already.
   {
     ACCL_TRACE_SPAN("routing_migrate.erase");
-    for (SrcPlan& sp : plans) {
-      if (sp.moved.empty()) continue;
-      std::scoped_lock lk(meta_mu_, shards_[sp.src]->mu);
-      std::vector<ObjectId> erase_ids;
-      erase_ids.reserve(sp.moved.size());
-      std::vector<size_t> flips(shards_.size(), 0);
-      for (const auto& [id, dst] : sp.moved) {
-        auto jt = second_home_.find(id);
-        if (jt == second_home_.end()) continue;  // unsubscribed mid-flight
-        ACCL_DCHECK(jt->second == dst);
-        second_home_.erase(jt);
-        auto it = shard_of_.find(id);
-        ACCL_CHECK(it != shard_of_.end() && it->second == sp.src);
-        it->second = dst;
-        erase_ids.push_back(id);
-        ++flips[dst];
-      }
-      const size_t erased = shards_[sp.src]->index->BulkErase(
-          Span<const ObjectId>(erase_ids.data(), erase_ids.size()));
-      ACCL_CHECK(erased == erase_ids.size());
-      shards_[sp.src]->subs.fetch_sub(erase_ids.size(),
-                                      std::memory_order_relaxed);
-      for (uint32_t d = 0; d < shards_.size(); ++d) {
-        if (flips[d] != 0) {
-          shards_[d]->subs.fetch_add(flips[d], std::memory_order_relaxed);
+    std::vector<ObjectId> erase_ids;
+    for (Move::Source& sp : m->sources) {
+      for (size_t b = 0; b < sp.moved.size(); b += kMigrationSlice) {
+        const size_t e = std::min(sp.moved.size(), b + kMigrationSlice);
+        std::lock_guard<std::mutex> shard_lk(shards_[sp.src]->mu);
+        erase_ids.clear();
+        {
+          std::lock_guard<std::mutex> meta_lk(meta_mu_);
+          for (size_t i = b; i < e; ++i) {
+            const auto [id, dst] = sp.moved[i];
+            uint32_t* owner = shard_of_.Find(id);
+            if (owner == nullptr) continue;  // unsubscribed mid-flight
+            ACCL_CHECK(*owner == (sp.src | kDoubleResident));
+            *owner = dst;
+            erase_ids.push_back(id);
+          }
         }
+        const size_t erased = shards_[sp.src]->index->BulkErase(
+            Span<const ObjectId>(erase_ids.data(), erase_ids.size()));
+        ACCL_CHECK(erased == erase_ids.size());
       }
     }
+    for (const Move::Source& sp : m->sources) {
+      std::lock_guard<std::mutex> lk(shards_[sp.src]->mu);
+      shards_[sp.src]->moving_plan = nullptr;
+    }
   }
-  obs_->subs_migrated->Add(migrated);
-  obs_->migration_us->Record(static_cast<uint64_t>(std::max(
-      0.0, std::round(migrate_timer.ElapsedMs() * 1000.0))));
-  return migrated;
+  obs_->migration_us->Record(static_cast<uint64_t>(
+      std::max(0.0, std::round(m->timer.ElapsedMs() * 1000.0))));
+  {
+    std::lock_guard<std::mutex> lk(rebalance_mu_);
+    move_in_flight_ = false;
+  }
+  move_done_cv_.notify_all();
 }
 
 bool SubscriptionEngine::MakePointEvent(

@@ -54,21 +54,26 @@
 // (exec/epoch.h), load the snapshot, and route the entire operation
 // against that one consistent table — no routing lock, no engine meta
 // lock. Rebalancing migrates subscriptions with a grace-period
-// *double-residency* protocol: moving subscriptions are inserted at their
-// destination first, the new snapshot is published, the old epoch drains,
-// and only then are the source copies erased — so a match running at any
-// instant of a migration sees every live subscription at least once (and
-// at most twice, which an adjacent-unique pass over the ObjectId-sorted
-// match set removes). Match sets are therefore byte-identical to the
-// serial oracle *during* a rebalance, not just after it returns.
+// *double-residency* protocol: a transitional snapshot first routes every
+// event to the union of its old and new shards, moving subscriptions are
+// then inserted at their destination, the final snapshot is published, the
+// old epoch drains, and only then are the source copies erased — so a
+// match running at any instant of a migration sees every live subscription
+// at least once (and at most twice, which an adjacent-unique pass over the
+// ObjectId-sorted match set removes). Match sets are therefore
+// byte-identical to the serial oracle *during* a rebalance, not just after
+// it returns. A move an auto-trigger starts runs on a background migrator
+// thread after its scan, so the triggering call does not wait for it.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <thread>
 #include <vector>
 
 #include "api/adaptive_routing.h"
@@ -79,6 +84,7 @@
 #include "core/adaptive_index.h"
 #include "exec/epoch.h"
 #include "exec/thread_pool.h"
+#include "util/flat_id_map.h"
 
 namespace accl {
 
@@ -191,31 +197,55 @@ struct EngineOptions {
 ///     match except for the bounded grace period below.
 ///
 ///   - Subscribe/SubscribeBatch/Unsubscribe may be called concurrently
-///     from any threads. kRange subscribes serialize against rebalances
-///     (rebalance lock held from routing through owner-map publish);
-///     Unsubscribe is lock-ordered so it may run concurrently with an
-///     in-flight migration and still observe each subscription
-///     all-or-nothing.
+///     from any threads. kRange subscribes serialize against routing
+///     publishes (rebalance lock held from routing through owner-map
+///     publish) and home each subscription by the newest plan, even while
+///     a move toward that plan is in flight. Unsubscribe is lock-ordered
+///     so it may run concurrently with an in-flight migration and still
+///     observe each subscription all-or-nothing.
 ///
-///   - RebalanceOnce/SetRangeBoundaries migrate with grace-period double
-///     residency: (1) moving subscriptions are *inserted* at their
-///     destination shard, (2) the new snapshot is published, (3) the epoch
-///     manager waits until every reader pinned before the publish has
-///     drained, (4) the stale source copies are erased (deferred source
-///     cleanup via AdaptiveIndex::BulkErase). A reader on the old snapshot
-///     finds every moving subscription at its source; a reader on the new
-///     snapshot finds it at its destination; a reader whose route covers
-///     both shards finds it twice and deduplicates during the
+///   - Every routing change (boundary move, dimension switch, overflow
+///     split) is one move routine with grace-period double residency:
+///     (1) the residents the new plan routes elsewhere are scanned, and a
+///     *transitional* snapshot is published that routes each event to the
+///     sorted union of its old-plan and new-plan shards (new subscriptions
+///     go to their new-plan home only); (2) the movers are *inserted* at
+///     their destinations in bounded slices, each holding one shard lock;
+///     (3) the final snapshot (new plan only) is published; (4) the epoch
+///     manager waits until every reader pinned before that publish has
+///     drained; (5) the stale source copies are erased in bounded slices
+///     (AdaptiveIndex::BulkErase). A reader on the old or transitional
+///     snapshot finds every mover at its source, a reader on the final
+///     snapshot finds it at its destination, and a reader whose route
+///     covers both shards finds it twice and deduplicates during the
 ///     ObjectId-sorted merge. Match sets are therefore exact — identical
 ///     to a serial oracle over the live subscription set — at every
-///     instant of a migration. Retired snapshots are reclaimed through the
+///     instant of a migration. The rebalance lock is held for the scan and
+///     the two publishes only. Retired snapshots are reclaimed through the
 ///     epoch manager's deferred retire list.
+///
+///   - Who runs a move: a MatchBatch/Match call whose auto-rebalance or
+///     adaptive evaluation decides to move runs step (1) and hands steps
+///     (2)-(5) to one engine-owned migrator thread, so the call returns
+///     without waiting for the move. The thread exists only when auto
+///     moves are configured (kRange with rebalance_period > 0 or
+///     adaptive.enabled). At most one move is in flight: a later decision
+///     that would migrate waits for it before its scan (evaluations that
+///     decide nothing never wait). RebalanceOnce, SetRangeBoundaries,
+///     SetRoutingDimension, Set/ClearOverflowSplit, CaptureDurableImage,
+///     RestoreSubscriptions, SynchronizeEpochs and the destructor wait for
+///     any in-flight move; the routing calls then run the whole move
+///     routine on their own thread and return after step (5).
 ///
 ///   - Determinism: for a deterministic call sequence the results are
 ///     byte-identical across shard/thread/boundary configurations
 ///     (concurrent *callers* race for shard-lock order like any concurrent
-///     writers would). MatchBatchResult::routing_version is monotone per
-///     caller.
+///     writers would). Routing decisions are deterministic for a
+///     deterministic single-caller sequence too: the rebalancer's inputs
+///     (per-shard residents and routed events) are counted against the
+///     newest plan, never the transitional union, so they do not depend on
+///     how far the migrator has got. MatchBatchResult::routing_version is
+///     monotone per caller.
 class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
@@ -247,7 +277,9 @@ class SubscriptionEngine {
   /// when a predicate is malformed.
   SubscriptionId Subscribe(const std::vector<AttributeRange>& ranges);
 
-  /// Registers a pre-built normalized subscription box.
+  /// Registers a pre-built normalized subscription box. Returns
+  /// kInvalidObject (allocating no id and logging nothing) for a box with a
+  /// NaN or infinite bound or a dimension with lo > hi.
   SubscriptionId SubscribeBox(const Box& box);
 
   /// Registers boxes.size() subscriptions in one call; ids are assigned
@@ -255,7 +287,9 @@ class SubscriptionEngine {
   /// contents are discarded) — observably identical to calling
   /// SubscribeBox in a loop, but the batch is grouped per target shard so
   /// each shard lock (and the id-allocation lock) is taken once instead
-  /// of once per subscription.
+  /// of once per subscription. A batch holding one box SubscribeBox would
+  /// refuse is refused whole: nothing is applied or logged and `*out`
+  /// stays empty.
   void SubscribeBatch(Span<const Box> boxes,
                       std::vector<SubscriptionId>* out);
 
@@ -344,6 +378,8 @@ class SubscriptionEngine {
 
   /// Per-shard load snapshot.
   struct ShardInfo {
+    /// Subscriptions the current plan homes here (a mover counts at its
+    /// destination from the moment its move is published).
     size_t subscriptions;
     size_t clusters;
     uint64_t routed_events;  ///< lifetime events dispatched to this shard
@@ -458,9 +494,12 @@ class SubscriptionEngine {
 
   // ---- Epoch subsystem introspection ----
 
-  /// Blocks until every in-flight match pinned before this call has
-  /// drained, then reclaims retired routing snapshots. Useful for tests
-  /// and orderly shutdown; never required for correctness.
+  /// Waits for an in-flight move to finish (see the class comment), then
+  /// blocks until every match pinned before that point has drained and
+  /// reclaims retired routing snapshots. Afterwards every subscription has
+  /// exactly one resident copy and shard_index() reflects the final plan.
+  /// Useful for tests and orderly shutdown; never required for
+  /// correctness.
   void SynchronizeEpochs();
 
   /// Counters of the engine's epoch manager (pins, grace periods, retired
@@ -528,9 +567,9 @@ class SubscriptionEngine {
   /// MatchBatch never stalls; a mutation racing the capture may or may
   /// not be included, and replaying the WAL tail past image.lsn
   /// (idempotently) reconstructs the exact engine either way. For kRange
-  /// the capture additionally holds the rebalance lock so a migration's
-  /// double-residency window cannot hide a subscription from the scan
-  /// (each id is captured exactly once).
+  /// the capture first waits for an in-flight move and then holds the
+  /// rebalance lock, so no migration's double-residency window can hide a
+  /// subscription from the scan (each id is captured exactly once).
   void CaptureDurableImage(durability::EngineImage* out) const;
 
   /// Crash recovery factory: loads the newest valid checkpoint from
@@ -571,20 +610,6 @@ class SubscriptionEngine {
   void ApplyReplicated(const durability::WalRecord& rec, RecoveryStats* rs);
 
  private:
-  struct Shard {
-    explicit Shard(const AdaptiveConfig& cfg)
-        : index(std::make_unique<AdaptiveIndex>(cfg)) {}
-    std::mutex mu;  ///< serializes every index access (reads mutate stats)
-    std::unique_ptr<AdaptiveIndex> index;
-    /// Lifetime events dispatched here (relaxed; observability + the
-    /// rebalancer's load signal).
-    std::atomic<uint64_t> routed{0};
-    /// Resident subscriptions (relaxed mirror of index->size(), readable
-    /// without the shard lock; double-resident copies count once, at the
-    /// owner).
-    std::atomic<size_t> subs{0};
-  };
-
   /// The routing function's parameters: which dimension the fences cut,
   /// where they sit, and (when active) the overflow split's dimension and
   /// fences. Value-copied into plans by the publishers, embedded immutably
@@ -599,11 +624,36 @@ class SubscriptionEngine {
     std::vector<float> split_bounds;  ///< sorted interior split fences
   };
 
+  struct Shard {
+    explicit Shard(const AdaptiveConfig& cfg)
+        : index(std::make_unique<AdaptiveIndex>(cfg)) {}
+    std::mutex mu;  ///< serializes every index access (reads mutate stats)
+    std::unique_ptr<AdaptiveIndex> index;
+    /// Lifetime events the newest plan routes here (relaxed; observability
+    /// + the rebalancer's load signal). A transitional snapshot's extra
+    /// union visits are not counted.
+    std::atomic<uint64_t> routed{0};
+    /// Subscriptions the newest plan homes here (relaxed, readable without
+    /// the shard lock). A move re-counts its movers at their destinations
+    /// when it is published, so this never depends on how far the
+    /// migrator has got.
+    std::atomic<size_t> subs{0};
+    /// Newest plan while this shard is a scan source of the in-flight move
+    /// (guarded by mu): it names each mover's destination, which
+    /// ApplyUnsubscribe needs to charge `subs` and to find a double-
+    /// resident copy.
+    const RoutingPlan* moving_plan = nullptr;
+  };
+
   /// Immutable routing state, published whole behind `snapshot_`. Readers
   /// obtain it under an epoch pin and never see it change; superseded
   /// snapshots are retired through the epoch manager.
   struct RoutingSnapshot {
-    RoutingPlan plan;
+    RoutingPlan plan;  ///< the newest plan: subscribes home by it
+    /// Transitional snapshots only: the plan a move is leaving. Events
+    /// route to the union of both plans' shards until the move's final
+    /// snapshot replaces this one.
+    std::optional<RoutingPlan> from;
     uint64_t version = 0;
     std::vector<Shard*> shards;   ///< handle table (Shard storage is stable)
   };
@@ -630,9 +680,11 @@ class SubscriptionEngine {
   const RoutingSnapshot* SnapshotUnderRebalanceLock() const {
     return snapshot_.load(std::memory_order_acquire);
   }
-  /// Allocates and publishes a snapshot with `plan`, retiring the old
-  /// one through the epoch manager. Caller holds rebalance_mu_.
-  void PublishSnapshot(RoutingPlan plan);
+  /// Allocates and publishes a snapshot with `plan` (transitional when
+  /// `from` is set), retiring the old one through the epoch manager.
+  /// Caller holds rebalance_mu_.
+  void PublishSnapshot(RoutingPlan plan,
+                       std::optional<RoutingPlan> from = std::nullopt);
 
   static Relation RelationFor(const Event& event, MatchPolicy policy);
 
@@ -676,27 +728,50 @@ class SubscriptionEngine {
   void NotifyCheckpointer(uint64_t mutations);
 
   /// Auto-rebalance hook, called after every match entry point (with no
-  /// epoch pinned: the grace-period wait inside would otherwise deadlock
-  /// on the caller's own pin).
+  /// epoch pinned: a decision that waits for an in-flight move would
+  /// otherwise deadlock against that move's grace period).
   void MaybeAutoRebalance(uint64_t events);
-  /// One boundary move; caller holds rebalance_mu_. `force` skips the
-  /// trigger-ratio/min-load gate.
-  bool RebalanceLocked(bool force);
-  /// Double-residency migration: inserts re-routed subscriptions at their
-  /// destinations, publishes `plan`, waits out the grace period, and
-  /// erases the stale source copies. Caller holds rebalance_mu_. Returns
-  /// the number of subscriptions migrated.
-  size_t ApplyRoutingLocked(RoutingPlan plan,
-                            const std::vector<uint32_t>& scan_shards);
+  /// One boundary move; caller holds `lk` on rebalance_mu_. `force` skips
+  /// the trigger-ratio/min-load gate. Returns true when a fence moved; its
+  /// move, if anything must migrate, is left staged (see BeginMoveLocked).
+  bool RebalanceLocked(std::unique_lock<std::mutex>& lk, bool force);
 
   /// Adaptive-evaluation hook, called after every match entry point (with
-  /// no epoch pinned — an applied decision's grace-period wait would
-  /// otherwise deadlock on the caller's own pin).
+  /// no epoch pinned, as MaybeAutoRebalance).
   void MaybeAutoAdapt(uint64_t events);
-  /// One advisor window: snapshot the tracker, evaluate, apply at most one
-  /// routing change. Caller holds rebalance_mu_. Returns true when a
-  /// change was applied.
-  bool EvaluateAdaptiveLocked();
+  /// One advisor window: snapshot the tracker, evaluate, begin at most one
+  /// routing change. Caller holds `lk` on rebalance_mu_. Returns true when
+  /// a change was begun.
+  bool EvaluateAdaptiveLocked(std::unique_lock<std::mutex>& lk);
+
+  // ---- The move routine (see the class comment's steps) ----
+
+  /// A routing change past its scan: the movers per destination and per
+  /// source, the scanned shards, and the plan being installed. Defined in
+  /// the .cc.
+  struct Move;
+  /// Blocks (releasing `lk` on rebalance_mu_ meanwhile) until no move is
+  /// in flight.
+  void WaitForMoveLocked(std::unique_lock<std::mutex>& lk) const;
+  /// Step (1): scans `scan_shards` for residents `plan` homes elsewhere,
+  /// re-counts them at their destinations and publishes the transitional
+  /// snapshot; the rest of the move is staged in `staged_move_` for
+  /// FinishMove. A change that moves nothing publishes `plan` directly and
+  /// stages nothing. Caller holds rebalance_mu_ with no move in flight.
+  /// Returns the number of subscriptions that move.
+  size_t BeginMoveLocked(RoutingPlan plan,
+                         const std::vector<uint32_t>& scan_shards);
+  /// Steps (2)-(5) of a staged move; takes rebalance_mu_ itself, for the
+  /// final publish and to clear the in-flight state.
+  void FinishMove(std::unique_ptr<Move> move);
+  /// Explicit-call tail: runs the staged move, if any, on this thread
+  /// after releasing `lk`.
+  void RunStagedMove(std::unique_lock<std::mutex>& lk);
+  /// Auto-trigger tail: hands the staged move, if any, to the migrator.
+  void HandOffStagedMoveLocked();
+  /// Body of the migrator thread.
+  void MigratorLoop();
+
   /// All shard indices, and the overflow family (sub-shards + catch-all):
   /// the migration scan sets the adaptive publishers use.
   std::vector<uint32_t> AllShardIds() const;
@@ -740,13 +815,24 @@ class SubscriptionEngine {
   /// logically-const read).
   mutable exec::EpochManager epoch_;
 
-  /// Serializes rebalances (the whole double-residency protocol runs under
-  /// it) and kRange subscribes (held from routing through owner-map
-  /// publish): a boundary change is therefore ordered strictly before or
-  /// after every subscribe, so it either routes the new subscription
-  /// itself or its migration scan sees the insert — a subscription can
-  /// never be stranded in a shard the new table doesn't route to.
+  /// Serializes routing decisions, move scans and snapshot publishes with
+  /// kRange subscribes (held from routing through owner-map publish): a
+  /// move's scan and transitional publish are therefore ordered strictly
+  /// before or after every subscribe, so its scan either sees the insert
+  /// or the subscribe homes by the new plan — a subscription can never be
+  /// stranded in a shard the new table doesn't route to.
   mutable std::mutex rebalance_mu_;
+  /// Move state, guarded by rebalance_mu_: a begun move not yet picked up
+  /// by its finisher, and whether a move is between its scan and its last
+  /// erase. move_done_cv_ signals the latter going false; migrate_cv_
+  /// wakes the migrator for a staged move or shutdown.
+  std::unique_ptr<Move> staged_move_;
+  bool move_in_flight_ = false;
+  bool migrator_stop_ = false;
+  mutable std::condition_variable move_done_cv_;
+  std::condition_variable migrate_cv_;
+  /// The migrator thread (not joinable when no auto moves are configured).
+  std::thread migrator_;
   /// Auto-rebalance in-flight flag (mutex try_lock may fail spuriously,
   /// which would make deterministic replays skip triggers at random).
   std::atomic<bool> rebalance_inflight_{false};
@@ -769,17 +855,15 @@ class SubscriptionEngine {
   mutable std::mutex adapt_estimates_mu_;
   std::vector<DimensionEstimate> last_estimates_;
 
-  /// Guards next_id_, shard_of_, second_home_ — never taken by
-  /// Match/MatchBatch.
+  /// Guards next_id_ and shard_of_ — never taken by Match/MatchBatch.
   mutable std::mutex meta_mu_;
   SubscriptionId next_id_ = 0;
   /// Owner shard of each live subscription (needed by Unsubscribe, whose
-  /// caller no longer has the box, and kept exact across migrations).
-  std::unordered_map<SubscriptionId, uint32_t> shard_of_;
-  /// Second residency during migration: id -> destination shard, present
-  /// exactly while a copy lives in both shards. Unsubscribe erases both;
-  /// the migration's cleanup pass claims ownership by removing the entry.
-  std::unordered_map<SubscriptionId, uint32_t> second_home_;
+  /// caller no longer has the box, and kept exact across migrations). Its
+  /// top bit flags a mover whose destination copy exists too (double
+  /// residency): Unsubscribe then erases both copies, and the move's
+  /// cleanup flips the owner to the destination.
+  FlatIdMap<uint32_t> shard_of_;
   std::atomic<size_t> subscription_count_{0};
 
   /// Freelist of pipeline scratch objects (capacity-preserving reuse

@@ -414,7 +414,7 @@ TEST(AdaptiveBulkInsertDeathTest, OutOfDomainObjectAbortsLikeInsert) {
   // A duplicate id in the batch aborts on the id check, as Insert does.
   bad[3] = good;
   ids[30] = ids[3];
-  EXPECT_DEATH(bulk_insert(), "owner_.find\\(id\\) == owner_.end\\(\\)");
+  EXPECT_DEATH(bulk_insert(), "owner_.Find\\(id\\) == nullptr");
   ids[30] = 100030;
   bulk_insert();
   idx->CheckInvariants();

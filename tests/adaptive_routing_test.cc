@@ -416,7 +416,11 @@ TEST(AdaptiveEngine, AutoSwitchConvergesToSelectiveDimension) {
   EXPECT_GT(st.subscriptions_observed, 0u);
   EXPECT_GE(engine.rebalance_stats().dimension_switches, 1u);
 
-  // Post-convergence: routed visit economics and exact oracle parity.
+  // Post-convergence: routed visit economics and exact oracle parity. The
+  // switch's move finishes on the migrator thread, and until it does
+  // events route to the union of the old and new shards; wait for it so
+  // the visits below measure the converged routing.
+  engine.SynchronizeEpochs();
   const std::vector<Event> probes = make_batch(128);
   MatchBatchResult res;
   engine.MatchBatch(Span<const Event>(probes.data(), probes.size()), &res);

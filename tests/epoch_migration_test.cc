@@ -19,13 +19,22 @@
 //     superset of the oracle over never-removed subscriptions, subset of
 //     the oracle over all, duplicate-free — then exact equality once
 //     quiesced.
+//   - The AutoMove* cases drive moves an auto-trigger hands to the
+//     background migrator: a single caller's batches stay exact while the
+//     move is in flight (routed under the transitional union snapshot),
+//     the engine can be destroyed mid-move, and the explicit calls wait
+//     for the move.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "durability/checkpoint.h"
+#include "durability/wal.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -308,6 +317,204 @@ TEST(EpochMigration, MatchSingleEventExactDuringRebalance) {
   }
   stop.store(true, std::memory_order_relaxed);
   rebalancer.join();
+}
+
+// ---------------------------------------------------------------------------
+// Moves handed to the background migrator
+// ---------------------------------------------------------------------------
+
+/// Narrow (width `w` at a random position) on dimensions `d0` and `d1`,
+/// full range elsewhere.
+Box NarrowOn(Rng& rng, Dim d0, Dim d1, float w) {
+  Box b(kNd);
+  for (Dim d = 0; d < kNd; ++d) b.set(d, 0.0f, 1.0f);
+  for (const Dim d : {d0, d1}) {
+    const float lo = (1.0f - w) * rng.NextFloat();
+    b.set(d, lo, lo + w);
+  }
+  return b;
+}
+
+/// An adaptive kRange engine fenced on dimension 0. Its subscriptions are
+/// narrow on dimensions 0 and 1, so they live in range slices under either
+/// fence dimension; its events are narrow on dimension 1 only, so routed
+/// on dimension 0 they visit every slice and the advisor switches to
+/// dimension 1 within a few windows. That move carries most subscriptions
+/// from one range slice to another, and an event's new-plan route misses
+/// most movers' sources: only the union route keeps it exact while the
+/// migrator is still inserting.
+std::unique_ptr<SubscriptionEngine> MakeAutoMoveEngine(uint32_t threads) {
+  EngineOptions o;
+  o.index.reorg_period = 25;
+  o.index.min_observation = 8;
+  o.default_policy = MatchPolicy::kIntersecting;
+  o.shards = 5;
+  o.match_threads = threads;
+  o.sharding = ShardingPolicy::kRange;
+  o.adaptive.enabled = true;
+  o.adaptive.sample_window = 128;
+  return std::make_unique<SubscriptionEngine>(UnitSchema(), o);
+}
+
+constexpr int kAutoMoveSubs = 40000;
+
+std::vector<Event> NarrowBatch(Rng& rng, size_t n) {
+  std::vector<Event> evs;
+  for (size_t e = 0; e < n; ++e) {
+    evs.push_back(Event::Range(NarrowOn(rng, 1, 1, 0.01f)));
+  }
+  return evs;
+}
+
+constexpr uint32_t kTargetDim = 1;
+
+uint64_t Counter(const SubscriptionEngine& engine, const char* name) {
+  return engine.metrics().GetCounter(name)->Value();
+}
+
+/// Subscribes kAutoMoveSubs boxes narrow on dimensions 0 and 1 in one
+/// batch.
+std::vector<std::pair<SubscriptionId, Box>> SubscribeNarrow(
+    SubscriptionEngine* engine, Rng& rng) {
+  std::vector<Box> boxes;
+  for (int i = 0; i < kAutoMoveSubs; ++i) {
+    boxes.push_back(NarrowOn(rng, 0, 1, 0.02f));
+  }
+  std::vector<SubscriptionId> ids;
+  engine->SubscribeBatch(Span<const Box>(boxes.data(), boxes.size()), &ids);
+  std::vector<std::pair<SubscriptionId, Box>> subs;
+  for (size_t i = 0; i < ids.size(); ++i) subs.emplace_back(ids[i], boxes[i]);
+  return subs;
+}
+
+/// Matches batches until one triggers the switch to kTargetDim (whose
+/// move is then in flight), checking each batch against the oracle. The
+/// batches are small so the check after the triggering one ends well
+/// before the migrator does.
+void RunUntilSwitch(SubscriptionEngine* engine, Rng& rng,
+                    const std::vector<std::pair<SubscriptionId, Box>>& subs) {
+  for (int round = 0;
+       round < 320 && engine->routing_dimension() != kTargetDim; ++round) {
+    const std::vector<Event> evs = NarrowBatch(rng, 4);
+    MatchBatchResult res;
+    engine->MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
+    for (size_t e = 0; e < evs.size(); ++e) {
+      ASSERT_EQ(res.matches[e], Oracle(subs, evs[e].box)) << "round " << round;
+    }
+  }
+  ASSERT_EQ(engine->routing_dimension(), kTargetDim)
+      << "the advisor never switched";
+}
+
+TEST(EpochMigration, AutoMoveSingleCallerExactUnderTransitionalSnapshot) {
+  std::unique_ptr<SubscriptionEngine> engine = MakeAutoMoveEngine(2);
+  Rng rng(606);
+  std::vector<std::pair<SubscriptionId, Box>> subs =
+      SubscribeNarrow(engine.get(), rng);
+  RunUntilSwitch(engine.get(), rng, subs);
+
+  // The switch's call returned as soon as the transitional snapshot was
+  // published; the migrator is moving ~all subscriptions now. Keep going
+  // from the same thread with churn between batches: every batch must
+  // equal the oracle over the exact live set.
+  const uint64_t transitional0 =
+      Counter(*engine, "accl_pipeline_transition_events_total");
+  size_t next_victim = 0;
+  for (int round = 0; round < 48; ++round) {
+    const std::vector<Event> evs = NarrowBatch(rng, 4);
+    MatchBatchResult res;
+    engine->MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
+    for (size_t e = 0; e < evs.size(); ++e) {
+      ASSERT_EQ(res.matches[e], Oracle(subs, evs[e].box))
+          << "round " << round << " event " << e << " (routing_version "
+          << res.routing_version << ")";
+    }
+    for (int c = 0; c < 4; ++c) {
+      ASSERT_TRUE(engine->Unsubscribe(subs[next_victim].first));
+      subs[next_victim] = subs.back();
+      subs.pop_back();
+      next_victim = (next_victim + 7919) % subs.size();
+      const Box b = NarrowOn(rng, 0, 1, 0.02f);
+      subs.emplace_back(engine->SubscribeBox(b), b);
+    }
+  }
+  // At least one batch routed under the transitional snapshot, paying
+  // extra visits for the union of the old and new plans.
+  EXPECT_GT(Counter(*engine, "accl_pipeline_transition_events_total"),
+            transitional0);
+  EXPECT_GT(Counter(*engine, "accl_pipeline_transition_extra_visits_total"),
+            0u);
+
+  // Quiesced: one copy per subscription, counted where the plan homes it.
+  engine->SynchronizeEpochs();
+  size_t resident = 0, counted = 0;
+  for (size_t s = 0; s < engine->shard_count(); ++s) {
+    resident += engine->shard_index(s).size();
+  }
+  for (const auto& info : engine->GetShardInfos()) {
+    counted += info.subscriptions;
+  }
+  EXPECT_EQ(resident, subs.size());
+  EXPECT_EQ(counted, subs.size());
+  EXPECT_EQ(engine->subscription_count(), subs.size());
+}
+
+TEST(EpochMigration, AutoMoveInFlightAtDestructionIsClean) {
+  for (uint64_t seed : {11ull, 12ull, 13ull}) {
+    std::unique_ptr<SubscriptionEngine> engine = MakeAutoMoveEngine(0);
+    Rng rng(seed);
+    const std::vector<std::pair<SubscriptionId, Box>> subs =
+        SubscribeNarrow(engine.get(), rng);
+    RunUntilSwitch(engine.get(), rng, subs);
+    // The move is (almost certainly) still in flight: the destructor must
+    // wait for it before tearing down the shards it writes.
+    engine.reset();
+  }
+}
+
+TEST(EpochMigration, AutoMoveExplicitCallsWaitForTheMove) {
+  {
+    std::unique_ptr<SubscriptionEngine> engine = MakeAutoMoveEngine(0);
+    Rng rng(707);
+    const std::vector<std::pair<SubscriptionId, Box>> subs =
+        SubscribeNarrow(engine.get(), rng);
+    RunUntilSwitch(engine.get(), rng, subs);
+    // Mid-move capture: waits for the move, so no double-resident copy is
+    // in the shards it scans, and the image holds each live id once.
+    durability::EngineImage img;
+    engine->CaptureDurableImage(&img);
+    ASSERT_EQ(img.ids.size(), subs.size());
+    std::unordered_set<SubscriptionId> seen(img.ids.begin(), img.ids.end());
+    EXPECT_EQ(seen.size(), img.ids.size());
+    for (const auto& [id, box] : subs) EXPECT_EQ(seen.count(id), 1u);
+  }
+  {
+    std::unique_ptr<SubscriptionEngine> engine = MakeAutoMoveEngine(0);
+    Rng rng(708);
+    const std::vector<std::pair<SubscriptionId, Box>> subs =
+        SubscribeNarrow(engine.get(), rng);
+    RunUntilSwitch(engine.get(), rng, subs);
+    // Mid-move forced rebalance: waits for the auto move, runs its own to
+    // completion, and returns with one copy per subscription.
+    engine->RebalanceOnce();
+    size_t resident = 0;
+    for (size_t s = 0; s < engine->shard_count(); ++s) {
+      resident += engine->shard_index(s).size();
+    }
+    EXPECT_EQ(resident, subs.size());
+    // No move is in flight, so the next batch routes under a final
+    // snapshot (a move it triggers itself starts after its routing).
+    const uint64_t transitional =
+        Counter(*engine, "accl_pipeline_transition_events_total");
+    const std::vector<Event> evs = NarrowBatch(rng, 8);
+    MatchBatchResult res;
+    engine->MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
+    EXPECT_EQ(Counter(*engine, "accl_pipeline_transition_events_total"),
+              transitional);
+    for (size_t e = 0; e < evs.size(); ++e) {
+      EXPECT_EQ(res.matches[e], Oracle(subs, evs[e].box));
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "durability/checkpoint.h"
+#include "durability/wal.h"
 #include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "util/rng.h"
@@ -107,6 +114,93 @@ TEST(SdiEngine, MalformedSubscriptionRejected) {
   EXPECT_EQ(engine.Subscribe({{"pool", 0, 1}}), kInvalidObject);
   EXPECT_EQ(engine.Subscribe({{"price", 700, 400}}), kInvalidObject);
   EXPECT_EQ(engine.subscription_count(), 0u);
+}
+
+// A normalized box the engine must refuse: dimension `d` of a valid box
+// spoiled one of three ways (NaN, infinite bound, inverted interval).
+Box SpoiledBox(Dim nd, Dim d, int how) {
+  Box b(nd);
+  for (Dim i = 0; i < nd; ++i) b.set(i, 0.25f, 0.5f);
+  switch (how) {
+    case 0:
+      b.set(d, std::numeric_limits<float>::quiet_NaN(), 0.5f);
+      break;
+    case 1:
+      b.set(d, 0.25f, std::numeric_limits<float>::infinity());
+      break;
+    default:
+      b.set(d, 0.75f, 0.5f);
+      break;
+  }
+  return b;
+}
+
+TEST(SdiEngine, MalformedBoxesRefusedBeforeIdAllocation) {
+  // Under every policy the advisor and the router would otherwise consume
+  // the box: hash sharding, range routing, and range routing with the
+  // adaptive tracker sampling subscriptions.
+  for (int config = 0; config < 3; ++config) {
+    EngineOptions opts;
+    opts.shards = 4;
+    opts.sharding = config == 0 ? ShardingPolicy::kHashId
+                                : ShardingPolicy::kRange;
+    opts.adaptive.enabled = config == 2;
+    SubscriptionEngine engine(AdsSchema(), opts);
+    const Dim nd = engine.schema().dims();
+    Box good(nd);
+    for (Dim i = 0; i < nd; ++i) good.set(i, 0.1f, 0.9f);
+    ASSERT_EQ(engine.SubscribeBox(good), 0u) << "config " << config;
+    for (Dim d = 0; d < nd; ++d) {
+      for (int how = 0; how < 3; ++how) {
+        EXPECT_EQ(engine.SubscribeBox(SpoiledBox(nd, d, how)), kInvalidObject)
+            << "config " << config << " dim " << d << " how " << how;
+        // A batch holding one spoiled box is refused whole.
+        std::vector<Box> batch = {good, SpoiledBox(nd, d, how), good};
+        std::vector<SubscriptionId> ids = {77};
+        engine.SubscribeBatch(Span<const Box>(batch.data(), batch.size()),
+                              &ids);
+        EXPECT_TRUE(ids.empty());
+      }
+    }
+    // Nothing was applied, and no id was spent on a refused box: the next
+    // subscription gets the id right after the first one.
+    EXPECT_EQ(engine.subscription_count(), 1u);
+    EXPECT_EQ(engine.SubscribeBox(good), 1u) << "config " << config;
+    std::vector<Event> probe = {Event::Range(good)};
+    MatchBatchResult res;
+    engine.MatchBatch(Span<const Event>(probe.data(), probe.size()), &res);
+    EXPECT_EQ(res.matches[0], (std::vector<ObjectId>{0, 1}));
+  }
+}
+
+TEST(SdiEngine, MalformedBoxesNeverReachTheLog) {
+  const std::string wal_path = testing::TempDir() + "/sdi_malformed.wal";
+  const std::string ckpt_path = testing::TempDir() + "/sdi_malformed.ck";
+  durability::RemoveWalFiles(wal_path);
+  std::remove(ckpt_path.c_str());
+  EngineOptions opts;
+  opts.shards = 3;
+  opts.sharding = ShardingPolicy::kRange;
+  DurabilityOptions dopts;
+  dopts.checkpoint_every_mutations = 0;
+  dopts.background_checkpoints = false;
+  durability::DurableEngine de;
+  Status st;
+  ASSERT_TRUE(durability::OpenDurable(AdsSchema(), opts, dopts, wal_path,
+                                      ckpt_path, nullptr, &de, &st))
+      << st.message();
+  const Dim nd = de.engine->schema().dims();
+  const uint64_t before = de.wal->stats().records_appended;
+  EXPECT_EQ(de.engine->SubscribeBox(SpoiledBox(nd, 1, 0)), kInvalidObject);
+  std::vector<Box> batch = {SpoiledBox(nd, 0, 2)};
+  std::vector<SubscriptionId> ids;
+  de.engine->SubscribeBatch(Span<const Box>(batch.data(), batch.size()),
+                            &ids);
+  EXPECT_TRUE(ids.empty());
+  EXPECT_EQ(de.wal->stats().records_appended, before);
+  de = durability::DurableEngine();
+  durability::RemoveWalFiles(wal_path);
+  std::remove(ckpt_path.c_str());
 }
 
 TEST(SdiEngine, StatsAccumulate) {
