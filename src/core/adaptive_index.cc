@@ -13,10 +13,11 @@ namespace accl {
 
 namespace {
 
-// The exploration ring holds one reorganization period of queries (every
-// pass replays all logs, so it never wraps in steady state), within bounds
-// that keep its memory small; with manual reorganization it wraps every
-// kRingWithoutPeriod queries.
+// The exploration ring holds two reorganization rounds of queries (a
+// round's slots are released at the end of the next round, so it never
+// fills in steady state), within a bound that keeps its memory small; a
+// full ring replays every log and starts over. With manual reorganization
+// that happens every kRingWithoutPeriod queries.
 constexpr uint32_t kRingWithoutPeriod = 256;
 constexpr uint32_t kMaxRing = 1024;
 // Replay counts are bytes, so a log holds at most 255 explorations.
@@ -24,7 +25,8 @@ constexpr uint32_t kMaxLog = 255;
 
 uint32_t RingCapacity(uint32_t reorg_period) {
   if (reorg_period == 0) return kRingWithoutPeriod;
-  return std::min(reorg_period, kMaxRing);
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(2 * uint64_t{reorg_period}, kMaxRing));
 }
 
 uint32_t LogCapacity(uint32_t reorg_period) {
@@ -334,6 +336,7 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   if (!admitted_.empty()) {
     if (ring_.full()) ReplayAllLogs();
     slot = ring_.Push(q);
+    ++round_.slots;
   }
   for (ClusterId cid : admitted_) {
     Cluster* c = cluster(cid);
@@ -374,9 +377,7 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
       total_queries_ % cfg_.stats_halving_period == 0) {
     HalveAllStats();
   }
-  if (cfg_.reorg_period != 0 && total_queries_ % cfg_.reorg_period == 0) {
-    Reorganize();
-  }
+  if (cfg_.reorg_period != 0) ContinueRound();
 }
 
 void AdaptiveIndex::LogExploration(Cluster* c, uint16_t slot) {
@@ -391,7 +392,13 @@ void AdaptiveIndex::ReplayAllLogs() {
   for (const auto& up : clusters_) {
     if (up) up->candidates.Replay(ring_);
   }
+  ClearRing();
+}
+
+void AdaptiveIndex::ClearRing() {
   ring_.Clear();
+  round_.slots = 0;
+  round_.prev_slots = 0;
 }
 
 void AdaptiveIndex::HalveAllStats() {
@@ -407,27 +414,76 @@ void AdaptiveIndex::HalveAllStats() {
 }
 
 void AdaptiveIndex::Reorganize() {
-  ++reorg_stats_.passes;
-  reorg_stats_.last_pass_splits = 0;
-  reorg_stats_.last_pass_merges = 0;
+  OpenRound();
+  VisitClusters(0, round_.snapshot.size());
+  CloseRound();
+  // Every cluster that survived the pass had its log replayed.
+  ClearRing();
+}
 
-  std::vector<ClusterId> snapshot;
-  snapshot.reserve(live_clusters_);
-  for (const auto& up : clusters_) {
-    if (up) snapshot.push_back(up->id);
+void AdaptiveIndex::ContinueRound() {
+  const uint64_t period = cfg_.reorg_period;
+  const uint64_t call = (total_queries_ - 1) % period + 1;  // 1..period
+  if (round_.snapshot.empty()) OpenRound();
+  // Slice boundaries are spread evenly over the round's queries; the last
+  // one always lands on its last query.
+  const uint64_t entries = round_.snapshot.size();
+  const uint64_t slices =
+      (entries + kReorgSliceClusters - 1) / kReorgSliceClusters;
+  const uint64_t reach =
+      std::min(entries, call * slices / period * kReorgSliceClusters);
+  if (reach > round_.visited) {
+    VisitClusters(round_.visited, reach);
+    round_.visited = reach;
   }
+  if (call != period) return;
+  CloseRound();
+  // Every cluster the round snapshotted has been visited since the round
+  // before ended, and the ones created since log only this round's slots.
+#ifndef NDEBUG
+  for (const auto& up : clusters_) {
+    if (!up) continue;
+    for (size_t e = 0; e < up->candidates.log_size(); ++e) {
+      ACCL_DCHECK(ring_.rank(up->candidates.logged(e)) >= round_.prev_slots);
+    }
+  }
+#endif
+  ring_.Release(round_.prev_slots);
+  round_.prev_slots = round_.slots;
+  round_.slots = 0;
+}
 
+void AdaptiveIndex::OpenRound() {
+  round_.snapshot.clear();
+  round_.snapshot.reserve(live_clusters_);
+  for (const auto& up : clusters_) {
+    if (up) round_.snapshot.push_back(up->id);
+  }
+  round_.visited = 0;
+  round_.splits = 0;
+  round_.merges = 0;
+}
+
+void AdaptiveIndex::CloseRound() {
+  ++reorg_stats_.passes;
+  reorg_stats_.last_pass_splits = round_.splits;
+  reorg_stats_.last_pass_merges = round_.merges;
+  round_.snapshot.clear();
+}
+
+void AdaptiveIndex::VisitClusters(size_t begin, size_t end) {
+  const std::vector<ClusterId>& snapshot = round_.snapshot;
   // Paper Fig. 1, applied to every materialized cluster: merge if
-  // profitable, otherwise try to split. Every cluster that survives the
-  // pass has its exploration log replayed, so the ring is recycled after.
-  for (size_t si = 0; si < snapshot.size(); ++si) {
+  // profitable, otherwise try to split. Either way the cluster's
+  // exploration log is consumed.
+  for (size_t si = begin; si < end; ++si) {
     const ClusterId id = snapshot[si];
     Cluster* c = cluster(id);
-    if (c == nullptr) continue;  // merged away earlier in this pass
+    if (c == nullptr) continue;  // merged away earlier in this round
     // Stage upcoming clusters in two steps: the record three ahead (its
     // candidate header holds the block pointers), then the candidate block
     // two ahead.
-    if (si + 3 < snapshot.size()) {
+    if (si + 3 < end) {
       if (const Cluster* nx = cluster(snapshot[si + 3])) {
         const auto* p = reinterpret_cast<const char*>(nx);
         __builtin_prefetch(p);
@@ -435,7 +491,7 @@ void AdaptiveIndex::Reorganize() {
         __builtin_prefetch(p + 128);
       }
     }
-    if (si + 2 < snapshot.size()) {
+    if (si + 2 < end) {
       if (const Cluster* nx = cluster(snapshot[si + 2])) {
         nx->candidates.Prefetch();
       }
@@ -452,14 +508,12 @@ void AdaptiveIndex::Reorganize() {
                                         static_cast<double>(c->size())) > 0)) {
         MergeCluster(id);
         ++reorg_stats_.merges;
-        ++reorg_stats_.last_pass_merges;
+        ++round_.merges;
         continue;
       }
     }
-    const size_t created = TryClusterSplit(id);
-    reorg_stats_.last_pass_splits += created;
+    round_.splits += TryClusterSplit(id);
   }
-  ring_.Clear();
 }
 
 void AdaptiveIndex::MergeCluster(ClusterId cid) {
@@ -652,7 +706,9 @@ void AdaptiveIndex::CheckInvariants() const {
       ACCL_CHECK(fresh.at(i).n == c.candidates.at(i).n);
     }
     // Logs only name live ring slots.
-    ACCL_CHECK(c.candidates.log_size() <= ring_.size());
+    for (size_t e = 0; e < c.candidates.log_size(); ++e) {
+      ACCL_CHECK(ring_.rank(c.candidates.logged(e)) < ring_.size());
+    }
   }
   ACCL_CHECK(live == live_clusters_);
   ACCL_CHECK(objects == object_count_);

@@ -362,10 +362,19 @@ QueryRing::QueryRing(Dim nd, uint32_t f, uint32_t capacity)
   data_ = AllocateAligned(stride_ * capacity);
 }
 
+void QueryRing::Release(uint32_t k) {
+  ACCL_CHECK(k <= used_);
+  head_ += k;
+  if (head_ >= capacity_) head_ -= capacity_;
+  used_ -= k;
+}
+
 uint16_t QueryRing::Push(const Query& q) {
   ACCL_CHECK(!full());
   ACCL_DCHECK(q.dims() == nd_);
-  const uint16_t s = static_cast<uint16_t>(used_++);
+  const uint32_t tail = head_ + used_++;
+  const uint16_t s =
+      static_cast<uint16_t>(tail >= capacity_ ? tail - capacity_ : tail);
   uint8_t* p = data_.get() + s * stride_;
   const float* qc = q.box.data();
   const uint32_t f = f_;

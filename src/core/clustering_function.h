@@ -16,13 +16,14 @@
 // queries matching them (q).
 //
 // The paper charges the q update to every exploration (the B term). Only the
-// split scan reads q, once per reorganization period, so an exploration
+// split scan reads q, once per reorganization round, so an exploration
 // merely appends the query's QueryRing slot to the cluster's fixed-size
 // exploration log. The log is replayed into per-candidate byte counts and
-// folded into q where q is read: in the reorganization's split scan (fused
-// into its benefit pass), before statistics are halved, when the log fills,
-// and when the ring wraps. The fold equals the sequential `q += 1.0` steps
-// bit for bit, so every decision matches the eager accounting.
+// folded into q where q is read: when reorganization visits the cluster (in
+// the split scan, fused into its benefit pass), before statistics are
+// halved, when the log fills, and when the ring fills. The fold equals the
+// sequential `q += 1.0` steps bit for bit, so every decision matches the
+// eager accounting.
 #pragma once
 
 #include <cstddef>
@@ -60,23 +61,36 @@ struct FreeDeleter {
 /// 64-byte-aligned byte storage.
 using AlignedBytes = std::unique_ptr<unsigned char[], detail::FreeDeleter>;
 
-/// The queries explored since an index last folded all of its candidate
-/// statistics. A slot holds the query box and relation plus its full-domain
-/// admission bytes: for every dimension, one 0/1 byte per candidate of a
-/// full-domain variation-interval pair, in the symmetric candidate order.
-/// Full-domain pieces have the same boundaries in every cluster, so these
-/// bytes are computed once per query and added straight into the counts of
-/// every full-domain dimension a replay touches.
+/// The explored queries that some exploration log may still name, in a
+/// circular buffer: slots are pushed at the tail and released, oldest
+/// first, once no log names them. A slot holds the query box and relation
+/// plus its full-domain admission bytes: for every dimension, one 0/1 byte
+/// per candidate of a full-domain variation-interval pair, in the symmetric
+/// candidate order. Full-domain pieces have the same boundaries in every
+/// cluster, so these bytes are computed once per query and added straight
+/// into the counts of every full-domain dimension a replay touches.
 class QueryRing {
  public:
   QueryRing(Dim nd, uint32_t f, uint32_t capacity);
 
+  /// Live slots: pushed and not yet released.
   uint32_t size() const { return used_; }
   bool full() const { return used_ == capacity_; }
   /// Recycles every slot. Only valid once no log names a slot.
-  void Clear() { used_ = 0; }
+  void Clear() {
+    head_ = 0;
+    used_ = 0;
+  }
+  /// Recycles the `k` oldest live slots. Only valid once no log names one.
+  void Release(uint32_t k);
+  /// Age rank of slot `s`: 0 for the oldest live slot. The slot is live
+  /// iff its rank is below size().
+  uint32_t rank(uint16_t s) const {
+    return s >= head_ ? s - head_ : s + capacity_ - head_;
+  }
 
-  /// Stores `q` in the next free slot and returns it. Requires !full().
+  /// Stores `q` in the slot after the newest and returns it. Requires
+  /// !full().
   uint16_t Push(const Query& q);
 
   const uint8_t* slot(uint16_t s) const { return data_.get() + s * stride_; }
@@ -93,6 +107,7 @@ class QueryRing {
   uint32_t f_;
   uint32_t per_dim_;
   uint32_t capacity_;
+  uint32_t head_ = 0;  ///< oldest live slot
   uint32_t used_ = 0;
   size_t box_offset_;
   size_t rel_offset_;
@@ -170,6 +185,8 @@ class CandidateSet {
     return true;
   }
   size_t log_size() const { return log_len_; }
+  /// The `i`-th logged ring slot, oldest first.
+  uint16_t logged(size_t i) const { return log_[i]; }
 
   /// Counts the logged explorations and folds them into q; empties the log.
   void Replay(const QueryRing& ring);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 
 #include "core/adaptive_index.h"
+#include "seqscan/seq_scan.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/query_gen.h"
@@ -231,6 +234,186 @@ TEST(Reorganization, InsertPrefersLowestAccessProbabilityCluster) {
   }
   EXPECT_GT(strictly_lower, 25);  // most objects find a cheaper host
   idx.CheckInvariants();
+}
+
+// ---- Sliced rounds ---------------------------------------------------------
+//
+// A periodic round visits its cluster snapshot kReorgSliceClusters at a
+// time, spread over the round's queries; these tests pin the schedule and
+// check that structure, answers and the exploration ring stay consistent
+// whichever query a split or merge lands on.
+
+constexpr Dim kSliceDims = 16;
+
+AdaptiveConfig SliceConfig(uint32_t period) {
+  AdaptiveConfig cfg;
+  cfg.nd = kSliceDims;
+  cfg.reorg_period = period;
+  cfg.min_observation = 4;
+  cfg.stats_halving_period = 0;
+  return cfg;
+}
+
+const Dataset& SliceDataset() {
+  static const Dataset ds = [] {
+    UniformSpec spec;
+    spec.nd = kSliceDims;
+    spec.count = 9000;
+    spec.seed = 83;
+    spec.max_extent = 0.4f;
+    return GenerateUniform(spec);
+  }();
+  return ds;
+}
+
+std::vector<Query> SliceQueries(size_t n, uint64_t seed) {
+  return GenerateQueriesWithExtent(kSliceDims, Relation::kIntersects, n, 0.3,
+                                   seed);
+}
+
+uint64_t Changes(const AdaptiveIndex& idx) {
+  return idx.reorg_stats().splits + idx.reorg_stats().merges;
+}
+
+// Runs `qs` through `idx`, which holds `ds`, checking its invariants and its
+// answer against a Sequential Scan after every call; `after(i)` runs after
+// call i. Returns how many calls that did not end a round split or merged.
+size_t DriveChecked(AdaptiveIndex& idx, const Dataset& ds,
+                    const std::vector<Query>& qs,
+                    const std::function<void(size_t)>& after = nullptr) {
+  SeqScan scan(ds.nd);
+  Load(scan, ds);
+  const uint32_t period = idx.config().reorg_period;
+  size_t mid_round = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const uint64_t before = Changes(idx);
+    EXPECT_EQ(testutil::RunQuery(idx, qs[i]), testutil::RunQuery(scan, qs[i]))
+        << "call " << i;
+    idx.CheckInvariants();
+    if (Changes(idx) != before && idx.total_queries() % period != 0) {
+      ++mid_round;
+    }
+    if (after) after(i);
+  }
+  return mid_round;
+}
+
+// A converged index of more than kReorgSliceClusters clusters, restored
+// with fresh statistics under `cfg`; the image is built once.
+std::unique_ptr<AdaptiveIndex> FromSliceBase(const AdaptiveConfig& cfg) {
+  static const std::vector<ClusterImage> images = [] {
+    AdaptiveIndex idx(SliceConfig(20));
+    Load(idx, SliceDataset());
+    std::vector<ObjectId> out;
+    for (const Query& q : SliceQueries(400, 89)) {
+      out.clear();
+      idx.Execute(q, &out);
+    }
+    return idx.DumpClusters();
+  }();
+  auto idx = AdaptiveIndex::FromImages(cfg, images);
+  EXPECT_GT(idx->cluster_count(), AdaptiveIndex::kReorgSliceClusters);
+  return idx;
+}
+
+TEST(SlicedReorganization, LargeIndexSpreadsEachRoundOverItsQueries) {
+  auto idx = FromSliceBase(SliceConfig(20));
+  const size_t mid_round =
+      DriveChecked(*idx, SliceDataset(), SliceQueries(300, 5));
+  EXPECT_GT(mid_round, 0u) << "no slice landed before a round's last call";
+  EXPECT_EQ(idx->reorg_stats().passes, 300u / 20);
+}
+
+TEST(SlicedReorganization, SmallIndexChangesOnlyAtPeriodEnd) {
+  // At most kReorgSliceClusters clusters: one slice, on the round's last
+  // query, exactly like a one-shot pass at the period's end.
+  AdaptiveIndex idx(ReorgConfig(4));
+  UniformSpec spec;
+  spec.nd = 4;
+  spec.count = 20000;
+  spec.seed = 3;
+  Load(idx, GenerateUniform(spec));
+  const auto qs = GenerateQueriesWithExtent(4, Relation::kIntersects, 1000,
+                                            0.02, 5);
+  std::vector<ObjectId> out;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const uint64_t before = Changes(idx);
+    const size_t clusters = idx.cluster_count();
+    out.clear();
+    idx.Execute(qs[i], &out);
+    ASSERT_LE(idx.cluster_count(), AdaptiveIndex::kReorgSliceClusters);
+    if (idx.total_queries() % idx.config().reorg_period != 0) {
+      EXPECT_EQ(Changes(idx), before) << "call " << i;
+      EXPECT_EQ(idx.cluster_count(), clusters) << "call " << i;
+    }
+  }
+  EXPECT_GT(Changes(idx), 0u);
+  EXPECT_EQ(idx.reorg_stats().passes, 1000u / idx.config().reorg_period);
+}
+
+TEST(SlicedReorganization, PeriodOneRunsAWholeRoundPerQuery) {
+  auto idx = FromSliceBase(SliceConfig(1));
+  DriveChecked(*idx, SliceDataset(), SliceQueries(20, 97));
+  EXPECT_EQ(idx->reorg_stats().passes, 20u);
+  EXPECT_GT(Changes(*idx), 0u);
+}
+
+TEST(SlicedReorganization, HalvingMidRound) {
+  // Halvings every 5 queries replay every log and clear the ring inside
+  // 7-query rounds.
+  AdaptiveConfig cfg = SliceConfig(7);
+  cfg.stats_halving_period = 5;
+  auto idx = FromSliceBase(cfg);
+  DriveChecked(*idx, SliceDataset(), SliceQueries(100, 101));
+  EXPECT_EQ(idx->reorg_stats().passes, 100u / 7);
+  EXPECT_GT(Changes(*idx), 0u);
+}
+
+TEST(SlicedReorganization, ExplicitReorganizeMidRound) {
+  // Each explicit pass ends the round it interrupts; the next query opens
+  // a new one over the rest of the period.
+  auto idx = FromSliceBase(SliceConfig(20));
+  DriveChecked(*idx, SliceDataset(), SliceQueries(100, 103), [&](size_t i) {
+    if (i == 29 || i == 72) {
+      idx->Reorganize();
+      idx->CheckInvariants();
+    }
+  });
+  EXPECT_EQ(idx->reorg_stats().passes, 100u / 20 + 2);
+  EXPECT_GT(Changes(*idx), 0u);
+}
+
+TEST(SlicedReorganization, LongPeriodWrapsTheRing) {
+  // The ring is capped at 1024 slots, below two 600-query rounds: it fills
+  // during the second round, replays every log and starts over. (A small
+  // index keeps 1300 checked calls cheap.)
+  AdaptiveConfig cfg = ReorgConfig(4);
+  cfg.reorg_period = 600;
+  cfg.min_observation = 4;
+  AdaptiveIndex idx(cfg);
+  UniformSpec spec;
+  spec.nd = 4;
+  spec.count = 3000;
+  spec.seed = 107;
+  const Dataset ds = GenerateUniform(spec);
+  Load(idx, ds);
+  DriveChecked(idx, ds,
+               GenerateQueriesWithExtent(4, Relation::kIntersects, 1300, 0.05,
+                                         109));
+  EXPECT_EQ(idx.reorg_stats().passes, 2u);
+  EXPECT_GT(Changes(idx), 0u);
+}
+
+TEST(SlicedReorganization, QueriesAfterFromImages) {
+  // Dump in the middle of a round; the restored index starts its own.
+  auto idx = FromSliceBase(SliceConfig(20));
+  DriveChecked(*idx, SliceDataset(), SliceQueries(30, 111));
+  ASSERT_NE(idx->total_queries() % 20, 0u);
+  auto restored =
+      AdaptiveIndex::FromImages(SliceConfig(20), idx->DumpClusters());
+  DriveChecked(*restored, SliceDataset(), SliceQueries(60, 113));
+  EXPECT_EQ(restored->reorg_stats().passes, 3u);
+  EXPECT_GT(Changes(*restored), 0u);
 }
 
 // ---- Decision parity -------------------------------------------------------

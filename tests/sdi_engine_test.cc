@@ -117,22 +117,26 @@ TEST(SdiEngine, MalformedSubscriptionRejected) {
 }
 
 // A normalized box the engine must refuse: dimension `d` of a valid box
-// spoiled one of three ways (NaN, infinite bound, inverted interval).
+// spoiled one of three ways (NaN, infinite bound, inverted interval). The
+// coordinates are written raw: Box::set would refuse them in Debug builds.
 Box SpoiledBox(Dim nd, Dim d, int how) {
-  Box b(nd);
-  for (Dim i = 0; i < nd; ++i) b.set(i, 0.25f, 0.5f);
+  std::vector<float> coords(2 * static_cast<size_t>(nd));
+  for (Dim i = 0; i < nd; ++i) {
+    coords[2 * i] = 0.25f;
+    coords[2 * i + 1] = 0.5f;
+  }
   switch (how) {
     case 0:
-      b.set(d, std::numeric_limits<float>::quiet_NaN(), 0.5f);
+      coords[2 * d] = std::numeric_limits<float>::quiet_NaN();
       break;
     case 1:
-      b.set(d, 0.25f, std::numeric_limits<float>::infinity());
+      coords[2 * d + 1] = std::numeric_limits<float>::infinity();
       break;
     default:
-      b.set(d, 0.75f, 0.5f);
+      coords[2 * d] = 0.75f;
       break;
   }
-  return b;
+  return Box(BoxView(coords.data(), nd));
 }
 
 TEST(SdiEngine, MalformedBoxesRefusedBeforeIdAllocation) {
