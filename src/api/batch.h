@@ -163,7 +163,8 @@ struct MatchBatchResult {
   /// `per_shard.size()` are therefore a capacity artifact after Clear —
   /// the engine resizes both to the next batch's shape before filling
   /// them. (Allocation churn on the batch path was a measured wall-clock
-  /// cost; see bench_parallel_sdi's allocation counter.)
+  /// cost; MatchPipeline.ResultReuseIsCapacityPreserving and
+  /// MatchPipeline.SteadyStateBatchesStayUnderTheAllocationBound gate it.)
   void Clear() {
     for (auto& m : matches) m.clear();
     for (auto& s : per_shard) s.Clear();

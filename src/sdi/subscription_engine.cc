@@ -496,6 +496,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
 
 SubscriptionEngine::~SubscriptionEngine() {
   if (migrator_.joinable()) {
+    HoldMovesForTesting(false);
     {
       std::unique_lock<std::mutex> lk(rebalance_mu_);
       WaitForMoveLocked(lk);
@@ -862,6 +863,14 @@ void SubscriptionEngine::SynchronizeEpochs() {
   epoch_.Synchronize();
 }
 
+void SubscriptionEngine::HoldMovesForTesting(bool hold) {
+  {
+    std::lock_guard<std::mutex> lk(rebalance_mu_);
+    moves_held_ = hold;
+  }
+  moves_held_cv_.notify_all();
+}
+
 void SubscriptionEngine::AttachDurability(durability::WriteAheadLog* wal) {
   wal_ = wal;
   if (wal_ != nullptr) wal_->AttachMetrics(metrics_.get());
@@ -1101,7 +1110,8 @@ void SubscriptionEngine::ReleaseScratch(std::unique_ptr<PipelineScratch> s) {
 //     execution and spreads across all workers; no barrier remains.
 //   - All transient state lives in a pooled PipelineScratch and the
 //     capacity-preserving MatchBatchResult, so steady-state batches
-//     allocate nothing (gated by bench_parallel_sdi's allocation counter).
+//     allocate nothing beyond pool submission (gated by
+//     MatchPipeline.SteadyStateBatchesStayUnderTheAllocationBound).
 //
 // Memory ordering: chunk output is written under the shard mutex, the
 // countdown decrement is acq_rel (the last decrementer observes every
@@ -2138,7 +2148,8 @@ void SubscriptionEngine::FinishMove(std::unique_ptr<Move> m) {
   {
     ACCL_TRACE_SPAN("routing_migrate.grace");
     {
-      std::lock_guard<std::mutex> lk(rebalance_mu_);
+      std::unique_lock<std::mutex> lk(rebalance_mu_);
+      moves_held_cv_.wait(lk, [this] { return !moves_held_; });
       PublishSnapshot(m->plan);
     }
     // Wait out the grace period but do NOT reclaim inline: retire work is

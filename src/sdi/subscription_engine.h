@@ -502,6 +502,14 @@ class SubscriptionEngine {
   /// correctness.
   void SynchronizeEpochs();
 
+  /// Test support: while held, every move stops just before its final
+  /// publish, so events keep routing under its transitional snapshot for
+  /// as long as a test needs instead of racing the migrator. Whatever
+  /// waits for a move in flight (explicit routing calls, captures,
+  /// SynchronizeEpochs, the next auto decision) waits for the release
+  /// too; the destructor releases.
+  void HoldMovesForTesting(bool hold);
+
   /// Counters of the engine's epoch manager (pins, grace periods, retired
   /// and reclaimed snapshots).
   exec::EpochManagerStats epoch_stats() const { return epoch_.stats(); }
@@ -528,8 +536,7 @@ class SubscriptionEngine {
 
   /// The same combined metric set as one JSON object keyed by metric
   /// name (counters/gauges as numbers, histograms as
-  /// {"count","sum","max","p50","p90","p99"}); embedded verbatim in
-  /// BENCH_parallel.json.
+  /// {"count","sum","max","p50","p90","p99"}).
   std::string DumpMetricsJson() const;
 
   /// Chrome trace-event JSON from the process-wide flight recorder
@@ -831,6 +838,10 @@ class SubscriptionEngine {
   bool migrator_stop_ = false;
   mutable std::condition_variable move_done_cv_;
   std::condition_variable migrate_cv_;
+  /// HoldMovesForTesting's flag (guarded by rebalance_mu_) and the
+  /// condition a held move waits on before its final publish.
+  bool moves_held_ = false;
+  std::condition_variable moves_held_cv_;
   /// The migrator thread (not joinable when no auto moves are configured).
   std::thread migrator_;
   /// Auto-rebalance in-flight flag (mutex try_lock may fail spuriously,

@@ -1,8 +1,8 @@
 // FNV-1a digesting for determinism oracles.
 //
-// The parity gates (bench_parallel_sdi's cross-thread/cross-mode digest,
-// tests/rebalance_fuzz_test's sharded-vs-serial replay oracle) hash the
-// exact (event index, sorted match ids) assignment and compare across
+// The parity gates (tests/rebalance_fuzz_test's sharded-vs-serial replay
+// oracle, tests/migration_parity_test's pinned routing-change digest) hash
+// the exact (event index, sorted match ids) assignment and compare across
 // engine configurations; they are only a shared oracle if every gate uses
 // bit-identical hashing, so the function lives here instead of being
 // re-derived per binary.

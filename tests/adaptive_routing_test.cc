@@ -395,14 +395,23 @@ TEST(AdaptiveEngine, AutoSwitchConvergesToSelectiveDimension) {
     MatchBatchResult res;
     engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
     EXPECT_GT(static_cast<double>(res.TotalShardVisits()) / 64.0, 4.0);
+    for (size_t e = 0; e < evs.size(); ++e) {
+      ASSERT_EQ(res.matches[e], BruteForceMatches(subs, evs[e])) << e;
+    }
   }
 
   // Feed windows until the advisor acts (well beyond one sample_window).
+  // Every batch, the one whose call begins the switch's move included,
+  // must equal the oracle.
   for (int round = 0; round < 12 && engine.routing_dimension() != 2u;
        ++round) {
     const std::vector<Event> evs = make_batch(64);
     MatchBatchResult res;
     engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
+    for (size_t e = 0; e < evs.size(); ++e) {
+      ASSERT_EQ(res.matches[e], BruteForceMatches(subs, evs[e]))
+          << "round " << round << " event " << e;
+    }
   }
 
   const AdaptiveRoutingStats st = engine.adaptive_stats();

@@ -19,10 +19,12 @@
 // subscription, verified by recovering the replica files from scratch.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "durability/checkpoint.h"
@@ -305,13 +307,40 @@ TEST(LogShipping, PromoteFlipsWarmFollowerToWritablePrimary) {
     SubscribeSome(primary, rng, 18, &acked);
     ASSERT_TRUE(primary.checkpointer->CheckpointNow());
     SubscribeSome(primary, rng, 5, &acked);
-    max_primary_id = acked.rbegin()->first;
     // The follower tracks the live primary; the engine it built here is
     // the one promotion must keep (bootstrap may rebuild through a
-    // checkpoint catch-up, so "warm" is captured after the pass).
+    // checkpoint catch-up, so "warm" is captured after the last pass).
     shipper = LogShipper::Create(UnitSchema(), Opts(), c.ShipOpts(nullptr),
                                  nullptr);
     ASSERT_NE(shipper, nullptr);
+    ASSERT_TRUE(shipper->ShipOnce().ok());
+    // Writers subscribe concurrently while this thread ships and
+    // checkpoints, so shipping reads a WAL that grows, rotates and is
+    // truncated under it.
+    constexpr int kWriters = 3;
+    std::vector<std::map<SubscriptionId, Box>> written(kWriters);
+    std::atomic<int> finished{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        Rng wrng(140 + t);
+        SubscribeSome(primary, wrng, 30, &written[t]);
+        finished.fetch_add(1, std::memory_order_release);
+      });
+    }
+    for (int pass = 1; finished.load(std::memory_order_acquire) < kWriters;
+         ++pass) {
+      EXPECT_TRUE(shipper->ShipOnce().ok());
+      if (pass % 4 == 0) {
+        EXPECT_TRUE(primary.checkpointer->CheckpointNow());
+      }
+    }
+    for (std::thread& w : writers) w.join();
+    for (const auto& w : written) {
+      EXPECT_EQ(w.size(), 30u);  // every concurrent write acknowledged
+      acked.insert(w.begin(), w.end());
+    }
+    max_primary_id = acked.rbegin()->first;
     ASSERT_TRUE(shipper->ShipOnce().ok());
     warm = shipper->engine();
   }  // primary gone; its files survive (shared storage)

@@ -10,11 +10,17 @@
 // crashed run acknowledged. The un-acknowledged tail may be absent (it is,
 // by construction: a failed flush never wrote the record), but never
 // corrupt and never resurrected.
+//
+// The clean-restart case runs under both commit modes and adds concurrent
+// subscribers, so a group-commit (or per-record) ack taken from several
+// threads at once must survive the restart too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "durability/checkpoint.h"
@@ -48,9 +54,9 @@ EngineOptions Opts() {
   return o;
 }
 
-DurabilityOptions DurOpts() {
+DurabilityOptions DurOpts(bool group_commit = true) {
   DurabilityOptions d;
-  d.group_commit = true;
+  d.group_commit = group_commit;
   d.checkpoint_every_mutations = 0;  // the script checkpoints explicitly
   d.background_checkpoints = false;  // deterministic op counts
   // Tiny segments so the script's flushes rotate the WAL many times and
@@ -115,6 +121,32 @@ void DriveScript(durability::DurableEngine& de,
   }
 }
 
+/// Subscribes from several threads at once and records each
+/// acknowledged subscription in `*acked`; every one must be acknowledged.
+void SubscribeConcurrently(durability::DurableEngine& de,
+                           std::map<SubscriptionId, Box>* acked) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 24;
+  std::mutex mu;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      Rng rng(3000 + t);
+      for (int i = 0; i < kPerWriter; ++i) {
+        const Box b = testutil::RandomBox(rng, kNd, 0.5f);
+        const SubscriptionId id = de.engine->SubscribeBox(b);
+        if (id == kInvalidObject) {
+          ADD_FAILURE() << "writer " << t << " lost subscription " << i;
+          continue;
+        }
+        std::lock_guard<std::mutex> lk(mu);
+        (*acked)[id] = b;
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+}
+
 std::vector<Box> Probes() {
   Rng rng(777);
   std::vector<Box> probes;
@@ -152,20 +184,24 @@ void ExpectRecoveredParity(const Paths& paths,
   }
 }
 
-TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
-  const Paths paths("clean");
+/// One durable session (the script, then concurrent subscribers), then
+/// two restarts that must reproduce exactly the acknowledged state.
+void CleanRestartRoundTrip(bool group_commit) {
+  const DurabilityOptions dopts = DurOpts(group_commit);
+  const Paths paths(group_commit ? "clean" : "clean_per_record");
   paths.Remove();
   std::map<SubscriptionId, Box> acked;
   uint64_t fences_version = 0;
   {
     durability::DurableEngine de;
     Status st;
-    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), dopts,
                                         paths.wal, paths.ckpt, nullptr, &de,
                                         &st))
         << st.message();
     EXPECT_FALSE(de.recovery.checkpoint_loaded);  // fresh start
     DriveScript(de, &acked);
+    SubscribeConcurrently(de, &acked);
     // The script's checkpoints truncated the WAL as they went, and under
     // the tiny segment size that means real segment GC: files rotated in,
     // then dropped (unlinked or spared) once a checkpoint covered them —
@@ -183,7 +219,7 @@ TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
   {
     durability::DurableEngine de;
     Status st;
-    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), dopts,
                                         paths.wal, paths.ckpt, nullptr, &de,
                                         &st));
     EXPECT_TRUE(de.recovery.checkpoint_loaded);
@@ -205,6 +241,13 @@ TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
   ExpectRecoveredParity(paths, acked, "second restart");
   (void)fences_version;
   paths.Remove();
+}
+
+TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
+  for (const bool group_commit : {true, false}) {
+    SCOPED_TRACE(group_commit ? "group commit" : "per-record sync");
+    CleanRestartRoundTrip(group_commit);
+  }
 }
 
 TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {

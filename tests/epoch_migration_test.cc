@@ -411,16 +411,24 @@ TEST(EpochMigration, AutoMoveSingleCallerExactUnderTransitionalSnapshot) {
   Rng rng(606);
   std::vector<std::pair<SubscriptionId, Box>> subs =
       SubscribeNarrow(engine.get(), rng);
+  // The move stops before its final publish until released, so the first
+  // kHeldRounds batches route under the transitional snapshot however the
+  // scheduler runs the migrator. Their 4 * kHeldRounds events stay below
+  // one sample_window, so no further decision waits on the held move.
+  constexpr int kHeldRounds = 16;
+  engine->HoldMovesForTesting(true);
   RunUntilSwitch(engine.get(), rng, subs);
 
   // The switch's call returned as soon as the transitional snapshot was
   // published; the migrator is moving ~all subscriptions now. Keep going
   // from the same thread with churn between batches: every batch must
-  // equal the oracle over the exact live set.
+  // equal the oracle over the exact live set, held and then racing the
+  // migrator's publish, grace wait and erases.
   const uint64_t transitional0 =
       Counter(*engine, "accl_pipeline_transition_events_total");
   size_t next_victim = 0;
   for (int round = 0; round < 48; ++round) {
+    if (round == kHeldRounds) engine->HoldMovesForTesting(false);
     const std::vector<Event> evs = NarrowBatch(rng, 4);
     MatchBatchResult res;
     engine->MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);

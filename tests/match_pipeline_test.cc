@@ -11,6 +11,9 @@
 //     resident_subscriptions gauge is populated under every policy.
 //   - MatchBatchResult reuse across batches is capacity-preserving: the
 //     per-event vectors' storage survives Clear() and is reused in place.
+//   - Steady-state batches are allocation-quiet: after warm-up, pooled
+//     pipeline scratch and a reused result keep every MatchBatch call at
+//     or under kMaxAllocsPerBatch heap allocations for every thread count.
 //   - An adversarial run: streamed and materialized batches stay
 //     oracle-exact while a rebalancer thread hammers RebalanceOnce and
 //     wholesale SetRangeBoundaries swaps (the TSan CI job runs this file).
@@ -22,9 +25,19 @@
 #include <utility>
 #include <vector>
 
+#include "obs/alloc_hook.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+
+// This binary counts every global operator new, so the allocation case can
+// read obs::HeapAllocsNow(). (obs_test checks the hook-free default.) Once
+// GCC inlines the hook, it flags its sized delete as mismatched, although
+// that delete frees exactly what the hook's new malloc'd.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+ACCL_OBS_INSTALL_GLOBAL_ALLOC_HOOK();
+#pragma GCC diagnostic pop
 
 namespace accl {
 namespace {
@@ -196,6 +209,41 @@ TEST(MatchPipeline, ResultReuseIsCapacityPreserving) {
     if (!first[e].empty()) {
       EXPECT_EQ(res.matches[e].data(), storage[e])
           << "event " << e << " reallocated its match storage";
+    }
+  }
+}
+
+TEST(MatchPipeline, SteadyStateBatchesStayUnderTheAllocationBound) {
+  // Once warm, a batch allocates only a constant pool-submission overhead.
+  // The pre-pipeline shape re-allocated queues, scratch and merge state on
+  // every call: thousands per batch.
+  constexpr uint64_t kMaxAllocsPerBatch = 512;
+  constexpr size_t kBatch = 256;
+  ASSERT_TRUE(obs::HeapAllocHookInstalled());
+  Rng rng(780);
+  std::vector<Box> boxes;
+  for (int i = 0; i < 4000; ++i) {
+    boxes.push_back(testutil::RandomBox(rng, kNd, 0.5f));
+  }
+  const std::vector<Event> events = MakeEvents(rng, 4 * kBatch);
+
+  for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+    SubscriptionEngine engine = MakeEngine(8, threads, ShardingPolicy::kHashId);
+    std::vector<SubscriptionId> ids;
+    engine.SubscribeBatch(Span<const Box>(boxes.data(), boxes.size()), &ids);
+    MatchBatchResult res;
+    for (int pass = 0; pass < 3; ++pass) {  // pass 0 warms up
+      for (size_t off = 0; off < events.size(); off += kBatch) {
+        const uint64_t before = obs::HeapAllocsNow();
+        engine.MatchBatch(Span<const Event>(events.data() + off, kBatch),
+                          &res);
+        const uint64_t allocs = obs::HeapAllocsNow() - before;
+        if (pass > 0) {
+          EXPECT_LE(allocs, kMaxAllocsPerBatch)
+              << "threads=" << threads << " pass=" << pass
+              << " batch at event " << off;
+        }
+      }
     }
   }
 }

@@ -9,8 +9,8 @@
 // kRange engines (several shard counts, thread counts, auto-rebalance and
 // split-capacity settings, one with the adaptive advisor live) and through
 // the serial single-index engine; every batch's match sets — and an FNV
-// digest over the exact (event, id) assignment, the same oracle
-// bench_parallel_sdi gates on — must be identical. Boundary moves,
+// digest over the exact (event, id) assignment (util/digest.h, the oracle
+// migration_parity_test pins too) — must be identical. Boundary moves,
 // dimension switches, split migrations, and advisor-driven adaptations
 // interleave with the match stream mid-log, so any routing table /
 // residency disagreement shows up as a digest divergence. Failures print
