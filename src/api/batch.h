@@ -46,13 +46,6 @@ struct ShardMetrics {
   /// repeatedly cutting dense regions push subscriptions here, and every
   /// routed event pays an overflow visit. Merge keeps the max (a gauge).
   uint64_t overflow_subscriptions = 0;
-  /// Residual-serialization counter: pipeline workers that tried to claim
-  /// a chunk of this shard's queue but found the shard mutex held (by
-  /// another worker's chunk or a concurrent caller's) and moved
-  /// on to steal elsewhere. High values on one shard mean its queue is
-  /// the batch's serialization residue — the signal behind the wall-
-  /// scaling gap the parallel benchmark tracks.
-  uint64_t try_lock_failures = 0;
 
   void Add(const QueryMetrics& m) {
     totals += m;
@@ -68,7 +61,6 @@ struct ShardMetrics {
     if (o.overflow_subscriptions > overflow_subscriptions) {
       overflow_subscriptions = o.overflow_subscriptions;
     }
-    try_lock_failures += o.try_lock_failures;
   }
   void Clear() { *this = ShardMetrics(); }
 };

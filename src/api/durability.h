@@ -113,7 +113,6 @@ struct RecoveryStats {
   bool checkpoint_loaded = false;
   uint64_t checkpoint_subscriptions = 0;
   Lsn checkpoint_lsn = 0;
-  uint64_t wal_records_scanned = 0;
   uint64_t wal_records_applied = 0;
   /// Records skipped by idempotent replay: their LSN is covered by the
   /// checkpoint, or their subscription id is already live (a fuzzy

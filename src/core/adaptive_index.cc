@@ -78,7 +78,7 @@ ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
   Cluster* cl = cluster(id);
   cl->id = id;
   cl->parent = parent;
-  cl->sig_slot = sig_table_.Add(id, cl->sig);
+  sig_table_.Add(id, cl->sig);
   if (parent != kNoCluster) cluster(parent)->children.push_back(id);
   ++live_clusters_;
   return id;
@@ -95,8 +95,7 @@ void AdaptiveIndex::FreeCluster(ClusterId id) {
     ACCL_CHECK(it != siblings.end());
     siblings.erase(it);
   }
-  const ClusterId moved = sig_table_.Remove(c->sig_slot);
-  if (moved != kNoCluster) cluster(moved)->sig_slot = c->sig_slot;
+  sig_table_.Remove(id);
   clusters_[id].reset();
   free_ids_.push_back(id);
   --live_clusters_;
@@ -306,13 +305,11 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   // Every signature is checked (paper Fig. 5 step 2): charge A per cluster.
   m->sim_time_ms += model_.A * static_cast<double>(live_clusters_);
 
-  // Admit filter over the packed signature table, then explore in cluster-id
-  // order (the order the old cluster-table walk used, so result sets and the
-  // floating-point accounting are bit-identical).
+  // Admit filter over the packed signature table. It yields ascending
+  // cluster ids: exploration runs in id order, which fixes the result order
+  // and the floating-point accounting.
   admitted_.clear();
-  admitted_.reserve(live_clusters_);
   sig_table_.CollectAdmitted(q, &admitted_);
-  std::sort(admitted_.begin(), admitted_.end());
 
   // Pre-pass: size the output for the worst case (every verified object
   // matches) and issue the pointer chases for the scattered per-cluster
@@ -337,6 +334,7 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     if (ring_.full()) ReplayAllLogs();
     slot = ring_.Push(q);
     ++round_.slots;
+    backend_->NoteDispatch(admitted_.size());  // one VerifyBatch per cluster
   }
   for (ClusterId cid : admitted_) {
     Cluster* c = cluster(cid);
@@ -357,7 +355,6 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     LogExploration(c, slot);
 
     uint64_t cluster_dims = 0;
-    backend_->NoteDispatch();
     m->result_count += backend_->VerifyBatch(c->objects.coords_data(),
                                              c->objects.ids().data(), n, bq_,
                                              out, &cluster_dims);
@@ -685,8 +682,8 @@ void AdaptiveIndex::CheckInvariants() const {
       ACCL_CHECK(cluster(ch) != nullptr);
       ACCL_CHECK(cluster(ch)->parent == c.id);
     }
-    // The signature table's packed image of this cluster agrees.
-    ACCL_CHECK(sig_table_.SlotMatches(c.sig_slot, c.id, c.sig));
+    // The signature table's row for this cluster agrees.
+    ACCL_CHECK(sig_table_.RowMatches(c.id, c.sig));
     // Every member matches the signature and the ownership map agrees,
     // including the exact slot.
     for (size_t i = 0; i < c.size(); ++i) {
@@ -714,6 +711,15 @@ void AdaptiveIndex::CheckInvariants() const {
   ACCL_CHECK(objects == object_count_);
   ACCL_CHECK(owner_.size() == object_count_);
   ACCL_CHECK(sig_table_.size() == live_clusters_);
+  // Freed rows are NaN, and the high-water id is one past the top live id.
+  const size_t high_water = sig_table_.high_water();
+  ACCL_CHECK(high_water <= clusters_.size());
+  ACCL_CHECK(high_water == 0 || clusters_[high_water - 1] != nullptr);
+  for (size_t id = 0; id < clusters_.size(); ++id) {
+    if (!clusters_[id]) {
+      ACCL_CHECK(sig_table_.RowFree(static_cast<ClusterId>(id)));
+    }
+  }
 }
 
 std::vector<ClusterImage> AdaptiveIndex::DumpClusters() const {
@@ -759,7 +765,7 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
                                        cfg.division_factor, 0.0,
                                        LogCapacity(cfg.reorg_period));
     c->parent = img.parent;
-    c->sig_slot = idx->sig_table_.Add(img.id, c->sig);
+    idx->sig_table_.Add(img.id, c->sig);
     const size_t stride = 2 * static_cast<size_t>(cfg.nd);
     ACCL_CHECK(img.coords.size() == img.ids.size() * stride);
     for (size_t i = 0; i < img.ids.size(); ++i) {

@@ -107,8 +107,8 @@ struct ClusterImage {
 /// Thread safety: none. Execute is a *logical* read but a *physical* write —
 /// it updates per-cluster and per-candidate performance indicators, decays
 /// statistics, and may run a slice of a reorganization round (that
-/// adaptivity is the paper's contribution) — and the const members below
-/// share mutable per-query scratch through SignatureTable. Concurrent use
+/// adaptivity is the paper's contribution) — and reuses per-query scratch
+/// (the signature table's query bounds, the admitted list). Concurrent use
 /// therefore requires external serialization per index; the sdi sharded
 /// engine wraps each instance behind a shard mutex and scales out across
 /// instances.
@@ -302,7 +302,7 @@ class AdaptiveIndex : public SpatialIndex {
   AdaptiveConfig cfg_;
   CostModel model_;
   /// Resolved verification backend (cfg_.verify_backend / env / widest).
-  /// Declared before sig_table_, which borrows it for its filter passes.
+  /// Declared before sig_table_, which borrows it for its admit sweep.
   const kernels::VerifyBackend* backend_;
 
   std::vector<std::unique_ptr<Cluster>> clusters_;
@@ -310,8 +310,8 @@ class AdaptiveIndex : public SpatialIndex {
   size_t live_clusters_ = 0;
   ClusterId root_ = kNoCluster;
 
-  /// Packed SoA image of all live signatures; Execute's admit filter runs
-  /// over this instead of walking the cluster table.
+  /// Packed SoA image of all live signatures, one row per cluster id;
+  /// Execute's admit filter sweeps it instead of walking the cluster table.
   SignatureTable sig_table_;
   /// Scratch for the ids admitted by the current query.
   std::vector<ClusterId> admitted_;

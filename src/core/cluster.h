@@ -48,9 +48,6 @@ struct Cluster {
   ClusterId parent = kNoCluster;
   std::vector<ClusterId> children;
 
-  /// Slot of this cluster's signature in the index's SignatureTable.
-  uint32_t sig_slot = 0xFFFFFFFFu;
-
   Signature sig;
   SlotArray objects;
 

@@ -1,17 +1,26 @@
-// Structure-of-arrays image of all live cluster signatures.
+// Structure-of-arrays image of all live cluster signatures, indexed by
+// cluster id.
 //
 // AdaptiveIndex::Execute must test every materialized cluster's signature
-// against the query (paper Fig. 5 step 2). Walking the cluster table for that
-// chases one heap pointer per cluster and re-dispatches on the relation per
-// dimension; with hundreds of clusters the admit filter dominates query wall
-// time. This table keeps a packed parallel-array copy of the per-dimension
-// signature bounds (amin/amax/bmin/bmax) in a dense slot order, maintained
-// incrementally as clusters are created and freed, so the filter becomes a
-// branch-light sweep over contiguous floats.
+// against the query (paper Fig. 5 step 2, the A term of T = A + p(B + nC)).
+// Walking the cluster table for that chases one heap pointer per cluster;
+// this table keeps a packed copy of the per-dimension signature bounds
+// (amin/amax/bmin/bmax) so the test is one branch-light SIMD sweep over
+// contiguous floats (VerifyBackend::AdmitSlots).
 //
-// Layout: four float arrays, each dimension-major with stride `cap_`
-// (entry [d * cap_ + slot]), so the per-dimension filter pass reads each
-// array sequentially and auto-vectorizes.
+// Layout: row = ClusterId. Four float arrays, each dimension-major with
+// stride `cap_` (entry [d * cap_ + id]). Every row that holds no live
+// cluster — a freed id, or any row at or above the high-water id — is NaN
+// in every entry, so every ordered compare rejects it and the sweep needs
+// no liveness test. Because a row is a cluster id, the sweep's ascending
+// survivors are already in cluster-id order, the order Execute explores in.
+//
+// Cost: the sweep covers rows [0, high_water()), rounded up to whole
+// 16-row blocks, and within a block stops at the first dimension that
+// rejects all 16 rows. So it scales with the high-water id, not the live
+// count. Ids are recycled last-freed-first and the high-water id drops
+// when the top id is freed, so freed rows only linger below the highest
+// live id.
 #pragma once
 
 #include <cstdint>
@@ -29,72 +38,57 @@ class VerifyBackend;
 
 /// Packed admit-filter index over live cluster signatures.
 ///
-/// Thread safety: CollectAdmitted is const but reuses mutable per-query
-/// scratch buffers (flags/survivor lists), so even concurrent *const* use
-/// from multiple threads is a data race. Callers must serialize access per
-/// table — AdaptiveIndex inherits this contract and documents it.
+/// Thread safety: none. CollectAdmitted writes per-query bound scratch, so
+/// callers serialize access per table — AdaptiveIndex inherits this
+/// contract and documents it.
 class SignatureTable {
  public:
-  /// `backend` drives the out-of-domain filter passes (FilterSlotsDense /
-  /// FilterSlotsSparse); nullptr selects the registry's resolved backend.
-  /// The in-domain refined-list path stays scalar regardless: it gathers
-  /// scattered slots through an index list, so a contiguous SIMD sweep has
-  /// nothing to vectorize over.
+  /// `backend` runs the admit sweep; nullptr selects the registry's
+  /// resolved backend.
   explicit SignatureTable(Dim nd,
                           const kernels::VerifyBackend* backend = nullptr);
 
   Dim dims() const { return nd_; }
-  size_t size() const { return cluster_of_.size(); }
+  /// Live rows.
+  size_t size() const { return live_; }
+  /// One past the highest live id (0 when empty).
+  size_t high_water() const { return high_water_; }
 
-  /// Registers a cluster's signature; returns its (dense) slot.
-  uint32_t Add(ClusterId id, const Signature& sig);
+  /// Registers free id `id` with `sig`'s bounds.
+  void Add(ClusterId id, const Signature& sig);
 
-  /// Swap-removes `slot`. Returns the cluster id that now occupies `slot`
-  /// (kNoCluster when `slot` was the last entry) so the caller can fix that
-  /// cluster's stored slot.
-  ClusterId Remove(uint32_t slot);
+  /// Frees live id `id`: its row turns NaN.
+  void Remove(ClusterId id);
 
   /// Drops all entries (used when rebuilding an index from images).
   void Clear();
 
-  /// Appends the cluster ids of every signature admitting `q`, in slot
-  /// order. Exactly the clusters for which Signature::AdmitsQuery is true.
-  void CollectAdmitted(const Query& q, std::vector<ClusterId>* out) const;
+  /// Appends, in ascending id order, the id of every signature admitting
+  /// `q`: exactly the clusters for which Signature::AdmitsQuery is true,
+  /// except that a NaN query coordinate admits none.
+  void CollectAdmitted(const Query& q, std::vector<ClusterId>* out);
 
-  /// Consistency probe for CheckInvariants: slot holds `id` with exactly
-  /// `sig`'s bounds.
-  bool SlotMatches(uint32_t slot, ClusterId id, const Signature& sig) const;
+  /// Consistency probes for CheckInvariants: row `id` holds exactly
+  /// `sig`'s bounds; row `id` is free (NaN throughout).
+  bool RowMatches(ClusterId id, const Signature& sig) const;
+  bool RowFree(ClusterId id) const;
 
  private:
   void Grow(size_t need);
 
   Dim nd_;
   const kernels::VerifyBackend* backend_;  ///< never null after construction
-  size_t cap_ = 0;
-  std::vector<ClusterId> cluster_of_;  ///< slot -> cluster id
-  // Signature bounds, [d * cap_ + slot]:
+  size_t cap_ = 0;  ///< rows allocated; a multiple of the 16-row block
+  size_t live_ = 0;
+  size_t high_water_ = 0;
+  // Signature bounds, [d * cap_ + id]:
   std::vector<float> amin_;  ///< start_var(d).lo
   std::vector<float> amax_;  ///< start_var(d).hi
   std::vector<float> bmin_;  ///< end_var(d).lo
   std::vector<float> bmax_;  ///< end_var(d).hi
-  /// True iff the stored bounds of (dim, slot) can reject some in-domain
-  /// query, i.e. the variation intervals are narrower than the full domain.
-  bool RefinedAt(Dim d, uint32_t slot) const {
-    return amin_[d * cap_ + slot] != kDomainMin ||
-           amax_[d * cap_ + slot] != kDomainMax ||
-           bmin_[d * cap_ + slot] != kDomainMin ||
-           bmax_[d * cap_ + slot] != kDomainMax;
-  }
-
-  /// Slots whose signature is refined (non-full-domain) on each dimension.
-  /// A full-domain dimension passes every relation's admit test for any
-  /// query inside the domain, so the filter only has to test each slot on
-  /// the dimensions listed here — typically one or two per cluster.
-  std::vector<std::vector<uint32_t>> refined_;
-  mutable std::vector<uint8_t> flags_;  ///< per-query admit flags scratch
-  // Per-query survivor-list scratch for the out-of-domain fallback path.
-  mutable std::vector<uint32_t> survivors_;
-  mutable std::vector<uint32_t> scratch_;
+  /// The current query's per-dimension bounds: [0, nd) compared with <=,
+  /// [nd, 2nd) with >=.
+  std::vector<float> bounds_;
 };
 
 }  // namespace accl

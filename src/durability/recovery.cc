@@ -32,7 +32,6 @@ namespace accl {
 
 void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
                                          RecoveryStats* rs) {
-  ++rs->wal_records_scanned;
   switch (rec.type) {
     case durability::WalRecordType::kSubscribe:
     case durability::WalRecordType::kSubscribeBatch: {

@@ -97,7 +97,7 @@ size_t VerifyBatch(const float* coords, const ObjectId* ids, size_t n,
                    const BatchQuery& bq, std::vector<ObjectId>* out,
                    uint64_t* dims_checked) {
   const VerifyBackend* b = BackendRegistry::Instance().Resolve("");
-  b->NoteDispatch();
+  b->NoteDispatch(1);
   return b->VerifyBatch(coords, ids, n, bq, out, dims_checked);
 }
 

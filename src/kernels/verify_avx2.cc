@@ -33,6 +33,22 @@ struct Avx2Probe {
   }
 };
 
+struct Avx2AdmitBlock {
+  static inline uint32_t Pass(const float* le, const float* ge,
+                              float le_bound, float ge_bound) {
+    const __m256 leb = _mm256_set1_ps(le_bound);
+    const __m256 geb = _mm256_set1_ps(ge_bound);
+    uint32_t m = 0;
+    for (size_t g = 0; g < 16; g += 8) {
+      const __m256 pass = _mm256_and_ps(
+          _mm256_cmp_ps(_mm256_loadu_ps(le + g), leb, _CMP_LE_OQ),
+          _mm256_cmp_ps(_mm256_loadu_ps(ge + g), geb, _CMP_GE_OQ));
+      m |= static_cast<uint32_t>(_mm256_movemask_ps(pass)) << g;
+    }
+    return m;
+  }
+};
+
 class Avx2Backend final : public VerifyBackend {
  public:
   const char* name() const override { return "avx2"; }
@@ -48,29 +64,11 @@ class Avx2Backend final : public VerifyBackend {
                                               dims_checked);
   }
 
-  size_t FilterSlotsDense(const float* le, const float* ge, float le_bound,
-                          float ge_bound, size_t n,
-                          uint32_t* out_slots) const override {
-    const __m256 leb = _mm256_set1_ps(le_bound);
-    const __m256 geb = _mm256_set1_ps(ge_bound);
-    size_t count = 0;
-    size_t s = 0;
-    for (; s + 8 <= n; s += 8) {
-      const __m256 pass = _mm256_and_ps(
-          _mm256_cmp_ps(_mm256_loadu_ps(le + s), leb, _CMP_LE_OQ),
-          _mm256_cmp_ps(_mm256_loadu_ps(ge + s), geb, _CMP_GE_OQ));
-      uint32_t m = static_cast<uint32_t>(_mm256_movemask_ps(pass));
-      while (m != 0) {  // ascending: ctz walks low bit to high
-        const uint32_t b = static_cast<uint32_t>(__builtin_ctz(m));
-        m &= m - 1;
-        out_slots[count++] = static_cast<uint32_t>(s + b);
-      }
-    }
-    for (; s < n; ++s) {
-      out_slots[count] = static_cast<uint32_t>(s);
-      count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-    }
-    return count;
+  size_t AdmitSlots(const float* le, const float* ge, size_t stride,
+                    const float* le_bound, const float* ge_bound, Dim nd,
+                    size_t n, uint32_t* out_slots) const override {
+    return detail::AdmitSlotsImpl<Avx2AdmitBlock>(le, ge, stride, le_bound,
+                                                  ge_bound, nd, n, out_slots);
   }
 
   void RankAccepting(const float* cols, size_t col_stride, size_t n,

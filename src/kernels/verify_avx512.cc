@@ -26,6 +26,16 @@ struct Avx512Probe {
   }
 };
 
+struct Avx512AdmitBlock {
+  static inline uint32_t Pass(const float* le, const float* ge,
+                              float le_bound, float ge_bound) {
+    return _mm512_cmp_ps_mask(_mm512_loadu_ps(le), _mm512_set1_ps(le_bound),
+                              _CMP_LE_OQ) &
+           _mm512_cmp_ps_mask(_mm512_loadu_ps(ge), _mm512_set1_ps(ge_bound),
+                              _CMP_GE_OQ);
+  }
+};
+
 class Avx512Backend final : public VerifyBackend {
  public:
   const char* name() const override { return "avx512"; }
@@ -41,31 +51,11 @@ class Avx512Backend final : public VerifyBackend {
                                                 dims_checked);
   }
 
-  size_t FilterSlotsDense(const float* le, const float* ge, float le_bound,
-                          float ge_bound, size_t n,
-                          uint32_t* out_slots) const override {
-    const __m512 leb = _mm512_set1_ps(le_bound);
-    const __m512 geb = _mm512_set1_ps(ge_bound);
-    // Compress-store writes the surviving lane indices contiguously in lane
-    // order, which is exactly the ascending-slot contract.
-    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                           11, 12, 13, 14, 15);
-    size_t count = 0;
-    size_t s = 0;
-    for (; s + 16 <= n; s += 16) {
-      const __mmask16 pass = static_cast<__mmask16>(
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(le + s), leb, _CMP_LE_OQ) &
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(ge + s), geb, _CMP_GE_OQ));
-      const __m512i slots =
-          _mm512_add_epi32(lane, _mm512_set1_epi32(static_cast<int>(s)));
-      _mm512_mask_compressstoreu_epi32(out_slots + count, pass, slots);
-      count += static_cast<size_t>(__builtin_popcount(pass));
-    }
-    for (; s < n; ++s) {
-      out_slots[count] = static_cast<uint32_t>(s);
-      count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-    }
-    return count;
+  size_t AdmitSlots(const float* le, const float* ge, size_t stride,
+                    const float* le_bound, const float* ge_bound, Dim nd,
+                    size_t n, uint32_t* out_slots) const override {
+    return detail::AdmitSlotsImpl<Avx512AdmitBlock>(
+        le, ge, stride, le_bound, ge_bound, nd, n, out_slots);
   }
 
   void RankAccepting(const float* cols, size_t col_stride, size_t n,

@@ -1,30 +1,27 @@
 #include "kernels/verify_backend.h"
 
+#include "kernels/verify_common.h"
+
 namespace accl::kernels {
 
-size_t VerifyBackend::FilterSlotsDense(const float* le, const float* ge,
-                                       float le_bound, float ge_bound,
-                                       size_t n, uint32_t* out_slots) const {
-  // Branchless compaction: write unconditionally, advance on survival.
-  size_t count = 0;
-  for (size_t s = 0; s < n; ++s) {
-    out_slots[count] = static_cast<uint32_t>(s);
-    count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-  }
-  return count;
-}
+namespace {
 
-size_t VerifyBackend::FilterSlotsSparse(const float* le, const float* ge,
-                                        float le_bound, float ge_bound,
-                                        const uint32_t* in, size_t n,
-                                        uint32_t* out_slots) const {
-  size_t kept = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t s = in[i];
-    out_slots[kept] = s;
-    kept += (le[s] <= le_bound) & (ge[s] >= ge_bound);
+struct ScalarAdmitBlock {
+  static uint32_t Pass(const float* le, const float* ge, float le_bound,
+                       float ge_bound) {
+    return detail::AdmitPassScalar(le, ge, le_bound, ge_bound,
+                                   detail::kAdmitBlock);
   }
-  return kept;
+};
+
+}  // namespace
+
+size_t VerifyBackend::AdmitSlots(const float* le, const float* ge,
+                                 size_t stride, const float* le_bound,
+                                 const float* ge_bound, Dim nd, size_t n,
+                                 uint32_t* out_slots) const {
+  return detail::AdmitSlotsImpl<ScalarAdmitBlock>(le, ge, stride, le_bound,
+                                                  ge_bound, nd, n, out_slots);
 }
 
 void VerifyBackend::RankAccepting(const float* cols, size_t col_stride,

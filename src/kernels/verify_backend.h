@@ -74,32 +74,28 @@ class VerifyBackend {
                              std::vector<ObjectId>* out,
                              uint64_t* dims_checked) const = 0;
 
-  // ---- Admit-filter sweeps (SignatureTable::CollectAdmitted) ---------
+  // ---- Admit-filter sweep (SignatureTable::CollectAdmitted) ----------
   //
-  // One dimension of the signature admit test is two bound comparisons
-  // against packed per-slot arrays: slot s survives iff
+  // The signature admit test over `n` table rows. `le` and `ge` are
+  // dimension-major arrays with stride `stride` (entry [d * stride + s]);
+  // row s survives iff, for every d < nd,
   //
-  //     le[s] <= le_bound  &&  ge[s] >= ge_bound.
+  //     le[d * stride + s] <= le_bound[d]  &&  ge[d * stride + s] >= ge_bound[d]
   //
-  // FilterSlotsDense scans slots [0, n) and writes the survivors'
-  // ascending slot numbers to `out_slots` (capacity >= n), returning the
-  // survivor count. FilterSlotsSparse does the same over an explicit
-  // ascending slot list `in` (out_slots may not alias `in`). Both carry
-  // no dims accounting — the admit filter is charged per cluster (the
-  // cost model's A term), not per dimension — but the survivor sets and
-  // their order are contract: every backend must emit exactly the slots
-  // the scalar loop emits, ascending.
+  // (ordered compares: a NaN entry or bound never survives). The survivors'
+  // ascending row numbers go to `out_slots` (capacity >= n); the return
+  // value is their count. Backends test 16 rows per block, AND the
+  // dimensions into the block's mask and leave the block once it is empty,
+  // but the survivor list and its order are contract: every backend must
+  // emit exactly the scalar reference's. No dims accounting — the admit
+  // filter is charged per cluster (the cost model's A term), not per
+  // dimension.
   //
-  // The base-class implementations are the scalar reference; vector
-  // backends override the dense sweep (contiguous loads + compress) and
-  // inherit the sparse one (gather-shaped, rarely worth vectorizing).
-  virtual size_t FilterSlotsDense(const float* le, const float* ge,
-                                  float le_bound, float ge_bound, size_t n,
-                                  uint32_t* out_slots) const;
-  virtual size_t FilterSlotsSparse(const float* le, const float* ge,
-                                   float le_bound, float ge_bound,
-                                   const uint32_t* in, size_t n,
-                                   uint32_t* out_slots) const;
+  // The base-class implementation is the scalar reference; the vector
+  // backends override it with their own 16-row block test.
+  virtual size_t AdmitSlots(const float* le, const float* ge, size_t stride,
+                            const float* le_bound, const float* ge_bound,
+                            Dim nd, size_t n, uint32_t* out_slots) const;
 
   // ---- Batched placement (AdaptiveIndex::BulkInsert) -----------------
   //
@@ -130,11 +126,12 @@ class VerifyBackend {
   // ---- Dispatch accounting -------------------------------------------
   //
   // Call sites that resolve a backend once and loop (the adaptive index's
-  // verify loop) note each dispatch here; the BackendRegistry attaches
-  // every registered backend's counter to the process-default
-  // MetricsRegistry as accl_kernel_dispatch_<name>_total, so engine
-  // metric dumps show which kernel actually ran and how often.
-  void NoteDispatch() const { dispatch_count_.Add(1); }
+  // verify loop) note the loop's `n` VerifyBatch dispatches here in one
+  // call; the BackendRegistry attaches every registered backend's counter
+  // to the process-default MetricsRegistry as
+  // accl_kernel_dispatch_<name>_total, so engine metric dumps show which
+  // kernel actually ran and how often.
+  void NoteDispatch(uint64_t n) const { dispatch_count_.Add(n); }
   uint64_t dispatch_count() const { return dispatch_count_.Value(); }
   obs::Counter* dispatch_counter() const { return &dispatch_count_; }
 

@@ -14,6 +14,14 @@
 //   static size_t FirstFail(const float* o, const float* bg, const float* bl);
 //     // smallest k in [0, kChunk) with o[k] > bg[k] || o[k] < bl[k],
 //     // or kChunk when the whole chunk passes.
+//
+// The admit sweep (VerifyBackend::AdmitSlots) has a skeleton here too:
+// 16-row blocks, one pass mask per block ANDed over the dimensions until it
+// empties, a scalar test for the rows past the last full block, survivors
+// emitted low bit first. A backend supplies only the full block's test:
+//   static uint32_t Pass(const float* le, const float* ge, float le_bound,
+//                        float ge_bound);
+//     // bit j set iff le[j] <= le_bound && ge[j] >= ge_bound, j in [0, 16).
 #pragma once
 
 #include <algorithm>
@@ -86,6 +94,52 @@ size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
   }
   *dims_checked += dims;
   return matches;
+}
+
+constexpr size_t kAdmitBlock = 16;
+
+/// Admit test of rows [0, n) of one dimension, bit j for row j (n <= 16).
+inline uint32_t AdmitPassScalar(const float* le, const float* ge,
+                                float le_bound, float ge_bound, size_t n) {
+  uint32_t m = 0;
+  for (size_t j = 0; j < n; ++j) {
+    m |= static_cast<uint32_t>((le[j] <= le_bound) & (ge[j] >= ge_bound))
+         << j;
+  }
+  return m;
+}
+
+template <typename Block>
+size_t AdmitSlotsImpl(const float* le, const float* ge, size_t stride,
+                      const float* le_bound, const float* ge_bound, Dim nd,
+                      size_t n, uint32_t* out_slots) {
+  size_t count = 0;
+  // Rows [base, base + bn) through `pass`, one dimension at a time.
+  const auto sweep = [&](size_t base, size_t bn, auto pass) {
+    const float* l = le + base;
+    const float* g = ge + base;
+    uint32_t m = (1u << bn) - 1;
+    for (Dim d = 0; d < nd && m != 0; ++d, l += stride, g += stride) {
+      m &= pass(l, g, le_bound[d], ge_bound[d]);
+    }
+    while (m != 0) {
+      out_slots[count++] =
+          static_cast<uint32_t>(base) + static_cast<uint32_t>(__builtin_ctz(m));
+      m &= m - 1;
+    }
+  };
+  size_t base = 0;
+  for (; base + kAdmitBlock <= n; base += kAdmitBlock) {
+    sweep(base, kAdmitBlock, [](const float* l, const float* g, float lb,
+                                float gb) { return Block::Pass(l, g, lb, gb); });
+  }
+  if (base < n) {
+    const size_t bn = n - base;
+    sweep(base, bn, [bn](const float* l, const float* g, float lb, float gb) {
+      return AdmitPassScalar(l, g, lb, gb, bn);
+    });
+  }
+  return count;
 }
 
 }  // namespace accl::kernels::detail

@@ -33,6 +33,21 @@ struct Sse2Probe {
   }
 };
 
+struct Sse2AdmitBlock {
+  static inline uint32_t Pass(const float* le, const float* ge,
+                              float le_bound, float ge_bound) {
+    const __m128 leb = _mm_set1_ps(le_bound);
+    const __m128 geb = _mm_set1_ps(ge_bound);
+    uint32_t m = 0;
+    for (size_t g = 0; g < 16; g += 4) {
+      const __m128 pass = _mm_and_ps(_mm_cmple_ps(_mm_loadu_ps(le + g), leb),
+                                     _mm_cmpge_ps(_mm_loadu_ps(ge + g), geb));
+      m |= static_cast<uint32_t>(_mm_movemask_ps(pass)) << g;
+    }
+    return m;
+  }
+};
+
 class Sse2Backend final : public VerifyBackend {
  public:
   const char* name() const override { return "sse2"; }
@@ -48,28 +63,11 @@ class Sse2Backend final : public VerifyBackend {
                                               dims_checked);
   }
 
-  size_t FilterSlotsDense(const float* le, const float* ge, float le_bound,
-                          float ge_bound, size_t n,
-                          uint32_t* out_slots) const override {
-    const __m128 leb = _mm_set1_ps(le_bound);
-    const __m128 geb = _mm_set1_ps(ge_bound);
-    size_t count = 0;
-    size_t s = 0;
-    for (; s + 4 <= n; s += 4) {
-      const __m128 pass = _mm_and_ps(_mm_cmple_ps(_mm_loadu_ps(le + s), leb),
-                                     _mm_cmpge_ps(_mm_loadu_ps(ge + s), geb));
-      uint32_t m = static_cast<uint32_t>(_mm_movemask_ps(pass));
-      while (m != 0) {  // ascending: ctz walks low bit to high
-        const uint32_t b = static_cast<uint32_t>(__builtin_ctz(m));
-        m &= m - 1;
-        out_slots[count++] = static_cast<uint32_t>(s + b);
-      }
-    }
-    for (; s < n; ++s) {
-      out_slots[count] = static_cast<uint32_t>(s);
-      count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-    }
-    return count;
+  size_t AdmitSlots(const float* le, const float* ge, size_t stride,
+                    const float* le_bound, const float* ge_bound, Dim nd,
+                    size_t n, uint32_t* out_slots) const override {
+    return detail::AdmitSlotsImpl<Sse2AdmitBlock>(le, ge, stride, le_bound,
+                                                  ge_bound, nd, n, out_slots);
   }
 
   void RankAccepting(const float* cols, size_t col_stride, size_t n,

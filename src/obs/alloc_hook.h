@@ -34,9 +34,23 @@ void MarkHeapAllocHookInstalled();
 
 }  // namespace accl::obs
 
+// Once GCC inlines the hook, it flags the sized delete as mismatched with
+// the hook's new, although that delete frees exactly what the new
+// malloc'd; the hook silences that warning for its own definitions.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ACCL_OBS_ALLOC_HOOK_DIAG_PUSH_ \
+  _Pragma("GCC diagnostic push")       \
+      _Pragma("GCC diagnostic ignored \"-Wmismatched-new-delete\"")
+#define ACCL_OBS_ALLOC_HOOK_DIAG_POP_ _Pragma("GCC diagnostic pop")
+#else
+#define ACCL_OBS_ALLOC_HOOK_DIAG_PUSH_
+#define ACCL_OBS_ALLOC_HOOK_DIAG_POP_
+#endif
+
 /// Expands, exactly once per binary and at namespace scope, to a
 /// counting replacement of the global allocation operators.
 #define ACCL_OBS_INSTALL_GLOBAL_ALLOC_HOOK()                                 \
+  ACCL_OBS_ALLOC_HOOK_DIAG_PUSH_                                             \
   void* operator new(std::size_t size) {                                     \
     ::accl::obs::HeapAllocCount().fetch_add(1, std::memory_order_relaxed);   \
     if (void* p = std::malloc(size ? size : 1)) return p;                    \
@@ -53,4 +67,5 @@ void MarkHeapAllocHookInstalled();
   };                                                                         \
   static const HeapAllocHookInstaller heap_alloc_hook_installer{};           \
   }                                                                          \
+  ACCL_OBS_ALLOC_HOOK_DIAG_POP_                                              \
   static_assert(true, "require a trailing semicolon")

@@ -161,10 +161,8 @@ struct SubscriptionEngine::PipelineScratch {
   /// result object); pooled with the rest of the scratch.
   MatchBatchResult sink_result;
 
-  // ---- Residual-serialization counters (worker-indexed, disjoint;
+  // ---- Residual-serialization counter (worker-indexed, disjoint;
   // folded into the result after the fan-out joins) ----
-  /// try_lock_fail[w][s]: worker w's failed claim attempts on shard s.
-  std::vector<std::vector<uint64_t>> try_lock_fail;
   /// pop_retry[w]: worker w's failed ready-stack head-CAS iterations.
   std::vector<uint64_t> pop_retry;
 
@@ -1243,10 +1241,8 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
           : 1;
   if (ps.gather.size() < workers) ps.gather.resize(workers);
   if (ps.worker_query.size() < workers) ps.worker_query.resize(workers);
-  // Residual-serialization counters: one row per worker (disjoint writes),
-  // folded below after the fan-out joins.
-  if (ps.try_lock_fail.size() < workers) ps.try_lock_fail.resize(workers);
-  for (size_t w = 0; w < workers; ++w) ps.try_lock_fail[w].assign(k, 0);
+  // Residual-serialization counter: one entry per worker (disjoint
+  // writes), folded below after the fan-out joins.
   ps.pop_retry.assign(workers, 0);
 
   if (workers > 1) {
@@ -1262,17 +1258,11 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   // not run pinned (it may wait for an in-flight move's grace period).
   guard.Release();
 
-  uint64_t trylock_fail_total = 0;
   uint64_t pop_retry_total = 0;
   for (size_t w = 0; w < workers; ++w) {
-    for (size_t s = 0; s < k; ++s) {
-      res->per_shard[s].try_lock_failures += ps.try_lock_fail[w][s];
-      trylock_fail_total += ps.try_lock_fail[w][s];
-    }
     res->ready_pop_retries += ps.pop_retry[w];
     pop_retry_total += ps.pop_retry[w];
   }
-  obs_->trylock_failures->Add(trylock_fail_total);
   obs_->ready_pop_retries->Add(pop_retry_total);
   res->AggregateShards();
   // Read after the fan-out drains: the call's full end-to-end duration.
@@ -1304,6 +1294,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   // while cheap, are still shared cache lines.
   uint64_t chunks_claimed = 0;
   uint64_t chunks_stolen = 0;
+  uint64_t trylock_failures = 0;
   uint64_t matched_total = 0;
   uint64_t verified_total = 0;
   std::vector<ObjectId>& buf = ps.gather[worker_id];
@@ -1434,7 +1425,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
       if (first_pending == k) first_pending = s;
       Shard& sh = *snap->shards[s];
       if (!sh.mu.try_lock()) {  // busy: steal from the next shard
-        ++ps.try_lock_fail[worker_id][s];
+        ++trylock_failures;
         continue;
       }
       size_t p, end;
@@ -1483,6 +1474,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   }
   obs_->chunks_claimed->Add(chunks_claimed);
   obs_->chunks_stolen->Add(chunks_stolen);
+  obs_->trylock_failures->Add(trylock_failures);
   obs_->matches->Add(matched_total);
   obs_->objects_verified->Add(verified_total);
 }

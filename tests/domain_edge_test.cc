@@ -1,11 +1,12 @@
 // Regression tests for the SignatureTable admit filter's domain edge cases:
-// degenerate query boxes (lo == hi on some or all dimensions) stay on the
-// in-domain fast path, boxes partially or entirely outside [0,1] take the
-// dense fallback, and in every case AdaptiveIndex results must match
-// SeqScan exactly and CollectAdmitted must equal brute-force AdmitsQuery.
+// degenerate query boxes (lo == hi on some or all dimensions) and boxes
+// partially or entirely outside [0,1]. In every case AdaptiveIndex results
+// must match SeqScan exactly, and CollectAdmitted must equal brute-force
+// AdmitsQuery in ascending id order, also while ids are freed and recycled.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "core/adaptive_index.h"
@@ -148,7 +149,6 @@ TEST(DomainEdges, CollectAdmittedEqualsBruteForceAdmitsQuery) {
   const auto check = [&](const Query& q, const char* what) {
     std::vector<ClusterId> got;
     table.CollectAdmitted(q, &got);
-    std::sort(got.begin(), got.end());
     std::vector<ClusterId> expect;
     for (const auto& [id, sig] : sigs) {
       if (sig.AdmitsQuery(q)) expect.push_back(id);
@@ -178,6 +178,78 @@ TEST(DomainEdges, CollectAdmittedEqualsBruteForceAdmitsQuery) {
       }
       check(Query(shifted, rel), "shifted");
     }
+  }
+}
+
+// Freed rows must never be admitted, recycled ids must take their new
+// signature, and the output must stay in ascending id order while the
+// high-water id moves both ways. Ids are recycled last-freed-first, as
+// AdaptiveIndex does.
+TEST(DomainEdges, CollectAdmittedTracksRemoveAndRecycle) {
+  Rng rng(29);
+  SignatureTable table(kNd);
+  std::map<ClusterId, Signature> live;
+  std::vector<ClusterId> free_ids;
+  ClusterId next_id = 0;
+  const auto add = [&] {
+    ClusterId id = next_id;
+    if (!free_ids.empty()) {
+      id = free_ids.back();
+      free_ids.pop_back();
+    } else {
+      ++next_id;
+    }
+    Signature s = RandomRefinedSignature(
+        rng, static_cast<Dim>(rng.NextBelow(kNd + 1)), 4);
+    table.Add(id, s);
+    live.insert_or_assign(id, std::move(s));
+  };
+  const auto remove = [&](ClusterId id) {
+    table.Remove(id);
+    live.erase(id);
+    free_ids.push_back(id);
+  };
+  const auto check = [&](int step) {
+    ASSERT_EQ(table.size(), live.size()) << "step " << step;
+    ASSERT_EQ(table.high_water(), live.empty() ? 0 : live.rbegin()->first + 1)
+        << "step " << step;
+    for (const Relation rel : {Relation::kIntersects, Relation::kContainedBy,
+                               Relation::kEncloses}) {
+      const Query q(testutil::RandomBox(rng, kNd, 0.6f), rel);
+      std::vector<ClusterId> got;
+      table.CollectAdmitted(q, &got);
+      std::vector<ClusterId> expect;
+      for (const auto& [id, sig] : live) {
+        if (sig.AdmitsQuery(q)) expect.push_back(id);
+      }
+      ASSERT_EQ(got, expect) << "step " << step;
+    }
+  };
+
+  for (int i = 0; i < 40; ++i) add();
+  int step = 0;
+  check(step++);
+  for (int round = 0; round < 300; ++round) {
+    const uint64_t roll = rng.NextBelow(10);
+    if (roll < 2 && !live.empty()) {
+      remove(live.rbegin()->first);  // the top id: high water drops
+    } else if (roll < 6 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, rng.NextBelow(live.size()));
+      remove(it->first);
+    } else {
+      add();
+    }
+    check(step++);
+  }
+  // Drain to empty and refill: every row freed, then reused.
+  while (!live.empty()) {
+    remove(live.begin()->first);
+    check(step++);
+  }
+  for (int i = 0; i < 20; ++i) {
+    add();
+    check(step++);
   }
 }
 

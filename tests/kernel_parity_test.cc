@@ -9,8 +9,8 @@
 // unaligned tails) and batch sizes around the 64-record block boundary,
 // plus degenerate point queries and boundary-touching coordinates.
 //
-// Also covered here: FilterSlotsDense/Sparse parity (the SignatureTable
-// seam), RankAccepting parity (BulkInsert's placement seam), registry
+// Also covered here: AdmitSlots parity (the SignatureTable admit sweep),
+// RankAccepting parity (BulkInsert's placement seam), registry
 // selection (widest supported), the ACCL_FORCE_BACKEND env pin, the
 // AdaptiveConfig::verify_backend request, and ValidateOptions' rejection
 // of unknown backend names.
@@ -140,55 +140,104 @@ TEST(KernelParity, DegenerateAndBoundaryTouching) {
   }
 }
 
-TEST(KernelParity, FilterSlotsDenseAndSparse) {
+// SignatureTable's admit sweep: random signature tables (dimension-major,
+// padded stride, mostly full-domain entries like real signatures, refined
+// entries on piece bounds or one ulp beside them, whole NaN rows like freed
+// ids, stray NaN entries), probed with query bounds on and beside the same
+// edges, through each relation's pair of arrays. Every backend must emit
+// the scalar reference's survivors in the same ascending order, and the
+// reference must equal a per-row brute force.
+TEST(KernelParity, AdmitSlotsAllBackends) {
   Rng rng(404);
   const VerifyBackend* ref = Scalar();
-  for (size_t n : {1u, 5u, 7u, 8u, 15u, 16u, 17u, 64u, 100u, 333u}) {
-    std::vector<float> le(n), ge(n);
-    for (size_t s = 0; s < n; ++s) {
-      le[s] = rng.NextFloat();
-      ge[s] = rng.NextFloat();
+  const float kEdges[] = {0.0f, 0.25f, 0.5f, 0.75f, 1.0f};
+  const auto edge = [&] {
+    const float e = kEdges[rng.NextBelow(5)];
+    switch (rng.NextBelow(4)) {
+      case 0:
+        return std::nextafter(e, 2.0f);
+      case 1:
+        return std::nextafter(e, -1.0f);
+      default:
+        return e;
     }
-    // Sprinkle exact-equality entries so ties exercise <= / >= edges.
-    for (size_t s = 0; s < n; s += 3) le[s] = 0.5f;
-    for (size_t s = 0; s < n; s += 4) ge[s] = 0.5f;
-    for (int t = 0; t < 10; ++t) {
-      const float le_b = (t == 0) ? 0.5f : rng.NextFloat();
-      const float ge_b = (t == 1) ? 0.5f : rng.NextFloat();
-
-      std::vector<uint32_t> expect(n), got(n);
-      const size_t ecount =
-          ref->FilterSlotsDense(le.data(), ge.data(), le_b, ge_b, n,
-                                expect.data());
-      for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
-        const size_t gcount = b->FilterSlotsDense(le.data(), ge.data(), le_b,
-                                                  ge_b, n, got.data());
-        ASSERT_EQ(gcount, ecount) << b->name() << " dense n=" << n;
-        for (size_t i = 0; i < ecount; ++i) {
-          ASSERT_EQ(got[i], expect[i]) << b->name() << " dense slot order";
+  };
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 33; ++n) sizes.push_back(n);
+  for (size_t n : {47u, 48u, 49u, 100u, 257u}) sizes.push_back(n);
+  uint64_t admitted = 0, rejected = 0;
+  for (Dim nd = 1; nd <= 40; ++nd) {
+    for (size_t n : sizes) {
+      const size_t stride = n + 3;
+      // amin, amax, bmin, bmax as SignatureTable lays them out.
+      std::vector<float> amin(nd * stride), amax(nd * stride),
+          bmin(nd * stride), bmax(nd * stride);
+      for (size_t s = 0; s < n; ++s) {
+        const bool free_row = rng.NextBelow(8) == 0;
+        for (Dim d = 0; d < nd; ++d) {
+          const size_t i = d * stride + s;
+          amin[i] = bmin[i] = 0.0f;
+          amax[i] = bmax[i] = 1.0f;
+          if (free_row) {
+            amin[i] = amax[i] = bmin[i] = bmax[i] = std::nanf("");
+          } else if (rng.NextBelow(6) == 0) {
+            amin[i] = edge();
+            amax[i] = edge();
+            bmin[i] = edge();
+            bmax[i] = edge();
+          } else if (rng.NextBelow(200) == 0) {
+            (rng.NextBelow(2) ? amin[i] : bmax[i]) = std::nanf("");
+          }
         }
       }
+      std::vector<float> lo(nd), hi(nd);
+      for (int t = 0; t < 4; ++t) {
+        for (Dim d = 0; d < nd; ++d) {
+          lo[d] = edge();
+          hi[d] = rng.NextBelow(3) == 0 ? lo[d] : edge();
+          if (t == 3 && rng.NextBelow(50) == 0) lo[d] = std::nanf("");
+        }
+        for (Relation rel : kRelations) {
+          // The arrays and bounds SignatureTable::CollectAdmitted passes.
+          const float* le = rel == Relation::kContainedBy ? bmin.data()
+                                                           : amin.data();
+          const float* ge = rel == Relation::kContainedBy ? amax.data()
+                                                           : bmax.data();
+          const std::vector<float>& le_b = rel == Relation::kEncloses ? lo : hi;
+          const std::vector<float>& ge_b = rel == Relation::kEncloses ? hi : lo;
 
-      // Sparse pass over a random subset (strictly ascending slots).
-      std::vector<uint32_t> in;
-      for (size_t s = 0; s < n; ++s) {
-        if (rng.NextFloat() < 0.4f) in.push_back(static_cast<uint32_t>(s));
-      }
-      std::vector<uint32_t> sexpect(in.size()), sgot(in.size());
-      const size_t scount =
-          ref->FilterSlotsSparse(le.data(), ge.data(), le_b, ge_b, in.data(),
-                                 in.size(), sexpect.data());
-      for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
-        const size_t c = b->FilterSlotsSparse(le.data(), ge.data(), le_b,
-                                              ge_b, in.data(), in.size(),
-                                              sgot.data());
-        ASSERT_EQ(c, scount) << b->name() << " sparse n=" << in.size();
-        for (size_t i = 0; i < scount; ++i) {
-          ASSERT_EQ(sgot[i], sexpect[i]) << b->name() << " sparse slot order";
+          std::vector<uint32_t> brute;
+          for (size_t s = 0; s < n; ++s) {
+            bool pass = true;
+            for (Dim d = 0; d < nd; ++d) {
+              pass = pass && le[d * stride + s] <= le_b[d] &&
+                     ge[d * stride + s] >= ge_b[d];
+            }
+            if (pass) brute.push_back(static_cast<uint32_t>(s));
+          }
+          admitted += brute.size();
+          rejected += n - brute.size();
+
+          std::vector<uint32_t> expect(n + 1, 0xFFFFFFFFu);
+          expect.resize(ref->AdmitSlots(le, ge, stride, le_b.data(),
+                                        ge_b.data(), nd, n, expect.data()));
+          ASSERT_EQ(expect, brute)
+              << "scalar reference, nd=" << nd << " n=" << n << " "
+              << RelationName(rel);
+          for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
+            std::vector<uint32_t> got(n + 1, 0xFFFFFFFFu);
+            got.resize(b->AdmitSlots(le, ge, stride, le_b.data(), ge_b.data(),
+                                     nd, n, got.data()));
+            ASSERT_EQ(got, expect) << b->name() << " nd=" << nd << " n=" << n
+                                   << " " << RelationName(rel);
+          }
         }
       }
     }
   }
+  // Both outcomes occur often enough to mean something.
+  EXPECT_GT(admitted, 10000u);
+  EXPECT_GT(rejected, 10000u);
 }
 
 TEST(KernelParity, RankAcceptingAllBackends) {
@@ -356,11 +405,16 @@ TEST(KernelParity, AdaptiveIndexPinnedBackendsAgree) {
     AdaptiveIndex idx(cfg);
     EXPECT_EQ(std::string(idx.verify_kernel().backend), backend);
     testutil::Load(idx, ds);
+    // One VerifyBatch dispatch is counted per explored cluster.
+    const VerifyBackend* kernel = reg.Find(backend);
     Outcome o;
     for (const Query& q : queries) {
       QueryMetrics m;
+      const uint64_t dispatched = kernel->dispatch_count();
       o.results.push_back(testutil::RunQuery(idx, q, &m));
       o.metrics.push_back(m);
+      EXPECT_EQ(kernel->dispatch_count() - dispatched, m.groups_explored)
+          << backend;
     }
     o.clusters = idx.cluster_count();
     return o;

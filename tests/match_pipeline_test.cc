@@ -31,13 +31,8 @@
 #include "util/rng.h"
 
 // This binary counts every global operator new, so the allocation case can
-// read obs::HeapAllocsNow(). (obs_test checks the hook-free default.) Once
-// GCC inlines the hook, it flags its sized delete as mismatched, although
-// that delete frees exactly what the hook's new malloc'd.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+// read obs::HeapAllocsNow(). (obs_test checks the hook-free default.)
 ACCL_OBS_INSTALL_GLOBAL_ALLOC_HOOK();
-#pragma GCC diagnostic pop
 
 namespace accl {
 namespace {
