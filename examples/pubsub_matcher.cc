@@ -108,8 +108,8 @@ int main() {
     return 1;
   }
   std::vector<SubscriptionId> loose, strict;
-  engine.Match(ad, MatchPolicy::kIntersecting, &loose);
-  engine.Match(ad, MatchPolicy::kCovering, &strict);
+  engine.Match(ad, &loose, MatchPolicy::kIntersecting);
+  engine.Match(ad, &strict, MatchPolicy::kCovering);
   std::printf("range ad \"3-5 rooms, 1-2 baths, 600$-900$\": %zu interested "
               "(intersecting), %zu fully covered\n",
               loose.size(), strict.size());

@@ -4,32 +4,51 @@ namespace accl::adapt {
 
 QueryPatternTracker::QueryPatternTracker(Dim nd) : nd_(nd) {
   for (auto& gen : ring_) gen.Reset(nd_);
+  residents_.Reset(nd_);
 }
 
 void QueryPatternTracker::Record(const PatternAccumulator& acc) {
   if (acc.empty()) return;
-  events_observed_.fetch_add(acc.data().events, std::memory_order_relaxed);
-  subscriptions_observed_.fetch_add(acc.data().subscriptions,
+  const PatternSnapshot& a = acc.data();
+  events_observed_.fetch_add(a.events, std::memory_order_relaxed);
+  subscriptions_observed_.fetch_add(a.subscriptions,
                                     std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
-  ring_[current_].Merge(acc.data());
+  PatternSnapshot& gen = ring_[current_];
+  gen.events += a.events;
+  residents_.subscriptions += a.subscriptions;
+  for (Dim d = 0; d < nd_; ++d) {
+    gen.event_dims[d].Merge(a.event_dims[d]);
+    residents_.sub_dims[d].Merge(a.sub_dims[d]);
+  }
 }
 
-void QueryPatternTracker::RecordSubscription(const Box& b) {
-  subscriptions_observed_.fetch_add(1, std::memory_order_relaxed);
+void QueryPatternTracker::AddResidents(const float* coords, size_t n) {
+  subscriptions_observed_.fetch_add(n, std::memory_order_relaxed);
+  const size_t stride = 2 * static_cast<size_t>(nd_);
   std::lock_guard<std::mutex> lk(mu_);
-  PatternSnapshot& gen = ring_[current_];
-  ++gen.subscriptions;
+  residents_.subscriptions += n;
+  for (size_t i = 0; i < n; ++i) {
+    const BoxView b(coords + i * stride, nd_);
+    for (Dim d = 0; d < nd_; ++d) {
+      ++residents_.sub_dims[d].lo[PatternBinOf(b.lo(d))];
+      ++residents_.sub_dims[d].hi[PatternBinOf(b.hi(d))];
+    }
+  }
+}
+
+void QueryPatternTracker::RemoveResident(BoxView b) {
+  std::lock_guard<std::mutex> lk(mu_);
+  --residents_.subscriptions;
   for (Dim d = 0; d < nd_; ++d) {
-    ++gen.sub_dims[d].lo[PatternBinOf(b.lo(d))];
-    ++gen.sub_dims[d].hi[PatternBinOf(b.hi(d))];
+    --residents_.sub_dims[d].lo[PatternBinOf(b.lo(d))];
+    --residents_.sub_dims[d].hi[PatternBinOf(b.hi(d))];
   }
 }
 
 PatternSnapshot QueryPatternTracker::Snapshot() const {
-  PatternSnapshot out;
-  out.Reset(nd_);
   std::lock_guard<std::mutex> lk(mu_);
+  PatternSnapshot out = residents_;
   for (const auto& gen : ring_) out.Merge(gen);
   return out;
 }

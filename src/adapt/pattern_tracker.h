@@ -16,12 +16,16 @@
 // merge it into the tracker with ONE mutex acquisition per batch. The
 // tracker's mutex is therefore held O(dims) per MatchBatch, never O(events).
 //
-// Windowing: the histograms form a small ring of generations. The advisor
-// rotates the ring once per evaluation window (AdvanceWindow), dropping
-// the oldest generation; Snapshot() sums the ring. Observations therefore
-// age out after kGenerations windows — the analyzer sees a sliding window
-// of recent traffic, not the lifetime average, which is what lets the
-// engine *re*-adapt when the workload shifts again.
+// Windowing: events and subscriptions age differently. The event
+// histograms form a small ring of generations; the engine rotates it once
+// per evaluation (AdvanceWindow), dropping the oldest generation, so
+// events age out after kGenerations evaluations — the analyzer sees a
+// sliding window of recent traffic, which is what lets the engine
+// *re*-adapt when the workload shifts again. The subscription histograms
+// are not windowed: they are the exact resident set, added to by every
+// insert and subtracted from by every unsubscribe (a migration moves a
+// resident between shards and leaves them unchanged), so fences are
+// planned over every live subscription, not over recent arrivals.
 #pragma once
 
 #include <array>
@@ -36,8 +40,7 @@
 namespace accl::adapt {
 
 /// Histogram resolution over [0,1]. 64 bins puts candidate fences at
-/// ~0.016 granularity — far finer than the rebalancer needs to refine
-/// from — while keeping a full per-dimension pattern at 1KiB.
+/// ~0.016 granularity while keeping a full per-dimension pattern at 1KiB.
 inline constexpr size_t kPatternBins = 64;
 
 /// Bin of a normalized coordinate (clamped: out-of-domain coordinates
@@ -63,9 +66,12 @@ struct DimPattern {
     lo.fill(0);
     hi.fill(0);
   }
+  bool operator==(const DimPattern& o) const {
+    return lo == o.lo && hi == o.hi;
+  }
 };
 
-/// One generation (or the summed snapshot) of the tracked workload.
+/// One event generation, the resident set, or the summed snapshot.
 struct PatternSnapshot {
   uint64_t events = 0;
   uint64_t subscriptions = 0;
@@ -128,33 +134,38 @@ class PatternAccumulator {
 };
 
 /// The shared tracker. All methods are thread-safe; the intended usage is
-/// accumulator-fold-then-Record from hot paths and Snapshot/AdvanceWindow
-/// from the advisor (under the engine's rebalance lock).
+/// accumulator-fold-then-Record for events, AddResidents/RemoveResident
+/// from the engine's insert and unsubscribe paths, and
+/// Snapshot/AdvanceWindow from the engine's move evaluation (under its
+/// rebalance lock).
 class QueryPatternTracker {
  public:
-  /// Generations in the sliding window. The advisor rotates once per
-  /// evaluation window, so observations persist for 4 windows.
+  /// Event generations in the sliding window. The engine rotates once per
+  /// evaluation, so an event persists for 4 evaluations.
   static constexpr size_t kGenerations = 4;
 
   explicit QueryPatternTracker(Dim nd);
 
-  /// Merges a folded accumulator into the current generation (one lock).
+  /// Merges a folded accumulator: its events into the current generation,
+  /// its subscriptions into the resident histogram (one lock).
   void Record(const PatternAccumulator& acc);
 
-  /// Single-subscription convenience for the unbatched Subscribe path (one
-  /// uncontended mutex acquisition per call when tracking is enabled).
-  /// Events always arrive through an accumulator and Record.
-  void RecordSubscription(const Box& b);
+  /// Adds `n` inserted subscriptions (2*nd floats each, the Box layout) to
+  /// the resident histogram.
+  void AddResidents(const float* coords, size_t n);
+  /// Subtracts one removed subscription from the resident histogram.
+  void RemoveResident(BoxView b);
 
-  /// Sum of all live generations.
+  /// The resident histogram plus the sum of all live event generations.
   PatternSnapshot Snapshot() const;
 
-  /// Rotates the ring: the oldest generation is cleared and becomes the
-  /// new current one.
+  /// Rotates the event ring: the oldest generation is cleared and becomes
+  /// the new current one.
   void AdvanceWindow();
 
-  /// Clears every generation (after a routing change: the old dimension's
+  /// Clears every event generation (after a dimension switch: the old
   /// pattern argued for the switch and must not immediately argue again).
+  /// Residents are kept.
   void ResetWindow();
 
   /// Lifetime sample counters (never reset; observability).
@@ -168,8 +179,11 @@ class QueryPatternTracker {
  private:
   const Dim nd_;
   mutable std::mutex mu_;
+  /// Event parts only (their subscription parts stay empty).
   std::array<PatternSnapshot, kGenerations> ring_;  ///< guarded by mu_
   size_t current_ = 0;                              ///< guarded by mu_
+  /// Subscription parts only: the live set, exact.
+  PatternSnapshot residents_;  ///< guarded by mu_
   std::atomic<uint64_t> events_observed_{0};
   std::atomic<uint64_t> subscriptions_observed_{0};
 };

@@ -42,10 +42,8 @@ RoutingDecision RoutingAdvisor::Evaluate(const PatternSnapshot& pattern,
     straddle_streak_ = 0;
     return d;
   }
-  const double pressure =
-      static_cast<double>(state.overflow_residents +
-                          state.planner_predicted_spill) /
-      static_cast<double>(state.total_subscriptions);
+  const double pressure = static_cast<double>(state.overflow_residents) /
+                          static_cast<double>(state.total_subscriptions);
   if (pressure < opts_.split_straddler_threshold) {
     straddle_streak_ = 0;
     return d;
@@ -68,8 +66,8 @@ RoutingDecision RoutingAdvisor::Evaluate(const PatternSnapshot& pattern,
   if (split_dim >= d.estimates.size() || split_dim == state.current_dim) {
     return d;  // pinned to the fence dimension, or nd == 1: cannot split
   }
-  // Split fences slice the *straddler* population; the subscription
-  // histograms are the closest stand-in the tracker keeps. S sub-shards
+  // Split fences slice the *straddler* population; the mass histograms
+  // of the split dimension are the closest stand-in the tracker keeps. S sub-shards
   // need S-1 interior fences; PlanFences' uniform fallback guarantees a
   // valid plan, and S == 1 (zero fences -> empty plan) still routes
   // single-slice straddlers out of the catch-all.

@@ -5,16 +5,19 @@
 //
 // Policy, in priority order:
 //   1. Dimension switch: if the best candidate dimension's predicted score
-//      beats the current fence dimension's by >= switch_threshold, switch.
-//      A switch resets the split-patience streak (the new fences change
-//      who straddles).
+//      beats the current fence dimension's by >= switch_threshold, switch,
+//      with fences from SelectivityAnalyzer::PlanFences on the new
+//      dimension. A switch resets the split-patience streak (the new
+//      fences change who straddles).
 //   2. Overflow split: if no switch fires, the current dimension is
-//      (near-)optimal, and straddler pressure — observed overflow
-//      residency plus the rebalance planner's predicted spill, over total
-//      subscriptions — has stayed >= split_straddler_threshold for
+//      (near-)optimal, and straddler pressure — overflow residents over
+//      all subscriptions — has stayed >= split_straddler_threshold for
 //      split_patience consecutive windows, split the overflow shard on a
 //      second dimension. The split dimension is the pinned opts.split_dim,
 //      or the best-scoring dimension other than the fence dimension.
+// Re-placing the current dimension's fences is not the advisor's call:
+// the engine re-plans them with the same PlanFences every
+// rebalance_period events (see SubscriptionEngine::RebalanceOnce).
 //
 // The advisor is sequential state (streak counters) driven from exactly
 // one call site, the engine's adapt evaluation under rebalance_mu_ — it
@@ -39,9 +42,6 @@ struct AdvisorState {
   uint32_t split_slices = 0;     ///< S: sub-shards available for a split
   /// Observed straddlers: residents of the overflow shard(s) right now.
   uint64_t overflow_residents = 0;
-  /// The rebalance planner's most recent predicted_straddler_spill — subs
-  /// it wanted to move but predicted would straddle the new fences.
-  uint64_t planner_predicted_spill = 0;
   uint64_t total_subscriptions = 0;
 };
 

@@ -26,6 +26,21 @@ std::vector<float> UniformFences(size_t n_fences) {
   return f;
 }
 
+/// Cumulative endpoint counts of the mass on `dim`: resident
+/// subscriptions plus sampled events.
+void CumulateMass(const PatternSnapshot& p, Dim dim,
+                  std::array<uint64_t, kPatternBins + 1>* lo,
+                  std::array<uint64_t, kPatternBins + 1>* hi) {
+  std::array<uint64_t, kPatternBins> lo_bins = p.sub_dims[dim].lo;
+  std::array<uint64_t, kPatternBins> hi_bins = p.sub_dims[dim].hi;
+  for (size_t b = 0; b < kPatternBins; ++b) {
+    lo_bins[b] += p.event_dims[dim].lo[b];
+    hi_bins[b] += p.event_dims[dim].hi[b];
+  }
+  Cumulate(lo_bins, lo);
+  Cumulate(hi_bins, hi);
+}
+
 /// Bin-boundary indices (1..kPatternBins-1) of the planned fences for
 /// `dim`, shared by Analyze (to price the plan) and PlanFences (to emit
 /// it). Empty when the mass is too degenerate for a strictly ascending
@@ -33,8 +48,7 @@ std::vector<float> UniformFences(size_t n_fences) {
 std::vector<size_t> QuantileBoundaries(const PatternSnapshot& p, Dim dim,
                                        size_t n_fences) {
   std::array<uint64_t, kPatternBins + 1> cum_lo, cum_hi;
-  Cumulate(p.sub_dims[dim].lo, &cum_lo);
-  Cumulate(p.sub_dims[dim].hi, &cum_hi);
+  CumulateMass(p, dim, &cum_lo, &cum_hi);
   // Center mass below boundary t, doubled to stay integral: a box whose
   // endpoints both lie below t contributes 2, one spanning t contributes
   // 1 — exactly twice the "half the box is below t" center approximation.
@@ -55,6 +69,20 @@ std::vector<size_t> QuantileBoundaries(const PatternSnapshot& p, Dim dim,
     ++t;
   }
   return bounds;
+}
+
+/// Endpoints below coordinate `x`: the bins wholly below it, plus the bin
+/// holding it pro rata (exact for a fence on a bin boundary). Clamped like
+/// PatternBinOf, NaN included.
+double CumAt(const std::array<uint64_t, kPatternBins + 1>& cum, float x) {
+  const double pos =
+      x > 0.0f ? std::min(static_cast<double>(x) * kPatternBins,
+                          static_cast<double>(kPatternBins))
+               : 0.0;
+  const size_t t = std::min(static_cast<size_t>(pos), kPatternBins - 1);
+  return static_cast<double>(cum[t]) +
+         (pos - static_cast<double>(t)) *
+             static_cast<double>(cum[t + 1] - cum[t]);
 }
 
 }  // namespace
@@ -114,6 +142,28 @@ std::vector<float> SelectivityAnalyzer::PlanFences(const PatternSnapshot& p,
         static_cast<float>(bounds[j]) / static_cast<float>(kPatternBins);
   }
   return fences;
+}
+
+double SelectivityAnalyzer::MaxLoad(const PatternSnapshot& p, Dim dim,
+                                    const std::vector<float>& fences) {
+  std::array<uint64_t, kPatternBins + 1> cum_lo, cum_hi;
+  CumulateMass(p, dim, &cum_lo, &cum_hi);
+  // Slice i spans [fences[i-1], fences[i]): it holds the intervals ending
+  // below its upper fence minus those starting below its lower one.
+  // Crossing fence f: starting below it minus ending below it.
+  double max_load = 0.0;
+  double overflow = 0.0;
+  double lo_below = 0.0;  // starts below the slice's lower fence
+  for (size_t i = 0; i <= fences.size(); ++i) {
+    const double hi_below = i < fences.size()
+                                ? CumAt(cum_hi, fences[i])
+                                : static_cast<double>(cum_hi[kPatternBins]);
+    max_load = std::max(max_load, hi_below - lo_below);
+    if (i == fences.size()) break;
+    lo_below = CumAt(cum_lo, fences[i]);
+    overflow += std::max(0.0, lo_below - hi_below);
+  }
+  return std::max(max_load, overflow);
 }
 
 }  // namespace accl::adapt

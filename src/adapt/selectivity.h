@@ -8,10 +8,11 @@
 // The model, per dimension d with R range slices:
 //
 //   - Fence placement: R-1 interior fences at equal-mass quantiles of the
-//     subscription interval-center distribution (approximated at bin
+//     interval-center distribution of the *mass*: the resident
+//     subscriptions plus the sampled events (approximated at bin
 //     resolution by the mean of the lower- and upper-endpoint cumulative
-//     histograms). Equal mass is what the online rebalancer converges to,
-//     so the estimate prices the steady state, not the cold start.
+//     histograms). The estimate prices the plan PlanFences would emit,
+//     and the engine places every fence with that plan.
 //   - Expected shard visits per event: an event visits one slice per fence
 //     its interval crosses, plus its home slice, plus the overflow shard.
 //     Intervals crossing fence f at bin boundary t number
@@ -50,6 +51,15 @@ class SelectivityAnalyzer {
   /// uniform split so the result is always a valid boundary array.
   static std::vector<float> PlanFences(const PatternSnapshot& p, Dim dim,
                                        size_t n_fences);
+
+  /// Largest mass one shard would hold under `fences` on `dim`: each
+  /// interval of the mass goes where a subscription with its extent would
+  /// live — the slice that contains it, or the overflow shard when it
+  /// crosses a fence. Priced at bin resolution (a fence inside a bin
+  /// splits that bin's endpoints pro rata), with an interval crossing two
+  /// fences counted once per fence, as Analyze counts straddlers.
+  static double MaxLoad(const PatternSnapshot& p, Dim dim,
+                        const std::vector<float>& fences);
 };
 
 }  // namespace accl::adapt

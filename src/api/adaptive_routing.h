@@ -12,8 +12,9 @@
 // predicts each candidate dimension's routing selectivity under an optimal
 // fence set (SelectivityAnalyzer), and switches the fence dimension or
 // splits the overflow shard online (RoutingAdvisor), through the same
-// epoch-snapshot + double-residency migration machinery rebalancing uses —
-// so match sets stay byte-identical to the serial oracle at every instant.
+// epoch-snapshot + double-residency migration machinery every routing
+// change uses — so match sets stay byte-identical to the serial oracle at
+// every instant.
 //
 // These types live in api/ so the engine's options/stats surface does not
 // depend on the adapt/ implementation layer.
@@ -39,17 +40,20 @@ struct AdaptiveRoutingOptions {
   /// be >= 1 when enabled (a zero window would evaluate on every event).
   uint32_t sample_window = 4096;
 
-  /// A dimension switch requires the current dimension's predicted cost to
-  /// be at least this multiple of the best candidate's (default: switch
-  /// only for a predicted >= 1.5x selectivity win). Must be > 1 when
-  /// enabled — a threshold of 1 or less lets estimation noise flip the
-  /// dimension back and forth every window.
+  /// The hysteresis of every automatic move. A dimension switch requires
+  /// the current dimension's predicted cost to be at least this multiple
+  /// of the best candidate's (default: switch only for a predicted >= 1.5x
+  /// selectivity win), and a periodic fence re-plan
+  /// (EngineOptions::rebalance_period) requires the current fences'
+  /// largest shard load to be at least this multiple of the plan's. Must
+  /// be > 1 whenever moves are automatic (enabled, or rebalance_period >
+  /// 0) — a threshold of 1 or less lets estimation noise move the routing
+  /// back and forth at every evaluation.
   double switch_threshold = 1.5;
 
-  /// Overflow-split trigger: straddler pressure (overflow residents plus
-  /// the rebalance planner's last predicted straddler spill, as a fraction
-  /// of all subscriptions) must reach this level... must be in (0, 1]
-  /// when enabled.
+  /// Overflow-split trigger: straddler pressure (catch-all overflow
+  /// residents as a fraction of all subscriptions) must reach this
+  /// level... must be in (0, 1] when enabled.
   double split_straddler_threshold = 0.25;
 
   /// ...for this many consecutive advisor windows before the overflow

@@ -54,9 +54,8 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
                       rec.coords.data() + (i + 1) * stride);
       }
       if (!ids.empty()) {
-        RestoreSubscriptions(
-            Span<const SubscriptionId>(ids.data(), ids.size()),
-            coords.data());
+        ApplySubscribe(Span<const SubscriptionId>(ids.data(), ids.size()),
+                       coords.data());
         ++rs->wal_records_applied;
       }
       if (skipped_any || ids.empty()) ++rs->wal_records_skipped;
@@ -116,7 +115,7 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
 
   WallTimer timer;
   if (have_image) {
-    engine->RestoreSubscriptions(
+    engine->ApplySubscribe(
         Span<const SubscriptionId>(image.ids.data(), image.ids.size()),
         image.coords.data());
     std::lock_guard<std::mutex> lk(engine->meta_mu_);

@@ -22,6 +22,7 @@
 
 #include "adapt/pattern_tracker.h"
 #include "adapt/routing_advisor.h"
+#include "adapt/selectivity.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "exec/shard_queues.h"
@@ -57,10 +58,6 @@ uint32_t SliceOf(const std::vector<float>& bounds, float x) {
 /// large enough that the per-chunk lock/unlock and countdown overhead
 /// stays amortized.
 constexpr size_t kMatchChunkSize = 16;
-
-/// Fence positions RebalanceLocked evaluates per boundary move: shed
-/// counts spread over ±25% of the exact gap-halving count.
-constexpr size_t kFenceCandidates = 9;
 
 /// Movers one migration slice inserts or erases under a single shard-lock
 /// hold: long enough for BulkInsert's batched placement pass, short enough
@@ -171,7 +168,7 @@ struct SubscriptionEngine::PipelineScratch {
   adapt::PatternAccumulator pattern;
 
   /// Per-shard events the newest plan routes, when a transitional
-  /// snapshot's union route visits more (the rebalancer's load signal).
+  /// snapshot's union route visits more (ShardInfo::routed_events).
   std::vector<uint64_t> target_routed;
 };
 
@@ -235,12 +232,6 @@ struct SubscriptionEngine::EngineObs {
         subs_migrated(r->GetCounter(
             "accl_rebalance_subscriptions_migrated_total",
             "subscriptions moved by the double-residency protocol")),
-        spill_total(r->GetCounter(
-            "accl_rebalance_predicted_spill_total",
-            "straddler spill the fence planner predicted (lifetime)")),
-        spill_last(r->GetGauge(
-            "accl_rebalance_predicted_spill_last",
-            "straddler spill predicted by the most recent fence move")),
         migration_us(r->GetHistogram(
             "accl_rebalance_migration_us",
             "scan+insert+grace+cleanup duration per routing change (us)")),
@@ -283,8 +274,6 @@ struct SubscriptionEngine::EngineObs {
   obs::Histogram* batch_us;
   obs::Counter* boundary_moves;
   obs::Counter* subs_migrated;
-  obs::Counter* spill_total;
-  obs::Gauge* spill_last;
   obs::Histogram* migration_us;
   obs::Counter* transition_events;
   obs::Counter* transition_extra_visits;
@@ -340,10 +329,6 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
           reg.BackendNames() + ")");
     }
   }
-  if (!(o.rebalance_trigger_ratio > 0.0)) {
-    return Status::InvalidArgument(
-        "rebalance_trigger_ratio must be > 0 (and not NaN)");
-  }
   if (o.sharding == ShardingPolicy::kRange) {
     if (o.shards < 2) {
       return Status::InvalidArgument(
@@ -383,17 +368,22 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
     return Status::InvalidArgument(
         "adaptive.split_dim must name a schema dimension");
   }
+  // Auto moves (advisor windows or periodic fence re-plans) both gate on
+  // switch_threshold.
+  if ((o.sharding == ShardingPolicy::kRange && o.rebalance_period > 0) ||
+      a.enabled) {
+    if (!(a.switch_threshold > 1.0)) {
+      return Status::InvalidArgument(
+          "adaptive.switch_threshold must be > 1 (and not NaN) — a "
+          "threshold of 1 or less lets estimation noise move the fences "
+          "at every evaluation");
+    }
+  }
   if (a.enabled) {
     if (a.sample_window < 1) {
       return Status::InvalidArgument(
           "adaptive.sample_window must be >= 1 (a zero window would "
           "evaluate routing on every event)");
-    }
-    if (!(a.switch_threshold > 1.0)) {
-      return Status::InvalidArgument(
-          "adaptive.switch_threshold must be > 1 (and not NaN) — a "
-          "threshold of 1 or less lets estimation noise flip the fence "
-          "dimension every window");
     }
     if (!(a.split_straddler_threshold > 0.0) ||
         a.split_straddler_threshold > 1.0) {
@@ -456,18 +446,17 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
                              static_cast<float>(num_range_shards_));
       }
     }
+    tracker_ = std::make_unique<adapt::QueryPatternTracker>(schema_.dims());
     if (options_.adaptive.enabled) {
-      tracker_ =
-          std::make_unique<adapt::QueryPatternTracker>(schema_.dims());
       advisor_ = std::make_unique<adapt::RoutingAdvisor>(options_.adaptive,
                                                          schema_.dims());
     }
+    auto_moves_ = options_.rebalance_period > 0 || options_.adaptive.enabled;
   }
   shards_.reserve(physical_shards);
   for (uint32_t s = 0; s < physical_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.index));
   }
-  routed_at_reset_.assign(physical_shards, 0);
   // ParallelFor includes the calling thread, so N-way matching needs N-1
   // workers; 0 or 1 requested threads means no pool at all.
   if (options_.match_threads > 1) {
@@ -486,10 +475,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   snapshot_.store(snap, std::memory_order_seq_cst);
   // Only auto-triggered moves run on the migrator; explicit calls run
   // theirs on their own thread, so engines without auto moves need none.
-  if (range_routed_ &&
-      (options_.rebalance_period > 0 || options_.adaptive.enabled)) {
-    migrator_ = std::thread([this] { MigratorLoop(); });
-  }
+  if (auto_moves_) migrator_ = std::thread([this] { MigratorLoop(); });
 }
 
 SubscriptionEngine::~SubscriptionEngine() {
@@ -523,9 +509,8 @@ void SubscriptionEngine::PublishSnapshot(RoutingPlan plan,
   epoch_.Retire([old] { delete old; });
 }
 
-template <typename B>
 uint32_t SubscriptionEngine::RangeShardFor(const RoutingPlan& plan,
-                                           const B& box) const {
+                                           BoxView box) const {
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
@@ -566,7 +551,7 @@ void SubscriptionEngine::RouteEvent(const RoutingPlan& plan, const Box& box,
   out->push_back(static_cast<uint32_t>(shards_.size() - 1));
 }
 
-uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, const Box& box,
+uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, BoxView box,
                                       const RoutingPlan& plan) const {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   if (k == 1) return 0;
@@ -583,62 +568,9 @@ SubscriptionId SubscriptionEngine::Subscribe(
 }
 
 SubscriptionId SubscriptionEngine::SubscribeBox(const Box& box) {
-  ACCL_CHECK(box.dims() == schema_.dims());
-  if (!WellFormed(box)) return kInvalidObject;
-  // A follower's ids come only from the replicated log; refusing before
-  // the allocation keeps the local allocator exactly at the log's heels.
-  if (role() == EngineRole::kFollower) return kInvalidObject;
-  SubscriptionId id;
-  {
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    id = next_id_++;
-  }
-  if (wal_ != nullptr) {
-    // Durable path: the record must be on disk before the subscription is
-    // applied or acknowledged. A broken log refuses the mutation (the
-    // allocated id is simply never used — ids are not reused anyway).
-    const Lsn lsn = wal_->AppendSubscribe(id, schema_.dims(), box.data());
-    if (!wal_->WaitDurable(lsn)) return kInvalidObject;
-    ApplySubscribe(id, box);
-    wal_->MarkApplied(lsn);
-  } else {
-    ApplySubscribe(id, box);
-  }
-  NotifyCheckpointer(1);
-  return id;
-}
-
-void SubscriptionEngine::ApplySubscribe(SubscriptionId id, const Box& box) {
-  // kRange holds the rebalance lock from target choice through owner-map
-  // publish: a boundary change (the whole double-residency protocol runs
-  // under rebalance_mu_) is then serialized either before this
-  // subscription (so we route with the new table) or after it (so its
-  // migration scan sees our insert). Matching needs no lock we hold, so it
-  // proceeds throughout.
-  static const RoutingPlan kNoPlan;
-  std::unique_lock<std::mutex> rebalance_lk;
-  const RoutingPlan* plan = &kNoPlan;
-  if (range_routed_) {
-    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
-    plan = &SnapshotUnderRebalanceLock()->plan;
-  }
-  const uint32_t s = ShardFor(id, box, *plan);
-  {
-    std::lock_guard<std::mutex> lk(shards_[s]->mu);
-    shards_[s]->index->Insert(id, box.view());
-  }
-  shards_[s]->subs.fetch_add(1, std::memory_order_relaxed);
-  // Publish the owner mapping only after the insert: nobody can hold this
-  // id yet, and Unsubscribe consults the map first. The count bumps inside
-  // the same critical section — once the map entry exists the id is
-  // Unsubscribe-able, and its decrement must never precede our increment.
-  {
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    shard_of_.Insert(id, s);
-    subscription_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  rebalance_lk = {};  // tracker sampling needs no routing consistency
-  if (tracker_ != nullptr) tracker_->RecordSubscription(box);
+  std::vector<SubscriptionId> id;
+  SubscribeBatch(Span<const Box>(&box, 1), &id);
+  return id.empty() ? kInvalidObject : id[0];
 }
 
 void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
@@ -646,7 +578,9 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
   const size_t n = boxes.size();
   out->clear();
   if (n == 0) return;
-  if (role() == EngineRole::kFollower) return;  // read-only; see SubscribeBox
+  // A follower's ids come only from the replicated log; refusing before
+  // the allocation keeps the local allocator exactly at the log's heels.
+  if (role() == EngineRole::kFollower) return;
   for (const Box& b : boxes) {
     ACCL_CHECK(b.dims() == schema_.dims());
     if (!WellFormed(b)) return;  // refused whole, before any id or record
@@ -658,38 +592,47 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
     first = next_id_;
     next_id_ += static_cast<SubscriptionId>(n);
   }
+  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
+  std::vector<float> flat(n * stride);
+  std::vector<SubscriptionId> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(boxes[i].data(), boxes[i].data() + stride,
+              flat.data() + i * stride);
+    ids[i] = first + static_cast<SubscriptionId>(i);
+  }
+  const Span<const SubscriptionId> id_span(ids.data(), n);
   if (wal_ != nullptr) {
-    // One WAL record (and typically one shared sync) for the whole batch.
-    // On log failure `out` stays empty: none of the batch is acknowledged
-    // and none is applied.
-    const size_t stride = 2 * static_cast<size_t>(schema_.dims());
-    std::vector<float> flat(n * stride);
-    for (size_t i = 0; i < n; ++i) {
-      std::copy(boxes[i].data(), boxes[i].data() + stride,
-                flat.data() + i * stride);
-    }
+    // Durable path: the record must be on disk before the batch is applied
+    // or acknowledged — one record (and typically one shared sync) for the
+    // whole batch. On log failure `out` stays empty: none of the batch is
+    // acknowledged and none is applied (the allocated ids are simply never
+    // used; ids are not reused anyway).
     const Lsn lsn = wal_->AppendSubscribeBatch(
         first, static_cast<uint32_t>(n), schema_.dims(), flat.data());
     if (!wal_->WaitDurable(lsn)) return;
-    ApplySubscribeBatch(first, boxes);
+    ApplySubscribe(id_span, flat.data());
     wal_->MarkApplied(lsn);
   } else {
-    ApplySubscribeBatch(first, boxes);
+    ApplySubscribe(id_span, flat.data());
   }
-  out->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(first + static_cast<SubscriptionId>(i));
-  }
+  *out = std::move(ids);
   NotifyCheckpointer(n);
 }
 
-void SubscriptionEngine::ApplySubscribeBatch(SubscriptionId first,
-                                             Span<const Box> boxes) {
-  const size_t n = boxes.size();
-  // Same rebalance-lock discipline as SubscribeBox, held across the whole
-  // grouped insert so a boundary change serializes entirely before or
-  // after the batch; matching routes with the epoch-published snapshot and
-  // proceeds throughout.
+void SubscriptionEngine::ApplySubscribe(Span<const SubscriptionId> ids,
+                                        const float* coords) {
+  const size_t n = ids.size();
+  if (n == 0) return;
+  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
+  const auto box_at = [&](size_t i) {
+    return BoxView(coords + i * stride, schema_.dims());
+  };
+  // kRange holds the rebalance lock from target choice through owner-map
+  // publish: a routing change (its scan and publishes run under
+  // rebalance_mu_) is then serialized either entirely before this batch
+  // (so we route with the new table) or after it (so its migration scan
+  // sees our inserts). Matching needs no lock we hold, so it proceeds
+  // throughout.
   static const RoutingPlan kNoPlan;
   std::unique_lock<std::mutex> rebalance_lk;
   const RoutingPlan* plan = &kNoPlan;
@@ -698,47 +641,54 @@ void SubscriptionEngine::ApplySubscribeBatch(SubscriptionId first,
     plan = &SnapshotUnderRebalanceLock()->plan;
   }
 
-  // Group per target shard; each queue keeps batch order, so the per-shard
-  // insert sequences are exactly the subsequences a SubscribeBox loop
-  // would have produced.
+  // Group per target shard; each queue keeps input order, so every shard
+  // receives exactly the subsequence an Insert loop would have given it
+  // (and BulkInsert places a group as that loop would).
   exec::ShardQueues queues;
   queues.Build(n, shards_.size(), [&](size_t i, std::vector<uint32_t>* t) {
-    t->push_back(
-        ShardFor(first + static_cast<SubscriptionId>(i), boxes[i], *plan));
+    t->push_back(ShardFor(ids[i], box_at(i), *plan));
   });
-
+  std::vector<ObjectId> group_ids;
+  std::vector<float> group_coords;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const size_t nq = queues.size(s);
     if (nq == 0) continue;
     const uint32_t* items = queues.items(s);
-    // One shard-lock acquisition per target shard — the whole point.
-    std::lock_guard<std::mutex> lk(shards_[s]->mu);
+    group_ids.clear();
+    group_coords.clear();
     for (size_t j = 0; j < nq; ++j) {
-      shards_[s]->index->Insert(first + items[j], boxes[items[j]].view());
+      group_ids.push_back(ids[items[j]]);
+      group_coords.insert(group_coords.end(), coords + items[j] * stride,
+                          coords + (items[j] + 1) * stride);
+    }
+    {
+      // One shard-lock acquisition per target shard.
+      std::lock_guard<std::mutex> lk(shards_[s]->mu);
+      shards_[s]->index->BulkInsert(
+          Span<const ObjectId>(group_ids.data(), nq),
+          Span<const float>(group_coords.data(), nq * stride));
     }
     shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
   }
-  {
-    // One owner-map publish for the whole batch.
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const size_t nq = queues.size(s);
-      const uint32_t* items = queues.items(s);
-      for (size_t j = 0; j < nq; ++j) {
-        shard_of_.Insert(first + items[j], static_cast<uint32_t>(s));
-      }
+  // Residents are counted before the owner map makes any id
+  // Unsubscribe-able, so the histogram never subtracts an add it has not
+  // seen.
+  if (tracker_ != nullptr) tracker_->AddResidents(coords, n);
+  // One owner-map publish for the whole batch. The count bumps inside the
+  // same critical section — once a map entry exists the id is
+  // Unsubscribe-able, and its decrement must never precede our increment.
+  std::lock_guard<std::mutex> lk(meta_mu_);
+  SubscriptionId max_id = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const size_t nq = queues.size(s);
+    const uint32_t* items = queues.items(s);
+    for (size_t j = 0; j < nq; ++j) {
+      shard_of_.Insert(ids[items[j]], static_cast<uint32_t>(s));
+      max_id = std::max(max_id, ids[items[j]]);
     }
-    subscription_count_.fetch_add(n, std::memory_order_relaxed);
   }
-  rebalance_lk = {};
-  if (tracker_ != nullptr) {
-    // Fold the whole batch off the tracker lock, merge once (the stats
-    // discipline every hot path here follows).
-    adapt::PatternAccumulator acc;
-    acc.Reset(schema_.dims());
-    for (const Box& b : boxes) acc.AddSubscription(b);
-    tracker_->Record(acc);
-  }
+  subscription_count_.fetch_add(n, std::memory_order_relaxed);
+  if (max_id + 1 > next_id_) next_id_ = max_id + 1;
 }
 
 bool SubscriptionEngine::Unsubscribe(SubscriptionId id) {
@@ -790,12 +740,16 @@ bool SubscriptionEngine::ApplyUnsubscribe(SubscriptionId id) {
     // is a scan source of the in-flight move, its moving_plan names the
     // id's destination, where `subs` counts a mover from the scan on (for
     // every other resident of `s` the plan names `s` itself) and where a
-    // double-resident id has its second copy.
+    // double-resident id has its second copy. The box also leaves the
+    // resident histogram here, once, whichever copies exist.
     uint32_t dst = s;
-    if (shards_[s]->moving_plan != nullptr) {
+    if (range_routed_) {
       const BoxView b = shards_[s]->index->ObjectBox(id);
       ACCL_CHECK(!b.empty());
-      dst = RangeShardFor(*shards_[s]->moving_plan, b);
+      if (shards_[s]->moving_plan != nullptr) {
+        dst = RangeShardFor(*shards_[s]->moving_plan, b);
+      }
+      tracker_->RemoveResident(b);
     }
     const bool erased = shards_[s]->index->Erase(id);
     ACCL_CHECK(erased);
@@ -969,60 +923,6 @@ void SubscriptionEngine::CaptureDurableImage(
   }
 }
 
-void SubscriptionEngine::RestoreSubscriptions(Span<const SubscriptionId> ids,
-                                              const float* coords) {
-  const size_t n = ids.size();
-  if (n == 0) return;
-  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
-  static const RoutingPlan kNoPlan;
-  std::unique_lock<std::mutex> rebalance_lk;
-  const RoutingPlan* plan = &kNoPlan;
-  if (range_routed_) {
-    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
-    WaitForMoveLocked(rebalance_lk);
-    plan = &SnapshotUnderRebalanceLock()->plan;
-  }
-  // Group per target shard (the SubscribeBatch fast path) and land each
-  // group with one BulkInsert behind one lock acquisition.
-  exec::ShardQueues queues;
-  queues.Build(n, shards_.size(), [&](size_t i, std::vector<uint32_t>* t) {
-    t->push_back(ShardFor(ids[i], Box(BoxView(coords + i * stride,
-                                              schema_.dims())),
-                          *plan));
-  });
-  SubscriptionId max_id = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const size_t nq = queues.size(s);
-    if (nq == 0) continue;
-    const uint32_t* items = queues.items(s);
-    std::vector<ObjectId> ins_ids;
-    std::vector<float> ins_coords;
-    ins_ids.reserve(nq);
-    ins_coords.reserve(nq * stride);
-    for (size_t j = 0; j < nq; ++j) {
-      const SubscriptionId id = ids[items[j]];
-      ins_ids.push_back(id);
-      ins_coords.insert(ins_coords.end(), coords + items[j] * stride,
-                        coords + (items[j] + 1) * stride);
-      max_id = std::max(max_id, id);
-    }
-    {
-      std::lock_guard<std::mutex> lk(shards_[s]->mu);
-      shards_[s]->index->BulkInsert(
-          Span<const ObjectId>(ins_ids.data(), ins_ids.size()),
-          Span<const float>(ins_coords.data(), ins_coords.size()));
-    }
-    shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    for (const ObjectId id : ins_ids) {
-      shard_of_.Insert(id, static_cast<uint32_t>(s));
-    }
-  }
-  subscription_count_.fetch_add(n, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(meta_mu_);
-  if (max_id + 1 > next_id_) next_id_ = max_id + 1;
-}
-
 Relation SubscriptionEngine::RelationFor(const Event& event,
                                          MatchPolicy policy) {
   // Point events are enclosure queries under either policy (a point
@@ -1033,35 +933,25 @@ Relation SubscriptionEngine::RelationFor(const Event& event,
 }
 
 void SubscriptionEngine::Match(const Event& event,
-                               std::vector<SubscriptionId>* out) {
-  Match(event, options_.default_policy, out);
-}
-
-void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
-                               std::vector<SubscriptionId>* out) {
+                               std::vector<SubscriptionId>* out,
+                               std::optional<MatchPolicy> policy) {
   AppendSink sink(out);
-  MatchBatchImpl(Span<const Event>(&event, 1), policy, nullptr, &sink);
+  MatchBatchImpl(Span<const Event>(&event, 1),
+                 policy.value_or(options_.default_policy), nullptr, &sink);
 }
 
 void SubscriptionEngine::MatchBatch(Span<const Event> events,
-                                    MatchBatchResult* out) {
-  MatchBatchImpl(events, options_.default_policy, out, nullptr);
+                                    MatchBatchResult* out,
+                                    std::optional<MatchPolicy> policy) {
+  MatchBatchImpl(events, policy.value_or(options_.default_policy), out,
+                 nullptr);
 }
 
 void SubscriptionEngine::MatchBatch(Span<const Event> events,
-                                    MatchPolicy policy,
-                                    MatchBatchResult* out) {
-  MatchBatchImpl(events, policy, out, nullptr);
-}
-
-void SubscriptionEngine::MatchBatch(Span<const Event> events,
-                                    MatchSink* sink) {
-  MatchBatchImpl(events, options_.default_policy, nullptr, sink);
-}
-
-void SubscriptionEngine::MatchBatch(Span<const Event> events,
-                                    MatchPolicy policy, MatchSink* sink) {
-  MatchBatchImpl(events, policy, nullptr, sink);
+                                    MatchSink* sink,
+                                    std::optional<MatchPolicy> policy) {
+  MatchBatchImpl(events, policy.value_or(options_.default_policy), nullptr,
+                 sink);
 }
 
 std::unique_ptr<SubscriptionEngine::PipelineScratch>
@@ -1152,7 +1042,7 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   // shard; kRange asks the router, under the one snapshot the whole batch
   // shares, which shards each event's box overlaps. A transitional
   // snapshot routes to the ascending union of both plans' shards, and
-  // tallies the newest plan's share apart for the rebalancer.
+  // tallies the newest plan's share apart for the per-shard counters.
   const bool transitional = snap->from.has_value();
   {
     ACCL_TRACE_SPAN("route_scatter");
@@ -1254,8 +1144,8 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   }
   ACCL_DCHECK(ps.events_done.load(std::memory_order_relaxed) == ne);
   // Shard reads are done. Unpinning now shortens the grace period
-  // concurrent migrations wait for — and MaybeAutoRebalance below must
-  // not run pinned (it may wait for an in-flight move's grace period).
+  // concurrent migrations wait for — and MaybeAutoMove below must not
+  // run pinned (it may wait for an in-flight move's grace period).
   guard.Release();
 
   uint64_t pop_retry_total = 0;
@@ -1268,15 +1158,14 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   // Read after the fan-out drains: the call's full end-to-end duration.
   obs_->batch_us->Record(static_cast<uint64_t>(
       std::max(0.0, std::round(t.ElapsedMs() * 1000.0))));
-  if (tracker_ != nullptr) {
+  if (auto_moves_) {
     // Off-lock fold (pooled accumulator), one tracker merge per batch.
     ps.pattern.Reset(schema_.dims());
     for (size_t e = 0; e < ne; ++e) ps.pattern.AddEvent(events[e].box);
     tracker_->Record(ps.pattern);
   }
   ReleaseScratch(std::move(scratch));
-  MaybeAutoRebalance(ne);
-  MaybeAutoAdapt(ne);
+  MaybeAutoMove(ne);
 }
 
 void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
@@ -1479,56 +1368,45 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   obs_->objects_verified->Add(verified_total);
 }
 
-void SubscriptionEngine::MaybeAutoRebalance(uint64_t events) {
-  if (!range_routed_ || options_.rebalance_period == 0) return;
-  if (events_since_check_.fetch_add(events, std::memory_order_relaxed) +
-          events <
-      options_.rebalance_period) {
-    return;
-  }
+void SubscriptionEngine::MaybeAutoMove(uint64_t events) {
+  if (!auto_moves_) return;
+  const bool window_due =
+      advisor_ != nullptr &&
+      events_since_window_.fetch_add(events, std::memory_order_relaxed) +
+              events >=
+          options_.adaptive.sample_window;
+  const bool replan_due =
+      options_.rebalance_period > 0 &&
+      events_since_replan_.fetch_add(events, std::memory_order_relaxed) +
+              events >=
+          options_.rebalance_period;
+  if (!window_due && !replan_due) return;
   // If another caller is evaluating right now there is nothing useful to
   // queue behind it. An atomic flag — not mutex try_lock, which the
   // standard allows to fail spuriously — keeps the skip deterministic for
   // deterministic call sequences. The flag covers the evaluation only, not
   // the migrator's share of a move: a single caller never skips, and its
-  // decision to move waits for a move still in flight instead (inside
-  // RebalanceLocked, before the scan).
-  if (rebalance_inflight_.exchange(true, std::memory_order_acquire)) return;
+  // decision to move waits for a move still in flight instead (before the
+  // scan).
+  if (move_eval_inflight_.exchange(true, std::memory_order_acquire)) return;
   {
     std::unique_lock<std::mutex> lk(rebalance_mu_);
-    events_since_check_.store(0, std::memory_order_relaxed);
-    RebalanceLocked(lk, /*force=*/false);
+    if (window_due) events_since_window_.store(0, std::memory_order_relaxed);
+    if (replan_due) events_since_replan_.store(0, std::memory_order_relaxed);
+    const adapt::PatternSnapshot pattern = tracker_->Snapshot();
+    tracker_->AdvanceWindow();
+    // At most one move per evaluation: a fence re-plan due in the same
+    // evaluation as an advisor move waits for its next period.
+    const bool moved = window_due && EvaluateAdaptiveLocked(lk, pattern);
+    if (replan_due && !moved) ReplanFencesLocked(lk, pattern, /*force=*/false);
     HandOffStagedMoveLocked();
   }
-  rebalance_inflight_.store(false, std::memory_order_release);
-}
-
-void SubscriptionEngine::MaybeAutoAdapt(uint64_t events) {
-  if (tracker_ == nullptr) return;
-  if (adapt_events_since_window_.fetch_add(events,
-                                           std::memory_order_relaxed) +
-          events <
-      options_.adaptive.sample_window) {
-    return;
-  }
-  // Same deterministic-skip discipline as MaybeAutoRebalance: the flag
-  // covers the evaluation only, so a single caller never skips a window,
-  // and a decision to move waits for a move still in flight.
-  if (adapt_inflight_.exchange(true, std::memory_order_acquire)) return;
-  {
-    std::unique_lock<std::mutex> lk(rebalance_mu_);
-    adapt_events_since_window_.store(0, std::memory_order_relaxed);
-    EvaluateAdaptiveLocked(lk);
-    HandOffStagedMoveLocked();
-  }
-  adapt_inflight_.store(false, std::memory_order_release);
+  move_eval_inflight_.store(false, std::memory_order_release);
 }
 
 bool SubscriptionEngine::EvaluateAdaptiveLocked(
-    std::unique_lock<std::mutex>& lk) {
+    std::unique_lock<std::mutex>& lk, const adapt::PatternSnapshot& pattern) {
   obs_->windows_evaluated->Add(1);
-  const adapt::PatternSnapshot pattern = tracker_->Snapshot();
-  tracker_->AdvanceWindow();
   const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
 
   adapt::AdvisorState st;
@@ -1538,8 +1416,6 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked(
   st.split_slices = num_split_shards_;
   st.overflow_residents =
       shards_.back()->subs.load(std::memory_order_relaxed);
-  st.planner_predicted_spill =
-      static_cast<uint64_t>(std::max<int64_t>(0, obs_->spill_last->Value()));
   st.total_subscriptions =
       subscription_count_.load(std::memory_order_relaxed);
 
@@ -1566,13 +1442,9 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked(
       BeginMoveLocked(std::move(plan), AllShardIds());
       obs_->dimension_switches->Add(1);
       ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
-      // The old pattern argued for this switch; it must not immediately
-      // argue again. The rebalancer's load window resets with it.
+      // The old events argued for this switch; they must not immediately
+      // argue again.
       tracker_->ResetWindow();
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        routed_at_reset_[s] =
-            shards_[s]->routed.load(std::memory_order_relaxed);
-      }
       return true;
     }
     case adapt::RoutingDecision::Kind::kSplitOverflow: {
@@ -1593,7 +1465,7 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked(
 
 AdaptiveRoutingStats SubscriptionEngine::adaptive_stats() const {
   AdaptiveRoutingStats st;
-  st.enabled = tracker_ != nullptr;
+  st.enabled = advisor_ != nullptr;
   {
     exec::EpochManager::Guard guard = epoch_.Pin();
     const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
@@ -1619,9 +1491,6 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
   RebalanceStats st;
   st.boundary_moves = obs_->boundary_moves->Value();
   st.subscriptions_migrated = obs_->subs_migrated->Value();
-  st.predicted_straddler_spill = obs_->spill_total->Value();
-  st.last_predicted_straddler_spill =
-      static_cast<uint64_t>(std::max<int64_t>(0, obs_->spill_last->Value()));
   st.dimension_switches = obs_->dimension_switches->Value();
   st.overflow_splits = obs_->overflow_splits->Value();
   st.straddlers_split = obs_->straddlers_split->Value();
@@ -1632,7 +1501,8 @@ bool SubscriptionEngine::RebalanceOnce() {
   if (!range_routed_) return false;
   std::unique_lock<std::mutex> lk(rebalance_mu_);
   WaitForMoveLocked(lk);
-  const bool moved = RebalanceLocked(lk, /*force=*/true);
+  const bool moved =
+      ReplanFencesLocked(lk, tracker_->Snapshot(), /*force=*/true);
   RunStagedMove(lk);
   return moved;
 }
@@ -1668,9 +1538,6 @@ bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
   plan.bounds = bounds;
   BeginMoveLocked(std::move(plan), AllShardIds());
   obs_->boundary_moves->Add(1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
   RunStagedMove(lk);
   return true;
 }
@@ -1689,10 +1556,7 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   BeginMoveLocked(std::move(plan), AllShardIds());
   obs_->dimension_switches->Add(1);
   ACCL_TRACE_INSTANT("adapt_dimension_switch", dim);
-  if (tracker_ != nullptr) tracker_->ResetWindow();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
+  tracker_->ResetWindow();
   RunStagedMove(lk);
   return true;
 }
@@ -1734,221 +1598,33 @@ bool SubscriptionEngine::ClearOverflowSplit() {
   return true;
 }
 
-SubscriptionEngine::RebalanceLoadSnapshot
-SubscriptionEngine::GetRebalanceLoadSnapshot() const {
-  RebalanceLoadSnapshot snap;
-  if (!range_routed_) return snap;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
-  const size_t rk = num_range_shards_;
-  snap.range_loads.resize(rk);
-  for (size_t s = 0; s < rk; ++s) {
-    const uint64_t window =
-        shards_[s]->routed.load(std::memory_order_relaxed) -
-        routed_at_reset_[s];
-    snap.range_loads[s] =
-        shards_[s]->subs.load(std::memory_order_relaxed) + window;
+bool SubscriptionEngine::ReplanFencesLocked(
+    std::unique_lock<std::mutex>& lk, const adapt::PatternSnapshot& pattern,
+    bool force) {
+  if (num_range_shards_ < 2) return false;  // no interior fence to place
+  if (pattern.events == 0 && pattern.subscriptions == 0) return false;
+  const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
+  const Dim dim = static_cast<Dim>(cur.dim);
+  std::vector<float> fences = adapt::SelectivityAnalyzer::PlanFences(
+      pattern, dim, num_range_shards_ - 1);
+  if (fences == cur.bounds) return false;
+  if (!force &&
+      adapt::SelectivityAnalyzer::MaxLoad(pattern, dim, cur.bounds) <
+          options_.adaptive.switch_threshold *
+              adapt::SelectivityAnalyzer::MaxLoad(pattern, dim, fences)) {
+    return false;
   }
-  // The whole overflow family: split sub-shards plus the catch-all (every
-  // resident there is a straddler of the current primary fences).
-  for (size_t s = rk; s < shards_.size(); ++s) {
-    snap.overflow_subscriptions +=
-        shards_[s]->subs.load(std::memory_order_relaxed);
-  }
-  snap.total_subscriptions =
-      subscription_count_.load(std::memory_order_relaxed);
-  snap.straddler_fraction =
-      snap.total_subscriptions == 0
-          ? 0.0
-          : static_cast<double>(snap.overflow_subscriptions) /
-                static_cast<double>(snap.total_subscriptions);
-  return snap;
-}
-
-bool SubscriptionEngine::RebalanceLocked(std::unique_lock<std::mutex>& lk,
-                                         bool force) {
-  const size_t rk = num_range_shards_;  // overflow family excluded
-  if (rk < 2) return false;
-
-  // Window loads: resident subscriptions plus events routed since the last
-  // rebalance — a shard can be hot because it is big or because the event
-  // stream concentrates on it, and a boundary move helps with both. Both
-  // count by the newest plan, so an in-flight move does not change them.
-  std::vector<uint64_t> load(rk);
-  uint64_t total = 0;
-  const auto window_loads = [&] {
-    total = 0;
-    for (size_t s = 0; s < rk; ++s) {
-      const uint64_t window =
-          shards_[s]->routed.load(std::memory_order_relaxed) -
-          routed_at_reset_[s];
-      load[s] = shards_[s]->subs.load(std::memory_order_relaxed) + window;
-      total += load[s];
-    }
-  };
-  window_loads();
-  if (!force) {
-    if (total < options_.rebalance_min_load) return false;
-    uint64_t hottest = 0;
-    for (size_t s = 0; s < rk; ++s) hottest = std::max(hottest, load[s]);
-    const double mean = static_cast<double>(total) / static_cast<double>(rk);
-    if (static_cast<double>(hottest) <
-        options_.rebalance_trigger_ratio * mean) {
-      return false;
-    }
-  }
-  // The donor scan below needs every resident in one home. While waiting
-  // another caller may have changed the loads; re-read them (for a single
-  // caller they are unchanged).
-  if (move_in_flight_) {
-    WaitForMoveLocked(lk);
-    window_loads();
-  }
-  // Pick the adjacent pair with the largest load gap (only adjacent slices
-  // share a fence, so only they can trade residents with one boundary
-  // move); the heavier side donates.
-  size_t best_f = 0;
-  uint64_t best_gap = 0;
-  for (size_t f = 0; f + 1 < rk; ++f) {
-    const uint64_t gap = load[f] > load[f + 1] ? load[f] - load[f + 1]
-                                               : load[f + 1] - load[f];
-    if (gap > best_gap) {
-      best_gap = gap;
-      best_f = f;
-    }
-  }
-  if (best_gap == 0) return false;  // flat profile: nothing to gain
-  const size_t h = load[best_f] >= load[best_f + 1] ? best_f : best_f + 1;
-  const size_t l = h == best_f ? best_f + 1 : best_f;
-
+  // The decision was made against the newest plan, which an in-flight
+  // move already counts by; only the scan needs that move to have
+  // finished. An explicit dimension switch may land while we wait, and
+  // these fences were planned for the old dimension.
+  WaitForMoveLocked(lk);
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  std::vector<float>& bounds = plan.bounds;
-  const Dim dim = static_cast<Dim>(plan.dim);
-  // Donor residents' fence-dimension extents. The move is ranked by the
-  // endpoint FACING the receiver: a donor resident leaves when the moving
-  // fence passes that endpoint — shedding downward, every box with
-  // lo0 < fence leaves (to the receiver if it fits, to overflow if it
-  // straddles); shedding upward, every box with hi0 >= fence leaves.
-  // Ranking by the receiver-facing endpoint therefore predicts the donor's
-  // loss *exactly*, straddlers included — ranking by the far endpoint
-  // counts only the boxes that clear the fence entirely, so the straddler
-  // spill to overflow comes on top of the plan, overshoots in dense
-  // regions, and makes repeated passes slosh the same residents back and
-  // forth forever. Both endpoints are kept so the planner can also report
-  // how much of the loss is straddler spill.
-  std::vector<std::pair<float, float>> exts;  // (lo0, hi0)
-  {
-    std::lock_guard<std::mutex> lk(shards_[h]->mu);
-    exts.reserve(shards_[h]->index->size());
-    shards_[h]->index->ForEachObject([&](ObjectId, BoxView b) {
-      exts.emplace_back(b.lo(dim), b.hi(dim));
-    });
-  }
-  if (exts.size() < 2) return false;
-  const bool receiver_below = l < h;
-  std::sort(exts.begin(), exts.end(),
-            [receiver_below](const auto& a, const auto& b) {
-              return receiver_below ? a.first < b.first : a.second < b.second;
-            });
-  // Shed enough residents to halve the pair's load gap (per-resident load
-  // approximated as load[h]/exts.size()). Halving — not equal-splitting the
-  // donor — is what makes repeated passes converge to a fixed point; a
-  // move that rounds to zero residents is below the resolution of the
-  // boundary and refused.
-  size_t m = static_cast<size_t>(
-      static_cast<uint64_t>(exts.size()) * best_gap / (2 * load[h]));
-  if (m == 0) return false;
-  m = std::min(m, exts.size() - 1);
-
-  // The index (into bounds) of the fence the pair shares. Receiver below:
-  // bounds[h-1] moves up past the shed residents' smallest lower
-  // endpoints; receiver above: bounds[h] moves down past their largest
-  // upper endpoints.
-  const size_t fence = receiver_below ? h - 1 : h;
-
-  // Fence position implied by shedding `j` residents, or false when the
-  // position is unusable (mass sits on the current fence, or the move
-  // would break the boundary array's strict ascent).
-  const auto fence_for = [&](size_t j, float* out_fence) -> bool {
-    if (receiver_below) {
-      const float f = exts[j].first;
-      if (f <= bounds[fence]) return false;
-      *out_fence = f;
-      return true;
-    }
-    const float f = exts[exts.size() - j].second;
-    if (f >= bounds[fence]) return false;
-    if (fence >= 1 && f <= bounds[fence - 1]) return false;
-    *out_fence = f;
-    return true;
-  };
-  // Straddler spill a fence position predicts: departing donors that
-  // straddle the NEW fence land in the overflow shard instead of the
-  // receiver. Donor residents lie entirely inside slice h, so the moved
-  // fence is the only one they can straddle.
-  const auto spill_for = [&](float f) {
-    uint64_t spill = 0;
-    for (const auto& [lo0, hi0] : exts) {
-      if (lo0 < f && hi0 >= f) ++spill;
-    }
-    return spill;
-  };
-
-  // Overflow-aware fence placement: the exact halving count m is one
-  // candidate; the planner also evaluates shed counts within ±25% of m —
-  // every candidate still roughly halves the load gap — and deviates from
-  // m only for a candidate predicting less than HALF of m's straddler
-  // spill (tie-breaking toward m). A fence repeatedly cutting a dense
-  // region is what inflates the overflow shard (every routed event pays an
-  // overflow visit), so trading a quarter of the balance step for a fence
-  // that lands in a gap is a good deal — but small spill differences must
-  // not win, or the planner drifts off the halving point at every pass and
-  // repeated passes converge noticeably slower.
-  const size_t j_lo = std::max<size_t>(1, m - m / 4);
-  const size_t j_hi = std::min(exts.size() - 1, m + m / 4);
-  float fence_m = 0.0f;
-  const bool have_m = fence_for(m, &fence_m);
-  const uint64_t spill_m = have_m ? spill_for(fence_m) : 0;
-  bool have = false;
-  float new_fence = 0.0f;
-  uint64_t best_spill = 0;
-  size_t best_dist = 0;
-  for (size_t c = 0; c < kFenceCandidates; ++c) {
-    const size_t j = j_lo + (j_hi - j_lo) * c / (kFenceCandidates - 1);
-    float f;
-    if (!fence_for(j, &f)) continue;
-    const uint64_t spill = spill_for(f);
-    const size_t dist = j > m ? j - m : m - j;
-    if (!have || spill < best_spill ||
-        (spill == best_spill && dist < best_dist)) {
-      have = true;
-      new_fence = f;
-      best_spill = spill;
-      best_dist = dist;
-    }
-  }
-  if (!have) return false;  // no candidate clears the current fences
-  if (have_m && 2 * best_spill >= spill_m) {
-    // The alternatives don't save enough: stay on the exact halving point.
-    new_fence = fence_m;
-    best_spill = spill_m;
-  }
-  bounds[fence] = new_fence;
-
-  obs_->spill_last->Set(static_cast<int64_t>(best_spill));
-  obs_->spill_total->Add(best_spill);
-
-  // Only the donor's residents and the overflow family's straddlers can
-  // be re-routed by a single-fence move (the receiver's slice only grew),
-  // so the migration scan — and its locks — touch exactly those shards.
-  // The family includes active split sub-shards: the moved fence can
-  // un-straddle their residents too.
-  std::vector<uint32_t> scan{static_cast<uint32_t>(h)};
-  for (const uint32_t s : OverflowShardIds()) scan.push_back(s);
-  BeginMoveLocked(std::move(plan), scan);
+  if (plan.dim != dim) return false;
+  plan.bounds = std::move(fences);
+  // Every fence may move, so any shard may hold re-routed residents.
+  BeginMoveLocked(std::move(plan), AllShardIds());
   obs_->boundary_moves->Add(1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
   return true;
 }
 
@@ -1995,8 +1671,8 @@ size_t SubscriptionEngine::BeginMoveLocked(
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     const size_t arriving = m->incoming[s].ids.size();
     movers += arriving;
-    // Re-count the movers at their new homes now, so the rebalancer's
-    // inputs are final from this publish on.
+    // Re-count the movers at their new homes now, so the advisor's
+    // overflow pressure and ShardInfo are final from this publish on.
     shards_[s]->subs.fetch_add(arriving, std::memory_order_relaxed);
     shards_[s]->subs.fetch_sub(leaving[s], std::memory_order_relaxed);
   }

@@ -32,21 +32,27 @@
 // engine supports implies interval overlap in every dimension, the routed
 // match sets stay exact.
 //
-// Workload-adaptive routing (src/adapt/, EngineOptions::adaptive): a
-// lock-cheap QueryPatternTracker samples per-dimension event/subscription
-// interval histograms on the match and subscribe paths; every
+// One fence planner (src/adapt/): every kRange engine keeps a
+// QueryPatternTracker — an exact per-dimension histogram of its resident
+// subscriptions, plus a windowed histogram of sampled events when auto
+// moves are configured — and every fence it places comes from
+// SelectivityAnalyzer::PlanFences over the sum of the two (the "mass"):
+// RebalanceOnce, the periodic re-plan every rebalance_period events, and
+// the advisor's dimension switches alike.
+//
+// Workload-adaptive routing (EngineOptions::adaptive): every
 // sample_window events a RoutingAdvisor compares the predicted routing
-// selectivity of every candidate fence dimension (SelectivityAnalyzer)
-// and, when another dimension is predicted switch_threshold× more
-// selective, re-fences the engine on that dimension online — through the
-// same epoch-snapshot + double-residency migration rebalancing uses, so
-// match sets stay exact throughout. When the overflow shard stays hot
-// under well-placed fences (sustained straddler pressure, fed by the
-// rebalance planner's predicted_straddler_spill signal), the advisor
-// splits it on a second dimension into pre-allocated sub-shards: a
-// straddler whose split-dimension interval fits one split slice moves to
-// that sub-shard, and events visit only the sub-shards their own
-// split-dimension interval overlaps instead of one monolithic overflow.
+// selectivity of every candidate fence dimension and, when another
+// dimension is predicted switch_threshold× more selective, re-fences the
+// engine on that dimension online — through the same epoch-snapshot +
+// double-residency migration every routing change uses, so match sets
+// stay exact throughout. When the overflow shard stays hot under
+// well-placed fences (sustained straddler pressure: overflow residents
+// over all subscriptions), the advisor splits it on a second dimension
+// into pre-allocated sub-shards: a straddler whose split-dimension
+// interval fits one split slice moves to that sub-shard, and events visit
+// only the sub-shards their own split-dimension interval overlaps instead
+// of one monolithic overflow.
 //
 // Epoch-published routing snapshots: the fence array, the shard handle
 // table and a version number live in one immutable RoutingSnapshot behind
@@ -99,6 +105,7 @@ struct WalRecord;
 namespace adapt {
 class QueryPatternTracker;
 class RoutingAdvisor;
+struct PatternSnapshot;
 }  // namespace adapt
 
 /// Identifier handed out for registered subscriptions.
@@ -164,16 +171,14 @@ struct EngineOptions {
   /// range shards need K-2 interior fences; the implicit outer fences are
   /// ±infinity). Empty = uniform split of [0,1] into K-1 slices.
   std::vector<float> range_boundaries;
-  /// Events between automatic load-imbalance checks; 0 = rebalance only on
-  /// explicit RebalanceOnce()/SetRangeBoundaries() calls.
+  /// Events between automatic fence re-plans; 0 = re-plan only on
+  /// explicit RebalanceOnce()/SetRangeBoundaries() calls. Each re-plan
+  /// places the current dimension's fences with PlanFences over the mass
+  /// and moves to them when the current fences' largest shard load (range
+  /// slices and overflow, priced on the same mass) is at least
+  /// adaptive.switch_threshold times the plan's. Works with the advisor on
+  /// or off.
   uint32_t rebalance_period = 0;
-  /// Auto-rebalance triggers when the hottest range shard's window load
-  /// (resident subscriptions + events routed since the last rebalance)
-  /// exceeds this multiple of the mean range-shard load. Must be > 0.
-  double rebalance_trigger_ratio = 1.5;
-  /// Auto-rebalance ignores imbalance until the total window load reaches
-  /// this floor (tiny shards are cheap to visit; moving them is not).
-  uint64_t rebalance_min_load = 512;
 
   /// Workload-adaptive routing: online fence-dimension selection and
   /// overflow-shard splitting (kRange only; see api/adaptive_routing.h).
@@ -224,36 +229,37 @@ struct EngineOptions {
 ///     the two publishes only. Retired snapshots are reclaimed through the
 ///     epoch manager's deferred retire list.
 ///
-///   - Who runs a move: a MatchBatch/Match call whose auto-rebalance or
-///     adaptive evaluation decides to move runs step (1) and hands steps
-///     (2)-(5) to one engine-owned migrator thread, so the call returns
-///     without waiting for the move. The thread exists only when auto
-///     moves are configured (kRange with rebalance_period > 0 or
-///     adaptive.enabled). At most one move is in flight: a later decision
-///     that would migrate waits for it before its scan (evaluations that
-///     decide nothing never wait). RebalanceOnce, SetRangeBoundaries,
-///     SetRoutingDimension, Set/ClearOverflowSplit, CaptureDurableImage,
-///     RestoreSubscriptions, SynchronizeEpochs and the destructor wait for
-///     any in-flight move; the routing calls then run the whole move
-///     routine on their own thread and return after step (5).
+///   - Who runs a move: a MatchBatch/Match call whose auto-move
+///     evaluation (advisor window or fence re-plan; at most one move per
+///     evaluation) decides to move runs step (1) and hands steps (2)-(5)
+///     to one engine-owned migrator thread, so the call returns without
+///     waiting for the move. The thread exists only when auto moves are
+///     configured (kRange with rebalance_period > 0 or adaptive.enabled).
+///     At most one move is in flight: a later decision that would migrate
+///     waits for it before its scan (evaluations that decide nothing never
+///     wait). RebalanceOnce, SetRangeBoundaries, SetRoutingDimension,
+///     Set/ClearOverflowSplit, CaptureDurableImage, SynchronizeEpochs and
+///     the destructor wait for any in-flight move; the routing calls then
+///     run the whole move routine on their own thread and return after
+///     step (5).
 ///
 ///   - Determinism: for a deterministic call sequence the results are
 ///     byte-identical across shard/thread/boundary configurations
 ///     (concurrent *callers* race for shard-lock order like any concurrent
 ///     writers would). Routing decisions are deterministic for a
-///     deterministic single-caller sequence too: the rebalancer's inputs
-///     (per-shard residents and routed events) are counted against the
-///     newest plan, never the transitional union, so they do not depend on
-///     how far the migrator has got. MatchBatchResult::routing_version is
-///     monotone per caller.
+///     deterministic single-caller sequence too: the planner's inputs (the
+///     tracker's histograms, and the overflow residents counted against
+///     the newest plan) do not depend on how far the migrator has got.
+///     MatchBatchResult::routing_version is monotone per caller.
 class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
   /// K >= 2, boundary arrays must have size K-2 and be strictly
-  /// ascending, trigger ratio > 0, a schema with >= 1 attribute, and
-  /// index knobs the structure can actually run with
-  /// (division_factor >= 2, max_clusters >= 1). match_threads == 0 is
-  /// valid (caller-thread execution).
+  /// ascending, adaptive.switch_threshold > 1 whenever auto moves are
+  /// configured, a schema with >= 1 attribute, and index knobs the
+  /// structure can actually run with (division_factor >= 2,
+  /// max_clusters >= 1). match_threads == 0 is valid (caller-thread
+  /// execution).
   static Status ValidateOptions(const AttributeSchema& schema,
                                 const EngineOptions& options);
 
@@ -277,9 +283,10 @@ class SubscriptionEngine {
   /// when a predicate is malformed.
   SubscriptionId Subscribe(const std::vector<AttributeRange>& ranges);
 
-  /// Registers a pre-built normalized subscription box. Returns
-  /// kInvalidObject (allocating no id and logging nothing) for a box with a
-  /// NaN or infinite bound or a dimension with lo > hi.
+  /// Registers a pre-built normalized subscription box: a one-box
+  /// SubscribeBatch. Returns kInvalidObject (allocating no id and logging
+  /// nothing) for a box with a NaN or infinite bound or a dimension with
+  /// lo > hi.
   SubscriptionId SubscribeBox(const Box& box);
 
   /// Registers boxes.size() subscriptions in one call; ids are assigned
@@ -307,11 +314,10 @@ class SubscriptionEngine {
   /// MatchBatch run on the calling thread: the appended ids are sorted
   /// ascending by ObjectId and duplicate-free under every policy,
   /// byte-identical to what MatchBatch would return for the event, and
-  /// the call counts toward the same accl_pipeline_* metrics. Uses the
-  /// default policy unless overridden.
-  void Match(const Event& event, std::vector<SubscriptionId>* out);
-  void Match(const Event& event, MatchPolicy policy,
-             std::vector<SubscriptionId>* out);
+  /// the call counts toward the same accl_pipeline_* metrics. `policy`
+  /// defaults to options.default_policy.
+  void Match(const Event& event, std::vector<SubscriptionId>* out,
+             std::optional<MatchPolicy> policy = std::nullopt);
 
   /// Matches a batch of events through the streamed shard-affine pipeline:
   /// per-shard CSR work queues (broadcast policies enqueue every event on
@@ -334,9 +340,9 @@ class SubscriptionEngine {
   /// it saves). Every event's box must have the schema's dimensionality.
   /// Reusing one result object across batches is allocation-free at steady
   /// state (capacity-preserving Clear + engine-pooled pipeline scratch).
-  void MatchBatch(Span<const Event> events, MatchBatchResult* out);
-  void MatchBatch(Span<const Event> events, MatchPolicy policy,
-                  MatchBatchResult* out);
+  /// `policy` defaults to options.default_policy.
+  void MatchBatch(Span<const Event> events, MatchBatchResult* out,
+                  std::optional<MatchPolicy> policy = std::nullopt);
 
   /// Streaming variant: instead of materializing a MatchBatchResult, each
   /// event's sorted, deduplicated match set is pushed to `sink` the moment
@@ -345,9 +351,8 @@ class SubscriptionEngine {
   /// (see the MatchSink contract in api/batch.h). Emitted spans are
   /// byte-identical to what the materializing overload would have stored
   /// at the same event index. Engine metrics are recorded identically.
-  void MatchBatch(Span<const Event> events, MatchSink* sink);
-  void MatchBatch(Span<const Event> events, MatchPolicy policy,
-                  MatchSink* sink);
+  void MatchBatch(Span<const Event> events, MatchSink* sink,
+                  std::optional<MatchPolicy> policy = std::nullopt);
 
   /// Convenience: builds a point event from attribute values. Returns
   /// false when values do not cover the schema exactly.
@@ -405,27 +410,21 @@ class SubscriptionEngine {
   /// range-routed or the array is malformed.
   bool SetRangeBoundaries(const std::vector<float>& bounds);
 
-  /// One forced load-balancing step: picks the range shard with the
-  /// highest window load, moves its boundary toward it so roughly half of
-  /// its subscriptions re-route to its lighter neighbor, and migrates
-  /// them (double-residency protocol; see the class comment). Returns
-  /// true when a boundary moved. No-op (false) for non-range engines,
-  /// K < 3, or when no productive move exists.
+  /// One forced fence re-plan: places the current dimension's interior
+  /// fences with PlanFences over the mass (resident subscriptions, plus
+  /// the sampled events when auto moves are configured) and migrates every
+  /// subscription whose home changed (double-residency protocol; see the
+  /// class comment). Returns true only when a fence moved, so a second
+  /// call with no traffic in between is a fixed point. No-op (false) for
+  /// non-range engines, K < 3, or an empty mass.
   bool RebalanceOnce();
 
   /// Lifetime rebalancing counters.
   struct RebalanceStats {
+    /// Fence re-plans applied (RebalanceOnce, periodic, or
+    /// SetRangeBoundaries); one per move, however many fences it shifts.
     uint64_t boundary_moves = 0;
     uint64_t subscriptions_migrated = 0;
-    /// Straddler spill the rebalance planner predicted its fence moves
-    /// would send to the overflow shard (donor residents that straddle the
-    /// *new* fence instead of moving cleanly to the receiver). Lifetime
-    /// sum and last move's value. Acted on twice: the planner's
-    /// overflow-aware fence placement avoids high-spill fences, and the
-    /// adaptive advisor folds the last value into the straddler-pressure
-    /// signal that triggers an overflow split.
-    uint64_t predicted_straddler_spill = 0;
-    uint64_t last_predicted_straddler_spill = 0;
     /// Online fence-dimension switches executed (advisor or manual).
     uint64_t dimension_switches = 0;
     /// Overflow-shard split activations (advisor or manual), and the
@@ -437,19 +436,6 @@ class SubscriptionEngine {
   /// Thin atomic snapshot read of the registry-backed rebalance counters
   /// (safe from any thread, racy-exact like every obs::Counter read).
   RebalanceStats rebalance_stats() const;
-
-  /// The load signal the rebalancer acts on, plus overflow pressure:
-  /// per-range-shard window loads (residents + events routed since the
-  /// last rebalance), the overflow shard's resident count, and the
-  /// straddler fraction (overflow residents / all residents). Empty for
-  /// non-range engines.
-  struct RebalanceLoadSnapshot {
-    std::vector<uint64_t> range_loads;
-    uint64_t overflow_subscriptions = 0;
-    uint64_t total_subscriptions = 0;
-    double straddler_fraction = 0.0;
-  };
-  RebalanceLoadSnapshot GetRebalanceLoadSnapshot() const;
 
   // ---- Adaptive routing (kRange only; see api/adaptive_routing.h) ----
 
@@ -491,6 +477,12 @@ class SubscriptionEngine {
   /// enabled=false and live routing fields — even when the advisor is
   /// off).
   AdaptiveRoutingStats adaptive_stats() const;
+
+  /// The planner's input (diagnostics and tests): the resident and event
+  /// histograms. Null for non-range engines.
+  const adapt::QueryPatternTracker* pattern_tracker() const {
+    return tracker_.get();
+  }
 
   // ---- Epoch subsystem introspection ----
 
@@ -636,9 +628,9 @@ class SubscriptionEngine {
         : index(std::make_unique<AdaptiveIndex>(cfg)) {}
     std::mutex mu;  ///< serializes every index access (reads mutate stats)
     std::unique_ptr<AdaptiveIndex> index;
-    /// Lifetime events the newest plan routes here (relaxed; observability
-    /// + the rebalancer's load signal). A transitional snapshot's extra
-    /// union visits are not counted.
+    /// Lifetime events the newest plan routes here (relaxed;
+    /// observability). A transitional snapshot's extra union visits are
+    /// not counted.
     std::atomic<uint64_t> routed{0};
     /// Subscriptions the newest plan homes here (relaxed, readable without
     /// the shard lock). A move re-counts its movers at their destinations
@@ -668,14 +660,12 @@ class SubscriptionEngine {
   /// Shard choice for one subscription. `plan` is only read by kRange
   /// (callers pass the routing snapshot they routed the rest of the
   /// operation with).
-  uint32_t ShardFor(SubscriptionId id, const Box& box,
+  uint32_t ShardFor(SubscriptionId id, BoxView box,
                     const RoutingPlan& plan) const;
   /// kRange home of a box under `plan`: its slice's shard; a straddler
   /// goes to the sub-shard its split_dim interval fits (split active), or
-  /// the catch-all overflow shard. B is Box or BoxView (defined in the
-  /// .cc; every instantiation lives there).
-  template <typename B>
-  uint32_t RangeShardFor(const RoutingPlan& plan, const B& box) const;
+  /// the catch-all overflow shard.
+  uint32_t RangeShardFor(const RoutingPlan& plan, BoxView box) const;
   /// Shards an event must visit under `plan`: the slice span of its
   /// fence-dimension interval, the sub-shards its split_dim interval
   /// overlaps (split active), and the catch-all shard — ascending.
@@ -703,7 +693,7 @@ class SubscriptionEngine {
   /// callers each get their own while capacity survives across batches.
   struct PipelineScratch;
 
-  /// Shared body of the four MatchBatch overloads and Match (a one-event
+  /// Shared body of the two MatchBatch overloads and Match (a one-event
   /// call with an appending sink). Exactly one of
   /// `out`/`sink` is non-null: `out` materializes per-event matches,
   /// `sink` streams them (metrics then accumulate into pooled scratch).
@@ -720,36 +710,37 @@ class SubscriptionEngine {
   std::unique_ptr<PipelineScratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<PipelineScratch> s);
 
-  /// Non-durable mutation bodies: the routing + shard insert/erase +
-  /// owner-map bookkeeping the public entry points run after (or instead
-  /// of) the WAL round trip.
-  void ApplySubscribe(SubscriptionId id, const Box& box);
-  void ApplySubscribeBatch(SubscriptionId first, Span<const Box> boxes);
+  /// The one insert path, under every subscribe, recovery restore and
+  /// replicated apply: homes each (id, box) pair — `coords` is
+  /// ids.size()*2*nd floats — by the newest plan, lands each target
+  /// shard's group with one BulkInsert behind one lock acquisition, adds
+  /// the boxes to the resident histogram, publishes the owner map and
+  /// bumps next_id_ past the highest id. Runs after (or instead of) the
+  /// WAL round trip.
+  void ApplySubscribe(Span<const SubscriptionId> ids, const float* coords);
   bool ApplyUnsubscribe(SubscriptionId id);
-  /// Recovery-only bulk restore: inserts the (id, box) pairs — ids given,
-  /// not allocated — grouped per target shard via BulkInsert, and bumps
-  /// next_id_ past the highest id seen. `coords` is ids.size()*2*nd
-  /// floats. Single-threaded use (the engine is not yet published).
-  void RestoreSubscriptions(Span<const SubscriptionId> ids,
-                            const float* coords);
   void NotifyCheckpointer(uint64_t mutations);
 
-  /// Auto-rebalance hook, called after every match entry point (with no
-  /// epoch pinned: a decision that waits for an in-flight move would
-  /// otherwise deadlock against that move's grace period).
-  void MaybeAutoRebalance(uint64_t events);
-  /// One boundary move; caller holds `lk` on rebalance_mu_. `force` skips
-  /// the trigger-ratio/min-load gate. Returns true when a fence moved; its
-  /// move, if anything must migrate, is left staged (see BeginMoveLocked).
-  bool RebalanceLocked(std::unique_lock<std::mutex>& lk, bool force);
-
-  /// Adaptive-evaluation hook, called after every match entry point (with
-  /// no epoch pinned, as MaybeAutoRebalance).
-  void MaybeAutoAdapt(uint64_t events);
-  /// One advisor window: snapshot the tracker, evaluate, begin at most one
+  /// Auto-move hook, called after every match entry point (with no epoch
+  /// pinned: a decision that waits for an in-flight move would otherwise
+  /// deadlock against that move's grace period). Every sample_window
+  /// events (advisor on) it runs an advisor window, every
+  /// rebalance_period events a fence re-plan; one evaluation begins at
+  /// most one move.
+  void MaybeAutoMove(uint64_t events);
+  /// One advisor window over `pattern`: evaluate, begin at most one
   /// routing change. Caller holds `lk` on rebalance_mu_. Returns true when
   /// a change was begun.
-  bool EvaluateAdaptiveLocked(std::unique_lock<std::mutex>& lk);
+  bool EvaluateAdaptiveLocked(std::unique_lock<std::mutex>& lk,
+                              const adapt::PatternSnapshot& pattern);
+  /// One fence re-plan of the current dimension over `pattern`; caller
+  /// holds `lk` on rebalance_mu_. `force` takes any plan that moves a
+  /// fence; otherwise the current fences' largest load must be at least
+  /// switch_threshold times the plan's. Returns true when a fence moved;
+  /// its move, if anything must migrate, is left staged (see
+  /// BeginMoveLocked).
+  bool ReplanFencesLocked(std::unique_lock<std::mutex>& lk,
+                          const adapt::PatternSnapshot& pattern, bool force);
 
   // ---- The move routine (see the class comment's steps) ----
 
@@ -844,23 +835,22 @@ class SubscriptionEngine {
   std::condition_variable moves_held_cv_;
   /// The migrator thread (not joinable when no auto moves are configured).
   std::thread migrator_;
-  /// Auto-rebalance in-flight flag (mutex try_lock may fail spuriously,
-  /// which would make deterministic replays skip triggers at random).
-  std::atomic<bool> rebalance_inflight_{false};
-  /// Per-shard routed-counter snapshot at the last rebalance; the window
-  /// load is routed - routed_at_reset_. Guarded by rebalance_mu_.
-  std::vector<uint64_t> routed_at_reset_;
-  std::atomic<uint64_t> events_since_check_{0};
+  /// kRange with rebalance_period > 0 or adaptive.enabled: events are
+  /// sampled, MaybeAutoMove evaluates, and the migrator thread runs.
+  bool auto_moves_ = false;
+  /// Auto-move evaluation in-flight flag (mutex try_lock may fail
+  /// spuriously, which would make deterministic replays skip evaluations
+  /// at random).
+  std::atomic<bool> move_eval_inflight_{false};
+  std::atomic<uint64_t> events_since_replan_{0};
+  std::atomic<uint64_t> events_since_window_{0};
 
-  /// Adaptive routing state. Tracker and advisor exist only when
-  /// options_.adaptive.enabled; the manual entry points
-  /// (SetRoutingDimension/SetOverflowSplit) work without them. The advisor
-  /// is only ever called under rebalance_mu_.
+  /// The planner's input: exists for every kRange engine. The advisor
+  /// exists only when options_.adaptive.enabled (the manual entry points
+  /// SetRoutingDimension/SetOverflowSplit work without it) and is only
+  /// ever called under rebalance_mu_.
   std::unique_ptr<adapt::QueryPatternTracker> tracker_;
   std::unique_ptr<adapt::RoutingAdvisor> advisor_;
-  /// Same deterministic-skip discipline as rebalance_inflight_.
-  std::atomic<bool> adapt_inflight_{false};
-  std::atomic<uint64_t> adapt_events_since_window_{0};
   /// Most recent advisor window's per-dimension estimates; its own tiny
   /// lock so adaptive_stats() never waits behind a migration.
   mutable std::mutex adapt_estimates_mu_;

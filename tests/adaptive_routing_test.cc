@@ -114,7 +114,8 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
   acc.AddSubscription(NarrowOn(2, 0.3f, 0.05f));
   tracker.Record(acc);
   RecordOneEvent(&tracker, NarrowOn(1, 0.2f, 0.1f));
-  tracker.RecordSubscription(NarrowOn(2, 0.8f, 0.05f));
+  const Box sub = NarrowOn(2, 0.8f, 0.05f);
+  tracker.AddResidents(sub.data(), 1);
 
   const adapt::PatternSnapshot snap = tracker.Snapshot();
   EXPECT_EQ(snap.events, 3u);
@@ -137,6 +138,10 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
 
 TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   adapt::QueryPatternTracker tracker(kNd);
+  const Box sub = NarrowOn(3, 0.3f, 0.05f);
+  tracker.AddResidents(sub.data(), 1);
+  const std::vector<adapt::DimPattern> residents =
+      tracker.Snapshot().sub_dims;
   RecordOneEvent(&tracker, NarrowOn(0, 0.5f, 0.1f));
   for (size_t w = 0; w < adapt::QueryPatternTracker::kGenerations - 1; ++w) {
     tracker.AdvanceWindow();
@@ -149,6 +154,16 @@ TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   RecordOneEvent(&tracker, NarrowOn(0, 0.5f, 0.1f));
   tracker.ResetWindow();  // full reset clears every generation at once
   EXPECT_EQ(tracker.Snapshot().events, 0u);
+
+  // Residents are the live set, not a sample: neither rotation nor reset
+  // ages them out; only a removal does.
+  EXPECT_EQ(tracker.Snapshot().subscriptions, 1u);
+  EXPECT_EQ(tracker.Snapshot().sub_dims, residents);
+  tracker.RemoveResident(sub.view());
+  EXPECT_EQ(tracker.Snapshot().subscriptions, 0u);
+  for (const adapt::DimPattern& d : tracker.Snapshot().sub_dims) {
+    EXPECT_EQ(d, adapt::DimPattern());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +245,33 @@ TEST(SelectivityAnalyzer, DegenerateMassFallsBackToUniformFences) {
       adapt::SelectivityAnalyzer::PlanFences(acc.data(), 0, 3);
   ASSERT_EQ(f.size(), 3u);
   for (size_t i = 1; i < f.size(); ++i) EXPECT_LT(f[i - 1], f[i]);
+}
+
+TEST(SelectivityAnalyzer, MaxLoadPricesSlicesAndOverflow) {
+  // Two packs of 100 subscriptions, narrow on dimension 0 around 0.1 and
+  // 0.6. Fences are on bin boundaries, so the prices are exact.
+  adapt::PatternAccumulator acc;
+  acc.Reset(kNd);
+  for (int i = 0; i < 100; ++i) {
+    acc.AddSubscription(NarrowOn(0, 0.105f, 0.01f));
+    acc.AddSubscription(NarrowOn(0, 0.605f, 0.01f));
+  }
+  const adapt::PatternSnapshot& p = acc.data();
+  using adapt::SelectivityAnalyzer;
+  EXPECT_DOUBLE_EQ(SelectivityAnalyzer::MaxLoad(p, 0, {0.5f}), 100.0);
+  EXPECT_DOUBLE_EQ(SelectivityAnalyzer::MaxLoad(p, 0, {0.875f}), 200.0);
+  // A fence through the first pack sends it to the overflow shard.
+  EXPECT_DOUBLE_EQ(SelectivityAnalyzer::MaxLoad(p, 0, {7.0f / 64.0f}), 100.0);
+  EXPECT_DOUBLE_EQ(
+      SelectivityAnalyzer::MaxLoad(p, 0, {7.0f / 64.0f, 0.609375f}), 200.0);
+  // No fence: one slice holds everything; a NaN fence prices as the
+  // domain's lower edge.
+  EXPECT_DOUBLE_EQ(SelectivityAnalyzer::MaxLoad(p, 0, {}), 200.0);
+  EXPECT_DOUBLE_EQ(SelectivityAnalyzer::MaxLoad(p, 0, {std::nanf("")}),
+                   200.0);
+  // The equal-mass plan is at least as good as either bad fence.
+  const std::vector<float> plan = SelectivityAnalyzer::PlanFences(p, 0, 1);
+  EXPECT_LE(SelectivityAnalyzer::MaxLoad(p, 0, plan), 100.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +490,7 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   // dimension can beat the current one by 1.5x (all fences cut the same
   // population), so the advisor must not switch — it must recognize the
   // sustained straddler pressure and split the overflow shard on a second
-  // dimension, acting on the observed residency + predicted spill signal.
+  // dimension, acting on the observed overflow residency.
   EngineOptions o;
   o.shards = 6;
   o.sharding = ShardingPolicy::kRange;
@@ -486,8 +528,7 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   EXPECT_NE(static_cast<uint32_t>(st.split_dimension), st.fence_dimension);
   EXPECT_EQ(engine.overflow_split_dimension(), st.split_dimension);
   // The split must have physically relocated straddlers out of the
-  // catch-all (this is the counter that closes the old "predicted spill
-  // not yet acted on" gap).
+  // catch-all.
   EXPECT_GT(engine.rebalance_stats().straddlers_split, 0u);
   EXPECT_GE(engine.rebalance_stats().overflow_splits, 1u);
 

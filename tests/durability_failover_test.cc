@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/pattern_tracker.h"
 #include "durability/checkpoint.h"
 #include "durability/segment.h"
 #include "durability/shipping.h"
@@ -126,6 +127,20 @@ std::vector<SubscriptionId> Oracle(const std::map<SubscriptionId, Box>& subs,
   return out;  // map order is ascending — already sorted
 }
 
+/// The planner's resident histogram equals a brute-force histogram of
+/// `acked`, however the engine got its subscriptions (recovery restore,
+/// replay, follower apply).
+void ExpectResidentHistogram(const SubscriptionEngine& engine,
+                             const std::map<SubscriptionId, Box>& acked,
+                             const std::string& context) {
+  std::vector<Box> live;
+  for (const auto& [id, box] : acked) live.push_back(box);
+  const adapt::PatternSnapshot p = engine.pattern_tracker()->Snapshot();
+  EXPECT_EQ(p.subscriptions, acked.size()) << context;
+  EXPECT_TRUE(p.sub_dims == testutil::ResidentHistogram(live, kNd))
+      << context << ": resident histogram differs from the live set";
+}
+
 /// Match-set parity between `engine` and the `acked` oracle, via the
 /// MatchBatch read path (what a follower actually serves).
 void ExpectEngineParity(SubscriptionEngine* engine,
@@ -143,6 +158,7 @@ void ExpectEngineParity(SubscriptionEngine* engine,
     ASSERT_EQ(result.matches[i], Oracle(acked, probes[i]))
         << context << ", probe " << i;
   }
+  ExpectResidentHistogram(*engine, acked, context);
 }
 
 /// Recovers a durable engine from `wal`/`ckpt` files and asserts parity.

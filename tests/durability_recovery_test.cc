@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/pattern_tracker.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "geometry/query.h"
@@ -166,6 +167,19 @@ std::vector<SubscriptionId> Oracle(const std::map<SubscriptionId, Box>& subs,
   return out;  // map order is ascending — already sorted
 }
 
+/// The planner's resident histogram equals a brute-force histogram of
+/// `acked` (checkpoint restore and WAL replay both feed it).
+void ExpectResidentHistogram(const SubscriptionEngine& engine,
+                             const std::map<SubscriptionId, Box>& acked,
+                             const std::string& context) {
+  std::vector<Box> live;
+  for (const auto& [id, box] : acked) live.push_back(box);
+  const adapt::PatternSnapshot p = engine.pattern_tracker()->Snapshot();
+  EXPECT_EQ(p.subscriptions, acked.size()) << context;
+  EXPECT_TRUE(p.sub_dims == testutil::ResidentHistogram(live, kNd))
+      << context << ": resident histogram differs from the live set";
+}
+
 /// Recovers from the files and asserts exact parity with `acked`.
 void ExpectRecoveredParity(const Paths& paths,
                            const std::map<SubscriptionId, Box>& acked,
@@ -182,6 +196,7 @@ void ExpectRecoveredParity(const Paths& paths,
     de.engine->Match(Event::Range(probe), &got);
     ASSERT_EQ(got, Oracle(acked, probe)) << context;
   }
+  ExpectResidentHistogram(*de.engine, acked, context);
 }
 
 /// One durable session (the script, then concurrent subscribers), then
@@ -230,6 +245,7 @@ void CleanRestartRoundTrip(bool group_commit) {
       de.engine->Match(Event::Range(probe), &got);
       EXPECT_EQ(got, Oracle(acked, probe));
     }
+    ExpectResidentHistogram(*de.engine, acked, "first restart");
     // Recovered id allocation continues past every restored id: a new
     // durable subscription gets a fresh id and survives the next restart.
     const SubscriptionId fresh =

@@ -109,15 +109,24 @@ TEST(EngineConfig, IndexKnobsValidated) {
   EXPECT_FALSE(st.ok());
 }
 
-TEST(EngineConfig, RebalanceTriggerRatioValidated) {
+TEST(EngineConfig, SwitchThresholdValidatedForPeriodicReplans) {
+  // With the advisor off, periodic fence re-plans still gate on
+  // adaptive.switch_threshold, so it is checked whenever moves are
+  // automatic.
   EngineOptions o;
+  o.shards = 4;
+  o.sharding = ShardingPolicy::kRange;
+  o.rebalance_period = 64;
   Status st;
-  o.rebalance_trigger_ratio = 0.0;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  o.rebalance_trigger_ratio = std::nan("");
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
+  for (const double bad : {0.0, 1.0, std::nan("")}) {
+    o.adaptive.switch_threshold = bad;
+    EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr)
+        << bad;
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("switch_threshold"), std::string::npos);
+  }
+  o.rebalance_period = 0;  // no automatic moves: the knob is unused
+  EXPECT_TRUE(SubscriptionEngine::ValidateOptions(SchemaWithDims(2), o).ok());
 }
 
 TEST(EngineConfig, ValidateOptionsIsSideEffectFree) {

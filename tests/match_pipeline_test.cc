@@ -117,10 +117,10 @@ TEST(MatchPipeline, StreamedEqualsMaterializedEqualsOracleEverywhere) {
       for (const MatchPolicy policy : policies) {
         MatchBatchResult res;
         engine.MatchBatch(Span<const Event>(events.data(), events.size()),
-                          policy, &res);
+                          &res, policy);
         VectorMatchSink sink(events.size());
         engine.MatchBatch(Span<const Event>(events.data(), events.size()),
-                          policy, &sink);
+                          &sink, policy);
         ASSERT_EQ(res.matches.size(), events.size());
         ASSERT_EQ(sink.matches().size(), events.size());
         for (size_t e = 0; e < events.size(); ++e) {

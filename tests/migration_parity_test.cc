@@ -1,11 +1,14 @@
 // Migration parity: a scripted routing-change sequence on a range-routed
-// engine with adaptive routing must produce exactly the digest recorded
-// before AdaptiveIndex::BulkInsert was rewritten as a batched placement
-// pass. Every routing change re-inserts its moved subscriptions through
+// engine with adaptive routing must produce exactly the pinned digest.
+// Every routing change re-inserts its moved subscriptions through
 // BulkInsert, so a placement that differs from sequential Insert in any
 // object shows up here: in the destination shard's cluster structure, and
 // through it in the per-shard verified counts and cluster counts, even when
-// the match answers stay right.
+// the match answers stay right. The digest was first recorded before
+// BulkInsert became a batched placement pass; it was re-recorded when
+// RebalanceOnce became a PlanFences re-plan, which places different fences
+// (replaying the earlier fence sequence as explicit SetRangeBoundaries
+// calls still gives the earlier digest, 0xae054231bf713611).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,7 +177,7 @@ TEST(MigrationParity, ScriptedRoutingChangesUnderChurn) {
   h.Add(rs.subscriptions_migrated);
   h.Add(rs.boundary_moves);
   h.Add(engine.routing_dimension());
-  EXPECT_EQ(h.value(), 0xae054231bf713611ull) << std::hex << h.value();
+  EXPECT_EQ(h.value(), 0xe238fc3f064edec0ull) << std::hex << h.value();
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/pattern_tracker.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/digest.h"
@@ -65,8 +66,6 @@ SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
   o.match_threads = cfg.threads;
   o.sharding = cfg.policy;
   o.rebalance_period = cfg.rebalance_period;
-  o.rebalance_trigger_ratio = 1.3;
-  o.rebalance_min_load = 64;
   o.adaptive.overflow_split_shards = cfg.split_capacity;
   if (cfg.adaptive) {
     // Advisor decisions only have to be deterministic per engine config;
@@ -211,18 +210,22 @@ struct ReplayResult {
 
 ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
   std::vector<SubscriptionId> live;
+  std::vector<Box> live_boxes;  // parallel to `live`
   ReplayResult r;
   uint64_t event_counter = 0;
-  for (const Op& op : log) {
+  for (size_t step = 0; step < log.size(); ++step) {
+    const Op& op = log[step];
     switch (op.kind) {
       case Op::kSubscribe:
         live.push_back(engine.SubscribeBox(op.box));
+        live_boxes.push_back(op.box);
         break;
       case Op::kSubscribeBatch: {
         std::vector<SubscriptionId> ids;
         engine.SubscribeBatch(
             Span<const Box>(op.boxes.data(), op.boxes.size()), &ids);
         live.insert(live.end(), ids.begin(), ids.end());
+        live_boxes.insert(live_boxes.end(), op.boxes.begin(), op.boxes.end());
         break;
       }
       case Op::kUnsubscribe: {
@@ -230,6 +233,8 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
         EXPECT_TRUE(engine.Unsubscribe(live[v]));
         live[v] = live.back();
         live.pop_back();
+        live_boxes[v] = live_boxes.back();
+        live_boxes.pop_back();
         break;
       }
       case Op::kMatchBatch: {
@@ -276,6 +281,16 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
           }
         }
         break;
+    }
+    // The planner's resident histogram is the live set, exactly, after
+    // every step: moves, switches and splits leave it unchanged.
+    if (const adapt::QueryPatternTracker* t = engine.pattern_tracker()) {
+      const adapt::PatternSnapshot p = t->Snapshot();
+      if (p.subscriptions != live.size() ||
+          !(p.sub_dims == testutil::ResidentHistogram(live_boxes, kNd))) {
+        ADD_FAILURE() << "resident histogram diverged at step " << step;
+        return r;
+      }
     }
   }
   return r;

@@ -121,8 +121,8 @@ std::vector<std::vector<ObjectId>> DriveWorkload(
     }
     std::vector<Event> events = MakeEvents(rng, 24, snap);
     MatchBatchResult res;
-    engine.MatchBatch(Span<const Event>(events.data(), events.size()), policy,
-                      &res);
+    engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res,
+                      policy);
     for (auto& m : res.matches) all_matches.push_back(std::move(m));
   }
   return all_matches;
@@ -376,8 +376,6 @@ TEST(RoutedEngine, RebalanceOnceShedsTheHotShard) {
 TEST(RoutedEngine, AutoRebalanceTriggersUnderSkewAndKeepsParity) {
   EngineOptions opts = Opts(4, 0, ShardingPolicy::kRange);
   opts.rebalance_period = 64;
-  opts.rebalance_trigger_ratio = 1.5;
-  opts.rebalance_min_load = 64;
   SubscriptionEngine routed(UnitSchema(), opts);
   SubscriptionEngine serial(UnitSchema(), Opts(1, 0));
 
@@ -461,8 +459,8 @@ TEST(RoutedEngine, BruteForceOracleOnBoundaryGeometry) {
   for (const MatchPolicy policy :
        {MatchPolicy::kIntersecting, MatchPolicy::kCovering}) {
     MatchBatchResult res;
-    engine.MatchBatch(Span<const Event>(events.data(), events.size()), policy,
-                      &res);
+    engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res,
+                      policy);
     for (size_t e = 0; e < events.size(); ++e) {
       const Relation rel =
           events[e].is_point || policy == MatchPolicy::kCovering
@@ -500,14 +498,12 @@ TEST(RoutedEngine, OverflowPressureObservability) {
     engine.SubscribeBox(b);
   }
 
-  // The rebalance load snapshot reports overflow residency and straddler
-  // fraction over the live population.
-  const auto load = engine.GetRebalanceLoadSnapshot();
-  ASSERT_EQ(load.range_loads.size(), 2u);
-  EXPECT_EQ(load.overflow_subscriptions, straddlers);
-  EXPECT_EQ(load.total_subscriptions, 120u);
-  EXPECT_DOUBLE_EQ(load.straddler_fraction,
-                   static_cast<double>(straddlers) / 120.0);
+  // The overflow shard's resident count is the straddler population.
+  const auto infos = engine.GetShardInfos();
+  ASSERT_EQ(infos.size(), 3u);
+  EXPECT_EQ(infos[2].subscriptions, straddlers);
+  EXPECT_EQ(infos[0].subscriptions + infos[1].subscriptions,
+            120u - straddlers);
 
   // MatchBatch stamps the overflow gauge on the overflow shard's entry
   // only, alongside the routing snapshot version and epoch it ran under.
@@ -521,88 +517,6 @@ TEST(RoutedEngine, OverflowPressureObservability) {
   EXPECT_EQ(res.routing_version, engine.routing_version());
   EXPECT_GT(res.epoch, 0u);
 
-  // A non-range engine reports an empty load snapshot.
-  SubscriptionEngine broadcast(UnitSchema(), Opts(3, 0));
-  EXPECT_TRUE(broadcast.GetRebalanceLoadSnapshot().range_loads.empty());
-}
-
-TEST(RoutedEngine, SpillAwarePlannerAvoidsDenseCut) {
-  // Dense-cut workload: the donor slice (0.5, inf) holds three packs —
-  // 170 narrow boxes in [0.52, 0.56], a dense pack of 80 WIDE boxes whose
-  // lower endpoints crowd [0.600, 0.602] with hi0 = 0.9, and 150 narrow
-  // boxes above 0.7. The exact gap-halving shed count (m = 200) puts the
-  // fence in the middle of the wide pack — the 30 wide boxes below it
-  // would straddle the new fence and spill to overflow — while shedding
-  // ~175 puts the fence at the pack's leading edge and spills almost
-  // nothing. The spill-aware planner must find that fence.
-  EngineOptions o = Opts(3, 0, ShardingPolicy::kRange, {0.5f});
-  SubscriptionEngine engine(UnitSchema(), std::move(o));
-  const auto sub = [&](float lo, float hi) {
-    Box b = Box::FullDomain(kNd);
-    b.set(0, lo, hi);
-    engine.SubscribeBox(b);
-  };
-  for (int i = 0; i < 170; ++i) {
-    const float lo = 0.52f + 0.04f * static_cast<float>(i) / 170.0f;
-    sub(lo, lo + 0.005f);
-  }
-  for (int i = 0; i < 80; ++i) {
-    sub(0.600f + 0.002f * static_cast<float>(i) / 80.0f, 0.9f);
-  }
-  for (int i = 0; i < 150; ++i) {
-    const float lo = 0.70f + 0.25f * static_cast<float>(i) / 150.0f;
-    sub(lo, lo + 0.005f);
-  }
-  // Everything starts in the donor slice (shard 1).
-  ASSERT_EQ(engine.GetShardInfos()[1].subscriptions, 400u);
-
-  ASSERT_TRUE(engine.RebalanceOnce());
-  const auto st = engine.rebalance_stats();
-  EXPECT_EQ(st.boundary_moves, 1u);
-  EXPECT_GT(st.subscriptions_migrated, 0u);
-  // The spill-aware fence clears the wide pack almost entirely (the
-  // halving fence would spill 30).
-  EXPECT_LT(st.last_predicted_straddler_spill, 10u);
-
-  // The prediction is what the migration actually did.
-  EXPECT_EQ(engine.GetRebalanceLoadSnapshot().overflow_subscriptions,
-            st.last_predicted_straddler_spill);
-
-  // The planner still rebalanced: the donor shed a meaningful share and
-  // nothing was lost.
-  size_t total = 0;
-  for (const auto& info : engine.GetShardInfos()) total += info.subscriptions;
-  EXPECT_EQ(total, 400u);
-  EXPECT_GT(engine.GetShardInfos()[0].subscriptions, 100u);
-}
-
-TEST(RoutedEngine, RebalancePlannerReportsPredictedStraddlerSpill) {
-  // Load the middle slice of a K=4 engine with residents that *straddle
-  // the region the fence will move through*: a move must shed some of
-  // them to overflow, and the planner must predict that spill.
-  SubscriptionEngine engine(UnitSchema(),
-                            Opts(4, 0, ShardingPolicy::kRange,
-                                 {1.0f / 3.0f, 2.0f / 3.0f}));
-  Rng rng(21);
-  for (int i = 0; i < 300; ++i) {
-    Box b = testutil::RandomBox(rng, kNd, 0.3f);
-    // Fat boxes inside the middle slice (1/3, 2/3): any fence landing
-    // inside the pack cuts many of them.
-    const float lo = 0.35f + 0.2f * rng.NextFloat();
-    const float hi = lo + 0.05f + 0.2f * rng.NextFloat();
-    b.set(0, lo, std::min(hi, 0.66f));
-    engine.SubscribeBox(b);
-  }
-  ASSERT_TRUE(engine.RebalanceOnce());
-  const auto st = engine.rebalance_stats();
-  EXPECT_EQ(st.boundary_moves, 1u);
-  EXPECT_GT(st.predicted_straddler_spill, 0u);
-  EXPECT_EQ(st.predicted_straddler_spill,
-            st.last_predicted_straddler_spill);
-  // Reported, not yet acted on: the prediction must agree with what the
-  // migration actually did — every spilled donor is now overflow-resident.
-  const auto load = engine.GetRebalanceLoadSnapshot();
-  EXPECT_GE(load.overflow_subscriptions, st.last_predicted_straddler_spill);
 }
 
 #if GTEST_HAS_DEATH_TEST

@@ -85,8 +85,8 @@ TEST(SdiEngine, RangeEventPolicies) {
       {{"price", 600, 900}, {"rooms", 3, 5}, {"baths", 1, 2}}, &ad));
 
   std::vector<SubscriptionId> loose, strict;
-  engine.Match(ad, MatchPolicy::kIntersecting, &loose);
-  engine.Match(ad, MatchPolicy::kCovering, &strict);
+  engine.Match(ad, &loose, MatchPolicy::kIntersecting);
+  engine.Match(ad, &strict, MatchPolicy::kCovering);
   std::sort(loose.begin(), loose.end());
   EXPECT_EQ(loose, (std::vector<SubscriptionId>{overlapping, covering}));
   EXPECT_EQ(strict, std::vector<SubscriptionId>{covering});

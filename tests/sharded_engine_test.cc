@@ -74,8 +74,8 @@ std::vector<std::vector<ObjectId>> DriveWorkload(SubscriptionEngine& engine,
     }
     std::vector<Event> events = MakeEvents(rng, 32);
     MatchBatchResult res;
-    engine.MatchBatch(Span<const Event>(events.data(), events.size()), policy,
-                      &res);
+    engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res,
+                      policy);
     for (auto& m : res.matches) all_matches.push_back(std::move(m));
   }
   return all_matches;
@@ -201,12 +201,12 @@ TEST(ShardedEngine, MatchIsAOneEventBatch) {
   size_t multi = 0;
   for (const Event& ev : evs) {
     MatchBatchResult res;
-    batch->MatchBatch(Span<const Event>(&ev, 1), MatchPolicy::kIntersecting,
-                      &res);
+    batch->MatchBatch(Span<const Event>(&ev, 1), &res,
+                      MatchPolicy::kIntersecting);
     std::vector<SubscriptionId> out = prefix;
     const uint64_t events0 = events->Value();
     const uint64_t verified0 = verified->Value();
-    single->Match(ev, MatchPolicy::kIntersecting, &out);
+    single->Match(ev, &out, MatchPolicy::kIntersecting);
     ASSERT_GE(out.size(), prefix.size());
     EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
     EXPECT_EQ(std::vector<SubscriptionId>(out.begin() + prefix.size(),
@@ -265,9 +265,9 @@ TEST(ShardedEngine, SubscribeBatchEquivalentToLoopSubscribeForAllPolicies) {
     std::vector<Event> events = MakeEvents(rng, 48);
     MatchBatchResult loop_res, batch_res;
     loop_engine.MatchBatch(Span<const Event>(events.data(), events.size()),
-                           MatchPolicy::kIntersecting, &loop_res);
+                           &loop_res, MatchPolicy::kIntersecting);
     batch_engine.MatchBatch(Span<const Event>(events.data(), events.size()),
-                            MatchPolicy::kIntersecting, &batch_res);
+                            &batch_res, MatchPolicy::kIntersecting);
     EXPECT_EQ(batch_res.matches, loop_res.matches);
     ASSERT_EQ(batch_res.per_shard.size(), loop_res.per_shard.size());
     for (size_t s = 0; s < loop_res.per_shard.size(); ++s) {
@@ -312,7 +312,7 @@ TEST(ShardedEngine, SubscribeBatchInterleavesWithLoopSubscribeAndUnsubscribe) {
       std::vector<Event> events = MakeEvents(rng, 16);
       MatchBatchResult res;
       engine.MatchBatch(Span<const Event>(events.data(), events.size()),
-                        MatchPolicy::kCovering, &res);
+                        &res, MatchPolicy::kCovering);
       for (auto& m : res.matches) matches.push_back(std::move(m));
     }
     return matches;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "adapt/pattern_tracker.h"
 #include "api/spatial_index.h"
 #include "geometry/query.h"
 #include "util/rng.h"
@@ -50,6 +51,20 @@ inline Box RandomBox(Rng& rng, Dim nd, float max_extent = 1.0f) {
     b.set(d, start, std::min(start + len, 1.0f));
   }
   return b;
+}
+
+/// Brute-force per-dimension endpoint histograms of a live set: what a
+/// range-routed engine's resident histogram must hold for it.
+inline std::vector<adapt::DimPattern> ResidentHistogram(
+    const std::vector<Box>& live, Dim nd) {
+  std::vector<adapt::DimPattern> h(nd);
+  for (const Box& b : live) {
+    for (Dim d = 0; d < nd; ++d) {
+      ++h[d].lo[adapt::PatternBinOf(b.lo(d))];
+      ++h[d].hi[adapt::PatternBinOf(b.hi(d))];
+    }
+  }
+  return h;
 }
 
 }  // namespace testutil
