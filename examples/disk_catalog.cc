@@ -60,7 +60,7 @@ int main() {
   const std::string path = "/tmp/accl_disk_catalog.pf";
   {
     auto store = std::make_unique<ClusterFileStore>(
-        PagedFile::Create(path, 16384), nd, /*reserve_fraction=*/0.25);
+        PagedFile::Create(path, 16384), nd);
     if (store == nullptr || !store->PutAll(catalog) ||
         !store->SaveDirectory()) {
       std::fprintf(stderr, "failed to save %s\n", path.c_str());

@@ -24,7 +24,7 @@ RoutingDecision RoutingAdvisor::Evaluate(const PatternSnapshot& pattern,
   const double current_score = d.estimates[state.current_dim].score;
   const double best_score = d.estimates[best].score;
   if (best != state.current_dim && best_score > 0.0 &&
-      current_score >= opts_.switch_threshold * best_score) {
+      current_score >= kRoutingSwitchThreshold * best_score) {
     std::vector<float> fences = SelectivityAnalyzer::PlanFences(
         pattern, static_cast<Dim>(best), state.range_slices - 1);
     if (fences.size() == state.range_slices - 1) {
@@ -44,28 +44,22 @@ RoutingDecision RoutingAdvisor::Evaluate(const PatternSnapshot& pattern,
   }
   const double pressure = static_cast<double>(state.overflow_residents) /
                           static_cast<double>(state.total_subscriptions);
-  if (pressure < opts_.split_straddler_threshold) {
+  if (pressure < kSplitStraddlerThreshold) {
     straddle_streak_ = 0;
     return d;
   }
-  if (++straddle_streak_ < opts_.split_patience) return d;
+  if (++straddle_streak_ < kSplitPatience) return d;
 
-  // Split dimension: pinned, else the best-scoring non-fence dimension.
+  // Split dimension: the best-scoring non-fence dimension.
   size_t split_dim = d.estimates.size();
-  if (opts_.split_dim >= 0) {
-    split_dim = static_cast<size_t>(opts_.split_dim);
-  } else {
-    for (size_t cand = 0; cand < d.estimates.size(); ++cand) {
-      if (cand == state.current_dim) continue;
-      if (split_dim == d.estimates.size() ||
-          d.estimates[cand].score < d.estimates[split_dim].score) {
-        split_dim = cand;
-      }
+  for (size_t cand = 0; cand < d.estimates.size(); ++cand) {
+    if (cand == state.current_dim) continue;
+    if (split_dim == d.estimates.size() ||
+        d.estimates[cand].score < d.estimates[split_dim].score) {
+      split_dim = cand;
     }
   }
-  if (split_dim >= d.estimates.size() || split_dim == state.current_dim) {
-    return d;  // pinned to the fence dimension, or nd == 1: cannot split
-  }
+  if (split_dim == d.estimates.size()) return d;  // nd == 1: cannot split
   // Split fences slice the *straddler* population; the mass histograms
   // of the split dimension are the closest stand-in the tracker keeps. S sub-shards
   // need S-1 interior fences; PlanFences' uniform fallback guarantees a

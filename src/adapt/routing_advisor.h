@@ -5,16 +5,16 @@
 //
 // Policy, in priority order:
 //   1. Dimension switch: if the best candidate dimension's predicted score
-//      beats the current fence dimension's by >= switch_threshold, switch,
-//      with fences from SelectivityAnalyzer::PlanFences on the new
+//      beats the current fence dimension's by >= kRoutingSwitchThreshold,
+//      switch, with fences from SelectivityAnalyzer::PlanFences on the new
 //      dimension. A switch resets the split-patience streak (the new
 //      fences change who straddles).
 //   2. Overflow split: if no switch fires, the current dimension is
 //      (near-)optimal, and straddler pressure — overflow residents over
-//      all subscriptions — has stayed >= split_straddler_threshold for
-//      split_patience consecutive windows, split the overflow shard on a
-//      second dimension. The split dimension is the pinned opts.split_dim,
-//      or the best-scoring dimension other than the fence dimension.
+//      all subscriptions — has stayed >= kSplitStraddlerThreshold for
+//      kSplitPatience consecutive windows, split the overflow shard on a
+//      second dimension: the best-scoring dimension other than the fence
+//      dimension.
 // Re-placing the current dimension's fences is not the advisor's call:
 // the engine re-plans them with the same PlanFences every
 // rebalance_period events (see SubscriptionEngine::RebalanceOnce).
@@ -62,9 +62,6 @@ struct RoutingDecision {
 
 class RoutingAdvisor {
  public:
-  RoutingAdvisor(const AdaptiveRoutingOptions& opts, Dim nd)
-      : opts_(opts), nd_(nd) {}
-
   /// Evaluates one window. Not thread-safe: single caller, engine-locked.
   RoutingDecision Evaluate(const PatternSnapshot& pattern,
                            const AdvisorState& state);
@@ -73,8 +70,6 @@ class RoutingAdvisor {
   uint32_t straddle_streak() const { return straddle_streak_; }
 
  private:
-  const AdaptiveRoutingOptions opts_;
-  const Dim nd_;
   uint32_t straddle_streak_ = 0;
 };
 

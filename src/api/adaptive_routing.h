@@ -16,6 +16,10 @@
 // change uses — so match sets stay byte-identical to the serial oracle at
 // every instant.
 //
+// The fence starts on dimension 0. The hysteresis and split trigger below
+// are constants: no workload needs other values, and each would be one more
+// input to reason about when diagnosing a routing decision.
+//
 // These types live in api/ so the engine's options/stats surface does not
 // depend on the adapt/ implementation layer.
 #pragma once
@@ -24,6 +28,25 @@
 #include <vector>
 
 namespace accl {
+
+/// The hysteresis of every automatic move. A dimension switch requires the
+/// current dimension's predicted cost to be at least this multiple of the
+/// best candidate's (switch only for a predicted >= 1.5x selectivity win),
+/// and a periodic fence re-plan (EngineOptions::rebalance_period) requires
+/// the current fences' largest shard load to be at least this multiple of
+/// the plan's. At 1 or less, estimation noise would move the routing back
+/// and forth at every evaluation.
+inline constexpr double kRoutingSwitchThreshold = 1.5;
+
+/// Overflow-split trigger: straddler pressure (catch-all overflow residents
+/// as a fraction of all subscriptions) must reach this level...
+inline constexpr double kSplitStraddlerThreshold = 0.25;
+
+/// ...for this many consecutive advisor windows before the overflow shard
+/// is split on a second dimension (straddler pressure under well-placed
+/// fences is a steady-state property, not a one-window blip). The advisor
+/// splits on the most selective dimension other than the fence dimension.
+inline constexpr uint32_t kSplitPatience = 2;
 
 /// Knobs of the adaptive routing subsystem (EngineOptions::adaptive).
 /// Validated by SubscriptionEngine::ValidateOptions; every violation is a
@@ -40,28 +63,6 @@ struct AdaptiveRoutingOptions {
   /// be >= 1 when enabled (a zero window would evaluate on every event).
   uint32_t sample_window = 4096;
 
-  /// The hysteresis of every automatic move. A dimension switch requires
-  /// the current dimension's predicted cost to be at least this multiple
-  /// of the best candidate's (default: switch only for a predicted >= 1.5x
-  /// selectivity win), and a periodic fence re-plan
-  /// (EngineOptions::rebalance_period) requires the current fences'
-  /// largest shard load to be at least this multiple of the plan's. Must
-  /// be > 1 whenever moves are automatic (enabled, or rebalance_period >
-  /// 0) — a threshold of 1 or less lets estimation noise move the routing
-  /// back and forth at every evaluation.
-  double switch_threshold = 1.5;
-
-  /// Overflow-split trigger: straddler pressure (catch-all overflow
-  /// residents as a fraction of all subscriptions) must reach this
-  /// level... must be in (0, 1] when enabled.
-  double split_straddler_threshold = 0.25;
-
-  /// ...for this many consecutive advisor windows before the overflow
-  /// shard is split (straddler pressure under well-placed fences is a
-  /// steady-state property, not a one-window blip). Must be >= 1 when
-  /// enabled.
-  uint32_t split_patience = 2;
-
   /// Overflow sub-shards reserved for splitting (0 = splitting disabled;
   /// requires kRange when > 0). The engine allocates these physically at
   /// construction; they stay empty and unvisited until a split activates.
@@ -70,15 +71,6 @@ struct AdaptiveRoutingOptions {
   /// sub-shards its own d2 interval overlaps — the catch-all overflow
   /// shard keeps only double-straddlers.
   uint32_t overflow_split_shards = 0;
-
-  /// Initial fence dimension (-1 = dimension 0, the historical default).
-  /// Must name a schema dimension when >= 0. The advisor may move off it.
-  int32_t fence_dim = -1;
-
-  /// Pinned overflow-split dimension (-1 = the advisor picks the most
-  /// selective dimension other than the fence dimension). Must name a
-  /// schema dimension when >= 0.
-  int32_t split_dim = -1;
 };
 
 /// What the analyzer predicts for routing on one candidate dimension,

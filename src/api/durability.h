@@ -1,6 +1,7 @@
 // Shared types of the durability subsystem (src/durability/): log sequence
-// numbers, configuration, and the counter structs the WAL, checkpointer and
-// recovery path expose.
+// numbers, configuration, and the counter structs the WAL, log shipper and
+// recovery path expose. The checkpointer's counters are registry metrics
+// only (accl_ckpt_*, Checkpointer::AttachMetrics).
 //
 // They live in api/ — not durability/ — because the engine layer (sdi/)
 // references LSNs and durability metrics in its public surface without
@@ -18,7 +19,10 @@ namespace accl {
 using Lsn = uint64_t;
 inline constexpr Lsn kNoLsn = 0;
 
-/// Configuration for a durable engine (durability::OpenDurable).
+/// Configuration for a durable engine (durability::OpenDurable). The page
+/// size of the WAL segment and checkpoint files is a constant
+/// (durability::kWalPageBytes, kCheckpointPageBytes), and a truncated WAL
+/// segment is always unlinked.
 struct DurabilityOptions {
   /// Group commit: mutators enqueue records and one flusher thread batches
   /// them into a single append+sync, so concurrent Subscribe calls share a
@@ -27,21 +31,11 @@ struct DurabilityOptions {
   /// need one I/O op per record).
   bool group_commit = true;
 
-  /// Page size of the WAL segment files and of the checkpoint file.
-  uint32_t wal_page_bytes = 4096;
-  uint32_t checkpoint_page_bytes = 4096;
-
   /// The WAL rotates to a fresh segment file once the tail segment's frame
   /// bytes exceed this (soft limit: a batch is never split across
   /// segments). Checkpoint truncation then drops whole covered segments in
   /// O(1) unlinks, so the log's on-disk footprint stays bounded.
   uint64_t wal_segment_bytes = 1 << 20;
-
-  /// Truncated segments kept as recycled spares instead of unlinked; a
-  /// rotation reuses a spare (rename + preamble rewrite) before creating a
-  /// fresh file. Recycled bytes are exactly the stale-frame surface the
-  /// per-frame generation stamp guards against.
-  uint32_t wal_spare_segments = 1;
 
   /// A background checkpoint is scheduled every this many acknowledged
   /// mutations. 0 = checkpoint only on explicit CheckpointNow().
@@ -62,13 +56,10 @@ struct WalStats {
   Lsn durable_lsn = 0;
   Lsn applied_low_water = 0;
   // ---- Segment lifecycle (rotation + truncation GC) ----
-  uint64_t live_segments = 0;       ///< segment files currently in the chain
-  uint64_t spare_segments = 0;      ///< recycled files waiting for reuse
-  uint64_t tail_segment_seq = 0;    ///< generation stamp of the append tail
-  uint64_t segments_rotated = 0;    ///< rotations the flusher performed
-  uint64_t segments_recycled = 0;   ///< rotations served from the spare pool
-  uint64_t segments_unlinked = 0;   ///< truncated segments removed from disk
-  uint64_t segments_spared = 0;     ///< truncated segments renamed to spares
+  uint64_t live_segments = 0;      ///< segment files currently in the chain
+  uint64_t tail_segment_seq = 0;   ///< generation stamp of the append tail
+  uint64_t segments_rotated = 0;   ///< rotations the flusher performed
+  uint64_t segments_unlinked = 0;  ///< truncated segments removed from disk
   /// Group-commit batching factor: acknowledged records per sync. 1.0 in
   /// per-record-flush mode; > 1 whenever concurrent mutators shared a sync.
   double records_per_flush() const {
@@ -77,15 +68,6 @@ struct WalStats {
                : static_cast<double>(records_appended) /
                      static_cast<double>(flush_batches);
   }
-};
-
-/// Checkpointer counters (Checkpointer::stats).
-struct CheckpointStats {
-  uint64_t checkpoints_written = 0;
-  uint64_t checkpoint_failures = 0;  ///< image write or WAL truncation failed
-  uint64_t last_subscriptions = 0;   ///< live subscriptions in the last image
-  Lsn last_lsn = 0;                  ///< WAL low-water the last image covers
-  double last_write_ms = 0.0;
 };
 
 /// Log-shipping / warm-standby counters (durability::LogShipper::stats).

@@ -52,7 +52,6 @@ AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
   ACCL_CHECK(backend_ != nullptr);
   owner_.Reserve(1024);
   ACCL_CHECK(cfg_.division_factor >= 2);
-  ACCL_CHECK(cfg_.reserve_fraction >= 0.0 && cfg_.reserve_fraction < 1.0);
   root_ = NewCluster(Signature(cfg_.nd), kNoCluster);
 }
 
@@ -65,8 +64,8 @@ VerifyKernelInfo AdaptiveIndex::verify_kernel() const {
 ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
   ClusterId id;
   auto c = std::make_unique<Cluster>(
-      0, std::move(sig), cfg_.nd, cfg_.reserve_fraction,
-      cfg_.division_factor, total_weight_, LogCapacity(cfg_.reorg_period));
+      0, std::move(sig), cfg_.nd, cfg_.division_factor, total_weight_,
+      LogCapacity(cfg_.reorg_period));
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
@@ -544,23 +543,23 @@ size_t AdaptiveIndex::TryClusterSplit(ClusterId cid) {
   // Paper Fig. 3: greedily materialize the most profitable candidate, then
   // recompute (moved objects change the indicators of other candidates).
   while (c->ObservationWindow(total_weight_) >= cfg_.min_observation &&
-         live_clusters_ < cfg_.max_clusters) {
+         live_clusters_ < kMaxClusters) {
     CandidateSet& cs = c->candidates;
     const double cand_window = total_weight_ - cs.created_weight();
     if (cand_window < cfg_.min_observation) break;
 
     // The split scan also counts and folds the exploration log. Candidates
-    // failing the object-count, probability-gap (see AdaptiveConfig) or
-    // benefit-floor tests can never be selected.
+    // failing the object-count, probability-gap (see kSplitProbabilityRatio)
+    // or benefit-floor tests can never be selected.
     SplitScan scan;
     scan.A = model_.A;
     scan.B = model_.B;
     scan.C = model_.C;
     scan.p_c = AccessProbOf(*c);
     scan.window = cand_window + 1.0;
-    scan.min_n = static_cast<double>(cfg_.min_split_objects);
-    scan.p_gap = cfg_.split_probability_ratio * scan.p_c;
-    scan.min_benefit = cfg_.min_split_benefit_ms;
+    scan.min_n = static_cast<double>(kMinSplitObjects);
+    scan.p_gap = kSplitProbabilityRatio * scan.p_c;
+    scan.min_benefit = kMinSplitBenefitMs;
     if (beta_.size() < cs.padded_size()) beta_.resize(cs.padded_size());
     const size_t best = cs.BestSplit(ring_, scan, beta_.data());
     if (best == static_cast<size_t>(-1)) break;
@@ -761,7 +760,6 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
     ACCL_CHECK(img.sig.dims() == cfg.nd);
     ACCL_CHECK(!idx->clusters_[img.id]);
     auto c = std::make_unique<Cluster>(img.id, img.sig, cfg.nd,
-                                       cfg.reserve_fraction,
                                        cfg.division_factor, 0.0,
                                        LogCapacity(cfg.reorg_period));
     c->parent = img.parent;

@@ -39,7 +39,29 @@ namespace kernels {
 class VerifyBackend;
 }  // namespace kernels
 
-/// Tuning knobs for AdaptiveIndex. Defaults follow the paper (§6, §7.1).
+/// Split safeguards of the cost model, shared by AdaptiveIndex and the
+/// static clusterer (core/static_clustering.h).
+///
+/// Minimum objects a candidate must hold to be worth materializing.
+inline constexpr size_t kMinSplitObjects = 2;
+/// Hysteresis against estimation noise: a candidate is only materialized
+/// when its estimated access probability is at most this fraction of the
+/// owner's. Without the gap requirement, candidates whose true probability
+/// equals the cluster's get split on upward noise in the estimate and
+/// merged back when it corrects, oscillating forever.
+inline constexpr double kSplitProbabilityRatio = 0.75;
+/// Absolute materialization-benefit floor [ms/query]. Benefits within
+/// estimation noise of zero (a few-object candidate saving microseconds)
+/// would otherwise keep materializing and merging at the margin; the floor
+/// makes reorganization reach a true fixed point. Negligible relative to
+/// disk-scenario benefits (seeks are milliseconds).
+inline constexpr double kMinSplitBenefitMs = 5e-4;
+/// Hard cap on an index's materialized clusters (safety valve).
+inline constexpr size_t kMaxClusters = size_t{1} << 20;
+
+/// Tuning knobs for AdaptiveIndex. Defaults follow the paper (§6, §7.1);
+/// the paper's constants (the reserve of storage/slot_array.h and the
+/// split safeguards above) are not knobs.
 struct AdaptiveConfig {
   Dim nd = 16;
   StorageScenario scenario = StorageScenario::kMemory;
@@ -51,30 +73,12 @@ struct AdaptiveConfig {
   /// one round of AdaptiveIndex's sliced pass. 0 disables automatic
   /// reorganization (call Reorganize() manually).
   uint32_t reorg_period = 100;
-  /// Free places reserved at cluster (re)location: 20-30 % in the paper.
-  double reserve_fraction = 0.25;
   /// Minimum observation window (queries since creation) before a cluster's
   /// or candidate's statistics may drive a split/merge decision.
   double min_observation = 32.0;
-  /// Minimum objects a candidate must hold to be worth materializing.
-  size_t min_split_objects = 2;
-  /// Hysteresis against estimation noise: a candidate is only materialized
-  /// when its estimated access probability is at most this fraction of the
-  /// owner's. Without the gap requirement, candidates whose true
-  /// probability equals the cluster's get split on upward noise in the
-  /// estimate and merged back when it corrects, oscillating forever.
-  double split_probability_ratio = 0.75;
-  /// Absolute materialization-benefit floor [ms/query]. Benefits within
-  /// estimation noise of zero (a few-object candidate saving microseconds)
-  /// would otherwise keep materializing and merging at the margin; the
-  /// floor makes reorganization reach a true fixed point. Negligible
-  /// relative to disk-scenario benefits (seeks are milliseconds).
-  double min_split_benefit_ms = 5e-4;
   /// Every this many queries all statistics are halved, giving a sliding
   /// window that tracks query-distribution change. 0 = never decay.
   uint32_t stats_halving_period = 4096;
-  /// Hard cap on materialized clusters (safety valve).
-  size_t max_clusters = 1u << 20;
   /// Verification-kernel backend by name ("scalar", "sse2", "avx2",
   /// "avx512"); empty selects the widest the host supports. The
   /// ACCL_FORCE_BACKEND environment variable overrides this. Requesting a

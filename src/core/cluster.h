@@ -22,7 +22,7 @@ inline constexpr ClusterId kNoCluster = 0xFFFFFFFFu;
 struct Cluster {
   /// `created_weight` is the global decayed query weight at creation;
   /// `log_capacity` bounds the explorations logged between replays.
-  Cluster(ClusterId id_in, Signature sig_in, Dim nd, double reserve_fraction,
+  Cluster(ClusterId id_in, Signature sig_in, Dim nd,
           uint32_t division_factor, double created_weight,
           uint32_t log_capacity)
       : candidates(sig_in, division_factor, created_weight,
@@ -30,7 +30,7 @@ struct Cluster {
         w0(created_weight),
         id(id_in),
         sig(std::move(sig_in)),
-        objects(nd, reserve_fraction) {}
+        objects(nd) {}
 
   // The fields an exploration and a reorganization pass touch come first.
 

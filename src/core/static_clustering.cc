@@ -55,7 +55,7 @@ StaticClustering BuildStaticClustering(
     // Candidate indicators: exact object counts and query frequencies.
     CandidateSet cs(item.sig, options.division_factor, 0.0);
     for (uint32_t mi : item.members) cs.AccountObject(data.box(mi), +1);
-    if (item.depth < options.max_depth) {
+    if (item.depth < kStaticMaxDepth) {
       for (const Query& q : sample) {
         if (item.sig.AdmitsQuery(q)) cs.AccountQuery(q);
       }
@@ -64,17 +64,17 @@ StaticClustering BuildStaticClustering(
     // Greedy materialization, exactly the adaptive TryClusterSplit but with
     // measured probabilities (no priors, no observation windows).
     std::vector<WorkItem> children;
-    if (item.depth < options.max_depth) {
+    if (item.depth < kStaticMaxDepth) {
       for (;;) {
         double best_beta = 0.0;
         size_t best = static_cast<size_t>(-1);
         for (size_t i = 0; i < cs.size(); ++i) {
           const CandidateSet::Candidate& cd = cs.at(i);
-          if (cd.n < static_cast<double>(options.min_split_objects)) continue;
+          if (cd.n < static_cast<double>(kMinSplitObjects)) continue;
           const double p_s = cd.q / S;
-          if (p_s > options.split_probability_ratio * p_c) continue;
+          if (p_s > kSplitProbabilityRatio * p_c) continue;
           const double beta = model.MaterializationBenefit(p_c, p_s, cd.n);
-          if (beta <= options.min_split_benefit_ms) continue;
+          if (beta <= kMinSplitBenefitMs) continue;
           if (beta > best_beta) {
             best_beta = beta;
             best = i;

@@ -26,14 +26,13 @@ struct StaticClusteringOptions {
   StorageScenario scenario = StorageScenario::kMemory;
   SystemParams sys = SystemParams::Paper();
   uint32_t division_factor = 4;
-  /// Same safeguards as the adaptive index.
-  size_t min_split_objects = 2;
-  double split_probability_ratio = 0.75;
-  double min_split_benefit_ms = 5e-4;
-  /// Recursion bound (a materialized chain refines signatures; depth beyond
-  /// this is never profitable in practice).
-  uint32_t max_depth = 32;
 };
+
+/// Recursion bound of the static clusterer (a materialized chain refines
+/// signatures; depth beyond this is never profitable in practice). Its
+/// other safeguards are the adaptive index's kMinSplitObjects,
+/// kSplitProbabilityRatio and kMinSplitBenefitMs.
+inline constexpr uint32_t kStaticMaxDepth = 32;
 
 /// Result of static clustering.
 struct StaticClustering {

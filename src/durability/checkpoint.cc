@@ -159,10 +159,14 @@ bool CheckpointStore::Read(EngineImage* out) {
 // ------------------------------------------------------------ Checkpointer
 
 Checkpointer::Checkpointer(SubscriptionEngine* engine, WriteAheadLog* wal,
-                           CheckpointStore* store, Options options)
-    : engine_(engine), wal_(wal), store_(store), options_(options) {
+                           CheckpointStore* store,
+                           const DurabilityOptions& options)
+    : engine_(engine),
+      wal_(wal),
+      store_(store),
+      every_mutations_(options.checkpoint_every_mutations) {
   ACCL_CHECK(engine_ != nullptr && wal_ != nullptr && store_ != nullptr);
-  if (options_.background) {
+  if (options.background_checkpoints) {
     pool_ = std::make_unique<exec::ThreadPool>(1);
   }
 }
@@ -221,9 +225,9 @@ bool Checkpointer::CheckpointNow() {
 }
 
 void Checkpointer::OnMutations(uint64_t n) {
-  if (options_.every_mutations == 0) return;
+  if (every_mutations_ == 0) return;
   if (mutations_since_.fetch_add(n, std::memory_order_relaxed) + n <
-      options_.every_mutations) {
+      every_mutations_) {
     return;
   }
   if (inflight_.exchange(true, std::memory_order_acquire)) return;
@@ -239,14 +243,11 @@ void Checkpointer::OnMutations(uint64_t n) {
   }
 }
 
-CheckpointStats Checkpointer::stats() const {
-  CheckpointStats s;
-  s.checkpoints_written = writes_.Value();
-  s.checkpoint_failures = failures_.Value();
-  s.last_subscriptions = static_cast<uint64_t>(last_subscriptions_.Value());
-  s.last_lsn = static_cast<Lsn>(last_lsn_.Value());
-  s.last_write_ms = static_cast<double>(last_write_us_.Value()) / 1000.0;
-  return s;
+void WireDurableEngine(const DurabilityOptions& options, DurableEngine* out) {
+  out->engine->AttachDurability(out->wal.get());
+  out->checkpointer = std::make_unique<Checkpointer>(
+      out->engine.get(), out->wal.get(), out->checkpoints.get(), options);
+  out->engine->SetCheckpointer(out->checkpointer.get());
 }
 
 void DurableEngine::Teardown() {

@@ -38,6 +38,9 @@ namespace accl::durability {
 
 class WriteAheadLog;
 
+/// Page size of the checkpoint file.
+constexpr uint32_t kCheckpointPageBytes = 4096;
+
 /// Checkpointable image of a SubscriptionEngine (see
 /// SubscriptionEngine::CaptureDurableImage for capture semantics).
 struct EngineImage {
@@ -83,18 +86,13 @@ class CheckpointStore {
 /// Schedules and runs checkpoints against one engine + WAL + store.
 class Checkpointer {
  public:
-  struct Options {
-    /// Schedule a checkpoint every this many acknowledged mutations
-    /// (OnMutations). 0 = only explicit CheckpointNow calls.
-    uint64_t every_mutations = 0;
-    /// Run scheduled checkpoints on a private background worker; false
-    /// runs them inline on the triggering mutator (deterministic tests).
-    bool background = true;
-  };
-
   /// None of the pointers are owned; all must outlive the checkpointer.
+  /// Schedules a checkpoint every options.checkpoint_every_mutations
+  /// acknowledged mutations (0 = only explicit CheckpointNow calls), on a
+  /// private background worker when options.background_checkpoints, else
+  /// inline on the triggering mutator.
   Checkpointer(SubscriptionEngine* engine, WriteAheadLog* wal,
-               CheckpointStore* store, Options options);
+               CheckpointStore* store, const DurabilityOptions& options);
   /// Joins any in-flight background checkpoint.
   ~Checkpointer();
 
@@ -110,8 +108,6 @@ class Checkpointer {
   /// mutations. Never blocks on the checkpoint itself in background mode.
   void OnMutations(uint64_t n);
 
-  CheckpointStats stats() const;
-
   /// Registers this checkpointer's metrics (write/failure counters, the
   /// capture+write+truncate duration histogram, last-image gauges) into
   /// `reg` under the accl_ckpt_* names. The checkpointer owns the
@@ -124,14 +120,14 @@ class Checkpointer {
   SubscriptionEngine* engine_;
   WriteAheadLog* wal_;
   CheckpointStore* store_;
-  Options options_;
+  const uint64_t every_mutations_;
 
   std::mutex run_mu_;  ///< serializes CheckpointNow bodies
   std::atomic<uint64_t> mutations_since_{0};
   std::atomic<bool> inflight_{false};
 
-  /// Checkpoint telemetry on obs primitives: stats() is a thin snapshot
-  /// read; AttachMetrics exposes the same objects on a registry.
+  /// Checkpoint telemetry, read through the registry AttachMetrics
+  /// exposes it on.
   obs::Counter writes_;
   obs::Counter failures_;
   obs::Histogram duration_us_;  ///< capture + write + truncate, per run
@@ -170,12 +166,18 @@ struct DurableEngine {
   void Teardown();
 };
 
-/// Opens `path` as a page file, creating it only when it does not exist.
-/// An existing file that fails Open's validation returns nullptr — it may
-/// hold the only copy of durable state, and PagedFile::Create truncates, so
-/// "corrupt" must surface as an error, never as a silently fresh file.
-std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path,
-                                                 uint32_t page_bytes);
+/// The wiring every durable engine shares (OpenDurable and
+/// LogShipper::Promote): attaches `out->wal` to `out->engine` and gives
+/// them a checkpointer over `out->checkpoints` scheduled by `options`.
+/// The wal, checkpoint store and engine must already be set.
+void WireDurableEngine(const DurabilityOptions& options, DurableEngine* out);
+
+/// Opens `path` as a checkpoint page file, creating it (with
+/// kCheckpointPageBytes pages) only when it does not exist. An existing
+/// file that fails Open's validation returns nullptr — it may hold the only
+/// copy of durable state, and PagedFile::Create truncates, so "corrupt"
+/// must surface as an error, never as a silently fresh file.
+std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path);
 
 /// Opens (or creates) the WAL segment chain rooted at `wal_path` (the
 /// base of the `<wal_path>.<seq:08>` files) and the checkpoint file,

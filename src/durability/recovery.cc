@@ -13,6 +13,10 @@
 //   - An unsubscribe of an unknown id is a no-op — either its subscribe was
 //     also past the image scan (both replay, in LSN order), or the capture
 //     already saw the removal.
+//   - A subscribe record with a box SubscribeBatch would refuse (NaN or
+//     ±inf bound, lo > hi) is skipped whole. This engine never logs one,
+//     so such a record carries a valid checksum only if another writer
+//     framed it.
 //
 // The same rules make ApplyReplicated safe as the follower's apply path
 // (durability/shipping.h): a ship pass that re-reads frames it already
@@ -42,8 +46,13 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
       std::vector<SubscriptionId> ids;
       std::vector<float> coords;
       const size_t stride = 2 * static_cast<size_t>(rec.nd);
-      bool skipped_any = false;
-      for (uint32_t i = 0; i < rec.count; ++i) {
+      bool well_formed = true;
+      for (uint32_t i = 0; i < rec.count && well_formed; ++i) {
+        well_formed =
+            WellFormed(BoxView(rec.coords.data() + i * stride, rec.nd));
+      }
+      bool skipped_any = !well_formed;
+      for (uint32_t i = 0; well_formed && i < rec.count; ++i) {
         const SubscriptionId id = rec.first_id + i;
         if (ShardOf(id) != shards_.size()) {
           skipped_any = true;  // fuzzy image / earlier pass already holds it
@@ -60,7 +69,7 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
       }
       if (skipped_any || ids.empty()) ++rs->wal_records_skipped;
       // Ids past the image's allocator mark must stay allocated even when
-      // every subscription in the record was deduplicated.
+      // every subscription in the record was deduplicated or refused.
       std::lock_guard<std::mutex> lk(meta_mu_);
       if (rec.first_id + rec.count > next_id_) {
         next_id_ = rec.first_id + rec.count;
@@ -149,11 +158,10 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
 
 namespace durability {
 
-std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path,
-                                                 uint32_t page_bytes) {
+std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {
-    return PagedFile::Create(path, page_bytes);
+    return PagedFile::Create(path, kCheckpointPageBytes);
   }
   return PagedFile::Open(path);
 }
@@ -164,13 +172,8 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
                  const std::string& checkpoint_path, SimDisk* disk,
                  DurableEngine* out, Status* status) {
   *out = DurableEngine();
-  WriteAheadLog::Options wal_opts;
-  wal_opts.group_commit = durability_options.group_commit;
-  wal_opts.disk = disk;
-  wal_opts.page_bytes = durability_options.wal_page_bytes;
-  wal_opts.segment_bytes = durability_options.wal_segment_bytes;
-  wal_opts.spare_segments = durability_options.wal_spare_segments;
-  out->wal = WriteAheadLog::Open(wal_path, wal_opts);
+  out->wal = WriteAheadLog::Open(
+      wal_path, WriteAheadLog::Options::For(durability_options, disk));
   if (out->wal == nullptr) {
     if (status != nullptr) {
       *status = Status::IOError(
@@ -180,8 +183,8 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
     return false;
   }
 
-  std::unique_ptr<PagedFile> ckpt_file = OpenOrCreatePagedFile(
-      checkpoint_path, durability_options.checkpoint_page_bytes);
+  std::unique_ptr<PagedFile> ckpt_file =
+      OpenOrCreatePagedFile(checkpoint_path);
   if (ckpt_file == nullptr) {
     if (status != nullptr) {
       *status = Status::InvalidArgument(
@@ -195,14 +198,7 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
       std::move(schema), std::move(engine_options), out->checkpoints.get(),
       out->wal.get(), status, &out->recovery);
   if (out->engine == nullptr) return false;
-
-  out->engine->AttachDurability(out->wal.get());
-  Checkpointer::Options cp_opts;
-  cp_opts.every_mutations = durability_options.checkpoint_every_mutations;
-  cp_opts.background = durability_options.background_checkpoints;
-  out->checkpointer = std::make_unique<Checkpointer>(
-      out->engine.get(), out->wal.get(), out->checkpoints.get(), cp_opts);
-  out->engine->SetCheckpointer(out->checkpointer.get());
+  WireDurableEngine(durability_options, out);
   return true;
 }
 

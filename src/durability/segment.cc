@@ -38,11 +38,12 @@ bool ParseSeq(const std::string& s, uint64_t* seq) {
   return true;
 }
 
-std::vector<SegmentFileInfo> ListWithInfix(const std::string& base,
-                                           const std::string& infix) {
+}  // namespace
+
+std::vector<SegmentFileInfo> ListSegmentFiles(const std::string& base) {
   std::string dir, prefix;
   SplitBase(base, &dir, &prefix);
-  prefix += infix;
+  prefix += '.';
   std::vector<SegmentFileInfo> out;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return out;
@@ -67,15 +68,6 @@ std::vector<SegmentFileInfo> ListWithInfix(const std::string& base,
   return out;
 }
 
-std::string SeqSuffix(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%08llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-}  // namespace
-
 uint32_t FrameChecksum(const uint8_t* payload, size_t n, Lsn lsn,
                        uint64_t gen) {
   return FrameChecksumFromHash(Fnv1aBytes(kFnvOffsetBasis, payload, n), lsn,
@@ -87,26 +79,14 @@ uint32_t FrameChecksumFromHash(uint64_t payload_hash, Lsn lsn, uint64_t gen) {
 }
 
 std::string SegmentPath(const std::string& base, uint64_t seq) {
-  return base + "." + SeqSuffix(seq);
-}
-
-std::string SparePath(const std::string& base, uint64_t seq) {
-  return base + ".spare." + SeqSuffix(seq);
-}
-
-std::vector<SegmentFileInfo> ListSegmentFiles(const std::string& base) {
-  return ListWithInfix(base, ".");
-}
-
-std::vector<SegmentFileInfo> ListSpareFiles(const std::string& base) {
-  return ListWithInfix(base, ".spare.");
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%08llu",
+                static_cast<unsigned long long>(seq));
+  return base + "." + buf;
 }
 
 void RemoveWalFiles(const std::string& base) {
   for (const SegmentFileInfo& f : ListSegmentFiles(base)) {
-    std::remove(f.path.c_str());
-  }
-  for (const SegmentFileInfo& f : ListSpareFiles(base)) {
     std::remove(f.path.c_str());
   }
 }
@@ -137,29 +117,15 @@ bool WritePreamble(PagedFile* file, uint64_t seq, Lsn base_lsn,
 }  // namespace
 
 std::unique_ptr<WalSegment> WalSegment::Create(const std::string& path,
-                                               uint32_t page_bytes,
                                                uint64_t seq, Lsn base_lsn,
                                                SimDisk* disk) {
   if (disk != nullptr && disk->NextOpFails()) return nullptr;
-  std::unique_ptr<PagedFile> file = PagedFile::Create(path, page_bytes);
+  std::unique_ptr<PagedFile> file = PagedFile::Create(path, kWalPageBytes);
   if (file == nullptr) return nullptr;
   if (disk != nullptr) disk->NoteCreate();
   if (!WritePreamble(file.get(), seq, base_lsn, disk)) {
     return nullptr;  // the torn file is GC'd at the next open
   }
-  return std::unique_ptr<WalSegment>(
-      new WalSegment(path, std::move(file), seq, base_lsn));
-}
-
-std::unique_ptr<WalSegment> WalSegment::Recycle(const std::string& path,
-                                                uint64_t seq, Lsn base_lsn,
-                                                SimDisk* disk) {
-  std::unique_ptr<PagedFile> file = PagedFile::Open(path);
-  if (file == nullptr) return nullptr;
-  // Rewrite the preamble only — the stale frame bytes past it survive on
-  // purpose (the generation stamp is what makes that safe), so recycling
-  // costs one small write instead of a truncate + regrow.
-  if (!WritePreamble(file.get(), seq, base_lsn, disk)) return nullptr;
   return std::unique_ptr<WalSegment>(
       new WalSegment(path, std::move(file), seq, base_lsn));
 }
@@ -203,7 +169,7 @@ bool WalSegment::DecodeFrameAt(uint64_t off, WalRecord* out, uint64_t* next,
   std::memcpy(&out->lsn, hdr + 8, 8);
   std::memcpy(&gen, hdr + 16, 8);
   if (len == 0 || len > kMaxFrameBytes || out->lsn == kNoLsn) return false;
-  // Stale generation: bytes from a previous life of this physical region.
+  // Foreign generation: bytes this segment's appends did not write.
   // Everything else about the frame may check out (length, checksum, even
   // LSN continuity under an adversarial layout) — the stamp is the one
   // field a dead frame cannot carry forward.

@@ -2,29 +2,24 @@
 // write-ahead log is rotated into (durability/wal.h drives the lifecycle).
 //
 // A log is a directory-scanned chain of segment files named
-// `<base>.<seq:08>`, each a PagedFile byte stream holding one 24-byte
-// preamble followed by framed records. The segment sequence number doubles
-// as the *generation stamp*: every frame written into a segment carries the
-// segment's seq in its header and folds it into its checksum, and decoding
-// rejects any frame whose stamp differs from the preamble's. A recycled
-// file (a truncated segment renamed into the spare pool and later reused as
-// a fresh tail) therefore keeps its stale bytes — old frames may survive
-// past the new valid tail with intact lengths, checksums, even plausible
-// LSNs — but they carry the dead generation and can never replay. That
-// closes the torn-write ABA hazard the single-file log documented.
+// `<base>.<seq:08>`, each a PagedFile byte stream (kWalPageBytes pages)
+// holding one 24-byte preamble followed by framed records. Rotation always
+// creates a fresh file and truncation always unlinks one, which bounds the
+// log's on-disk footprint.
 //
-// Truncated segments are unlinked (bounding the log's on-disk footprint)
-// or, up to a small pool cap, renamed to `<base>.spare.<seq:08>` for
-// rotation to reuse. Spare files are never part of the live chain: the
-// listing helpers keep the namespaces separate, and a crash between the
-// rename and the preamble rewrite leaves a file whose name and preamble
-// disagree — reopened logs garbage-collect it.
+// The segment sequence number doubles as the *generation stamp*: every
+// frame written into a segment carries the segment's seq in its header and
+// folds it into its checksum, and decoding rejects any frame whose stamp
+// differs from the preamble's. Bytes that reach a segment from anywhere
+// but its own appends — a misdirected write, frames copied from another
+// segment — may sit past the valid tail with intact lengths, checksums,
+// even plausible LSNs, but they carry another generation and never replay.
 //
 // SimDisk fault injection covers the file lifecycle, not just reads and
-// writes: creating, unlinking or renaming a segment consults NextOpFails()
-// first and charges one head repositioning (a directory update), so a
-// crash-point matrix over io_ops() drives faults through rotation and
-// segment GC as well.
+// writes: creating or unlinking a segment consults NextOpFails() first and
+// charges one head repositioning (a directory update), so a crash-point
+// matrix over io_ops() drives faults through rotation and segment GC as
+// well.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +61,13 @@ constexpr uint64_t kFrameHeaderBytes = 24;
 constexpr uint32_t kMaxFrameBytes = 1u << 26;
 
 /// Segment preamble: [u32 magic][u32 version][u64 seq][u64 base_lsn],
-/// written and synced at creation, immutable afterwards (a recycle rewrites
-/// it under a fresh seq before the segment rejoins the chain).
+/// written and synced at creation, immutable afterwards.
 constexpr uint64_t kSegmentPreambleBytes = 24;
 constexpr uint32_t kSegmentMagic = 0x41534547u;  // "ASEG"
 constexpr uint32_t kSegmentVersion = 1;
+
+/// Page size of every segment's PagedFile.
+constexpr uint32_t kWalPageBytes = 4096;
 
 /// Frame checksum: FNV-1a over the payload, then the LSN and the
 /// generation stamp folded on top, folded to the 32 bits the frame stores.
@@ -80,22 +77,18 @@ uint32_t FrameChecksum(const uint8_t* payload, size_t n, Lsn lsn,
 /// payload starting at kFnvOffsetBasis) — the flusher's O(1) finish.
 uint32_t FrameChecksumFromHash(uint64_t payload_hash, Lsn lsn, uint64_t gen);
 
-/// Live segment file path: `<base>.<seq:08>`.
+/// Segment file path: `<base>.<seq:08>`.
 std::string SegmentPath(const std::string& base, uint64_t seq);
-/// Spare (recycled-pool) file path: `<base>.spare.<seq:08>`.
-std::string SparePath(const std::string& base, uint64_t seq);
 
 struct SegmentFileInfo {
   uint64_t seq = 0;
   std::string path;
 };
 
-/// Lists `base`'s live segment files, ascending by seq (directory scan).
+/// Lists `base`'s segment files, ascending by seq (directory scan).
 std::vector<SegmentFileInfo> ListSegmentFiles(const std::string& base);
-/// Lists `base`'s spare files, ascending by the seq embedded in the name.
-std::vector<SegmentFileInfo> ListSpareFiles(const std::string& base);
-/// Unlinks every live segment and spare of `base` (tests and tools; the
-/// log itself never removes files it did not decide to truncate).
+/// Unlinks every segment of `base` (tests and tools; the log itself never
+/// removes files it did not decide to truncate).
 void RemoveWalFiles(const std::string& base);
 
 /// One segment file: a PagedFile stream with a validated preamble. Offsets
@@ -107,17 +100,8 @@ class WalSegment {
   /// once for the preamble write+sync; nullptr on failure (injected or
   /// real) — a torn creation leaves a file reopen garbage-collects.
   static std::unique_ptr<WalSegment> Create(const std::string& path,
-                                            uint32_t page_bytes, uint64_t seq,
-                                            Lsn base_lsn, SimDisk* disk);
-
-  /// Reuses an existing file (a renamed spare) as a fresh segment: rewrites
-  /// and syncs the preamble under the new seq WITHOUT truncating the
-  /// payload — the old generation's frame bytes stay on disk past the new
-  /// tail, which is exactly the surface the generation stamp guards.
-  /// Consults `disk` once for the preamble write.
-  static std::unique_ptr<WalSegment> Recycle(const std::string& path,
-                                             uint64_t seq, Lsn base_lsn,
-                                             SimDisk* disk);
+                                            uint64_t seq, Lsn base_lsn,
+                                            SimDisk* disk);
 
   /// Opens an existing segment and validates its preamble (magic, version,
   /// non-zero seq). No fault consults: open-time reads are recovery I/O.
@@ -139,7 +123,7 @@ class WalSegment {
 
   /// Decodes the frame at `off`; false when invalid/torn — a valid-prefix
   /// walk stops there. Rejects frames whose generation stamp is not this
-  /// segment's seq (stale bytes in a recycled region). A false with
+  /// segment's seq (bytes this segment's appends did not write). A false with
   /// `*io_error` set means a read failed on bytes the file claims to back:
   /// the scan result is unreliable, not a clean tail. `*next` is the
   /// offset just past a decoded frame.

@@ -48,9 +48,8 @@ std::unique_ptr<LogShipper> LogShipper::Create(AttributeSchema schema,
   auto shipper = std::unique_ptr<LogShipper>(new LogShipper(
       std::move(schema), std::move(engine_options), std::move(options)));
 
-  std::unique_ptr<PagedFile> ckpt_file = OpenOrCreatePagedFile(
-      shipper->options_.replica_checkpoint_path,
-      shipper->options_.checkpoint_page_bytes);
+  std::unique_ptr<PagedFile> ckpt_file =
+      OpenOrCreatePagedFile(shipper->options_.replica_checkpoint_path);
   if (ckpt_file == nullptr) {
     if (status != nullptr) {
       *status = Status::IOError("cannot create the replica checkpoint file: " +
@@ -137,7 +136,7 @@ Status LogShipper::ShipSegment(const SegmentFileInfo& info, bool* stop) {
   *stop = false;
   std::unique_ptr<WalSegment> src = WalSegment::Open(info.path);
   if (src == nullptr || src->seq() != info.seq) {
-    // Torn creation or a crash mid-recycle (name and preamble disagree):
+    // Torn creation (no valid preamble, or one that disagrees with the name):
     // the source's own reopen garbage-collects this file; nothing past it
     // is valid log.
     *stop = true;
@@ -187,8 +186,8 @@ Status LogShipper::ShipSegment(const SegmentFileInfo& info, bool* stop) {
 
   if (it == mirror_.end()) {
     std::unique_ptr<WalSegment> seg = WalSegment::Create(
-        SegmentPath(options_.replica_wal_base, info.seq),
-        options_.wal_page_bytes, info.seq, src->base_lsn(), options_.disk);
+        SegmentPath(options_.replica_wal_base, info.seq), info.seq,
+        src->base_lsn(), options_.disk);
     if (seg == nullptr) {
       return Status::IOError("cannot create mirror segment for " + info.path);
     }
@@ -312,14 +311,9 @@ Status LogShipper::Promote(const DurabilityOptions& durability_options,
   // Close the mirror handles, then reopen the chain as a real WAL — its
   // open-time walk re-validates every frame we shipped.
   mirror_.clear();
-  WriteAheadLog::Options wal_opts;
-  wal_opts.group_commit = durability_options.group_commit;
-  wal_opts.disk = options_.disk;
-  wal_opts.page_bytes = durability_options.wal_page_bytes;
-  wal_opts.segment_bytes = durability_options.wal_segment_bytes;
-  wal_opts.spare_segments = durability_options.wal_spare_segments;
-  std::unique_ptr<WriteAheadLog> wal =
-      WriteAheadLog::Open(options_.replica_wal_base, wal_opts);
+  std::unique_ptr<WriteAheadLog> wal = WriteAheadLog::Open(
+      options_.replica_wal_base,
+      WriteAheadLog::Options::For(durability_options, options_.disk));
   if (wal == nullptr) {
     return Status::IOError("cannot open the mirror chain as a WAL: " +
                            options_.replica_wal_base);
@@ -333,13 +327,7 @@ Status LogShipper::Promote(const DurabilityOptions& durability_options,
   out->checkpoints = std::move(replica_ckpts_);
   out->engine = std::move(engine_);
   out->engine->SetRole(SubscriptionEngine::EngineRole::kPrimary);
-  out->engine->AttachDurability(out->wal.get());
-  Checkpointer::Options cp_opts;
-  cp_opts.every_mutations = durability_options.checkpoint_every_mutations;
-  cp_opts.background = durability_options.background_checkpoints;
-  out->checkpointer = std::make_unique<Checkpointer>(
-      out->engine.get(), out->wal.get(), out->checkpoints.get(), cp_opts);
-  out->engine->SetCheckpointer(out->checkpointer.get());
+  WireDurableEngine(durability_options, out);
   out->recovery = apply_stats_;
   promoted_gauge_.Set(1);
   cursor_lsn_gauge_.Set(static_cast<int64_t>(cursor_lsn_));

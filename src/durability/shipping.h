@@ -9,8 +9,8 @@
 //      frame is copied byte-verbatim into a mirror segment with the same
 //      sequence number and base LSN, so the mirror is itself a well-formed
 //      segment chain that WriteAheadLog::Open accepts. Generation stamps
-//      survive the copy unchanged — a stale frame the source's recycled
-//      segment would reject is rejected out of the mirror too.
+//      survive the copy unchanged — a foreign frame the source segment
+//      would reject is rejected out of the mirror too.
 //   2. A *replica checkpoint*: whenever the source checkpoint image is
 //      newer than the replica's, the image (not its bytes — it is re-read,
 //      validated and re-written shadow-paged) is copied across. When the
@@ -66,8 +66,6 @@ class LogShipper {
     /// Replica artifacts the shipper owns: mirror chain base + checkpoint.
     std::string replica_wal_base;
     std::string replica_checkpoint_path;
-    uint32_t wal_page_bytes = 4096;
-    uint32_t checkpoint_page_bytes = 4096;
     /// Optional, not owned: consulted/charged for every mirror-side file
     /// operation. Sharing the primary's disk puts shipping inside the same
     /// crash-point op space.

@@ -24,27 +24,15 @@ uint64_t NowNs() {
 WriteAheadLog::WriteAheadLog(std::string base_path, Options options)
     : base_path_(std::move(base_path)), options_(options) {}
 
-std::unique_ptr<WriteAheadLog> WriteAheadLog::Create(
-    const std::string& base_path, Options options) {
-  return Open(base_path, options);  // a fresh directory scans to an empty
-                                    // chain; one path serves both
-}
-
 std::unique_ptr<WriteAheadLog> WriteAheadLog::Open(
     const std::string& base_path, Options options) {
   auto log = std::unique_ptr<WriteAheadLog>(
       new WriteAheadLog(base_path, options));
 
-  // Adopt spares left by a previous life; rotation reuses them.
-  for (const SegmentFileInfo& f : ListSpareFiles(base_path)) {
-    log->spares_.push_back(f.path);
-  }
-
   // The live chain is the maximal contiguous-seq suffix of files whose
   // preambles validate and agree with their names. Everything else is the
-  // leftover of some interrupted lifecycle op — a torn create, a crashed
-  // recycle (renamed but preamble not yet rewritten), a stray below a
-  // truncation gap — and holds nothing durable: collect it.
+  // leftover of some interrupted lifecycle op — a torn create, a stray
+  // below a truncation gap — and holds nothing durable: collect it.
   std::vector<SegmentFileInfo> infos = ListSegmentFiles(base_path);
   std::vector<std::unique_ptr<WalSegment>> opened(infos.size());
   while (!infos.empty()) {
@@ -80,8 +68,8 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::Open(
     // Fresh log. Open-time I/O is recovery I/O: no fault consult, no
     // simulated charge (matching the checkpoint store's open behavior).
     std::unique_ptr<WalSegment> seg =
-        WalSegment::Create(SegmentPath(base_path, 1), options.page_bytes,
-                           /*seq=*/1, /*base_lsn=*/1, /*disk=*/nullptr);
+        WalSegment::Create(SegmentPath(base_path, 1), /*seq=*/1,
+                           /*base_lsn=*/1, /*disk=*/nullptr);
     if (seg == nullptr) return nullptr;
     LiveSeg ls;
     ls.seg = std::move(seg);
@@ -281,28 +269,9 @@ bool WriteAheadLog::WriteBatch(const std::vector<Pending>& items) {
 
 bool WriteAheadLog::RotateLocked(Lsn base_lsn) {
   const uint64_t seq = next_seq_++;
-  const std::string live = SegmentPath(base_path_, seq);
-  std::unique_ptr<WalSegment> seg;
-  if (!spares_.empty()) {
-    // Recycle: rename the spare into the chain, then rewrite its preamble
-    // under the new seq. Its old bytes stay — the generation stamp keeps
-    // them dead. A crash between the two steps leaves a name/preamble
-    // mismatch the next open garbage-collects.
-    const std::string spare = spares_.back();
-    if (options_.disk != nullptr && options_.disk->NextOpFails()) {
-      return false;
-    }
-    if (std::rename(spare.c_str(), live.c_str()) != 0) return false;
-    if (options_.disk != nullptr) options_.disk->NoteRename();
-    spares_.pop_back();
-    seg = WalSegment::Recycle(live, seq, base_lsn, options_.disk);
-    if (seg == nullptr) return false;
-    segments_recycled_.Add();
-  } else {
-    seg = WalSegment::Create(live, options_.page_bytes, seq, base_lsn,
-                             options_.disk);
-    if (seg == nullptr) return false;
-  }
+  std::unique_ptr<WalSegment> seg = WalSegment::Create(
+      SegmentPath(base_path_, seq), seq, base_lsn, options_.disk);
+  if (seg == nullptr) return false;
   LiveSeg ls;
   ls.seg = std::move(seg);
   segments_.push_back(std::move(ls));
@@ -393,7 +362,7 @@ bool WriteAheadLog::ValidPrefixWalk(
       break;
     }
     // This segment yields no further frame: a torn/absent tail, a sealed
-    // segment's end, or stale recycled bytes. The boundary decides which:
+    // segment's end, or foreign bytes. The boundary decides which:
     // a next segment whose first frame continues the LSN chain means this
     // was a rotation seal; a final empty segment is a just-rotated tail
     // the walk ends *inside* (appends resume at its start). Anything else
@@ -413,7 +382,7 @@ bool WriteAheadLog::ValidPrefixWalk(
     }
     if (!peeked && idx + 2 == segments_.size()) {
       // Crash between the rotation's seal and the next segment's first
-      // write: the tail is the empty (or stale-recycled) final segment.
+      // write: the tail is the empty final segment.
       ++idx;
       off = kSegmentPreambleBytes;
     }
@@ -473,9 +442,9 @@ Status WriteAheadLog::Truncate(Lsn up_to) {
     }
   }
   std::unique_lock<std::mutex> io(io_mu_);
-  // O(1) per segment: compare the flusher's last_lsn watermark, unlink or
-  // spare the file, pop it. The tail segment always stays (the chain is
-  // never empty and the append position never moves).
+  // O(1) per segment: compare the flusher's last_lsn watermark, unlink the
+  // file, pop it. The tail segment always stays (the chain is never empty
+  // and the append position never moves).
   while (segments_.size() > 1) {
     LiveSeg& front = segments_.front();
     if (front.last_lsn == kNoLsn || front.last_lsn > up_to) break;
@@ -484,23 +453,11 @@ Status WriteAheadLog::Truncate(Lsn up_to) {
       return Status::IOError(
           "injected failure dropping truncated WAL segment " + path);
     }
-    if (spares_.size() < options_.spare_segments) {
-      const std::string spare = SparePath(base_path_, front.seg->seq());
-      if (std::rename(path.c_str(), spare.c_str()) != 0) {
-        return Status::IOError("cannot rename truncated WAL segment " +
-                               path + " into the spare pool");
-      }
-      if (options_.disk != nullptr) options_.disk->NoteRename();
-      spares_.push_back(spare);
-      segments_spared_.Add();
-    } else {
-      if (std::remove(path.c_str()) != 0) {
-        return Status::IOError("cannot unlink truncated WAL segment " +
-                               path);
-      }
-      if (options_.disk != nullptr) options_.disk->NoteUnlink();
-      segments_unlinked_.Add();
+    if (std::remove(path.c_str()) != 0) {
+      return Status::IOError("cannot unlink truncated WAL segment " + path);
     }
+    if (options_.disk != nullptr) options_.disk->NoteUnlink();
+    segments_unlinked_.Add();
     segments_.pop_front();
   }
   UpdateSegmentGauges();
@@ -511,7 +468,6 @@ Status WriteAheadLog::Truncate(Lsn up_to) {
 
 void WriteAheadLog::UpdateSegmentGauges() {
   live_segments_.Set(static_cast<int64_t>(segments_.size()));
-  spare_count_.Set(static_cast<int64_t>(spares_.size()));
   tail_seq_.Set(static_cast<int64_t>(
       segments_.empty() ? 0 : segments_.back().seg->seq()));
 }
@@ -528,12 +484,9 @@ WalStats WriteAheadLog::stats() const {
   st.bytes_appended = bytes_appended_.Value();
   st.truncations = truncations_.Value();
   st.live_segments = static_cast<uint64_t>(live_segments_.Value());
-  st.spare_segments = static_cast<uint64_t>(spare_count_.Value());
   st.tail_segment_seq = static_cast<uint64_t>(tail_seq_.Value());
   st.segments_rotated = segments_rotated_.Value();
-  st.segments_recycled = segments_recycled_.Value();
   st.segments_unlinked = segments_unlinked_.Value();
-  st.segments_spared = segments_spared_.Value();
   return st;
 }
 
@@ -552,20 +505,14 @@ void WriteAheadLog::AttachMetrics(obs::MetricsRegistry* reg) {
               "records covered per fsync (group-commit batch size)");
   reg->Attach("accl_wal_live_segments", &live_segments_,
               "segments in the live chain");
-  reg->Attach("accl_wal_spare_segments", &spare_count_,
-              "truncated segments held for recycling");
   reg->Attach("accl_wal_tail_segment_seq", &tail_seq_,
               "sequence number of the append-tail segment");
   reg->Attach("accl_wal_durable_lsn", &durable_lsn_gauge_,
               "highest LSN known durable");
   reg->Attach("accl_wal_segments_rotated_total", &segments_rotated_,
               "tail rotations");
-  reg->Attach("accl_wal_segments_recycled_total", &segments_recycled_,
-              "rotations served from the spare pool");
   reg->Attach("accl_wal_segments_unlinked_total", &segments_unlinked_,
               "truncated segments unlinked");
-  reg->Attach("accl_wal_segments_spared_total", &segments_spared_,
-              "truncated segments renamed into the spare pool");
 }
 
 }  // namespace accl::durability

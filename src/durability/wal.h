@@ -15,20 +15,18 @@
 // (kFrameHeaderBytes = 24). `gen` is the generation stamp — the sequence
 // number of the segment the frame was written into, also folded into
 // `crc`. Decoding rejects a frame whose stamp differs from its segment's
-// preamble, so bytes surviving from a previous life of a recycled segment
-// file can never replay, even when their length, checksum and LSN
-// continuity would all pass: the single-file log's torn-write ABA hazard
-// is structurally closed. The LSN and stamp live in the header — not the
-// payload — so Append hashes the payload entirely outside the log mutex
-// and the flusher finishes the checksum in O(1) when it places the frame.
+// preamble, so bytes a segment's own appends did not write can never
+// replay, even when their length, checksum and LSN continuity would all
+// pass. The LSN and stamp live in the header — not the payload — so
+// Append hashes the payload entirely outside the log mutex and the
+// flusher finishes the checksum in O(1) when it places the frame.
 //
 // Segmentation: the log is a chain of `<base>.<seq:08>` files. The
-// flusher rotates to a fresh segment once the tail exceeds
+// flusher rotates to a freshly created segment once the tail exceeds
 // Options::segment_bytes (a batch is never split across segments) and
 // records per-segment (first_lsn, last_lsn, tail offset) watermarks as it
-// writes; Truncate(up_to) therefore drops every fully-covered sealed
-// segment with an O(1) unlink (or a rename into the spare pool that
-// rotation recycles) instead of scanning frames, and the log's on-disk
+// writes; Truncate(up_to) therefore unlinks every fully-covered sealed
+// segment in O(1) instead of scanning frames, and the log's on-disk
 // footprint stays bounded. ValidPrefixWalk spans segment boundaries: LSNs
 // must stay contiguous across a rotation, and an empty just-rotated tail
 // is a valid (empty) continuation.
@@ -43,7 +41,7 @@
 //
 // Fault injection: an optional SimDisk is consulted (NextOpFails) once
 // per flush batch, once per segment-file lifecycle operation (create,
-// preamble write, rename, unlink), and charged Seek/Transfer for the
+// preamble write, unlink), and charged Seek/Transfer for the
 // simulated cost. An injected failure breaks the log permanently
 // (broken()): the failed record was never written, every waiter past the
 // durable LSN gets `false`, and later appends fail fast — exactly the
@@ -77,13 +75,18 @@ class WriteAheadLog {
   struct Options {
     bool group_commit = true;
     SimDisk* disk = nullptr;  ///< optional; not owned, not thread-safe
-    /// Page size of each segment's PagedFile.
-    uint32_t page_bytes = 4096;
     /// Rotate once the tail segment's frame bytes exceed this (soft: a
     /// flush batch is never split across segments).
     uint64_t segment_bytes = 1 << 20;
-    /// Truncated segments kept as recycle spares instead of unlinked.
-    uint32_t spare_segments = 1;
+
+    /// The log settings of a durable engine's options.
+    static Options For(const DurabilityOptions& d, SimDisk* disk) {
+      Options o;
+      o.group_commit = d.group_commit;
+      o.disk = disk;
+      o.segment_bytes = d.wal_segment_bytes;
+      return o;
+    }
   };
 
   /// Opens the segment chain at `base_path` (creating segment 1 when none
@@ -95,9 +98,6 @@ class WriteAheadLog {
   /// backed bytes (the tail position would be unknowable).
   static std::unique_ptr<WriteAheadLog> Open(const std::string& base_path,
                                              Options options);
-  /// Alias of Open — a fresh directory scans to an empty chain.
-  static std::unique_ptr<WriteAheadLog> Create(const std::string& base_path,
-                                               Options options);
 
   /// Stops the flusher after draining already-enqueued records (clean
   /// shutdown; a simulated crash breaks the log first, which drops them).
@@ -156,8 +156,8 @@ class WriteAheadLog {
   bool Replay(Lsn after, const std::function<void(const WalRecord&)>& fn);
 
   /// Drops every sealed segment whose records all have lsn <= `up_to` —
-  /// an O(1) unlink (or rename into the spare pool) per segment, no frame
-  /// scan; the tail segment always stays. Requires
+  /// an O(1) unlink per segment, no frame scan; the tail segment always
+  /// stays. Requires
   /// up_to <= applied_low_water() (truncating past an unapplied record
   /// would lose it: kFailedPrecondition) and refuses on a broken log; a
   /// failed lifecycle op surfaces as kIOError with the chain still
@@ -201,8 +201,8 @@ class WriteAheadLog {
   /// Frames + writes one batch into the tail segment (rotating first when
   /// the tail is full) and syncs it. Runs on the flusher; takes io_mu_.
   bool WriteBatch(const std::vector<Pending>& items);
-  /// Appends a fresh tail segment — recycled from the spare pool when one
-  /// is available, created otherwise. Caller holds io_mu_.
+  /// Creates a fresh tail segment and appends it to the chain. Caller
+  /// holds io_mu_.
   bool RotateLocked(Lsn base_lsn);
   /// The one valid-prefix walk Open/Replay share — spans segment
   /// boundaries: decodes frames from segment `start_index` on, stops at
@@ -223,9 +223,8 @@ class WriteAheadLog {
   /// Serializes every segment-file access and all chain mutations: the
   /// flusher's writes and rotations, Replay's scans, Truncate's GC.
   std::mutex io_mu_;
-  std::deque<LiveSeg> segments_;     ///< guarded by io_mu_; back = tail
-  std::vector<std::string> spares_;  ///< recycle pool paths; io_mu_
-  uint64_t next_seq_ = 1;            ///< guarded by io_mu_
+  std::deque<LiveSeg> segments_;  ///< guarded by io_mu_; back = tail
+  uint64_t next_seq_ = 1;         ///< guarded by io_mu_
 
   mutable std::mutex mu_;  ///< queue, LSN allocation, durable/applied state
   std::condition_variable flush_cv_;    ///< flusher: work available / stop
@@ -255,13 +254,10 @@ class WriteAheadLog {
   /// Records covered per fsync (group-commit batch size).
   obs::Histogram records_per_sync_;
   obs::Gauge live_segments_;
-  obs::Gauge spare_count_;
   obs::Gauge tail_seq_;
   obs::Gauge durable_lsn_gauge_;
   obs::Counter segments_rotated_;
-  obs::Counter segments_recycled_;
   obs::Counter segments_unlinked_;
-  obs::Counter segments_spared_;
 
   std::thread flusher_;
 };

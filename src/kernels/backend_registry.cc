@@ -71,15 +71,6 @@ const VerifyBackend* BackendRegistry::Resolve(const std::string& requested,
     if (b != nullptr && note) *note = "requested via config";
     return b;  // nullptr for unknown/unsupported: the caller owns the error
   }
-#if defined(ACCL_FORCE_BACKEND_DEFAULT)
-  if (const VerifyBackend* b = Find(ACCL_FORCE_BACKEND_DEFAULT)) {
-    if (note) {
-      *note = std::string("build default ACCL_FORCE_BACKEND_DEFAULT=") +
-              ACCL_FORCE_BACKEND_DEFAULT;
-    }
-    return b;
-  }
-#endif
   if (note) *note = "widest supported on host";
   return widest_;
 }

@@ -3,9 +3,9 @@
 // Built once, at first use: the constructor probes the host CPU
 // (cpu_features.h) and registers every compiled-in backend the host can
 // execute — always "scalar", then "sse2"/"avx2"/"avx512" as CPUID and the
-// build allow. Selection is a pure function of (env, request, build
-// default, host), so two indexes constructed with the same inputs always
-// verify with the same kernel.
+// build allow. Selection is a pure function of (env, request, host), so
+// two indexes constructed with the same inputs always verify with the same
+// kernel.
 //
 // Resolve precedence, strongest first:
 //   1. ACCL_FORCE_BACKEND environment variable — operator pin, wins over
@@ -16,9 +16,7 @@
 //      unsupported names return nullptr here — the caller owns the error
 //      (ValidateOptions turns it into InvalidArgument before an engine
 //      ever starts).
-//   3. ACCL_FORCE_BACKEND_DEFAULT — a compile-time pin from the CMake
-//      cache knob of the same name, for images built for known fleets.
-//   4. Widest supported: highest vector_width_floats() among registered
+//   3. Widest supported: highest vector_width_floats() among registered
 //      backends. The common case; picks avx512 > avx2 > sse2 > scalar.
 //
 // The environment variable is re-read on every Resolve call (it is not

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <thread>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 
 #include <cmath>
@@ -75,18 +74,6 @@ constexpr size_t kMigrationSlice = 128;
 /// shard_of_ flag: the id also has a copy at its in-flight move's
 /// destination (which the source's moving_plan names).
 constexpr uint32_t kDoubleResident = 0x80000000u;
-
-/// The subscription boxes the engine accepts: every bound finite and
-/// lo <= hi in every dimension. Anything else would reach fence search,
-/// signature admission and the cluster statistics as garbage.
-bool WellFormed(const Box& b) {
-  for (Dim d = 0; d < b.dims(); ++d) {
-    const float lo = b.lo(d);
-    const float hi = b.hi(d);
-    if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo <= hi)) return false;
-  }
-  return true;
-}
 
 /// Match's sink: appends the one event's sorted matches to the caller's
 /// vector, keeping whatever it already held.
@@ -314,9 +301,6 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
         "index.division_factor must be >= 2 (the clustering function "
         "cannot divide a domain into fewer than two parts)");
   }
-  if (o.index.max_clusters < 1) {
-    return Status::InvalidArgument("index.max_clusters must be >= 1");
-  }
   if (!o.index.verify_backend.empty()) {
     // Checked against the registry directly (not Resolve) so the
     // ACCL_FORCE_BACKEND pin cannot mask a config that would abort on a
@@ -350,49 +334,17 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
     }
   }
   const AdaptiveRoutingOptions& a = o.adaptive;
-  if ((a.enabled || a.overflow_split_shards > 0 || a.fence_dim >= 0 ||
-       a.split_dim >= 0) &&
+  if ((a.enabled || a.overflow_split_shards > 0) &&
       o.sharding != ShardingPolicy::kRange) {
     return Status::InvalidArgument(
-        "adaptive routing (adaptive.enabled / overflow_split_shards / "
-        "fence_dim / split_dim) requires ShardingPolicy::kRange — other "
-        "policies have no fence dimension to adapt");
+        "adaptive routing (adaptive.enabled / overflow_split_shards) "
+        "requires ShardingPolicy::kRange — other policies have no fence "
+        "dimension to adapt");
   }
-  if (a.fence_dim >= 0 &&
-      static_cast<uint32_t>(a.fence_dim) >= schema.dims()) {
+  if (a.enabled && a.sample_window < 1) {
     return Status::InvalidArgument(
-        "adaptive.fence_dim must name a schema dimension");
-  }
-  if (a.split_dim >= 0 &&
-      static_cast<uint32_t>(a.split_dim) >= schema.dims()) {
-    return Status::InvalidArgument(
-        "adaptive.split_dim must name a schema dimension");
-  }
-  // Auto moves (advisor windows or periodic fence re-plans) both gate on
-  // switch_threshold.
-  if ((o.sharding == ShardingPolicy::kRange && o.rebalance_period > 0) ||
-      a.enabled) {
-    if (!(a.switch_threshold > 1.0)) {
-      return Status::InvalidArgument(
-          "adaptive.switch_threshold must be > 1 (and not NaN) — a "
-          "threshold of 1 or less lets estimation noise move the fences "
-          "at every evaluation");
-    }
-  }
-  if (a.enabled) {
-    if (a.sample_window < 1) {
-      return Status::InvalidArgument(
-          "adaptive.sample_window must be >= 1 (a zero window would "
-          "evaluate routing on every event)");
-    }
-    if (!(a.split_straddler_threshold > 0.0) ||
-        a.split_straddler_threshold > 1.0) {
-      return Status::InvalidArgument(
-          "adaptive.split_straddler_threshold must be in (0, 1]");
-    }
-    if (a.split_patience < 1) {
-      return Status::InvalidArgument("adaptive.split_patience must be >= 1");
-    }
+        "adaptive.sample_window must be >= 1 (a zero window would "
+        "evaluate routing on every event)");
   }
   // match_threads == 0 is documented as "caller thread does everything".
   return Status::Ok();
@@ -434,9 +386,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
     // split activates. The catch-all overflow shard stays LAST.
     num_split_shards_ = options_.adaptive.overflow_split_shards;
     physical_shards = options_.shards + num_split_shards_;
-    plan.dim = options_.adaptive.fence_dim >= 0
-                   ? static_cast<uint32_t>(options_.adaptive.fence_dim)
-                   : 0;
+    plan.dim = 0;
     if (!options_.range_boundaries.empty()) {
       plan.bounds = options_.range_boundaries;
     } else {
@@ -448,8 +398,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
     }
     tracker_ = std::make_unique<adapt::QueryPatternTracker>(schema_.dims());
     if (options_.adaptive.enabled) {
-      advisor_ = std::make_unique<adapt::RoutingAdvisor>(options_.adaptive,
-                                                         schema_.dims());
+      advisor_ = std::make_unique<adapt::RoutingAdvisor>();
     }
     auto_moves_ = options_.rebalance_period > 0 || options_.adaptive.enabled;
   }
@@ -567,6 +516,15 @@ SubscriptionId SubscriptionEngine::Subscribe(
   return SubscribeBox(box);
 }
 
+bool SubscriptionEngine::WellFormed(BoxView b) {
+  for (Dim d = 0; d < b.dims(); ++d) {
+    const float lo = b.lo(d);
+    const float hi = b.hi(d);
+    if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo <= hi)) return false;
+  }
+  return true;
+}
+
 SubscriptionId SubscriptionEngine::SubscribeBox(const Box& box) {
   std::vector<SubscriptionId> id;
   SubscribeBatch(Span<const Box>(&box, 1), &id);
@@ -583,7 +541,7 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
   if (role() == EngineRole::kFollower) return;
   for (const Box& b : boxes) {
     ACCL_CHECK(b.dims() == schema_.dims());
-    if (!WellFormed(b)) return;  // refused whole, before any id or record
+    if (!WellFormed(b.view())) return;  // refused whole, before any id
   }
   SubscriptionId first;
   {
@@ -895,8 +853,11 @@ void SubscriptionEngine::CaptureDurableImage(
   // double-residency migration overlaps the scan — otherwise a
   // subscription mid-flight from a not-yet-scanned source into an
   // already-scanned destination would be invisible to both scans (and,
-  // being older than the WAL tail, lost). Subscribes briefly serialize
-  // with the capture; matching takes no lock we hold and never stalls.
+  // being older than the WAL tail, lost), and one in both would be
+  // captured twice. Hash-sharded engines never move. So every live id
+  // lives in exactly one shard during the scan. Subscribes briefly
+  // serialize with the capture; matching takes no lock we hold and never
+  // stalls.
   std::unique_lock<std::mutex> rebalance_lk;
   if (range_routed_) {
     rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
@@ -912,11 +873,9 @@ void SubscriptionEngine::CaptureDurableImage(
   out->fences = snap->plan.bounds;
   out->routing_version = snap->version;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
-  std::unordered_set<SubscriptionId> seen;
   for (Shard* sh : snap->shards) {
     std::lock_guard<std::mutex> lk(sh->mu);
     sh->index->ForEachObject([&](ObjectId id, BoxView b) {
-      if (!seen.insert(id).second) return;  // double-resident: capture once
       out->ids.push_back(id);
       out->coords.insert(out->coords.end(), b.data(), b.data() + stride);
     });
@@ -1610,7 +1569,7 @@ bool SubscriptionEngine::ReplanFencesLocked(
   if (fences == cur.bounds) return false;
   if (!force &&
       adapt::SelectivityAnalyzer::MaxLoad(pattern, dim, cur.bounds) <
-          options_.adaptive.switch_threshold *
+          kRoutingSwitchThreshold *
               adapt::SelectivityAnalyzer::MaxLoad(pattern, dim, fences)) {
     return false;
   }

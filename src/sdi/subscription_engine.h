@@ -43,16 +43,16 @@
 // Workload-adaptive routing (EngineOptions::adaptive): every
 // sample_window events a RoutingAdvisor compares the predicted routing
 // selectivity of every candidate fence dimension and, when another
-// dimension is predicted switch_threshold× more selective, re-fences the
-// engine on that dimension online — through the same epoch-snapshot +
-// double-residency migration every routing change uses, so match sets
-// stay exact throughout. When the overflow shard stays hot under
-// well-placed fences (sustained straddler pressure: overflow residents
-// over all subscriptions), the advisor splits it on a second dimension
-// into pre-allocated sub-shards: a straddler whose split-dimension
-// interval fits one split slice moves to that sub-shard, and events visit
-// only the sub-shards their own split-dimension interval overlaps instead
-// of one monolithic overflow.
+// dimension is predicted kRoutingSwitchThreshold× more selective,
+// re-fences the engine on that dimension online — through the same
+// epoch-snapshot + double-residency migration every routing change uses,
+// so match sets stay exact throughout. When the overflow shard stays hot
+// under well-placed fences (sustained straddler pressure: overflow
+// residents over all subscriptions), the advisor splits it on a second
+// dimension into pre-allocated sub-shards: a straddler whose
+// split-dimension interval fits one split slice moves to that sub-shard,
+// and events visit only the sub-shards their own split-dimension interval
+// overlaps instead of one monolithic overflow.
 //
 // Epoch-published routing snapshots: the fence array, the shard handle
 // table and a version number live in one immutable RoutingSnapshot behind
@@ -131,7 +131,7 @@ enum class ShardingPolicy : uint8_t {
   kHashId = 0,
   /// Range partitioning with routed, non-broadcast event dispatch: shards
   /// 0..K-2 own contiguous slices of the fence dimension (dimension 0
-  /// unless adaptive.fence_dim or the online advisor says otherwise), the
+  /// unless SetRoutingDimension or the online advisor moves it), the
   /// last shard is the overflow shard for fence-straddling subscriptions.
   /// Requires K >= 2. Supports online boundary rebalancing
   /// (RebalanceOnce) and workload-adaptive routing (EngineOptions::
@@ -176,7 +176,7 @@ struct EngineOptions {
   /// places the current dimension's fences with PlanFences over the mass
   /// and moves to them when the current fences' largest shard load (range
   /// slices and overflow, priced on the same mass) is at least
-  /// adaptive.switch_threshold times the plan's. Works with the advisor on
+  /// kRoutingSwitchThreshold times the plan's. Works with the advisor on
   /// or off.
   uint32_t rebalance_period = 0;
 
@@ -255,10 +255,10 @@ class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
   /// K >= 2, boundary arrays must have size K-2 and be strictly
-  /// ascending, adaptive.switch_threshold > 1 whenever auto moves are
-  /// configured, a schema with >= 1 attribute, and index knobs the
-  /// structure can actually run with (division_factor >= 2,
-  /// max_clusters >= 1). match_threads == 0 is valid (caller-thread
+  /// ascending, adaptive routing needs kRange and a non-zero
+  /// sample_window, a schema with >= 1 attribute, and index knobs the
+  /// structure can actually run with (division_factor >= 2, a registered
+  /// verify_backend). match_threads == 0 is valid (caller-thread
   /// execution).
   static Status ValidateOptions(const AttributeSchema& schema,
                                 const EngineOptions& options);
@@ -603,12 +603,19 @@ class SubscriptionEngine {
   /// Applies one replicated (or replayed) WAL record with the same
   /// idempotence rules Recover uses: subscribes deduplicate by live id,
   /// unknown unsubscribes are no-ops, and the id allocator is bumped past
-  /// every id the record names. This is the follower's apply path (the log
-  /// shipper calls it in LSN order) and the body of recovery's replay.
-  /// `rs` (not null) accumulates scanned/applied/skipped counts.
+  /// every id the record names. A subscribe record holding a box
+  /// SubscribeBatch would refuse (a non-finite bound, or lo > hi) is
+  /// skipped whole. This is the follower's apply path (the log shipper
+  /// calls it in LSN order) and the body of recovery's replay. `rs` (not
+  /// null) accumulates applied/skipped counts.
   void ApplyReplicated(const durability::WalRecord& rec, RecoveryStats* rs);
 
  private:
+  /// The subscription boxes the engine accepts: every bound finite and
+  /// lo <= hi in every dimension. Anything else would reach fence search,
+  /// signature admission and the cluster statistics as garbage.
+  static bool WellFormed(BoxView b);
+
   /// The routing function's parameters: which dimension the fences cut,
   /// where they sit, and (when active) the overflow split's dimension and
   /// fences. Value-copied into plans by the publishers, embedded immutably
@@ -736,7 +743,7 @@ class SubscriptionEngine {
   /// One fence re-plan of the current dimension over `pattern`; caller
   /// holds `lk` on rebalance_mu_. `force` takes any plan that moves a
   /// fence; otherwise the current fences' largest load must be at least
-  /// switch_threshold times the plan's. Returns true when a fence moved;
+  /// kRoutingSwitchThreshold times the plan's. Returns true when a fence moved;
   /// its move, if anything must migrate, is left staged (see
   /// BeginMoveLocked).
   bool ReplanFencesLocked(std::unique_lock<std::mutex>& lk,

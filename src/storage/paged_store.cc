@@ -28,10 +28,9 @@ struct FileHeader {
   uint64_t dir_first;
   uint64_t dir_pages;
   uint64_t dir_bytes;
-  /// Append-stream front-truncation pointer. Files written before the
-  /// field existed carry zeros in the (always 4096-byte) header block, so
-  /// they read back as "stream starts at 0" — no version bump needed.
-  uint64_t stream_start;
+  /// Unused, always written as 0 (it was an append-stream front-truncation
+  /// pointer); kept so the layout of existing files is unchanged.
+  uint64_t reserved;
 };
 
 }  // namespace
@@ -108,9 +107,6 @@ std::unique_ptr<PagedFile> PagedFile::Open(const std::string& path) {
       return reject();
     }
   }
-  // The stream-start pointer must lie inside the backed payload (page_count
-  // is already validated against the actual file size above).
-  if (h.stream_start > h.page_count * h.page_bytes) return reject();
   auto pf = std::unique_ptr<PagedFile>(new PagedFile());
   pf->file_ = f;
   pf->page_bytes_ = h.page_bytes;
@@ -118,7 +114,6 @@ std::unique_ptr<PagedFile> PagedFile::Open(const std::string& path) {
   pf->dir_first_ = h.dir_first;
   pf->dir_pages_ = h.dir_pages;
   pf->dir_bytes_ = h.dir_bytes;
-  pf->stream_start_ = h.stream_start;
   // All pages start free; the directory loader re-marks live runs.
   if (h.page_count > 0) pf->free_runs_.push_back({0, h.page_count});
   return pf;
@@ -126,7 +121,7 @@ std::unique_ptr<PagedFile> PagedFile::Open(const std::string& path) {
 
 bool PagedFile::PersistHeader() {
   FileHeader h{kFileMagic, kFileVersion, page_bytes_, 0,          page_count_,
-               dir_first_, dir_pages_,   dir_bytes_,  stream_start_};
+               dir_first_, dir_pages_,   dir_bytes_,  0};
   if (!WriteHeaderTo(file_, h)) return false;
   return std::fflush(file_) == 0;
 }
@@ -247,15 +242,6 @@ bool PagedFile::Sync() {
   return fsync(fileno(file_)) == 0;
 }
 
-bool PagedFile::SetStreamStart(uint64_t off) {
-  if (off < stream_start_ || off > payload_bytes()) return false;
-  const uint64_t prev = stream_start_;
-  stream_start_ = off;
-  if (PersistHeader()) return true;
-  stream_start_ = prev;  // keep agreeing with the last durable header
-  return false;
-}
-
 bool PagedFile::StreamWrite(uint64_t off, const void* data, uint64_t len) {
   if (off + len > payload_bytes()) {
     // Grow whole pages at the tail (at least 16 per growth to amortize the
@@ -297,11 +283,8 @@ bool PagedFile::StreamRead(uint64_t off, void* out, uint64_t len) {
 // --------------------------------------------------------- ClusterFileStore
 
 ClusterFileStore::ClusterFileStore(std::unique_ptr<PagedFile> file, Dim nd,
-                                   double reserve_fraction, SimDisk* disk)
-    : file_(std::move(file)),
-      nd_(nd),
-      reserve_fraction_(reserve_fraction),
-      disk_(disk) {
+                                   SimDisk* disk)
+    : file_(std::move(file)), nd_(nd), disk_(disk) {
   ACCL_CHECK(file_ != nullptr);
   ACCL_CHECK(nd_ > 0);
 }
@@ -367,7 +350,7 @@ bool ClusterFileStore::Put(const ClusterImage& image) {
   }
   // Fresh run with reserve places.
   uint64_t cap = static_cast<uint64_t>(
-      std::ceil(static_cast<double>(n) * (1.0 + reserve_fraction_)));
+      std::ceil(static_cast<double>(n) * (1.0 + kReserveFraction)));
   cap = std::max<uint64_t>(cap, 8);
   const uint64_t pages = RunPages(cap);
   // Use every object place the page run can hold.
@@ -512,8 +495,7 @@ std::unique_ptr<ClusterFileStore> ClusterFileStore::Load(
   uint32_t nd = 0, count = 0;
   if (!r.GetU32(&nd) || nd == 0) return nullptr;
   if (!r.GetU32(&count)) return nullptr;
-  auto store = std::make_unique<ClusterFileStore>(std::move(file), nd, 0.25,
-                                                  disk);
+  auto store = std::make_unique<ClusterFileStore>(std::move(file), nd, disk);
   for (uint32_t i = 0; i < count; ++i) {
     Entry e;
     if (!r.GetU32(&e.id)) return nullptr;

@@ -19,6 +19,7 @@
 #include "api/types.h"
 #include "core/adaptive_index.h"
 #include "storage/sim_disk.h"
+#include "storage/slot_array.h"
 
 namespace accl {
 
@@ -70,25 +71,15 @@ class PagedFile {
 
   // ---- Append-stream support (write-ahead logging) ----
   // A file can alternatively be used as one logical byte stream over the
-  // payload pages: absolute byte offsets, file growth on demand, and a
-  // durable *start* pointer in the header recording how far the stream has
-  // been truncated from the front. The stream's tail is deliberately NOT
-  // persisted — the owner (durability::WriteAheadLog) finds it by scanning
-  // its checksum-framed records, so appends need no header write. Stream
-  // and run allocation should not be mixed on one file: stream growth
-  // claims pages without consulting the free-run list.
+  // payload pages: absolute byte offsets from 0 and file growth on demand.
+  // The stream's tail is deliberately NOT persisted — the owner (a
+  // durability::WalSegment) finds it by scanning its checksum-framed
+  // records, so appends need no header write. Stream and run allocation
+  // should not be mixed on one file: stream growth claims pages without
+  // consulting the free-run list.
 
   /// Total payload bytes currently backed by the file.
   uint64_t payload_bytes() const { return page_count_ * page_bytes_; }
-
-  /// Byte offset the stream logically starts at (0 for a fresh file).
-  uint64_t stream_start() const { return stream_start_; }
-
-  /// Persists a new stream start (front truncation). Monotone by contract;
-  /// on header-write failure the previous value is kept (like
-  /// SetDirectory) so the in-memory pointer always matches the durable
-  /// header.
-  bool SetStreamStart(uint64_t off);
 
   /// Writes `len` bytes at absolute payload offset `off`, growing the file
   /// (whole pages) as needed. Returns false on I/O failure.
@@ -113,19 +104,18 @@ class PagedFile {
   uint64_t dir_first_ = ~0ull;
   uint64_t dir_pages_ = 0;
   uint64_t dir_bytes_ = 0;
-  uint64_t stream_start_ = 0;
   std::vector<FreeRunRec> free_runs_;
 };
 
 /// Cluster images laid out in a PagedFile with reserve slots + directory.
 class ClusterFileStore {
  public:
-  /// `reserve_fraction`: extra object places allocated per run.
+  /// Each run gets kReserveFraction extra object places.
   /// `disk` (optional, not owned): charged for the simulated cost of every
   /// read/write so experiments can account real layouts with the paper's
   /// device parameters.
   ClusterFileStore(std::unique_ptr<PagedFile> file, Dim nd,
-                   double reserve_fraction = 0.25, SimDisk* disk = nullptr);
+                   SimDisk* disk = nullptr);
 
   Dim dims() const { return nd_; }
   size_t cluster_count() const;
@@ -182,7 +172,6 @@ class ClusterFileStore {
 
   std::unique_ptr<PagedFile> file_;
   Dim nd_;
-  double reserve_fraction_;
   SimDisk* disk_;
   std::vector<Entry> entries_;
   uint64_t relocations_ = 0;

@@ -62,13 +62,6 @@ class SimDisk {
     Seek();
   }
 
-  /// Charges one file rename (a truncated segment recycled into the
-  /// spare pool, or a spare renamed back into the live chain).
-  void NoteRename() {
-    ++file_renames_;
-    Seek();
-  }
-
   double clock_ms() const { return clock_ms_; }
   uint64_t seeks() const { return seeks_; }
   uint64_t bytes() const { return bytes_; }
@@ -112,7 +105,6 @@ class SimDisk {
 
   uint64_t file_creates() const { return file_creates_; }
   uint64_t file_unlinks() const { return file_unlinks_; }
-  uint64_t file_renames() const { return file_renames_; }
 
   /// Lifetime NextOpFails consultations (armed or not). A fault-free dry
   /// run's count is the size of the crash-point matrix: arming
@@ -132,7 +124,6 @@ class SimDisk {
   uint64_t io_ops_ = 0;
   uint64_t file_creates_ = 0;
   uint64_t file_unlinks_ = 0;
-  uint64_t file_renames_ = 0;
 };
 
 }  // namespace accl

@@ -18,11 +18,15 @@
 
 namespace accl {
 
+/// Free places reserved whenever a cluster's objects are (re)located: the
+/// paper's 20-30 % (§6). The adaptive index and ClusterFileStore use it.
+inline constexpr double kReserveFraction = 0.25;
+
 /// Flat array of (id, hyper-rectangle) records with a reserve policy.
 class SlotArray {
  public:
   /// `reserve_fraction` in [0,1): extra capacity allocated on relocation.
-  SlotArray(Dim nd, double reserve_fraction = 0.25);
+  SlotArray(Dim nd, double reserve_fraction = kReserveFraction);
 
   Dim dims() const { return nd_; }
   size_t size() const { return ids_.size(); }

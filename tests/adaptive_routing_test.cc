@@ -288,8 +288,7 @@ adapt::AdvisorState DefaultState() {
 }
 
 TEST(RoutingAdvisor, EmptyWindowDecidesNothing) {
-  AdaptiveRoutingOptions opts;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+  adapt::RoutingAdvisor advisor;
   adapt::PatternSnapshot p;
   p.Reset(kNd);
   const adapt::RoutingDecision d = advisor.Evaluate(p, DefaultState());
@@ -297,9 +296,7 @@ TEST(RoutingAdvisor, EmptyWindowDecidesNothing) {
 }
 
 TEST(RoutingAdvisor, SwitchesToThePredictedBetterDimension) {
-  AdaptiveRoutingOptions opts;
-  opts.switch_threshold = 1.5;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+  adapt::RoutingAdvisor advisor;
   const adapt::PatternSnapshot p = DimShiftedPattern(/*good_dim=*/3, 512);
   const adapt::RoutingDecision d = advisor.Evaluate(p, DefaultState());
   ASSERT_EQ(d.kind, adapt::RoutingDecision::Kind::kSwitchDimension);
@@ -312,8 +309,7 @@ TEST(RoutingAdvisor, SwitchesToThePredictedBetterDimension) {
 }
 
 TEST(RoutingAdvisor, NoSwitchWhenCurrentDimensionIsAlreadyBest) {
-  AdaptiveRoutingOptions opts;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+  adapt::RoutingAdvisor advisor;
   adapt::AdvisorState st = DefaultState();
   st.current_dim = 3;
   const adapt::PatternSnapshot p = DimShiftedPattern(3, 512);
@@ -322,17 +318,14 @@ TEST(RoutingAdvisor, NoSwitchWhenCurrentDimensionIsAlreadyBest) {
 }
 
 TEST(RoutingAdvisor, SplitRequiresSustainedPressure) {
-  AdaptiveRoutingOptions opts;
-  opts.split_straddler_threshold = 0.25;
-  opts.split_patience = 3;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+  adapt::RoutingAdvisor advisor;
   // Current dimension already the best one, so the split branch is live.
   adapt::AdvisorState st = DefaultState();
   st.current_dim = 2;
-  st.overflow_residents = 300;  // 300/512 > 0.25: pressure present
+  st.overflow_residents = 300;  // 300/512 > kSplitStraddlerThreshold
   const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
 
-  for (uint32_t w = 1; w < opts.split_patience; ++w) {
+  for (uint32_t w = 1; w < kSplitPatience; ++w) {
     EXPECT_EQ(advisor.Evaluate(p, st).kind,
               adapt::RoutingDecision::Kind::kNone)
         << "window " << w;
@@ -347,10 +340,8 @@ TEST(RoutingAdvisor, SplitRequiresSustainedPressure) {
 }
 
 TEST(RoutingAdvisor, PressureDipResetsThePatienceStreak) {
-  AdaptiveRoutingOptions opts;
-  opts.split_straddler_threshold = 0.25;
-  opts.split_patience = 2;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+  static_assert(kSplitPatience == 2, "the dip lands inside the streak");
+  adapt::RoutingAdvisor advisor;
   adapt::AdvisorState st = DefaultState();
   st.current_dim = 2;
   const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
@@ -369,33 +360,19 @@ TEST(RoutingAdvisor, PressureDipResetsThePatienceStreak) {
   EXPECT_EQ(advisor.straddle_streak(), 1u);
 }
 
-TEST(RoutingAdvisor, ActiveSplitAndPinnedDimRespected) {
-  AdaptiveRoutingOptions opts;
-  opts.split_patience = 1;
-  adapt::RoutingAdvisor advisor(opts, kNd);
+TEST(RoutingAdvisor, ActiveSplitIsNeverSplitAgain) {
+  adapt::RoutingAdvisor advisor;
   adapt::AdvisorState st = DefaultState();
   st.current_dim = 2;
   st.overflow_residents = 400;
   const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
 
   st.split_active = true;  // already split: never split again
-  EXPECT_EQ(advisor.Evaluate(p, st).kind,
-            adapt::RoutingDecision::Kind::kNone);
-  st.split_active = false;
-
-  AdaptiveRoutingOptions pinned = opts;
-  pinned.split_dim = 1;
-  adapt::RoutingAdvisor pinned_advisor(pinned, kNd);
-  const adapt::RoutingDecision d = pinned_advisor.Evaluate(p, st);
-  ASSERT_EQ(d.kind, adapt::RoutingDecision::Kind::kSplitOverflow);
-  EXPECT_EQ(d.dim, 1u);
-
-  // Pinning the split to the fence dimension makes splitting impossible.
-  AdaptiveRoutingOptions conflict = opts;
-  conflict.split_dim = 2;
-  adapt::RoutingAdvisor conflict_advisor(conflict, kNd);
-  EXPECT_EQ(conflict_advisor.Evaluate(p, st).kind,
-            adapt::RoutingDecision::Kind::kNone);
+  for (uint32_t w = 0; w <= kSplitPatience; ++w) {
+    EXPECT_EQ(advisor.Evaluate(p, st).kind,
+              adapt::RoutingDecision::Kind::kNone);
+    EXPECT_EQ(advisor.straddle_streak(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,8 +475,6 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   o.default_policy = MatchPolicy::kIntersecting;
   o.adaptive.enabled = true;
   o.adaptive.sample_window = 128;
-  o.adaptive.split_straddler_threshold = 0.2;
-  o.adaptive.split_patience = 2;
   o.adaptive.overflow_split_shards = 2;
   SubscriptionEngine engine(UnitSchema(), o);
   ASSERT_EQ(engine.overflow_split_capacity(), 2u);

@@ -8,7 +8,7 @@
 //
 // The centerpiece is the failover crash-point matrix: a primary runs a
 // deterministic mutation script with a shipper interleaved, all I/O
-// charged to ONE shared SimDisk — WAL flushes, rotations, recycles,
+// charged to ONE shared SimDisk — WAL flushes, rotations,
 // checkpoint writes, truncation unlinks, mirror creates, mirror batch
 // writes, mirror GC. The primary is then killed at EVERY FailAfter(k) over
 // the fault-free run's io_ops() range (so faults land mid-rotation and
@@ -69,10 +69,9 @@ DurabilityOptions DurOpts() {
   d.group_commit = true;
   d.checkpoint_every_mutations = 0;  // scripts checkpoint explicitly
   d.background_checkpoints = false;
-  // Tiny segments: the scripts rotate, recycle and GC for real, and the
-  // failover matrix lands faults inside those lifecycle ops.
+  // Tiny segments: the scripts rotate and GC for real, and the failover
+  // matrix lands faults inside those lifecycle ops.
   d.wal_segment_bytes = 256;
-  d.wal_spare_segments = 1;
   return d;
 }
 

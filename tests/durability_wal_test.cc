@@ -1,19 +1,22 @@
 // Unit tests for the segmented write-ahead log and the shadow-paged
 // checkpoint store: framing round trips, tail-corruption containment,
-// segment rotation and boundary-spanning replay, truncation GC (unlink +
-// spare recycling) and the generation-stamp ABA regression, group-commit vs
+// segment rotation and boundary-spanning replay, truncation GC (unlink) and
+// the generation-stamp regression, replay refusing checksum-valid records
+// with malformed boxes, group-commit vs
 // per-record flush accounting, fault injection across the file lifecycle,
 // and the checkpoint store's old-image-survives-failed-write guarantee.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "durability/checkpoint.h"
 #include "durability/segment.h"
+#include "durability/shipping.h"
 #include "durability/wal.h"
 #include "storage/paged_store.h"
 #include "storage/sim_disk.h"
@@ -26,7 +29,7 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-/// WAL base path with no leftover segment or spare files.
+/// WAL base path with no leftover segment files.
 std::string FreshBase(const char* name) {
   const std::string base = TempPath(name);
   RemoveWalFiles(base);
@@ -56,25 +59,28 @@ std::vector<WalRecord> ReplayAll(WriteAheadLog& wal, Lsn after = kNoLsn) {
 /// One nd=2 subscribe record on disk: 24-byte header + (1+4+4+4+16) payload.
 constexpr uint64_t kSubscribe2dFrameBytes = kFrameHeaderBytes + 29;
 
-/// Hand-writes a fully valid subscribe frame (id 666, lsn 8) at the second
-/// frame slot of `segment_path`, stamped with `gen` and with the checksum
-/// computed over exactly those bytes — everything about it passes framing;
-/// only the stamp decides whether it replays.
-void WriteStaleFrame(const std::string& segment_path, uint64_t gen) {
+/// Hand-frames one subscribe record — `coords.size() / (2 * nd)` boxes
+/// with ids from `first_id`, a batch record when there are several — at
+/// byte `off` of `segment_path`, under `lsn` and generation stamp `gen`,
+/// with the checksum computed over exactly those bytes. Returns the offset
+/// just past the frame.
+uint64_t WriteSubscribeFrame(const std::string& segment_path, uint64_t off,
+                             Lsn lsn, uint64_t gen, ObjectId first_id, Dim nd,
+                             const std::vector<float>& coords) {
+  const uint32_t count = static_cast<uint32_t>(coords.size() / (2 * nd));
   std::vector<uint8_t> payload;
-  payload.push_back(static_cast<uint8_t>(WalRecordType::kSubscribe));
+  payload.push_back(static_cast<uint8_t>(
+      count == 1 ? WalRecordType::kSubscribe : WalRecordType::kSubscribeBatch));
   const auto put32 = [&](uint32_t v) {
     const uint8_t* b = reinterpret_cast<const uint8_t*>(&v);
     payload.insert(payload.end(), b, b + 4);
   };
-  put32(666);  // id
-  put32(1);    // count
-  put32(2);    // nd
-  const auto c = BoxCoords(2, 0.9f);
-  const uint8_t* cb = reinterpret_cast<const uint8_t*>(c.data());
-  payload.insert(payload.end(), cb, cb + 16);
+  put32(first_id);
+  put32(count);
+  put32(nd);
+  const uint8_t* cb = reinterpret_cast<const uint8_t*>(coords.data());
+  payload.insert(payload.end(), cb, cb + coords.size() * 4);
 
-  const Lsn lsn = 8;
   uint8_t hdr[kFrameHeaderBytes];
   const uint32_t len = static_cast<uint32_t>(payload.size());
   const uint32_t crc = FrameChecksum(payload.data(), payload.size(), lsn, gen);
@@ -84,12 +90,22 @@ void WriteStaleFrame(const std::string& segment_path, uint64_t gen) {
   std::memcpy(hdr + 16, &gen, 8);
 
   auto pf = PagedFile::Open(segment_path);
-  ASSERT_NE(pf, nullptr);
-  const uint64_t off = kSegmentPreambleBytes + kSubscribe2dFrameBytes;
-  ASSERT_TRUE(pf->StreamWrite(off, hdr, kFrameHeaderBytes));
-  ASSERT_TRUE(
+  EXPECT_NE(pf, nullptr);
+  if (pf == nullptr) return off;
+  EXPECT_TRUE(pf->StreamWrite(off, hdr, kFrameHeaderBytes));
+  EXPECT_TRUE(
       pf->StreamWrite(off + kFrameHeaderBytes, payload.data(), payload.size()));
-  ASSERT_TRUE(pf->Sync());
+  EXPECT_TRUE(pf->Sync());
+  return off + kFrameHeaderBytes + payload.size();
+}
+
+/// Hand-writes a fully valid subscribe frame (id 666, lsn 8) at the second
+/// frame slot of `segment_path`, stamped with `gen` — everything about it
+/// passes framing; only the stamp decides whether it replays.
+void WriteStampedFrame(const std::string& segment_path, uint64_t gen) {
+  WriteSubscribeFrame(segment_path,
+                      kSegmentPreambleBytes + kSubscribe2dFrameBytes,
+                      /*lsn=*/8, gen, /*first_id=*/666, 2, BoxCoords(2, 0.9f));
 }
 
 /// Small-segment options: with sequential WaitDurable'd appends (one record
@@ -97,7 +113,6 @@ void WriteStaleFrame(const std::string& segment_path, uint64_t gen) {
 WriteAheadLog::Options SmallSegments() {
   WriteAheadLog::Options o;
   o.segment_bytes = 64;
-  o.spare_segments = 1;
   return o;
 }
 
@@ -114,7 +129,7 @@ void AppendSerial(WriteAheadLog* wal, ObjectId first_id, int n, float seed) {
 
 TEST(WriteAheadLog, AppendReplayRoundTrip) {
   const std::string base = FreshBase("wal_roundtrip.wal");
-  auto wal = WriteAheadLog::Create(base, {});
+  auto wal = WriteAheadLog::Open(base, {});
   ASSERT_NE(wal, nullptr);
 
   const auto c1 = BoxCoords(3, 0.1f);
@@ -152,7 +167,7 @@ TEST(WriteAheadLog, ReopenFindsTheDurablePrefixAndContinuesLsns) {
   const std::string base = FreshBase("wal_reopen.wal");
   const auto c = BoxCoords(2, 0.2f);
   {
-    auto wal = WriteAheadLog::Create(base, {});
+    auto wal = WriteAheadLog::Open(base, {});
     for (int i = 0; i < 5; ++i) wal->AppendSubscribe(i, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(5));
   }
@@ -173,7 +188,7 @@ TEST(WriteAheadLog, CorruptTailStopsReplayCleanly) {
   const std::string base = FreshBase("wal_corrupt.wal");
   const auto c = BoxCoords(2, 0.4f);
   {
-    auto wal = WriteAheadLog::Create(base, {});
+    auto wal = WriteAheadLog::Open(base, {});
     for (int i = 0; i < 4; ++i) wal->AppendSubscribe(i, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(4));
   }
@@ -240,7 +255,7 @@ TEST(WriteAheadLog, ReopenResumesInEmptyJustRotatedTail) {
   }
   // Simulate a crash between a rotation's seal and the first write into
   // the new segment: the chain is [full seg 1, empty seg 2] on disk.
-  ASSERT_NE(WalSegment::Create(SegmentPath(base, 2), 4096, /*seq=*/2,
+  ASSERT_NE(WalSegment::Create(SegmentPath(base, 2), /*seq=*/2,
                                /*base_lsn=*/3, /*disk=*/nullptr),
             nullptr);
   auto wal = WriteAheadLog::Open(base, SmallSegments());
@@ -273,15 +288,13 @@ TEST(WriteAheadLog, TruncateDropsCoveredSegmentsDurablyAndBoundsFootprint) {
   EXPECT_EQ(wal->applied_low_water(), 6u);
   ASSERT_TRUE(wal->Truncate(6).ok());
 
-  // Segments {1,2}, {3,4}, {5,6} are fully covered: one becomes the spare,
-  // the rest are unlinked — the on-disk footprint actually shrinks.
+  // Segments {1,2}, {3,4}, {5,6} are fully covered and unlinked — the
+  // on-disk footprint actually shrinks.
   WalStats st = wal->stats();
   EXPECT_EQ(st.truncations, 1u);
   EXPECT_EQ(st.live_segments, 2u);
-  EXPECT_EQ(st.segments_spared, 1u);
-  EXPECT_EQ(st.segments_unlinked, 2u);
+  EXPECT_EQ(st.segments_unlinked, 3u);
   EXPECT_EQ(ListSegmentFiles(base).size(), 2u);
-  EXPECT_EQ(ListSpareFiles(base).size(), 1u);
 
   std::vector<WalRecord> recs = ReplayAll(*wal);
   ASSERT_EQ(recs.size(), 4u);
@@ -297,50 +310,118 @@ TEST(WriteAheadLog, TruncateDropsCoveredSegmentsDurablyAndBoundsFootprint) {
   RemoveWalFiles(base);
 }
 
-TEST(WriteAheadLog, GenerationStampRejectsStaleBytesInRecycledSegment) {
-  const std::string base = FreshBase("wal_aba.wal");
+TEST(WriteAheadLog, GenerationStampRejectsAForeignFramePastTheValidTail) {
+  const std::string base = FreshBase("wal_gen.wal");
   auto wal = WriteAheadLog::Open(base, SmallSegments());
-  // Segments: 1:{1,2} 2:{3,4} 3:{5,6}. Truncate(4) spares segment 1 and
-  // unlinks segment 2; the next rotation recycles the spare as segment 4
-  // WITHOUT truncating its payload, so segment 1's old frames survive as
-  // stale bytes past whatever the new generation overwrites.
-  AppendSerial(wal.get(), 0, 6, 0.6f);
-  for (Lsn l = 1; l <= 4; ++l) wal->MarkApplied(l);
-  ASSERT_TRUE(wal->Truncate(4).ok());
-  AppendSerial(wal.get(), 10, 1, 0.7f);  // lsn 7, first frame of segment 4
-  WalStats st = wal->stats();
-  EXPECT_EQ(st.segments_recycled, 1u);
-  EXPECT_EQ(st.tail_segment_seq, 4u);
+  // Segments: 1:{1,2} 2:{3,4} 3:{5,6} 4:{7} — lsn 7 is the only frame of a
+  // freshly created segment.
+  AppendSerial(wal.get(), 0, 7, 0.6f);
+  EXPECT_EQ(wal->stats().tail_segment_seq, 4u);
   wal.reset();
 
-  // The recycled region right after lsn 7's frame still holds segment 1's
-  // second frame. Make it maximally adversarial — the exact layout the
-  // single-file log could not defend against: a stale frame with a valid
-  // length, a checksum consistent with its own bytes, and an LSN (8) that
-  // continues the live chain perfectly. Only its generation stamp (1, the
-  // segment's previous life) betrays it.
-  WriteStaleFrame(SegmentPath(base, 4), /*gen=*/1);
+  // Right after lsn 7's frame, put bytes segment 4's own appends never
+  // wrote (a misdirected write, a frame copied from the segment before).
+  // Make them maximally adversarial: a valid length, a checksum consistent
+  // with its own bytes, and an LSN (8) that continues the live chain
+  // perfectly. Only its generation stamp (3, the previous segment's)
+  // betrays it.
+  WriteStampedFrame(SegmentPath(base, 4), /*gen=*/3);
 
-  // Recovery must stop at lsn 7: the stale frame would replay a subscribe
-  // that was truncated away in another life of these bytes.
+  // Open's tail scan and Replay must both stop at lsn 7.
   wal = WriteAheadLog::Open(base, SmallSegments());
   ASSERT_NE(wal, nullptr);
   EXPECT_EQ(wal->max_lsn(), 7u);
   const std::vector<WalRecord> recs = ReplayAll(*wal);
-  ASSERT_EQ(recs.size(), 3u);  // lsns 5, 6, 7
+  ASSERT_EQ(recs.size(), 7u);
   for (const WalRecord& r : recs) EXPECT_NE(r.first_id, 666u);
   wal.reset();
 
-  // Control: restamp the identical frame under the segment's LIVE
+  // Control: restamp the identical frame under the segment's own
   // generation (4) and it replays — proving the stamp, and nothing else
-  // about the framing, is what rejected the stale bytes.
-  WriteStaleFrame(SegmentPath(base, 4), /*gen=*/4);
+  // about the framing, is what rejected the foreign bytes.
+  WriteStampedFrame(SegmentPath(base, 4), /*gen=*/4);
   wal = WriteAheadLog::Open(base, SmallSegments());
   ASSERT_NE(wal, nullptr);
   EXPECT_EQ(wal->max_lsn(), 8u);
   EXPECT_EQ(ReplayAll(*wal).back().first_id, 666u);
   wal.reset();
   RemoveWalFiles(base);
+}
+
+TEST(WriteAheadLog, ReplaySkipsSubscribeRecordsWithMalformedBoxes) {
+  // Checksum-valid subscribe records whose boxes SubscribeBatch would have
+  // refused: replay, by Recover and by a follower's ship pass alike, must
+  // skip each whole record, count it, and still allocate its ids.
+  const std::string base = FreshBase("wal_malformed.wal");
+  {
+    auto wal = WriteAheadLog::Open(base, {});
+    ASSERT_NE(wal, nullptr);
+    AppendSerial(wal.get(), 0, 1, 0.1f);  // lsn 1: id 0, well formed
+  }
+  const std::string seg = SegmentPath(base, 1);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> good = BoxCoords(2, 0.5f);
+  std::vector<float> batch = good;  // ids 5, 6: the second box is inverted
+  batch.insert(batch.end(), {0.2f, 0.3f, 0.6f, 0.4f});
+  uint64_t off = kSegmentPreambleBytes + kSubscribe2dFrameBytes;
+  off = WriteSubscribeFrame(seg, off, 2, 1, 1, 2, {nan, 0.5f, 0.1f, 0.2f});
+  off = WriteSubscribeFrame(seg, off, 3, 1, 2, 2, {0.1f, 0.2f, 0.3f, inf});
+  off = WriteSubscribeFrame(seg, off, 4, 1, 3, 2, {-inf, 0.2f, 0.3f, 0.4f});
+  off = WriteSubscribeFrame(seg, off, 5, 1, 4, 2, good);
+  off = WriteSubscribeFrame(seg, off, 6, 1, 5, 2, batch);
+
+  AttributeSchema schema;
+  schema.AddAttribute("a0", 0.0, 1.0);
+  schema.AddAttribute("a1", 0.0, 1.0);
+  const Event everything = Event::Range(Box::FullDomain(2));
+  const std::vector<SubscriptionId> expected = {0, 4};
+
+  // Recover: a fresh engine replays the whole log.
+  {
+    auto wal = WriteAheadLog::Open(base, {});
+    ASSERT_NE(wal, nullptr);
+    EXPECT_EQ(wal->max_lsn(), 6u);
+    Status st;
+    RecoveryStats rs;
+    auto engine = SubscriptionEngine::Recover(schema, EngineOptions(), nullptr,
+                                              wal.get(), &st, &rs);
+    ASSERT_NE(engine, nullptr) << st.message();
+    EXPECT_EQ(rs.wal_records_applied, 2u);
+    EXPECT_EQ(rs.wal_records_skipped, 4u);
+    EXPECT_EQ(engine->subscription_count(), 2u);
+    std::vector<SubscriptionId> got;
+    engine->Match(everything, &got, MatchPolicy::kIntersecting);
+    EXPECT_EQ(got, expected);
+    // The refused batch's ids stay allocated.
+    EXPECT_EQ(engine->SubscribeBox(Box::FullDomain(2)), 7u);
+  }
+
+  // A follower's ship pass applies the same records the same way.
+  LogShipper::Options so;
+  so.source_wal_base = base;
+  so.source_checkpoint_path = TempPath("wal_malformed_none.ck");
+  so.replica_wal_base = FreshBase("wal_malformed_replica.wal");
+  so.replica_checkpoint_path = TempPath("wal_malformed_replica.ck");
+  std::remove(so.source_checkpoint_path.c_str());
+  Status st;
+  auto shipper = LogShipper::Create(schema, EngineOptions(), so, &st);
+  ASSERT_NE(shipper, nullptr) << st.message();
+  ASSERT_TRUE(shipper->ShipOnce().ok());
+  EXPECT_EQ(shipper->stats().cursor_lsn, 6u);
+  std::vector<SubscriptionId> got;
+  shipper->engine()->Match(everything, &got, MatchPolicy::kIntersecting);
+  EXPECT_EQ(got, expected);
+  DurableEngine promoted;
+  ASSERT_TRUE(shipper->Promote(DurabilityOptions(), &promoted).ok());
+  EXPECT_EQ(promoted.recovery.wal_records_applied, 2u);
+  EXPECT_EQ(promoted.recovery.wal_records_skipped, 4u);
+  EXPECT_EQ(promoted.engine->SubscribeBox(Box::FullDomain(2)), 7u);
+  promoted = DurableEngine();
+  shipper.reset();
+  RemoveWalFiles(base);
+  RemoveWalFiles(so.replica_wal_base);
+  std::remove(so.replica_checkpoint_path.c_str());
 }
 
 TEST(WriteAheadLog, PerRecordModeSyncsEveryRecord) {
@@ -431,15 +512,13 @@ TEST(WriteAheadLog, LifecycleOpsConsultAndChargeTheSimDisk) {
   EXPECT_EQ(wal->Truncate(4).code(), StatusCode::kIOError);
   disk.DisarmFaults();
   ASSERT_TRUE(wal->Truncate(4).ok());
-  EXPECT_EQ(disk.file_renames(), 1u);  // segment 1 -> spare
-  EXPECT_EQ(disk.file_unlinks(), 1u);  // segment 2 removed
+  EXPECT_EQ(disk.file_unlinks(), 2u);  // segments 1 and 2 removed
   const uint64_t ops_before = disk.io_ops();
 
-  // The next rotation recycles the spare (rename back + preamble rewrite),
+  // The next rotation creates segment 4 (file create + preamble write),
   // all charged I/O.
   AppendSerial(wal.get(), 10, 1, 0.3f);  // lsn 7 rotates into segment 4
-  EXPECT_EQ(disk.file_renames(), 2u);
-  EXPECT_EQ(wal->stats().segments_recycled, 1u);
+  EXPECT_EQ(disk.file_creates(), 3u);
   EXPECT_GT(disk.io_ops(), ops_before);
 
   const std::vector<WalRecord> recs = ReplayAll(*wal);

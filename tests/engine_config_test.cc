@@ -6,7 +6,6 @@
 // the bad knob.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 #include "sdi/subscription_engine.h"
@@ -102,31 +101,6 @@ TEST(EngineConfig, IndexKnobsValidated) {
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("division_factor"), std::string::npos);
-
-  o = EngineOptions{};
-  o.index.max_clusters = 0;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-}
-
-TEST(EngineConfig, SwitchThresholdValidatedForPeriodicReplans) {
-  // With the advisor off, periodic fence re-plans still gate on
-  // adaptive.switch_threshold, so it is checked whenever moves are
-  // automatic.
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.rebalance_period = 64;
-  Status st;
-  for (const double bad : {0.0, 1.0, std::nan("")}) {
-    o.adaptive.switch_threshold = bad;
-    EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr)
-        << bad;
-    EXPECT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("switch_threshold"), std::string::npos);
-  }
-  o.rebalance_period = 0;  // no automatic moves: the knob is unused
-  EXPECT_TRUE(SubscriptionEngine::ValidateOptions(SchemaWithDims(2), o).ok());
 }
 
 TEST(EngineConfig, ValidateOptionsIsSideEffectFree) {
@@ -160,27 +134,7 @@ TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
   EXPECT_NE(st.message().find("overflow_split_shards"), std::string::npos);
 }
 
-TEST(EngineConfig, AdaptiveDimensionsMustNameSchemaDimensions) {
-  Status st;
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.adaptive.fence_dim = 3;  // schema has dims 0..2
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("fence_dim"), std::string::npos);
-
-  o.adaptive.fence_dim = 2;  // valid, even with the advisor off
-  EXPECT_NE(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_TRUE(st.ok());
-
-  o.adaptive.split_dim = 5;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("split_dim"), std::string::npos);
-}
-
-TEST(EngineConfig, AdaptiveWindowAndThresholdKnobsValidated) {
+TEST(EngineConfig, AdaptiveSampleWindowValidated) {
   const AttributeSchema schema = SchemaWithDims(3);
   EngineOptions o;
   o.shards = 4;
@@ -193,40 +147,17 @@ TEST(EngineConfig, AdaptiveWindowAndThresholdKnobsValidated) {
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("sample_window"), std::string::npos);
   o.adaptive.sample_window = 4096;
-
-  // A switch threshold <= 1 lets estimation noise flip the fence
-  // dimension every window; NaN must not sneak through a < comparison.
-  for (const double bad : {1.0, 0.5, std::nan("")}) {
-    o.adaptive.switch_threshold = bad;
-    st = SubscriptionEngine::ValidateOptions(schema, o);
-    EXPECT_FALSE(st.ok()) << bad;
-    EXPECT_NE(st.message().find("switch_threshold"), std::string::npos);
-  }
-  o.adaptive.switch_threshold = 1.5;
-
-  for (const double bad : {0.0, -0.25, 1.5, std::nan("")}) {
-    o.adaptive.split_straddler_threshold = bad;
-    EXPECT_FALSE(SubscriptionEngine::ValidateOptions(schema, o).ok()) << bad;
-  }
-  o.adaptive.split_straddler_threshold = 0.25;
-
-  o.adaptive.split_patience = 0;
-  st = SubscriptionEngine::ValidateOptions(schema, o);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("split_patience"), std::string::npos);
-  o.adaptive.split_patience = 2;
   EXPECT_TRUE(SubscriptionEngine::ValidateOptions(schema, o).ok());
 }
 
 TEST(EngineConfig, DisabledAdaptiveIgnoresWindowKnobs) {
-  // The window/threshold knobs only matter when the advisor runs; bogus
-  // values with enabled=false must not block engine creation.
+  // The window knob only matters when the advisor runs; a bogus value with
+  // enabled=false must not block engine creation.
   EngineOptions o;
   o.shards = 4;
   o.sharding = ShardingPolicy::kRange;
   o.adaptive.enabled = false;
   o.adaptive.sample_window = 0;
-  o.adaptive.switch_threshold = 0.0;
   EXPECT_TRUE(
       SubscriptionEngine::ValidateOptions(SchemaWithDims(3), o).ok());
 }

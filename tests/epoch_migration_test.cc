@@ -492,6 +492,7 @@ TEST(EpochMigration, AutoMoveExplicitCallsWaitForTheMove) {
     durability::EngineImage img;
     engine->CaptureDurableImage(&img);
     ASSERT_EQ(img.ids.size(), subs.size());
+    EXPECT_EQ(img.ids.size(), engine->subscription_count());
     std::unordered_set<SubscriptionId> seen(img.ids.begin(), img.ids.end());
     EXPECT_EQ(seen.size(), img.ids.size());
     for (const auto& [id, box] : subs) EXPECT_EQ(seen.count(id), 1u);
@@ -510,6 +511,13 @@ TEST(EpochMigration, AutoMoveExplicitCallsWaitForTheMove) {
       resident += engine->shard_index(s).size();
     }
     EXPECT_EQ(resident, subs.size());
+    // A capture after the migrations holds each live id exactly once.
+    durability::EngineImage img;
+    engine->CaptureDurableImage(&img);
+    const std::unordered_set<SubscriptionId> unique(img.ids.begin(),
+                                                    img.ids.end());
+    EXPECT_EQ(unique.size(), img.ids.size());
+    EXPECT_EQ(img.ids.size(), engine->subscription_count());
     // No move is in flight, so the next batch routes under a final
     // snapshot (a move it triggers itself starts after its routing).
     const uint64_t transitional =

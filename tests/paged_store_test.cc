@@ -137,7 +137,7 @@ TEST(ClusterFileStore, PutGetRoundTrip) {
 TEST(ClusterFileStore, AppendUsesReserveThenRelocates) {
   const std::string path = TempPath("store_append.pf");
   auto store = std::make_unique<ClusterFileStore>(
-      PagedFile::Create(path, 512), 2, /*reserve_fraction=*/0.25);
+      PagedFile::Create(path, 512), 2);
   ClusterImage img = MakeImage(0, 2, 64, 2);
   ASSERT_TRUE(store->Put(img));
   const uint64_t reloc_before = store->relocations();
@@ -157,7 +157,7 @@ TEST(ClusterFileStore, AppendUsesReserveThenRelocates) {
 TEST(ClusterFileStore, UtilizationAboveSeventyPercent) {
   const std::string path = TempPath("store_util.pf");
   auto store = std::make_unique<ClusterFileStore>(
-      PagedFile::Create(path, 4096), 8, 0.25);
+      PagedFile::Create(path, 4096), 8);
   for (ClusterId id = 0; id < 20; ++id) {
     ASSERT_TRUE(store->Put(MakeImage(id, 8, 200 + 13 * id, id)));
   }
@@ -339,7 +339,7 @@ TEST(ClusterFileStore, InjectedFaultsFailCleanlyAndRecover) {
   const std::string path = TempPath("faults.pf");
   SimDisk disk = SimDisk::Paper();
   auto store = std::make_unique<ClusterFileStore>(
-      PagedFile::Create(path, 1024), 4, 0.25, &disk);
+      PagedFile::Create(path, 1024), 4, &disk);
   ASSERT_TRUE(store->Put(MakeImage(0, 4, 60, 1)));
   ASSERT_TRUE(store->Put(MakeImage(1, 4, 40, 2)));
   ASSERT_TRUE(store->SaveDirectory());
@@ -383,7 +383,7 @@ TEST(ClusterFileStore, FaultDuringIntermittentWritesKeepsDirectoryLoadable) {
   SimDisk disk = SimDisk::Paper();
   {
     auto store = std::make_unique<ClusterFileStore>(
-        PagedFile::Create(path, 1024), 4, 0.25, &disk);
+        PagedFile::Create(path, 1024), 4, &disk);
     for (ClusterId id = 0; id < 6; ++id) {
       ASSERT_TRUE(store->Put(MakeImage(id, 4, 30 + id, id)));
     }
@@ -409,7 +409,7 @@ TEST(ClusterFileStore, SimDiskCharging) {
   const std::string path = TempPath("store_sim.pf");
   SimDisk disk = SimDisk::Paper();
   auto store = std::make_unique<ClusterFileStore>(
-      PagedFile::Create(path, 1024), 4, 0.25, &disk);
+      PagedFile::Create(path, 1024), 4, &disk);
   ASSERT_TRUE(store->Put(MakeImage(0, 4, 100, 3)));
   EXPECT_GT(disk.seeks(), 0u);
   EXPECT_GT(disk.bytes(), 0u);

@@ -72,8 +72,6 @@ SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
     // parity with the serial oracle must hold whatever it decides.
     o.adaptive.enabled = true;
     o.adaptive.sample_window = 96;
-    o.adaptive.split_straddler_threshold = 0.25;
-    o.adaptive.split_patience = 2;
   }
   return SubscriptionEngine(UnitSchema(), o);
 }

@@ -524,9 +524,8 @@ TEST(RoutedEngineDeathTest, EventMissingTheFenceDimensionIsRefused) {
   // The fence dimension (4) lies beyond the 2-d event's box: routing would
   // read past it. The pipeline entry Match and MatchBatch share refuses the
   // event before anything reads it.
-  EngineOptions o = Opts(4, 0, ShardingPolicy::kRange);
-  o.adaptive.fence_dim = 4;
-  SubscriptionEngine engine(UnitSchema(), std::move(o));
+  SubscriptionEngine engine(UnitSchema(), Opts(4, 0, ShardingPolicy::kRange));
+  ASSERT_TRUE(engine.SetRoutingDimension(4));
   engine.SubscribeBox(Box::FullDomain(kNd));
   const Event short_event = Event::Range(Box::FullDomain(2));
   std::vector<SubscriptionId> out;
