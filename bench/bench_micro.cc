@@ -102,7 +102,7 @@ void BM_SlotArrayAppend(benchmark::State& state) {
   const Dim nd = 16;
   Dataset ds = MakeData(nd, 4096);
   for (auto _ : state) {
-    SlotArray a(nd, 0.25);
+    SlotArray a(nd);
     for (size_t i = 0; i < 4096; ++i) a.Append(ds.ids[i], ds.box(i));
     benchmark::DoNotOptimize(a.size());
   }

@@ -5,10 +5,9 @@
 // transport types for that path: the per-batch result carrying
 // ObjectId-sorted match sets and the per-shard metrics aggregation the
 // benchmarks and tests consume, plus the streaming MatchSink consumer for
-// callers that want each event's matches pushed as soon as that event's
-// last shard visit completes instead of materialized into one result
-// object. (Span itself lives in api/span.h so lower layers can use it
-// without these types.)
+// callers that want each event's matches pushed to them instead of
+// materialized into one result object. (Span itself lives in api/span.h
+// so lower layers can use it without these types.)
 #pragma once
 
 #include <cstddef>
@@ -66,14 +65,14 @@ struct ShardMetrics {
 };
 
 /// Streaming consumer for batched matching: the engine calls
-/// OnEventMatches exactly once per event of the batch, as soon as that
-/// event's last shard visit has completed — events complete in arbitrary
-/// order, possibly concurrently from several pool workers. Implementations
-/// must therefore be thread-safe across *different* event indices (the
-/// engine never emits the same index twice, so per-index slots need no
-/// locking). The span is only valid for the duration of the call. The ids
-/// are sorted ascending by ObjectId and duplicate-free — byte-identical to
-/// what MatchBatchResult::matches[event_index] would have held.
+/// OnEventMatches exactly once per event of the batch, once every shard
+/// visit of the batch has run — in arbitrary event order, possibly
+/// concurrently from several pool workers. Implementations must therefore
+/// be thread-safe across *different* event indices (the engine never
+/// emits the same index twice, so per-index slots need no locking). The
+/// span is only valid for the duration of the call. The ids are sorted
+/// ascending by ObjectId and duplicate-free — byte-identical to what
+/// MatchBatchResult::matches[event_index] would have held.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -142,11 +141,6 @@ struct MatchBatchResult {
   /// (0 for an empty batch). Diagnostics for the epoch subsystem: a stuck
   /// epoch across batches means some reader is wedged pinned.
   uint64_t epoch = 0;
-  /// Residual-serialization counter: failed head-CAS iterations across all
-  /// workers while popping the finalize-ready stack this batch. Nonzero
-  /// means two workers raced for the same ready event — contention on the
-  /// one lock-free structure the pipeline's merge path has.
-  uint64_t ready_pop_retries = 0;
 
   /// Logically empties the result while PRESERVING allocated capacity: the
   /// per-event match vectors and per-shard entries are cleared in place,
@@ -164,11 +158,10 @@ struct MatchBatchResult {
     overflow_shard = kNoOverflowShard;
     routing_version = 0;
     epoch = 0;
-    ready_pop_retries = 0;
   }
 
   /// Recomputes `total` as the shard-order sum of `per_shard` (the
-  /// deterministic aggregation the engine uses after the fan-out joins).
+  /// deterministic aggregation the engine uses after the fan-outs join).
   void AggregateShards() {
     total.Clear();
     for (const ShardMetrics& s : per_shard) total += s.totals;

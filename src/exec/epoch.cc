@@ -128,11 +128,7 @@ size_t EpochManager::TryReclaim() {
   return ReclaimUpTo(MinActiveEpoch());
 }
 
-void EpochManager::Synchronize() { SynchronizeImpl(/*reclaim=*/true); }
-
-void EpochManager::WaitGrace() { SynchronizeImpl(/*reclaim=*/false); }
-
-void EpochManager::SynchronizeImpl(bool reclaim) {
+void EpochManager::Synchronize() {
   ACCL_TRACE_SPAN("epoch_grace_wait");
   synchronizes_.Add();
   const uint64_t next =
@@ -160,7 +156,7 @@ void EpochManager::SynchronizeImpl(bool reclaim) {
   // registry derive p50/p99 from the histogram.
   grace_wait_us_.Record(static_cast<uint64_t>(
       std::llround(wait_timer.ElapsedMs() * 1000.0)));
-  if (reclaim) ReclaimUpTo(next);
+  ReclaimUpTo(next);
 }
 
 EpochManagerStats EpochManager::stats() const {
@@ -181,13 +177,13 @@ EpochManagerStats EpochManager::stats() const {
 void EpochManager::AttachMetrics(obs::MetricsRegistry* reg) {
   reg->Attach("accl_epoch_pins_total", &pins_, "lifetime epoch pins");
   reg->Attach("accl_epoch_synchronizes_total", &synchronizes_,
-              "grace periods driven (Synchronize + WaitGrace)");
+              "grace periods driven (Synchronize)");
   reg->Attach("accl_epoch_retired_total", &retired_count_,
               "deleters deferred through the retire list");
   reg->Attach("accl_epoch_reclaimed_total", &reclaimed_count_,
               "deferred deleters that have run");
   reg->Attach("accl_epoch_grace_wait_us", &grace_wait_us_,
-              "grace-period wait per Synchronize/WaitGrace (microseconds)");
+              "grace-period wait per Synchronize (microseconds)");
 }
 
 }  // namespace accl::exec

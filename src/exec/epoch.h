@@ -38,11 +38,12 @@
 // snapshot has unpinned.
 //
 // The thread_pool integration is by convention, not coupling: a fan-out
-// caller (e.g. MatchBatch) pins once and keeps the guard alive across
-// ParallelFor, so the pool workers executing its tasks are covered by the
-// caller's pin and never touch the epoch machinery themselves. Size
-// `min_slots` from ThreadPool::concurrency() times the expected number of
-// concurrent callers; the block list grows on demand anyway.
+// caller (MatchBatch's execute phase) pins once and keeps the guard alive
+// across ParallelForDynamic, so the pool workers executing its tasks are
+// covered by the caller's pin and never touch the epoch machinery
+// themselves. Size `min_slots` from ThreadPool::concurrency() times the
+// expected number of concurrent callers; the block list grows on demand
+// anyway.
 #pragma once
 
 #include <atomic>
@@ -161,15 +162,6 @@ class EpochManager {
   /// (see the memory-ordering contract above).
   void Synchronize();
 
-  /// Grace period WITHOUT the reclaim sweep: identical wait semantics to
-  /// Synchronize (and counted in the same telemetry — a grace period is a
-  /// grace period), but the retired deleters are left for a later
-  /// TryReclaim/Synchronize. Publishers on a latency-sensitive path use
-  /// this so deleter cost (freeing superseded snapshots) is amortized into
-  /// someone's idle time — e.g. a thread pool's idle hook — instead of
-  /// being paid inline by the publisher.
-  void WaitGrace();
-
   EpochManagerStats stats() const;
 
   /// Registers this manager's metrics (pins/synchronizes/retired/
@@ -194,9 +186,6 @@ class EpochManager {
     std::atomic<SlotBlock*> next{nullptr};
   };
 
-  /// Shared body of Synchronize/WaitGrace: epoch bump, grace wait,
-  /// telemetry, and (when `reclaim`) the sweep of pre-bump retirees.
-  void SynchronizeImpl(bool reclaim);
   /// Minimum epoch over pinned slots; ~0ull when nobody is pinned.
   uint64_t MinActiveEpoch() const;
   /// Appends one block to the slot list (called with no locks held).

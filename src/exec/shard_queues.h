@@ -8,12 +8,13 @@
 // evaluated exactly once per item, queues come out in ascending item order
 // (which is what keeps the shard-side execution sequence — and therefore
 // the per-shard adaptation — deterministic), and a K-shard broadcast costs
-// one allocation instead of K vectors.
+// one allocation instead of K vectors. An item whose route names no shard
+// is in no queue.
 //
 // Build also records the *inverse* view: for each item, the CSR list of
-// (shard, position-in-that-shard's-queue) visits. A streamed consumer that
-// finalizes an item as soon as its last shard visit completes uses this to
-// gather the item's per-shard slices directly, without walking any queue.
+// (shard, position-in-that-shard's-queue) visits. The engine's finalize
+// phase, which runs once every queue has executed, uses it to gather each
+// item's per-shard slices directly, without walking any queue.
 //
 // All storage is member-owned and capacity-preserving: rebuilding with a
 // same-shaped batch performs no allocations after the first build (part of
@@ -65,25 +66,6 @@ class ShardQueues {
         const size_t c = cursor_[t]++;
         items_[c] = static_cast<uint32_t>(i);
         visit_positions_[r] = static_cast<uint32_t>(c - offsets_[t]);
-      }
-    }
-  }
-
-  /// Every item goes to every shard (the classic broadcast fan-out).
-  void BuildBroadcast(size_t n_items, size_t n_shards) {
-    Reset(n_items, n_shards);
-    items_.resize(n_items * n_shards);
-    visit_shards_.resize(n_items * n_shards);
-    visit_positions_.resize(n_items * n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-      offsets_[s + 1] = offsets_[s] + n_items;
-    }
-    for (size_t i = 0; i < n_items; ++i) {
-      item_offsets_[i + 1] = (i + 1) * n_shards;
-      for (size_t s = 0; s < n_shards; ++s) {
-        items_[offsets_[s] + i] = static_cast<uint32_t>(i);
-        visit_shards_[i * n_shards + s] = static_cast<uint32_t>(s);
-        visit_positions_[i * n_shards + s] = static_cast<uint32_t>(i);
       }
     }
   }

@@ -44,62 +44,18 @@ bool ThreadPool::RunOneTask() {
   return true;
 }
 
-void ThreadPool::SetIdleHook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lk(mu_);
-  idle_hook_ = std::move(hook);
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      if (queue_.empty() && !stop_) {
-        // Going idle: run the idle hook once per idle transition, outside
-        // the lock (it may do real work, e.g. reclaim retired epochs).
-        std::function<void()> hook = idle_hook_;
-        if (hook) {
-          lk.unlock();
-          hook();
-          lk.lock();
-        }
-        cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      }
+      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ && drained
       task = std::move(queue_.front());
       queue_.pop_front();
     }
     task();
   }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // Per-call completion state: the pool queue is shared, so the caller may
-  // execute tasks from overlapping ParallelFor calls while helping — that
-  // only shortens their wait and cannot starve this one.
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto st = std::make_shared<State>();
-  st->remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    Submit([&body, st, i] {
-      body(i);
-      std::lock_guard<std::mutex> lk(st->mu);
-      if (--st->remaining == 0) st->cv.notify_all();
-    });
-  }
-  while (RunOneTask()) {
-  }
-  std::unique_lock<std::mutex> lk(st->mu);
-  st->cv.wait(lk, [&st] { return st->remaining == 0; });
 }
 
 void ThreadPool::ParallelForDynamic(size_t n,

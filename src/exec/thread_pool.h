@@ -4,21 +4,24 @@
 // matched against millions of subscriptions; one OS thread per query cannot
 // saturate a modern machine. This pool is deliberately small and boring:
 // long-lived workers, one locked FIFO of std::function tasks, and a blocking
-// ParallelFor in which the *caller participates* — it drains tasks from the
-// same queue while waiting, so a pool constructed with zero workers degrades
-// to plain serial execution instead of deadlocking, and a pool of W workers
-// gives W+1-way concurrency to the fork-join sections that use it.
+// ParallelForDynamic in which the *caller participates* — it claims indices
+// itself and drains tasks from the same queue while waiting, so a pool
+// constructed with zero workers degrades to plain serial execution instead
+// of deadlocking, and a pool of W workers gives W+1-way concurrency to the
+// fork-join sections that use it (MatchBatch's execute and finalize
+// phases). Submit serves fire-and-forget work (background checkpoints).
 //
 // Interplay with epoch-based reclamation (exec/epoch.h): a fan-out caller
 // that reads epoch-protected state pins ONCE, before submitting, and keeps
-// the guard alive across ParallelFor — the workers (and any task the helping
-// caller steals from an overlapping ParallelFor) are covered by the
-// submitting caller's pin, because every task completes before that caller's
-// guard is released. Workers therefore never pin epochs themselves, and a
-// grace period can never deadlock on the pool: Synchronize() is only called
-// with no pin held (see SubscriptionEngine::MaybeAutoRebalance), and pinned
-// readers never block on the epoch publisher. Size an EpochManager's slot
-// hint from concurrency() times the expected concurrent callers.
+// the guard alive across ParallelForDynamic — the workers (and any task the
+// helping caller runs from an overlapping fan-out) are covered by the
+// submitting caller's pin, because every task completes before that
+// caller's guard is released. Workers therefore never pin epochs
+// themselves, and a grace period can never deadlock on the pool:
+// Synchronize() is only called with no pin held (see
+// SubscriptionEngine::MaybeAutoMove), and pinned readers never block on the
+// epoch publisher. Size an EpochManager's slot hint from concurrency() times
+// the expected concurrent callers.
 #pragma once
 
 #include <condition_variable>
@@ -35,7 +38,7 @@ namespace accl::exec {
 class ThreadPool {
  public:
   /// Spawns `workers` threads. 0 is valid: Submit still queues, and
-  /// ParallelFor runs everything on the calling thread.
+  /// ParallelForDynamic runs everything on the calling thread.
   explicit ThreadPool(size_t workers);
 
   /// Drains the queue, then joins all workers.
@@ -50,30 +53,14 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Runs body(0..n-1) across the pool and the calling thread; returns when
-  /// every index has completed. Indices may run in any order and
-  /// concurrently — bodies must write to disjoint state. Reentrant calls
-  /// (ParallelFor from inside a body) are not supported.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// Like ParallelFor, but with chunked submission and dynamic
-  /// work-claiming: instead of enqueueing n task objects (one allocation +
-  /// queue round-trip each), it enqueues min(n, concurrency()) *runner*
-  /// tasks that claim indices from a shared atomic cursor until none
-  /// remain. Fast indices finish early and their runner steals the rest —
-  /// natural load balancing for imbalanced bodies — and per-batch queue
-  /// churn is O(workers), not O(n). Same contract as ParallelFor otherwise
-  /// (caller participates; bodies must write to disjoint state; no
-  /// reentrancy). Index claim order is unspecified.
+  /// every index has completed. It enqueues min(n, concurrency()) - 1
+  /// *runner* tasks that, with the caller, claim indices from a shared
+  /// atomic cursor until none remain: fast indices finish early and their
+  /// runner takes the rest, and per-call queue churn is O(workers), not
+  /// O(n). Indices may run in any order and concurrently — bodies must
+  /// write to disjoint state. Reentrant calls (from inside a body) are not
+  /// supported.
   void ParallelForDynamic(size_t n, const std::function<void(size_t)>& body);
-
-  /// Installs a hook each worker runs (outside the queue lock) whenever it
-  /// finds the queue empty and is about to sleep — idle time. Used to
-  /// amortize deferred housekeeping (e.g. EpochManager::TryReclaim) into
-  /// pool idle time instead of a hot path. The hook may run concurrently
-  /// on several workers and must be safe to call at any point between
-  /// tasks; it never runs after the destructor joins. Pass an empty
-  /// function to clear.
-  void SetIdleHook(std::function<void()> hook);
 
   /// Suggested shard/task width: worker threads + the caller.
   size_t concurrency() const { return workers_.size() + 1; }
@@ -87,7 +74,6 @@ class ThreadPool {
   std::condition_variable cv_;  ///< workers: queue non-empty / stop
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::function<void()> idle_hook_;  ///< guarded by mu_; copied out to run
   bool stop_ = false;
 };
 

@@ -19,8 +19,8 @@
 //
 // Draining: DrainChromeJson() snapshots every ring under the registry
 // mutex. Call it with tracing disabled and writers quiesced (e.g. after
-// MatchBatch returned — the batch's countdown/pool synchronization
-// orders every worker's ring writes before the caller's drain). A write
+// MatchBatch returned — the join of the batch's pool fan-outs orders
+// every worker's ring writes before the caller's drain). A write
 // racing a drain can at worst surface one torn event in a debug dump; it
 // cannot corrupt the recorder. Rings persist after their thread exits
 // (they are owned by the recorder), so short-lived threads' events

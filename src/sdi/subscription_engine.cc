@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <numeric>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include <cmath>
@@ -48,14 +47,10 @@ uint32_t SliceOf(const std::vector<float>& bounds, float x) {
 }
 
 
-/// Shard-queue positions are executed in fixed chunks of this many queries.
-/// Chunk boundaries are fixed multiples (position p lives in chunk
-/// p / kMatchChunkSize), so a finalizer can locate any position's output
-/// without knowing the claim history. Small enough that one hot shard's
-/// queue is split across many mutex acquisitions (other workers and
-/// concurrent callers interleave instead of waiting out a whole batch),
-/// large enough that the per-chunk lock/unlock and countdown overhead
-/// stays amortized.
+/// A shard's queue runs in chunks of this many queries, one shard-lock
+/// hold each: small enough that concurrent callers and the migrator
+/// interleave with a long queue instead of waiting out a whole batch,
+/// large enough that the lock/unlock stays amortized.
 constexpr size_t kMatchChunkSize = 16;
 
 /// Movers one migration slice inserts or erases under a single shard-lock
@@ -70,6 +65,29 @@ constexpr size_t kMigrationSlice = 128;
 /// of call p99 and never trimming left ~2 MiB more resident; trimming
 /// every 8th move avoided both.
 [[maybe_unused]] constexpr uint32_t kMovesPerTrim = 8;
+
+/// A migration slice's shard-lock hold. The shard's `migrating` flag is
+/// raised before the lock is requested and lowered after it is released,
+/// so a batch's first execute pass also leaves alone a shard the migrator
+/// is waiting for.
+class MigrationSliceLock {
+ public:
+  MigrationSliceLock(std::mutex& mu, std::atomic<bool>& migrating)
+      : mu_(mu), migrating_(migrating) {
+    migrating_.store(true, std::memory_order_relaxed);
+    mu_.lock();
+  }
+  ~MigrationSliceLock() {
+    mu_.unlock();
+    migrating_.store(false, std::memory_order_relaxed);
+  }
+  MigrationSliceLock(const MigrationSliceLock&) = delete;
+  MigrationSliceLock& operator=(const MigrationSliceLock&) = delete;
+
+ private:
+  std::mutex& mu_;
+  std::atomic<bool>& migrating_;
+};
 
 /// shard_of_ flag: the id also has a copy at its in-flight move's
 /// destination (which the source's moving_plan names).
@@ -91,64 +109,34 @@ class AppendSink final : public MatchSink {
 
 }  // namespace
 
-// Reusable per-batch state of the streamed matching pipeline. Pooled by
+// Reusable per-batch state of the two-phase matching pipeline. Pooled by
 // the engine (AcquireScratch/ReleaseScratch) so capacity survives across
-// batches — at steady state a batch of stable shape allocates nothing.
+// batches — at steady state a batch of stable shape allocates nothing
+// beyond the pool's fan-out submissions.
 struct SubscriptionEngine::PipelineScratch {
   exec::ShardQueues queues;
 
-  // ---- Per-event state (grow-only capacity) ----
-  /// Shard visits not yet executed; the worker that decrements one to zero
-  /// owns that event's finalization.
-  std::unique_ptr<std::atomic<uint32_t>[]> remaining;
-  /// Intrusive links of the ready stack. Written once per event (before
-  /// the releasing head-CAS publishes it), so plain storage is race-free.
-  std::unique_ptr<int64_t[]> ready_next;
-  size_t event_cap = 0;
-
-  /// Treiber stack of events whose last visit completed, awaiting
-  /// finalization (-1 = empty). Each event is pushed exactly once per
-  /// batch and never re-pushed, so the classic ABA hazard cannot arise.
-  std::atomic<int64_t> ready_head{-1};
-  std::atomic<size_t> events_done{0};
-
-  // ---- Chunk output buffers ----
-  /// Chunk c of shard s covers queue positions
-  /// [c*kMatchChunkSize, min((c+1)*kMatchChunkSize, queue length)); its
-  /// buffer is written under the shard mutex by whichever worker claimed
-  /// it and read by finalizers strictly after the countdown handoff.
-  struct Chunk {
+  /// One shard's execute-phase output, indexed by queue position. Written
+  /// by the one thread that runs the shard's queue; read by finalizers
+  /// after the execute fan-out has joined.
+  struct ShardOut {
     std::vector<ObjectId> ids;       ///< concatenated per-position matches
-    std::vector<uint32_t> offsets;   ///< chunk length + 1 entries
+    std::vector<uint32_t> offsets;   ///< queue length + 1 entries
     std::vector<uint64_t> verified;  ///< per position
+    size_t done = 0;                 ///< queue positions executed so far
+    /// Query owns a heap-backed Box, so constructing one per execution
+    /// was one allocation per (event, shard) visit. Copy-assigning the
+    /// event box into this warm same-dimension Box reuses its storage.
+    Query query;
   };
-  std::vector<Chunk> chunks;  ///< grow-only; stale tails are never read
+  std::vector<ShardOut> shard_out;  ///< indexed by shard
 
-  struct ShardRun {
-    size_t chunk_base = 0;  ///< index of this shard's first chunk
-    /// Next unclaimed queue position. Advanced only under the shard mutex
-    /// (claims are chunk-aligned); read racily as a skip hint elsewhere.
-    std::atomic<size_t> next_pos{0};
-  };
-  std::unique_ptr<ShardRun[]> shard_runs;
-  size_t shard_cap = 0;
-
-  /// Per-worker finalize gather buffers (worker-indexed, disjoint).
+  /// Finalize gather buffers, one per event range (disjoint).
   std::vector<std::vector<ObjectId>> gather;
-  /// Per-worker reusable Query objects: Query owns a heap-backed Box, so
-  /// constructing one per execution was one allocation per (event, shard)
-  /// visit — the dominant steady-state churn. Copy-assigning the event box
-  /// into a warm same-dimension Box reuses its storage instead.
-  std::vector<Query> worker_query;
 
   /// Metrics landing zone for the sink overloads (no caller-provided
   /// result object); pooled with the rest of the scratch.
   MatchBatchResult sink_result;
-
-  // ---- Residual-serialization counter (worker-indexed, disjoint;
-  // folded into the result after the fan-out joins) ----
-  /// pop_retry[w]: worker w's failed ready-stack head-CAS iterations.
-  std::vector<uint64_t> pop_retry;
 
   /// Off-lock fold buffer for the adaptive tracker's event sampling
   /// (pooled here so steady-state batches allocate nothing).
@@ -195,17 +183,6 @@ struct SubscriptionEngine::EngineObs {
         events_routed(r->GetCounter(
             "accl_pipeline_events_routed_total",
             "per-shard event dispatches (one event may visit many shards)")),
-        chunks_claimed(r->GetCounter("accl_pipeline_chunks_claimed_total",
-                                     "shard-queue chunks executed")),
-        chunks_stolen(r->GetCounter(
-            "accl_pipeline_chunks_stolen_total",
-            "chunks a worker claimed off its affine shard")),
-        trylock_failures(r->GetCounter(
-            "accl_pipeline_trylock_failures_total",
-            "failed shard-mutex claim attempts (residual serialization)")),
-        ready_pop_retries(r->GetCounter(
-            "accl_pipeline_ready_pop_retries_total",
-            "lost ready-stack head races (finalize contention)")),
         matches(r->GetCounter("accl_pipeline_matches_total",
                               "post-dedup subscription notifications")),
         objects_verified(r->GetCounter(
@@ -252,10 +229,6 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* batches;
   obs::Counter* events;
   obs::Counter* events_routed;
-  obs::Counter* chunks_claimed;
-  obs::Counter* chunks_stolen;
-  obs::Counter* trylock_failures;
-  obs::Counter* ready_pop_retries;
   obs::Counter* matches;
   obs::Counter* objects_verified;
   obs::Histogram* batch_us;
@@ -406,15 +379,10 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   for (uint32_t s = 0; s < physical_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.index));
   }
-  // ParallelFor includes the calling thread, so N-way matching needs N-1
-  // workers; 0 or 1 requested threads means no pool at all.
+  // The pool's fan-outs include the calling thread, so N-way matching
+  // needs N-1 workers; 0 or 1 requested threads means no pool at all.
   if (options_.match_threads > 1) {
     pool_ = std::make_unique<exec::ThreadPool>(options_.match_threads - 1);
-    // Epoch-retire amortization: superseded routing snapshots are freed by
-    // idle pool workers (TryReclaim is non-blocking and safe concurrently),
-    // not inline by the publisher — see FinishMove's WaitGrace.
-    // Safe lifetime: ~SubscriptionEngine joins the pool before epoch_ dies.
-    pool_->SetIdleHook([this] { epoch_.TryReclaim(); });
   }
   auto* snap = new RoutingSnapshot();
   snap->plan = std::move(plan);
@@ -931,40 +899,31 @@ void SubscriptionEngine::ReleaseScratch(std::unique_ptr<PipelineScratch> s) {
   scratch_pool_.push_back(std::move(s));
 }
 
-// Streamed shard-affine pipeline.
+// Two-phase batch pipeline over the per-shard CSR queues.
 //
-// The former shape — one task per shard holding the shard mutex across its
-// whole queue, then a single-threaded cursor-walk merge — serialized the
-// wall path three ways: the merge ran on one core while the pool idled,
-// one hot shard's task bounded the fan-out's makespan behind a single
-// mutex hold, and every call re-allocated queues/scratch/results. The
-// pipeline removes all three:
+//   - Route. Every event is routed once, under the one snapshot the whole
+//     batch shares, into per-shard queues in ascending event order.
+//   - Execute. Each shard runs its queue in queue order and writes one
+//     output buffer (ids, per-position offsets, verified counts). The
+//     shard lock is released every kMatchChunkSize queries, so concurrent
+//     callers and the migrator interleave with a long queue. A first pass
+//     skips the shards a migration slice holds (Shard::migrating), a
+//     second finishes them: waiting out a slice instead raised
+//     match_stream's call p99 from ~5.6k to 11-15k us. Since every shard
+//     sees the batch's queries in queue order whichever thread runs it
+//     and in whichever pass, the per-shard adaptation sequence — and
+//     therefore every structure decision — is the serial engine's.
+//   - Finalize. Each event gathers its slices through the queues' inverse
+//     item->(shard, position) view, sorts them, drops double-resident
+//     duplicates under kRange and emits to the result slot or MatchSink.
 //
-//   - Shard queues are executed in fixed kMatchChunkSize chunks; a worker
-//     claims the next chunk of (preferably) its affine shard under a
-//     try_lock, so a hot shard is interleaved across workers and a
-//     concurrent caller is never starved for a whole batch.
-//     Per-shard execution order stays the queue order regardless of which
-//     worker runs a chunk (claims advance under the shard mutex), so the
-//     per-shard adaptation sequence — and therefore every structure
-//     decision — is byte-identical to the serial engine's.
-//   - Each event carries a remaining-visit countdown initialized to its
-//     routing degree. The worker whose chunk performs an event's last
-//     visit pushes it onto a ready stack; workers drain that stack and
-//     finalize (gather via the queues' inverse item->(shard,position) CSR,
-//     sort, dedup under kRange, emit to the result slot or MatchSink)
-//     while other chunks are still executing. The merge therefore overlaps
-//     execution and spreads across all workers; no barrier remains.
-//   - All transient state lives in a pooled PipelineScratch and the
-//     capacity-preserving MatchBatchResult, so steady-state batches
-//     allocate nothing beyond pool submission (gated by
-//     MatchPipeline.SteadyStateBatchesStayUnderTheAllocationBound).
-//
-// Memory ordering: chunk output is written under the shard mutex, the
-// countdown decrement is acq_rel (the last decrementer observes every
-// earlier visit's writes through the chain of decrements), the ready-stack
-// push/pop are release/acquire — so a finalizer reads fully published
-// chunk buffers even when three different workers executed the visits.
+// With a pool, ParallelForDynamic spreads the shards (execute) and then
+// ranges of events (finalize) across the workers and the calling thread;
+// the fan-out's join orders every execute write before every finalize
+// read. All transient state lives in a pooled PipelineScratch and the
+// capacity-preserving MatchBatchResult, so steady-state batches allocate
+// nothing beyond pool submission (gated by
+// MatchPipeline.SteadyStateBatchesStayUnderTheAllocationBound).
 void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
                                         MatchPolicy policy,
                                         MatchBatchResult* out,
@@ -989,7 +948,7 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   obs_->events->Add(ne);
   WallTimer t;
 
-  // Pin once for the whole batch; the pool workers below run under this
+  // Pin once for the whole execute phase; the pool workers run under this
   // pin (they finish before the fan-out returns, and the guard outlives
   // it), so they never touch the epoch machinery themselves.
   exec::EpochManager::Guard guard = epoch_.Pin();
@@ -998,31 +957,32 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   res->epoch = guard.epoch();
 
   // Per-shard work queues. Broadcast policies enqueue every event on every
-  // shard; kRange asks the router, under the one snapshot the whole batch
-  // shares, which shards each event's box overlaps. A transitional
-  // snapshot routes to the ascending union of both plans' shards, and
-  // tallies the newest plan's share apart for the per-shard counters.
+  // shard; kRange asks the router which shards each event's box overlaps.
+  // A transitional snapshot routes to the ascending union of both plans'
+  // shards, and tallies the newest plan's share apart for the per-shard
+  // counters. A malformed event (the rule SubscribeBatch applies: a NaN or
+  // infinite bound, or lo > hi) visits no shard, so it matches nothing;
+  // every other event visits at least one.
   const bool transitional = snap->from.has_value();
   {
     ACCL_TRACE_SPAN("route_scatter");
-    if (transitional) {  // only kRange moves publish one
-      ps.target_routed.assign(k, 0);
-      ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
-        RouteEvent(snap->plan, events[e].box, targets);
-        for (const uint32_t t : *targets) ++ps.target_routed[t];
-        RouteEvent(*snap->from, events[e].box, targets);
-        // A few shard ids: sorting in place allocates nothing.
-        std::sort(targets->begin(), targets->end());
-        targets->erase(std::unique(targets->begin(), targets->end()),
-                       targets->end());
-      });
-    } else if (range_routed_) {
-      ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
-        RouteEvent(snap->plan, events[e].box, targets);
-      });
-    } else {
-      ps.queues.BuildBroadcast(ne, k);
-    }
+    if (transitional) ps.target_routed.assign(k, 0);  // only kRange moves
+    ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
+      const Box& box = events[e].box;
+      if (!WellFormed(box.view())) return;
+      if (!range_routed_) {
+        for (uint32_t s = 0; s < k; ++s) targets->push_back(s);
+        return;
+      }
+      RouteEvent(snap->plan, box, targets);
+      if (!transitional) return;
+      for (const uint32_t s : *targets) ++ps.target_routed[s];
+      RouteEvent(*snap->from, box, targets);
+      // A few shard ids: sorting in place allocates nothing.
+      std::sort(targets->begin(), targets->end());
+      targets->erase(std::unique(targets->begin(), targets->end()),
+                     targets->end());
+    });
     if (range_routed_) {
       // Overflow-pressure gauge: subscriptions homed in the overflow shard
       // at dispatch time. overflow_shard names the entry so broadcast
@@ -1050,281 +1010,127 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
     obs_->transition_extra_visits->Add(routed_total - target_total);
   }
 
-  // Per-event countdowns and the ready stack.
-  if (ps.event_cap < ne) {
-    ps.remaining.reset(new std::atomic<uint32_t>[ne]);
-    ps.ready_next.reset(new int64_t[ne]);
-    ps.event_cap = ne;
-  }
-  ps.ready_head.store(-1, std::memory_order_relaxed);
-  ps.events_done.store(0, std::memory_order_relaxed);
-  for (size_t e = 0; e < ne; ++e) {
-    const size_t deg = ps.queues.item_degree(e);
-    // Every event visits >= 1 shard (kRange always includes the overflow
-    // shard; broadcast fans to all K >= 1), so the countdown cannot start
-    // at zero and every event is finalized by exactly one worker.
-    ACCL_DCHECK(deg > 0);
-    ps.remaining[e].store(static_cast<uint32_t>(deg),
-                          std::memory_order_relaxed);
-  }
-
-  // Fixed chunk layout per shard.
-  if (ps.shard_cap < k) {
-    ps.shard_runs.reset(new PipelineScratch::ShardRun[k]);
-    ps.shard_cap = k;
-  }
-  size_t total_chunks = 0;
-  for (size_t s = 0; s < k; ++s) {
-    ps.shard_runs[s].chunk_base = total_chunks;
-    ps.shard_runs[s].next_pos.store(0, std::memory_order_relaxed);
-    total_chunks +=
-        (ps.queues.size(s) + kMatchChunkSize - 1) / kMatchChunkSize;
-  }
-  if (ps.chunks.size() < total_chunks) ps.chunks.resize(total_chunks);
-
   // A single event (Match) stays on the calling thread: handing its few
   // shard visits to the pool would cost more than it saves.
   const size_t workers =
-      pool_ != nullptr && ne > 1
-          ? std::min(pool_->concurrency(), std::max<size_t>(1, total_chunks))
-          : 1;
+      pool_ != nullptr && ne > 1 ? std::min(pool_->concurrency(), ne) : 1;
+  if (ps.shard_out.size() < k) ps.shard_out.resize(k);
   if (ps.gather.size() < workers) ps.gather.resize(workers);
-  if (ps.worker_query.size() < workers) ps.worker_query.resize(workers);
-  // Residual-serialization counter: one entry per worker (disjoint
-  // writes), folded below after the fan-out joins.
-  ps.pop_retry.assign(workers, 0);
 
-  if (workers > 1) {
-    pool_->ParallelForDynamic(workers, [&](size_t w) {
-      RunPipelineWorker(w, ps, snap, events, policy, res, sink);
-    });
-  } else {
-    RunPipelineWorker(0, ps, snap, events, policy, res, sink);
+  for (size_t s = 0; s < k; ++s) {
+    PipelineScratch::ShardOut& so = ps.shard_out[s];
+    so.ids.clear();
+    so.offsets.resize(ps.queues.size(s) + 1);
+    so.verified.resize(ps.queues.size(s));
+    so.offsets[0] = 0;
+    so.done = 0;
   }
-  ACCL_DCHECK(ps.events_done.load(std::memory_order_relaxed) == ne);
+  // Runs shard s's queue on from where it stopped, one chunk per
+  // shard-lock hold. With `defer`, stops before a chunk while the migrator
+  // holds or wants the shard.
+  const auto execute = [&](size_t s, bool defer) {
+    const size_t nq = ps.queues.size(s);
+    const uint32_t* items = ps.queues.items(s);
+    PipelineScratch::ShardOut& so = ps.shard_out[s];
+    Shard& sh = *snap->shards[s];
+    while (so.done < nq) {
+      if (defer && sh.migrating.load(std::memory_order_relaxed)) return;
+      const size_t end = std::min(so.done + kMatchChunkSize, nq);
+      std::lock_guard<std::mutex> lk(sh.mu);
+      ACCL_TRACE_SPAN_ARG("shard_execute", static_cast<uint32_t>(s));
+      for (size_t j = so.done; j < end; ++j) {
+        const Event& ev = events[items[j]];
+        so.query.box = ev.box;  // copy-assign reuses the warm Box's storage
+        so.query.rel = RelationFor(ev, policy);
+        QueryMetrics m;
+        sh.index->Execute(so.query, &so.ids, &m);
+        so.offsets[j + 1] = static_cast<uint32_t>(so.ids.size());
+        so.verified[j] = m.objects_verified;
+        res->per_shard[s].Add(m);
+      }
+      so.done = end;
+    }
+  };
+  const auto execute_pass = [&](bool defer) {
+    if (workers > 1) {
+      pool_->ParallelForDynamic(k, [&](size_t s) { execute(s, defer); });
+    } else {
+      for (size_t s = 0; s < k; ++s) execute(s, defer);
+    }
+  };
+  // The first pass leaves alone the shards a migration slice holds (a
+  // call would otherwise wait out the slice); the second finishes them.
+  execute_pass(/*defer=*/true);
+  for (size_t s = 0; s < k; ++s) {
+    if (ps.shard_out[s].done < ps.queues.size(s)) {
+      execute_pass(/*defer=*/false);
+      break;
+    }
+  }
   // Shard reads are done. Unpinning now shortens the grace period
   // concurrent migrations wait for — and MaybeAutoMove below must not
   // run pinned (it may wait for an in-flight move's grace period).
   guard.Release();
 
-  uint64_t pop_retry_total = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    res->ready_pop_retries += ps.pop_retry[w];
-    pop_retry_total += ps.pop_retry[w];
+  // Finalize events [r*ne/workers, (r+1)*ne/workers) with gather buffer r.
+  const auto finalize = [&](size_t r) {
+    std::vector<ObjectId>& buf = ps.gather[r];
+    uint64_t matched_total = 0;
+    uint64_t verified_total = 0;
+    for (size_t e = r * ne / workers; e < (r + 1) * ne / workers; ++e) {
+      ACCL_TRACE_SPAN_ARG("finalize_event", static_cast<uint32_t>(e));
+      buf.clear();
+      const size_t deg = ps.queues.item_degree(e);
+      const uint32_t* vshards = ps.queues.item_shards(e);
+      const uint32_t* vpos = ps.queues.item_positions(e);
+      uint64_t verified = 0;
+      for (size_t v = 0; v < deg; ++v) {
+        const PipelineScratch::ShardOut& so = ps.shard_out[vshards[v]];
+        const size_t p = vpos[v];
+        buf.insert(buf.end(), so.ids.begin() + so.offsets[p],
+                   so.ids.begin() + so.offsets[p + 1]);
+        verified += so.verified[p];
+      }
+      // Same deterministic order as the serial oracle: ObjectId-sorted,
+      // with the adjacent-unique pass removing double-resident duplicates
+      // under kRange.
+      std::sort(buf.begin(), buf.end());
+      if (range_routed_) {
+        buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
+      }
+      matched_total += buf.size();
+      verified_total += verified;
+      if (sink == nullptr) {
+        res->matches[e].assign(buf.begin(), buf.end());
+      } else {
+        sink->OnEventMatches(e, Span<const ObjectId>(buf.data(), buf.size()),
+                             verified);
+      }
+    }
+    obs_->matches->Add(matched_total);
+    obs_->objects_verified->Add(verified_total);
+  };
+  if (workers > 1) {
+    pool_->ParallelForDynamic(workers, finalize);
+  } else {
+    finalize(0);
   }
-  obs_->ready_pop_retries->Add(pop_retry_total);
+
   res->AggregateShards();
-  // Read after the fan-out drains: the call's full end-to-end duration.
+  // Read after both phases: the call's full end-to-end duration.
   obs_->batch_us->Record(static_cast<uint64_t>(
       std::max(0.0, std::round(t.ElapsedMs() * 1000.0))));
   if (auto_moves_) {
     // Off-lock fold (pooled accumulator), one tracker merge per batch.
+    // Malformed events (no visit) stay out of it.
     ps.pattern.Reset(schema_.dims());
-    for (size_t e = 0; e < ne; ++e) ps.pattern.AddEvent(events[e].box);
+    for (size_t e = 0; e < ne; ++e) {
+      if (ps.queues.item_degree(e) > 0) ps.pattern.AddEvent(events[e].box);
+    }
     tracker_->Record(ps.pattern);
   }
   ReleaseScratch(std::move(scratch));
   MaybeAutoMove(ne);
-}
-
-void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
-                                           PipelineScratch& ps,
-                                           const RoutingSnapshot* snap,
-                                           Span<const Event> events,
-                                           MatchPolicy policy,
-                                           MatchBatchResult* res,
-                                           MatchSink* sink) {
-  const size_t ne = events.size();
-  const size_t k = shards_.size();
-  ACCL_TRACE_SPAN_ARG("pipeline_worker", static_cast<uint32_t>(worker_id));
-  // Claim accounting is kept in locals and flushed once after the loop:
-  // the loop body is the engine's hottest path and the obs counters,
-  // while cheap, are still shared cache lines.
-  uint64_t chunks_claimed = 0;
-  uint64_t chunks_stolen = 0;
-  uint64_t trylock_failures = 0;
-  uint64_t matched_total = 0;
-  uint64_t verified_total = 0;
-  std::vector<ObjectId>& buf = ps.gather[worker_id];
-
-  // Finalize one ready event: gather its per-shard slices through the
-  // inverse visit CSR, sort, dedup under kRange (double-residency), emit.
-  const auto finalize = [&](size_t e) {
-    ACCL_TRACE_SPAN_ARG("finalize_event", static_cast<uint32_t>(e));
-    buf.clear();
-    const size_t deg = ps.queues.item_degree(e);
-    const uint32_t* vshards = ps.queues.item_shards(e);
-    const uint32_t* vpos = ps.queues.item_positions(e);
-    uint64_t verified = 0;
-    for (size_t v = 0; v < deg; ++v) {
-      const size_t p = vpos[v];
-      const PipelineScratch::Chunk& ch =
-          ps.chunks[ps.shard_runs[vshards[v]].chunk_base +
-                    p / kMatchChunkSize];
-      const size_t within = p % kMatchChunkSize;
-      buf.insert(buf.end(), ch.ids.begin() + ch.offsets[within],
-                 ch.ids.begin() + ch.offsets[within + 1]);
-      verified += ch.verified[within];
-    }
-    // Same deterministic order as the serial oracle: ObjectId-sorted, with
-    // the adjacent-unique pass removing double-resident duplicates under
-    // kRange. Any worker finalizing in any order produces identical bytes.
-    std::sort(buf.begin(), buf.end());
-    if (range_routed_) {
-      buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
-    }
-    matched_total += buf.size();
-    verified_total += verified;
-    if (sink == nullptr) {
-      res->matches[e].assign(buf.begin(), buf.end());
-    } else {
-      sink->OnEventMatches(e, Span<const ObjectId>(buf.data(), buf.size()),
-                           verified);
-    }
-    ps.events_done.fetch_add(1, std::memory_order_release);
-  };
-
-  const auto pop_ready = [&]() -> int64_t {
-    int64_t head = ps.ready_head.load(std::memory_order_acquire);
-    // ready_next[head] is immutable once head is published, and events are
-    // never re-pushed, so the CAS has no ABA window.
-    while (head >= 0 && !ps.ready_head.compare_exchange_weak(
-                            head, ps.ready_next[head],
-                            std::memory_order_acq_rel,
-                            std::memory_order_acquire)) {
-      ++ps.pop_retry[worker_id];  // lost the head race to another worker
-    }
-    return head;
-  };
-  const auto push_ready = [&](size_t e) {
-    int64_t head = ps.ready_head.load(std::memory_order_relaxed);
-    do {
-      ps.ready_next[e] = head;
-    } while (!ps.ready_head.compare_exchange_weak(
-        head, static_cast<int64_t>(e), std::memory_order_release,
-        std::memory_order_relaxed));
-  };
-
-  // Executes the next chunk of shard s (caller holds the shard mutex).
-  // Returns the claimed [begin, end) positions; begin == end when another
-  // worker drained the queue between our racy check and the lock.
-  const auto exec_chunk_locked = [&](size_t s) -> std::pair<size_t, size_t> {
-    PipelineScratch::ShardRun& run = ps.shard_runs[s];
-    const size_t nq = ps.queues.size(s);
-    const size_t p = run.next_pos.load(std::memory_order_relaxed);
-    if (p >= nq) return {p, p};
-    const size_t end = std::min(p + kMatchChunkSize, nq);
-    const uint32_t* q_items = ps.queues.items(s);
-    PipelineScratch::Chunk& ch =
-        ps.chunks[run.chunk_base + p / kMatchChunkSize];
-    const size_t len = end - p;
-    ch.ids.clear();
-    ch.offsets.resize(len + 1);
-    ch.verified.resize(len);
-    ch.offsets[0] = 0;
-    Shard& sh = *snap->shards[s];
-    Query& q = ps.worker_query[worker_id];
-    for (size_t j = 0; j < len; ++j) {
-      const Event& ev = events[q_items[p + j]];
-      q.box = ev.box;  // copy-assign reuses the warm Box's storage
-      q.rel = RelationFor(ev, policy);
-      QueryMetrics m;
-      sh.index->Execute(q, &ch.ids, &m);
-      ch.offsets[j + 1] = static_cast<uint32_t>(ch.ids.size());
-      ch.verified[j] = m.objects_verified;
-      res->per_shard[s].Add(m);  // only ever touched under this shard's mu
-    }
-    run.next_pos.store(end, std::memory_order_relaxed);
-    return {p, end};
-  };
-
-  // Post-execution handoff (mutex released): count down the chunk's events
-  // and stack the ones whose last visit just completed. acq_rel: the final
-  // decrement observes every other visit's chunk writes via the preceding
-  // decrements, and push_ready's release makes them visible to the popper.
-  const auto settle = [&](size_t s, size_t p, size_t end) {
-    const uint32_t* q_items = ps.queues.items(s);
-    for (size_t j = p; j < end; ++j) {
-      const uint32_t e = q_items[j];
-      if (ps.remaining[e].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        push_ready(e);
-      }
-    }
-  };
-
-  // Spread initial affinities across shards; after a successful claim a
-  // worker sticks to its shard (queue locality, amortized adaptation).
-  size_t affinity = (worker_id * k) / std::max<size_t>(1, ps.gather.size());
-  if (affinity >= k) affinity = k - 1;
-  for (;;) {
-    // Finalization first: it is the only work no mutex guards, and
-    // draining it keeps the emit path ahead of execution.
-    for (int64_t e; (e = pop_ready()) >= 0;) finalize(static_cast<size_t>(e));
-    if (ps.events_done.load(std::memory_order_acquire) == ne) break;
-
-    bool executed = false;
-    size_t first_pending = k;
-    for (size_t i = 0; i < k; ++i) {
-      const size_t s = (affinity + i) % k;
-      if (ps.shard_runs[s].next_pos.load(std::memory_order_relaxed) >=
-          ps.queues.size(s)) {
-        continue;
-      }
-      if (first_pending == k) first_pending = s;
-      Shard& sh = *snap->shards[s];
-      if (!sh.mu.try_lock()) {  // busy: steal from the next shard
-        ++trylock_failures;
-        continue;
-      }
-      size_t p, end;
-      {
-        ACCL_TRACE_SPAN_ARG("shard_execute", static_cast<uint32_t>(s));
-        std::tie(p, end) = exec_chunk_locked(s);
-      }
-      sh.mu.unlock();
-      if (p != end) {
-        settle(s, p, end);
-        ++chunks_claimed;
-        if (i != 0) ++chunks_stolen;  // claimed off the affine shard
-        affinity = s;
-        executed = true;
-        break;
-      }
-    }
-    if (executed) continue;
-    if (first_pending < k) {
-      // Every pending shard's mutex was momentarily held (another worker's
-      // chunk, or a concurrent caller's). If finalize work
-      // arrived meanwhile, loop back for it; otherwise block once on the
-      // first pending shard — bounded by one chunk of the current holder —
-      // instead of spinning.
-      if (ps.ready_head.load(std::memory_order_acquire) >= 0) continue;
-      Shard& sh = *snap->shards[first_pending];
-      sh.mu.lock();
-      size_t p, end;
-      {
-        ACCL_TRACE_SPAN_ARG("shard_execute",
-                            static_cast<uint32_t>(first_pending));
-        std::tie(p, end) = exec_chunk_locked(first_pending);
-      }
-      sh.mu.unlock();
-      if (p != end) {
-        settle(first_pending, p, end);
-        ++chunks_claimed;
-        if (first_pending != affinity) ++chunks_stolen;
-        affinity = first_pending;
-      }
-      continue;
-    }
-    // All chunks claimed; remaining events are finalizing on other
-    // workers (or about to land on the ready stack).
-    std::this_thread::yield();
-  }
-  obs_->chunks_claimed->Add(chunks_claimed);
-  obs_->chunks_stolen->Add(chunks_stolen);
-  obs_->trylock_failures->Add(trylock_failures);
-  obs_->matches->Add(matched_total);
-  obs_->objects_verified->Add(verified_total);
 }
 
 void SubscriptionEngine::MaybeAutoMove(uint64_t events) {
@@ -1723,7 +1529,8 @@ void SubscriptionEngine::FinishMove(std::unique_ptr<Move> m) {
       Move::Incoming& in = m->incoming[dst];
       for (size_t b = 0; b < in.ids.size(); b += kMigrationSlice) {
         const size_t e = std::min(in.ids.size(), b + kMigrationSlice);
-        std::lock_guard<std::mutex> shard_lk(shards_[dst]->mu);
+        MigrationSliceLock shard_lk(shards_[dst]->mu,
+                                    shards_[dst]->migrating);
         size_t kept = b;
         {
           std::lock_guard<std::mutex> meta_lk(meta_mu_);
@@ -1779,12 +1586,7 @@ void SubscriptionEngine::FinishMove(std::unique_ptr<Move> m) {
       moves_held_cv_.wait(lk, [this] { return !moves_held_; });
       PublishSnapshot(m->plan);
     }
-    // Wait out the grace period but do NOT reclaim inline: retire work is
-    // amortized into pool idle time (the idle hook runs TryReclaim). Pool-
-    // less engines have no idle hook, so they reclaim here to bound
-    // retired_pending.
-    epoch_.WaitGrace();
-    if (pool_ == nullptr) epoch_.TryReclaim();
+    epoch_.Synchronize();  // also frees the superseded snapshots
   }
 
   // Step 5 — deferred source cleanup: flip ownership and bulk-erase the
@@ -1798,7 +1600,8 @@ void SubscriptionEngine::FinishMove(std::unique_ptr<Move> m) {
     for (Move::Source& sp : m->sources) {
       for (size_t b = 0; b < sp.moved.size(); b += kMigrationSlice) {
         const size_t e = std::min(sp.moved.size(), b + kMigrationSlice);
-        std::lock_guard<std::mutex> shard_lk(shards_[sp.src]->mu);
+        MigrationSliceLock shard_lk(shards_[sp.src]->mu,
+                                    shards_[sp.src]->migrating);
         erase_ids.clear();
         {
           std::lock_guard<std::mutex> meta_lk(meta_mu_);

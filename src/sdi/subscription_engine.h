@@ -15,8 +15,9 @@
 // (id hash or range routing); per-shard answers are merged
 // deterministically (sorted by ObjectId), so the match sets are
 // byte-identical to a single-shard engine's. Every match — a batch or a
-// single event — runs through one streamed pipeline; batches fan out
-// concurrently across shards on the engine's thread pool. All per-shard
+// single event — runs through one two-phase pipeline (execute every shard
+// queue, then finalize every event); with a thread pool, each phase fans
+// out across the workers. All per-shard
 // work — including Execute's statistics updates and the adaptive
 // reorganization it may trigger — runs behind that shard's mutex, so the
 // reorganization logic itself is untouched by concurrency.
@@ -159,7 +160,8 @@ struct EngineOptions {
   /// Number of independent index shards (K >= 1). 1 keeps the classic
   /// single-index engine, bit-for-bit.
   uint32_t shards = 1;
-  /// Worker threads for MatchBatch's shard fan-out. 0 or 1 = the calling
+  /// Threads for MatchBatch's execute and finalize fan-outs (the calling
+  /// thread plus match_threads - 1 pool workers). 0 or 1 = the calling
   /// thread does everything (still deterministic, still correct) — zero is
   /// a documented valid value, not an error.
   uint32_t match_threads = 0;
@@ -314,18 +316,19 @@ class SubscriptionEngine {
   /// MatchBatch run on the calling thread: the appended ids are sorted
   /// ascending by ObjectId and duplicate-free under every policy,
   /// byte-identical to what MatchBatch would return for the event, and
-  /// the call counts toward the same accl_pipeline_* metrics. `policy`
-  /// defaults to options.default_policy.
+  /// the call counts toward the same accl_pipeline_* metrics. A malformed
+  /// event (see MatchBatch) appends nothing. `policy` defaults to
+  /// options.default_policy.
   void Match(const Event& event, std::vector<SubscriptionId>* out,
              std::optional<MatchPolicy> policy = std::nullopt);
 
-  /// Matches a batch of events through the streamed shard-affine pipeline:
-  /// per-shard CSR work queues (broadcast policies enqueue every event on
-  /// every shard, kRange only on the shards the router selects, under one
-  /// snapshot for the whole batch) are executed in fixed-size chunks by
-  /// shard-affine pool workers, and each event is finalized (sorted,
-  /// deduplicated, emitted) by whichever worker completes its last shard
-  /// visit — there is no single-threaded merge barrier. `out->matches[e]`
+  /// Matches a batch of events in two phases. Execute: per-shard CSR work
+  /// queues (broadcast policies enqueue every event on every shard, kRange
+  /// only on the shards the router selects, under one snapshot for the
+  /// whole batch) each run in queue order, spread across the pool's
+  /// workers by shard. Finalize: each event's per-shard slices are
+  /// gathered, sorted, deduplicated and emitted, spread across the workers
+  /// by event range. `out->matches[e]`
   /// is sorted by ObjectId, duplicate-free, and byte-identical for any
   /// shard/thread/boundary configuration — including while a rebalance is
   /// in flight. Per-shard metrics land in `out->per_shard` (shard order),
@@ -338,6 +341,9 @@ class SubscriptionEngine {
   /// snapshot and epoch the batch ran under. A one-event batch runs on the
   /// calling thread (fanning one event's visits out would cost more than
   /// it saves). Every event's box must have the schema's dimensionality.
+  /// An event SubscribeBox would refuse as a subscription (a NaN or
+  /// infinite bound, or lo > hi) visits no shard and matches nothing; it
+  /// still counts as an event of the batch.
   /// Reusing one result object across batches is allocation-free at steady
   /// state (capacity-preserving Clear + engine-pooled pipeline scratch).
   /// `policy` defaults to options.default_policy.
@@ -345,10 +351,10 @@ class SubscriptionEngine {
                   std::optional<MatchPolicy> policy = std::nullopt);
 
   /// Streaming variant: instead of materializing a MatchBatchResult, each
-  /// event's sorted, deduplicated match set is pushed to `sink` the moment
-  /// that event's last shard visit completes — completion order is
-  /// arbitrary and calls may come concurrently from several pool workers
-  /// (see the MatchSink contract in api/batch.h). Emitted spans are
+  /// event's sorted, deduplicated match set is pushed to `sink` once every
+  /// shard visit of the batch has run — in arbitrary order, and possibly
+  /// concurrently from several pool workers (see the MatchSink contract in
+  /// api/batch.h). Emitted spans are
   /// byte-identical to what the materializing overload would have stored
   /// at the same event index. Engine metrics are recorded identically.
   void MatchBatch(Span<const Event> events, MatchSink* sink,
@@ -533,9 +539,9 @@ class SubscriptionEngine {
 
   /// Chrome trace-event JSON from the process-wide flight recorder
   /// (loadable in Perfetto / chrome://tracing). Call with tracing
-  /// disabled and matchers quiesced — a completed MatchBatch's
-  /// countdown/pool synchronization orders every worker's ring writes
-  /// before the caller's drain.
+  /// disabled and matchers quiesced — the join of a completed
+  /// MatchBatch's pool fan-outs orders every worker's ring writes before
+  /// the caller's drain.
   std::string DumpTrace() const;
 
   /// Toggles the process-wide flight recorder (one relaxed atomic; the
@@ -611,9 +617,10 @@ class SubscriptionEngine {
   void ApplyReplicated(const durability::WalRecord& rec, RecoveryStats* rs);
 
  private:
-  /// The subscription boxes the engine accepts: every bound finite and
-  /// lo <= hi in every dimension. Anything else would reach fence search,
-  /// signature admission and the cluster statistics as garbage.
+  /// The boxes the engine accepts, as subscriptions and as events: every
+  /// bound finite and lo <= hi in every dimension. Anything else would
+  /// reach fence search, signature admission and the cluster statistics
+  /// (or the tracker's event histograms) as garbage.
   static bool WellFormed(BoxView b);
 
   /// The routing function's parameters: which dimension the fences cut,
@@ -649,6 +656,11 @@ class SubscriptionEngine {
     /// ApplyUnsubscribe needs to charge `subs` and to find a double-
     /// resident copy.
     const RoutingPlan* moving_plan = nullptr;
+    /// Raised while the migrator waits for or holds `mu` for a migration
+    /// slice (relaxed; a scheduling hint, never a correctness condition):
+    /// MatchBatch's first execute pass skips such a shard and returns to
+    /// it after the others.
+    std::atomic<bool> migrating{false};
   };
 
   /// Immutable routing state, published whole behind `snapshot_`. Readers
@@ -692,12 +704,12 @@ class SubscriptionEngine {
 
   static Relation RelationFor(const Event& event, MatchPolicy policy);
 
-  // ---- Streamed batch pipeline (see MatchBatchImpl in the .cc) ----
+  // ---- Two-phase batch pipeline (see MatchBatchImpl in the .cc) ----
 
   /// Reusable, engine-pooled per-batch pipeline state: the CSR queues, the
-  /// per-event countdowns/ready-stack, chunk output buffers, and worker
-  /// gather buffers. Defined in the .cc; pooled so concurrent MatchBatch
-  /// callers each get their own while capacity survives across batches.
+  /// per-shard output buffers and the finalize gather buffers. Defined in
+  /// the .cc; pooled so concurrent MatchBatch callers each get their own
+  /// while capacity survives across batches.
   struct PipelineScratch;
 
   /// Shared body of the two MatchBatch overloads and Match (a one-event
@@ -706,14 +718,6 @@ class SubscriptionEngine {
   /// `sink` streams them (metrics then accumulate into pooled scratch).
   void MatchBatchImpl(Span<const Event> events, MatchPolicy policy,
                       MatchBatchResult* out, MatchSink* sink);
-  /// One pipeline worker: claims shard-queue chunks (shard-affine, with
-  /// stealing), executes them under the shard mutex, counts down the
-  /// per-event remaining-visit counters, and finalizes events whose last
-  /// visit completed. Runs on pool workers and the calling thread.
-  void RunPipelineWorker(size_t worker_id, PipelineScratch& ps,
-                         const RoutingSnapshot* snap, Span<const Event> events,
-                         MatchPolicy policy, MatchBatchResult* res,
-                         MatchSink* sink);
   std::unique_ptr<PipelineScratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<PipelineScratch> s);
 

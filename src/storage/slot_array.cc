@@ -6,11 +6,7 @@
 
 namespace accl {
 
-SlotArray::SlotArray(Dim nd, double reserve_fraction)
-    : nd_(nd), reserve_fraction_(reserve_fraction) {
-  ACCL_CHECK(nd > 0);
-  ACCL_CHECK(reserve_fraction >= 0.0 && reserve_fraction < 1.0);
-}
+SlotArray::SlotArray(Dim nd) : nd_(nd) { ACCL_CHECK(nd > 0); }
 
 double SlotArray::utilization() const {
   if (capacity_ == 0) return 1.0;
@@ -21,7 +17,7 @@ void SlotArray::Relocate(size_t need) {
   // Fresh reserve on every relocation: capacity = need * (1 + reserve),
   // with a small floor so tiny clusters do not relocate constantly.
   size_t cap = static_cast<size_t>(
-      std::ceil(static_cast<double>(need) * (1.0 + reserve_fraction_)));
+      std::ceil(static_cast<double>(need) * (1.0 + kReserveFraction)));
   cap = std::max<size_t>(cap, 8);
   if (cap == capacity_) return;
   capacity_ = cap;
@@ -65,7 +61,7 @@ void SlotArray::Clear() {
 
 void SlotArray::Compact() {
   size_t cap = static_cast<size_t>(
-      std::ceil(static_cast<double>(size()) * (1.0 + reserve_fraction_)));
+      std::ceil(static_cast<double>(size()) * (1.0 + kReserveFraction)));
   cap = std::max<size_t>(cap, 8);
   capacity_ = cap;
   ids_.shrink_to_fit();

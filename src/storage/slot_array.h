@@ -22,11 +22,11 @@ namespace accl {
 /// paper's 20-30 % (§6). The adaptive index and ClusterFileStore use it.
 inline constexpr double kReserveFraction = 0.25;
 
-/// Flat array of (id, hyper-rectangle) records with a reserve policy.
+/// Flat array of (id, hyper-rectangle) records; every relocation reserves
+/// kReserveFraction extra places.
 class SlotArray {
  public:
-  /// `reserve_fraction` in [0,1): extra capacity allocated on relocation.
-  SlotArray(Dim nd, double reserve_fraction = kReserveFraction);
+  explicit SlotArray(Dim nd);
 
   Dim dims() const { return nd_; }
   size_t size() const { return ids_.size(); }
@@ -76,7 +76,6 @@ class SlotArray {
   void Relocate(size_t need);
 
   Dim nd_;
-  double reserve_fraction_;
   size_t capacity_ = 0;
   uint64_t relocations_ = 0;
   std::vector<ObjectId> ids_;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -9,34 +8,6 @@
 
 namespace accl {
 namespace {
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  exec::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsOnCaller) {
-  exec::ThreadPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 0u);
-  EXPECT_EQ(pool.concurrency(), 1u);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran(16);
-  pool.ParallelFor(ran.size(),
-                   [&](size_t i) { ran[i] = std::this_thread::get_id(); });
-  for (const auto& id : ran) EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPool, ReusableAcrossManyCalls) {
-  exec::ThreadPool pool(2);
-  std::atomic<uint64_t> sum{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i + 1); });
-  }
-  EXPECT_EQ(sum.load(), 50u * 55u);
-}
 
 TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
   std::atomic<int> ran{0};
@@ -61,6 +32,8 @@ TEST(ThreadPool, ParallelForDynamicCoversEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, ParallelForDynamicZeroWorkersRunsOnCaller) {
   exec::ThreadPool pool(0);
+  EXPECT_EQ(pool.worker_count(), 0u);
+  EXPECT_EQ(pool.concurrency(), 1u);
   const auto caller = std::this_thread::get_id();
   std::atomic<int> ran{0};
   pool.ParallelForDynamic(64, [&](size_t) {
@@ -79,31 +52,17 @@ TEST(ThreadPool, ParallelForDynamicReusableAcrossManyCalls) {
   EXPECT_EQ(total.load(), 1000u);
 }
 
-TEST(ThreadPool, IdleHookRunsWhenWorkersDrain) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> hook_runs{0};
-  pool.SetIdleHook([&] { hook_runs.fetch_add(1); });
-  std::atomic<int> ran{0};
-  pool.ParallelFor(32, [&](size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 32);
-  // Workers go idle after the burst drains; each idle transition runs the
-  // hook once. Poll rather than assume scheduling: the workers may need a
-  // moment to re-acquire the queue lock and observe emptiness.
-  for (int spin = 0; spin < 2000 && hook_runs.load() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(hook_runs.load(), 0);
-}
-
-TEST(ThreadPool, ParallelForFromMultipleCallers) {
+TEST(ThreadPool, ParallelForDynamicFromMultipleCallers) {
   // Two caller threads sharing one pool: per-call completion tracking must
-  // not cross wires even when callers help drain each other's tasks.
+  // not cross wires even when callers help drain each other's runners.
   exec::ThreadPool pool(2);
   std::atomic<uint64_t> a{0}, b{0};
-  std::thread t1(
-      [&] { pool.ParallelFor(500, [&](size_t) { a.fetch_add(1); }); });
-  std::thread t2(
-      [&] { pool.ParallelFor(500, [&](size_t) { b.fetch_add(1); }); });
+  std::thread t1([&] {
+    pool.ParallelForDynamic(500, [&](size_t) { a.fetch_add(1); });
+  });
+  std::thread t2([&] {
+    pool.ParallelForDynamic(500, [&](size_t) { b.fetch_add(1); });
+  });
   t1.join();
   t2.join();
   EXPECT_EQ(a.load(), 500u);

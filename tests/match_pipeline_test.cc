@@ -1,11 +1,11 @@
-// Streamed MatchBatch pipeline parity and plumbing:
+// MatchBatch pipeline parity and plumbing:
 //
 //   - The streamed MatchSink overload, the materialized MatchBatchResult
 //     overload, and a brute-force oracle must agree byte-for-byte for every
 //     thread count {0, 1, 2, 4, 8}, both sharding policies (broadcast
-//     kHashId and range-routed kRange), and both match policies — the
-//     pipeline's countdown/ready-stack finalization must be invisible in
-//     the output.
+//     kHashId and range-routed kRange), and both match policies — how the
+//     execute and finalize phases are spread across threads must be
+//     invisible in the output.
 //   - The overflow gauge is explicitly absent (kNoOverflowShard sentinel)
 //     under broadcast policies and populated under kRange; the per-shard
 //     resident_subscriptions gauge is populated under every policy.

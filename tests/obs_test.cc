@@ -423,7 +423,7 @@ TEST(ObsEngineCoverage, DurableAdaptiveEngineExposesAllFamilies) {
   const std::string text = de.engine->DumpMetrics();
   ExpectFamilies(text,
                  {"accl_pipeline_batches_total", "accl_pipeline_events_total",
-                  "accl_pipeline_chunks_claimed_total",
+                  "accl_pipeline_events_routed_total",
                   "accl_pipeline_matches_total", "accl_pipeline_batch_us",
                   "accl_wal_", "accl_ckpt_writes_total", "accl_epoch_pins",
                   "accl_epoch_grace_wait_us", "accl_adapt_windows_evaluated",
@@ -535,8 +535,8 @@ TEST(ObsFlightRecorder, TracedMatchBatchShowsStagesAcrossWorkers) {
   const std::string json = engine.DumpTrace();
 
   // Per-stage spans of the batch pipeline are all present.
-  for (const char* span : {"match_batch", "route_scatter", "pipeline_worker",
-                           "shard_execute", "finalize_event"}) {
+  for (const char* span :
+       {"match_batch", "route_scatter", "shard_execute", "finalize_event"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + span + "\""),
               std::string::npos)
         << "missing span " << span;

@@ -3,12 +3,14 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace accl {
@@ -205,6 +207,141 @@ TEST(SdiEngine, MalformedBoxesNeverReachTheLog) {
   de = durability::DurableEngine();
   durability::RemoveWalFiles(wal_path);
   std::remove(ckpt_path.c_str());
+}
+
+// Five ways to spoil dimension `d` of an event box: a NaN lower or upper
+// bound, an infinite lower or upper bound, or lo > hi. Written through
+// mutable_data(): Box::set would refuse them in Debug builds.
+constexpr int kEventDefects = 5;
+void SpoilDim(Box* b, Dim d, int how) {
+  float* c = b->mutable_data();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (how) {
+    case 0: c[2 * d] = nan; break;
+    case 1: c[2 * d + 1] = nan; break;
+    case 2: c[2 * d] = -inf; break;
+    case 3: c[2 * d + 1] = inf; break;
+    default:
+      c[2 * d] = 0.6f;
+      c[2 * d + 1] = 0.4f;
+      break;
+  }
+}
+
+std::vector<SubscriptionId> Oracle(
+    const std::vector<std::pair<SubscriptionId, Box>>& subs, const Event& ev,
+    MatchPolicy policy) {
+  const Relation rel = ev.is_point || policy == MatchPolicy::kCovering
+                           ? Relation::kEncloses
+                           : Relation::kIntersects;
+  const Query q(ev.box, rel);
+  std::vector<SubscriptionId> out;
+  for (const auto& [id, box] : subs) {
+    if (q.Matches(box.view())) out.push_back(id);
+  }
+  return out;  // subs are in ascending id order
+}
+
+TEST(SdiEngine, MalformedEventsMatchNothing) {
+  // A hash engine, and a kRange engine whose advisor and fence re-plans
+  // sample every batch's events (auto moves), each pooled and not.
+  for (int config = 0; config < 4; ++config) {
+    EngineOptions opts;
+    opts.shards = 4;
+    opts.match_threads = config % 2 == 0 ? 1 : 3;
+    if (config >= 2) {
+      opts.sharding = ShardingPolicy::kRange;
+      opts.rebalance_period = 64;
+      opts.adaptive.enabled = true;
+      opts.adaptive.sample_window = 64;
+    }
+    SubscriptionEngine engine(AdsSchema(), opts);
+    const Dim nd = engine.schema().dims();
+    Rng rng(41 + config);
+    // A full-domain subscription (which an inverted event used to match
+    // under kIntersecting) and random ones.
+    std::vector<std::pair<SubscriptionId, Box>> subs;
+    Box full(nd);
+    for (Dim i = 0; i < nd; ++i) full.set(i, 0.0f, 1.0f);
+    subs.emplace_back(engine.SubscribeBox(full), full);
+    for (int i = 0; i < 300; ++i) {
+      const Box b = testutil::RandomBox(rng, nd, 0.5f);
+      subs.emplace_back(engine.SubscribeBox(b), b);
+    }
+
+    // Every defect on every dimension, of range events and of point
+    // events, interleaved with well-formed range and point events.
+    std::vector<Event> events;
+    std::vector<bool> bad;
+    for (Dim d = 0; d < nd; ++d) {
+      for (int how = 0; how < kEventDefects; ++how) {
+        events.push_back(Event::Range(testutil::RandomBox(rng, nd, 0.6f)));
+        bad.push_back(false);
+        Event range = Event::Range(testutil::RandomBox(rng, nd, 0.6f));
+        SpoilDim(&range.box, d, how);
+        events.push_back(range);
+        bad.push_back(true);
+        std::vector<float> pt(nd);
+        for (float& x : pt) x = rng.NextFloat();
+        events.push_back(Event::Point(pt));
+        bad.push_back(false);
+        Event point = Event::Point(pt);
+        SpoilDim(&point.box, d, how);
+        events.push_back(point);
+        bad.push_back(true);
+      }
+    }
+    const Span<const Event> span(events.data(), events.size());
+
+    MatchBatchResult res;
+    VectorMatchSink sink;
+    for (int pass = 0; pass < 4; ++pass) {
+      for (const MatchPolicy policy :
+           {MatchPolicy::kCovering, MatchPolicy::kIntersecting}) {
+        const uint64_t events_before =
+            CounterValue(engine, "accl_pipeline_events_total");
+        engine.MatchBatch(span, &res, policy);
+        sink.Reset(events.size());
+        engine.MatchBatch(span, &sink, policy);
+        // Malformed events still count as events of their batch.
+        EXPECT_EQ(CounterValue(engine, "accl_pipeline_events_total") -
+                      events_before,
+                  2 * events.size());
+        for (size_t e = 0; e < events.size(); ++e) {
+          std::vector<SubscriptionId> one;
+          engine.Match(events[e], &one, policy);
+          const std::vector<SubscriptionId> expected =
+              bad[e] ? std::vector<SubscriptionId>()
+                     : Oracle(subs, events[e], policy);
+          EXPECT_EQ(res.matches[e], expected)
+              << "config " << config << " event " << e;
+          EXPECT_EQ(sink.matches()[e], expected)
+              << "config " << config << " event " << e;
+          EXPECT_EQ(one, expected) << "config " << config << " event " << e;
+          if (bad[e]) {
+            EXPECT_EQ(sink.verified()[e], 0u);
+          }
+        }
+      }
+    }
+
+    // A batch of malformed events alone visits no shard and verifies
+    // nothing.
+    std::vector<Event> only_bad;
+    for (size_t e = 0; e < events.size(); ++e) {
+      if (bad[e]) only_bad.push_back(events[e]);
+    }
+    engine.MatchBatch(Span<const Event>(only_bad.data(), only_bad.size()),
+                      &res, MatchPolicy::kIntersecting);
+    EXPECT_EQ(res.TotalShardVisits(), 0u) << "config " << config;
+    EXPECT_EQ(res.total.objects_verified, 0u) << "config " << config;
+    for (const auto& m : res.matches) EXPECT_TRUE(m.empty());
+    if (config >= 2) {
+      EXPECT_GT(engine.adaptive_stats().windows_evaluated, 0u);
+    }
+    engine.SynchronizeEpochs();
+  }
 }
 
 TEST(SdiEngine, StatsAccumulate) {

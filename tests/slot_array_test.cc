@@ -70,7 +70,7 @@ TEST(SlotArray, FindLocatesId) {
 TEST(SlotArray, UtilizationBoundedByReservePolicy) {
   // With 25% reserve, steady-state utilization stays >= 1/1.25 = 0.8 right
   // after relocation, and >= 70% is the paper's guarantee.
-  SlotArray a(4, 0.25);
+  SlotArray a(4);
   for (ObjectId i = 0; i < 5000; ++i) {
     a.Append(i, MakeBox(4, 0.2f, 0.4f).view());
     if (a.size() > 8) {
@@ -80,7 +80,7 @@ TEST(SlotArray, UtilizationBoundedByReservePolicy) {
 }
 
 TEST(SlotArray, RelocationsAreAmortized) {
-  SlotArray a(2, 0.25);
+  SlotArray a(2);
   for (ObjectId i = 0; i < 10000; ++i) {
     a.Append(i, MakeBox(2, 0.1f, 0.9f).view());
   }
@@ -90,7 +90,7 @@ TEST(SlotArray, RelocationsAreAmortized) {
 }
 
 TEST(SlotArray, CompactRestoresReserveBound) {
-  SlotArray a(2, 0.25);
+  SlotArray a(2);
   for (ObjectId i = 0; i < 1000; ++i) {
     a.Append(i, MakeBox(2, 0.1f, 0.9f).view());
   }
@@ -110,7 +110,7 @@ TEST(SlotArray, ClearKeepsDims) {
 }
 
 TEST(SlotArray, ManyRandomOpsKeepConsistency) {
-  SlotArray a(2, 0.3);
+  SlotArray a(2);
   Rng rng(3);
   std::vector<ObjectId> live;
   ObjectId next = 0;
