@@ -36,15 +36,6 @@ struct ShardMetrics {
   /// batch was dispatched. Populated for every shard under every sharding
   /// policy. Merge keeps the max (it is a gauge, not a counter).
   uint64_t resident_subscriptions = 0;
-  /// Point-in-time gauge: subscriptions resident in the engine's overflow
-  /// shard when this batch was dispatched. Only the overflow shard's entry
-  /// carries it, and only range-routed engines have an overflow shard —
-  /// consult MatchBatchResult::overflow_shard to tell "this entry is the
-  /// overflow shard with 0 residents" apart from "this policy has no
-  /// overflow shard at all". It tracks straddler pressure — fences
-  /// repeatedly cutting dense regions push subscriptions here, and every
-  /// routed event pays an overflow visit. Merge keeps the max (a gauge).
-  uint64_t overflow_subscriptions = 0;
 
   void Add(const QueryMetrics& m) {
     totals += m;
@@ -56,9 +47,6 @@ struct ShardMetrics {
     events_routed += o.events_routed;
     if (o.resident_subscriptions > resident_subscriptions) {
       resident_subscriptions = o.resident_subscriptions;
-    }
-    if (o.overflow_subscriptions > overflow_subscriptions) {
-      overflow_subscriptions = o.overflow_subscriptions;
     }
   }
   void Clear() { *this = ShardMetrics(); }
@@ -120,27 +108,24 @@ class VectorMatchSink final : public MatchSink {
 /// shard count or thread count.
 struct MatchBatchResult {
   /// Sentinel for `overflow_shard`: the dispatching policy has no overflow
-  /// shard (broadcast policies), so no per_shard entry carries the
-  /// overflow gauge.
+  /// shard (broadcast policies).
   static constexpr size_t kNoOverflowShard = static_cast<size_t>(-1);
 
   std::vector<std::vector<ObjectId>> matches;  ///< per event, id-sorted
   std::vector<ShardMetrics> per_shard;         ///< indexed by shard
   QueryMetrics total;                          ///< sum over shards & events
   /// Index into `per_shard` of the overflow shard the batch was routed
-  /// with, or kNoOverflowShard when the policy has none (broadcast). This
-  /// is what makes the overflow_subscriptions gauge *explicitly absent*
-  /// rather than silently zero for non-range policies.
+  /// with, or kNoOverflowShard when the policy has none (broadcast). Its
+  /// entry's `resident_subscriptions` is the straddler pressure — fences
+  /// repeatedly cutting dense regions push subscriptions there, and every
+  /// routed event pays an overflow visit — explicitly absent rather than
+  /// silently zero for non-range policies.
   size_t overflow_shard = kNoOverflowShard;
   /// Version of the routing snapshot the whole batch was dispatched with
   /// (one consistent snapshot per batch; 0 for an empty batch).
   /// Non-decreasing across a single caller's batches — a later batch can
   /// never observe an older routing table.
   uint64_t routing_version = 0;
-  /// Reclamation epoch the batch was pinned at while routing and executing
-  /// (0 for an empty batch). Diagnostics for the epoch subsystem: a stuck
-  /// epoch across batches means some reader is wedged pinned.
-  uint64_t epoch = 0;
 
   /// Logically empties the result while PRESERVING allocated capacity: the
   /// per-event match vectors and per-shard entries are cleared in place,
@@ -157,7 +142,6 @@ struct MatchBatchResult {
     total.Clear();
     overflow_shard = kNoOverflowShard;
     routing_version = 0;
-    epoch = 0;
   }
 
   /// Recomputes `total` as the shard-order sum of `per_shard` (the

@@ -1,10 +1,10 @@
 // Shared types of the durability subsystem (src/durability/): log sequence
-// numbers, configuration, and the counter structs the WAL, log shipper and
-// recovery path expose. The checkpointer's counters are registry metrics
-// only (accl_ckpt_*, Checkpointer::AttachMetrics).
+// numbers, configuration, and what a recovery did. The WAL, checkpointer
+// and log shipper counters are registry metrics only (accl_wal_*,
+// accl_ckpt_*, accl_repl_*; each component's AttachMetrics).
 //
 // They live in api/ — not durability/ — because the engine layer (sdi/)
-// references LSNs and durability metrics in its public surface without
+// references LSNs and recovery results in its public surface without
 // depending on the WAL implementation, mirroring how api/metrics.h serves
 // the index layer.
 #pragma once
@@ -45,49 +45,6 @@ struct DurabilityOptions {
   /// mutators only trigger, never wait). false = the triggering mutator
   /// runs the checkpoint inline (deterministic; used by tests).
   bool background_checkpoints = true;
-};
-
-/// Write-ahead-log counters (WriteAheadLog::stats).
-struct WalStats {
-  uint64_t records_appended = 0;
-  uint64_t flush_batches = 0;  ///< append+sync operations the flusher ran
-  uint64_t bytes_appended = 0;
-  uint64_t truncations = 0;
-  Lsn durable_lsn = 0;
-  Lsn applied_low_water = 0;
-  // ---- Segment lifecycle (rotation + truncation GC) ----
-  uint64_t live_segments = 0;      ///< segment files currently in the chain
-  uint64_t tail_segment_seq = 0;   ///< generation stamp of the append tail
-  uint64_t segments_rotated = 0;   ///< rotations the flusher performed
-  uint64_t segments_unlinked = 0;  ///< truncated segments removed from disk
-  /// Group-commit batching factor: acknowledged records per sync. 1.0 in
-  /// per-record-flush mode; > 1 whenever concurrent mutators shared a sync.
-  double records_per_flush() const {
-    return flush_batches == 0
-               ? 0.0
-               : static_cast<double>(records_appended) /
-                     static_cast<double>(flush_batches);
-  }
-};
-
-/// Log-shipping / warm-standby counters (durability::LogShipper::stats).
-struct ReplicationStats {
-  Lsn cursor_lsn = 0;          ///< highest LSN applied on the follower
-  Lsn source_durable_lsn = 0;  ///< highest LSN seen in the source log at the
-                               ///< last completed ship pass
-  /// Replication lag at the last completed pass:
-  /// source_durable_lsn - cursor_lsn (records the follower still owes).
-  uint64_t lag_records = 0;
-  uint64_t ship_passes = 0;        ///< completed ShipOnce calls
-  uint64_t records_applied = 0;    ///< records replayed into the follower
-  uint64_t bytes_shipped = 0;      ///< frame bytes copied into the mirror
-  uint64_t segments_mirrored = 0;  ///< mirror segment files created
-  uint64_t mirror_segments_unlinked = 0;  ///< mirror GC following the source
-  /// Ship passes that re-based the follower from the source's checkpoint
-  /// because the log records behind the cursor were already truncated away.
-  uint64_t checkpoint_catchups = 0;
-  uint64_t ship_errors = 0;  ///< failed ShipOnce calls (I/O; retryable)
-  bool promoted = false;
 };
 
 /// What SubscriptionEngine::Recover did (diagnostics + tests).

@@ -97,7 +97,7 @@ struct ReorgStats {
   uint64_t last_pass_merges = 0;
 };
 
-/// Serializable image of one cluster (used by storage/persist).
+/// Serializable image of one cluster (ClusterFileStore, FromImages).
 struct ClusterImage {
   ClusterId id = 0;
   ClusterId parent = kNoCluster;

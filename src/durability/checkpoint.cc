@@ -17,7 +17,9 @@ namespace accl::durability {
 namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x41434B50u;  // "ACKP"
-constexpr uint32_t kCheckpointVersion = 1;
+// Version 2 added the routing plan's fence dimension and overflow split
+// after the fences; a version-1 image reads as dimension 0, no split.
+constexpr uint32_t kCheckpointVersion = 2;
 
 uint32_t ChecksumOf(const uint8_t* p, size_t n) {
   return FnvFold32(Fnv1aBytes(kFnvOffsetBasis, p, n));
@@ -57,6 +59,10 @@ bool CheckpointStore::Write(const EngineImage& image) {
   w.PutU32(image.nd);
   w.PutU32(static_cast<uint32_t>(image.fences.size()));
   for (const float f : image.fences) w.PutF32(f);
+  w.PutU32(image.dim);
+  w.PutU32(static_cast<uint32_t>(image.split_dim));
+  w.PutU32(static_cast<uint32_t>(image.split_bounds.size()));
+  for (const float f : image.split_bounds) w.PutF32(f);
   const uint64_t n = image.ids.size();
   ACCL_CHECK(image.coords.size() ==
              n * 2 * static_cast<size_t>(image.nd));
@@ -127,15 +133,35 @@ bool CheckpointStore::Read(EngineImage* out) {
   ByteReader r(blob.data(), bytes - 4);
   uint32_t magic = 0, version = 0, n_fences = 0;
   if (!r.GetU32(&magic) || magic != kCheckpointMagic) return false;
-  if (!r.GetU32(&version) || version != kCheckpointVersion) return false;
+  if (!r.GetU32(&version) || version < 1 || version > kCheckpointVersion) {
+    return false;
+  }
   if (!r.GetU64(&out->lsn)) return false;
   if (!r.GetU32(&out->next_id)) return false;
   if (!r.GetU64(&out->routing_version)) return false;
   if (!r.GetU32(&out->nd) || out->nd == 0) return false;
-  if (!r.GetU32(&n_fences)) return false;
+  if (!r.GetU32(&n_fences) || n_fences > r.remaining() / 4) return false;
   out->fences.resize(n_fences);
   for (uint32_t i = 0; i < n_fences; ++i) {
     if (!r.GetF32(&out->fences[i])) return false;
+  }
+  out->dim = 0;
+  out->split_dim = -1;
+  out->split_bounds.clear();
+  if (version >= 2) {
+    uint32_t split_dim = 0, n_split = 0;
+    if (!r.GetU32(&out->dim) || out->dim >= out->nd) return false;
+    if (!r.GetU32(&split_dim)) return false;
+    out->split_dim = static_cast<int32_t>(split_dim);
+    if (out->split_dim < -1 ||
+        out->split_dim >= static_cast<int32_t>(out->nd)) {
+      return false;
+    }
+    if (!r.GetU32(&n_split) || n_split > r.remaining() / 4) return false;
+    out->split_bounds.resize(n_split);
+    for (uint32_t i = 0; i < n_split; ++i) {
+      if (!r.GetF32(&out->split_bounds[i])) return false;
+    }
   }
   uint64_t n = 0;
   if (!r.GetU64(&n)) return false;

@@ -2,8 +2,9 @@
 // assembles a fully durable engine (WAL + checkpoints + recovery).
 //
 // A checkpoint is one self-contained, checksummed image of the engine —
-// every live subscription (id + normalized box), the routing fences and
-// version, the id allocator, and the WAL LSN the image covers — written
+// every live subscription (id + normalized box), the routing plan (fence
+// dimension and fences, overflow split) and version, the id allocator,
+// and the WAL LSN the image covers — written
 // through the PagedFile shadow-paging path ClusterFileStore established:
 // the blob goes into a *fresh* page run, is synced, and only then does the
 // one-block directory pointer flip to it (header write + sync); the old
@@ -49,6 +50,9 @@ struct EngineImage {
   uint64_t routing_version = 0;
   Dim nd = 0;
   std::vector<float> fences;            ///< kRange interior fences (or empty)
+  uint32_t dim = 0;                     ///< dimension the fences cut
+  int32_t split_dim = -1;               ///< overflow split dimension, or -1
+  std::vector<float> split_bounds;      ///< interior split fences
   std::vector<SubscriptionId> ids;      ///< live subscriptions
   std::vector<float> coords;            ///< ids.size() * 2 * nd floats
 };

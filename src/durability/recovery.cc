@@ -122,6 +122,25 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
       Create(std::move(schema), std::move(options), status);
   if (engine == nullptr) return nullptr;
 
+  // The fence dimension and the overflow split are not options: publish
+  // them on the still-empty engine, so the restore below homes every
+  // subscription by the captured plan. A split that does not fit the
+  // configured split capacity is dropped, as a fence array that does not
+  // fit the shard count is above. A version-1 image carries dimension 0
+  // and no split, which is the configured plan: nothing is published.
+  if (have_image && engine->range_routed_) {
+    std::lock_guard<std::mutex> lk(engine->rebalance_mu_);
+    RoutingPlan plan = engine->SnapshotUnderRebalanceLock()->plan;
+    plan.dim = image.dim;
+    if (image.split_dim >= 0 && engine->SplitFits(image.split_bounds)) {
+      plan.split_dim = image.split_dim;
+      plan.split_bounds = image.split_bounds;
+    }
+    if (plan.dim != 0 || plan.split_dim >= 0) {
+      engine->PublishSnapshot(std::move(plan), std::nullopt);
+    }
+  }
+
   WallTimer timer;
   if (have_image) {
     engine->ApplySubscribe(

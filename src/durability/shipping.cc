@@ -338,22 +338,6 @@ Status LogShipper::Promote(const DurabilityOptions& durability_options,
   return Status::Ok();
 }
 
-ReplicationStats LogShipper::stats() const {
-  ReplicationStats s;
-  s.cursor_lsn = static_cast<Lsn>(cursor_lsn_gauge_.Value());
-  s.source_durable_lsn = static_cast<Lsn>(source_durable_lsn_gauge_.Value());
-  s.lag_records = static_cast<uint64_t>(lag_records_gauge_.Value());
-  s.ship_passes = ship_passes_.Value();
-  s.records_applied = records_applied_.Value();
-  s.bytes_shipped = bytes_shipped_.Value();
-  s.segments_mirrored = segments_mirrored_.Value();
-  s.mirror_segments_unlinked = mirror_unlinked_.Value();
-  s.checkpoint_catchups = checkpoint_catchups_.Value();
-  s.ship_errors = ship_errors_.Value();
-  s.promoted = promoted_gauge_.Value() != 0;
-  return s;
-}
-
 void LogShipper::DetachMetrics() {
   if (attached_reg_ == nullptr) return;
   for (const char* name :

@@ -36,7 +36,7 @@
 // surfaces as Status::IOError with the mirror still consistent (fully
 // shipped segments stay shipped, the failed one is retried next pass).
 //
-// Thread model: ShipOnce / Promote / stats are serialized by the caller
+// Thread model: ShipOnce / Promote are serialized by the caller
 // (one replication driver thread). The follower engine's Match is safe to
 // call concurrently from any thread, as on a primary.
 #pragma once
@@ -105,8 +105,6 @@ class LogShipper {
   /// promoted: Match serves, Subscribe/Unsubscribe refuse.
   SubscriptionEngine* engine() const { return engine_.get(); }
 
-  ReplicationStats stats() const;
-
   /// Registers the shipper's metrics (ship-pass/record/byte counters, the
   /// per-pass duration histogram, cursor/lag gauges) into `reg` under the
   /// accl_repl_* names. Create() attaches them to the follower engine's
@@ -151,7 +149,7 @@ class LogShipper {
   RecoveryStats apply_stats_;
 
   /// Replication telemetry on obs primitives: one driver thread writes,
-  /// stats() and any attached registry read atomically from anywhere.
+  /// the attached registry reads atomically from anywhere.
   obs::Counter ship_passes_;
   obs::Counter records_applied_;
   obs::Counter bytes_shipped_;

@@ -472,24 +472,6 @@ void WriteAheadLog::UpdateSegmentGauges() {
       segments_.empty() ? 0 : segments_.back().seg->seq()));
 }
 
-WalStats WriteAheadLog::stats() const {
-  WalStats st;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    st.durable_lsn = durable_lsn_;
-    st.applied_low_water = applied_upto_;
-  }
-  st.records_appended = records_appended_.Value();
-  st.flush_batches = flush_batches_.Value();
-  st.bytes_appended = bytes_appended_.Value();
-  st.truncations = truncations_.Value();
-  st.live_segments = static_cast<uint64_t>(live_segments_.Value());
-  st.tail_segment_seq = static_cast<uint64_t>(tail_seq_.Value());
-  st.segments_rotated = segments_rotated_.Value();
-  st.segments_unlinked = segments_unlinked_.Value();
-  return st;
-}
-
 void WriteAheadLog::AttachMetrics(obs::MetricsRegistry* reg) {
   reg->Attach("accl_wal_records_appended_total", &records_appended_,
               "records enqueued to the log");

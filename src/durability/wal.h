@@ -165,8 +165,6 @@ class WriteAheadLog {
   /// partially truncated chain is idempotent).
   Status Truncate(Lsn up_to);
 
-  WalStats stats() const;
-
   /// Registers this log's metrics (counters, segment gauges, the
   /// enqueue->durable commit-latency histogram and the records-per-sync
   /// histogram) into `reg` under the accl_wal_* names. The log owns the
@@ -241,9 +239,9 @@ class WriteAheadLog {
   Lsn applied_upto_ = 0;
   std::priority_queue<Lsn, std::vector<Lsn>, std::greater<Lsn>> applied_ooo_;
 
-  /// Lifetime counters, latency histograms and segment gauges: obs
-  /// primitives, so stats() is a thin snapshot read and AttachMetrics can
-  /// expose the same objects on a registry. None need io_mu_ or mu_.
+  /// Lifetime counters, latency histograms and segment gauges, read
+  /// through the registry AttachMetrics exposes them on. None need io_mu_
+  /// or mu_.
   obs::Counter records_appended_;
   obs::Counter flush_batches_;
   obs::Counter bytes_appended_;

@@ -35,12 +35,8 @@ EpochManager::EpochManager(size_t min_slots) {
 EpochManager::~EpochManager() {
   // No reader may be pinned here (the owner is being destroyed), so every
   // pending deleter is safe to run.
-  {
-    std::lock_guard<std::mutex> lk(retire_mu_);
-    for (Retired& r : retired_) r.deleter();
-    reclaimed_count_.Add(retired_.size());
-    retired_.clear();
-  }
+  for (std::function<void()>& deleter : retired_) deleter();
+  reclaimed_count_.Add(retired_.size());
   SlotBlock* b = head_.next.load(std::memory_order_acquire);
   while (b != nullptr) {
     SlotBlock* next = b->next.load(std::memory_order_acquire);
@@ -64,7 +60,7 @@ EpochManager::Guard EpochManager::Pin() {
         const uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
         if (s.epoch.compare_exchange_strong(expected, e,
                                             std::memory_order_seq_cst)) {
-          return Guard(&s.epoch, e);
+          return Guard(&s.epoch);
         }
       }
     }
@@ -84,53 +80,24 @@ EpochManager::SlotBlock* EpochManager::Grow() {
   return b;
 }
 
-uint64_t EpochManager::MinActiveEpoch() const {
-  uint64_t min = ~0ull;
-  for (const SlotBlock* b = &head_; b != nullptr;
-       b = b->next.load(std::memory_order_acquire)) {
-    for (const Slot& s : b->slots) {
-      const uint64_t e = s.epoch.load(std::memory_order_seq_cst);
-      if (e != 0 && e < min) min = e;
-    }
-  }
-  return min;
-}
-
 void EpochManager::Retire(std::function<void()> deleter) {
   std::lock_guard<std::mutex> lk(retire_mu_);
-  // Epoch read inside the lock: appends stay epoch-ordered, so reclamation
-  // can stop at the first too-recent entry.
-  retired_.push_back(
-      Retired{global_epoch_.load(std::memory_order_seq_cst),
-              std::move(deleter)});
+  retired_.push_back(std::move(deleter));
   retired_count_.Add();
-}
-
-size_t EpochManager::ReclaimUpTo(uint64_t min_active) {
-  // Deleters run under retire_mu_, which is what guarantees they never run
-  // concurrently with one another. They must not re-enter the manager.
-  std::lock_guard<std::mutex> lk(retire_mu_);
-  size_t ran = 0;
-  while (ran < retired_.size() && retired_[ran].epoch < min_active) {
-    retired_[ran].deleter();
-    ++ran;
-  }
-  retired_.erase(retired_.begin(), retired_.begin() + ran);
-  reclaimed_count_.Add(ran);
-  return ran;
-}
-
-size_t EpochManager::TryReclaim() {
-  // If nobody is pinned, everything already retired is reclaimable: any pin
-  // that begins after this scan follows it in the seq_cst total order, so
-  // its subsequent reads observe the publications that preceded the
-  // corresponding Retire calls.
-  return ReclaimUpTo(MinActiveEpoch());
 }
 
 void EpochManager::Synchronize() {
   ACCL_TRACE_SPAN("epoch_grace_wait");
   synchronizes_.Add();
+  // Every entry taken here was unlinked before its Retire call, hence
+  // before the bump below: the readers the grace period waits for are the
+  // only ones that can still hold it. An entry retired after the take
+  // waits for the next grace period.
+  std::vector<std::function<void()>> batch;
+  {
+    std::lock_guard<std::mutex> lk(retire_mu_);
+    batch.swap(retired_);
+  }
   const uint64_t next =
       global_epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
   // Wait for every reader still pinned at a pre-bump epoch. Readers never
@@ -152,26 +119,11 @@ void EpochManager::Synchronize() {
     std::this_thread::yield();
   }
   // Record how long the grace period blocked this publisher — the price a
-  // rebalance pays for each snapshot it retires; stats() and any attached
-  // registry derive p50/p99 from the histogram.
+  // rebalance pays for each snapshot it retires.
   grace_wait_us_.Record(static_cast<uint64_t>(
       std::llround(wait_timer.ElapsedMs() * 1000.0)));
-  ReclaimUpTo(next);
-}
-
-EpochManagerStats EpochManager::stats() const {
-  EpochManagerStats st;
-  st.epoch = global_epoch_.load(std::memory_order_seq_cst);
-  st.pins = pins_.Value();
-  st.synchronizes = synchronizes_.Value();
-  st.retired = retired_count_.Value();
-  st.reclaimed = reclaimed_count_.Value();
-  st.retired_pending = st.retired - st.reclaimed;
-  st.grace_waits = grace_wait_us_.Count();
-  st.grace_wait_p50_ms = grace_wait_us_.Percentile(0.50) / 1000.0;
-  st.grace_wait_p99_ms = grace_wait_us_.Percentile(0.99) / 1000.0;
-  st.grace_wait_max_ms = static_cast<double>(grace_wait_us_.Max()) / 1000.0;
-  return st;
+  for (std::function<void()>& deleter : batch) deleter();
+  reclaimed_count_.Add(batch.size());
 }
 
 void EpochManager::AttachMetrics(obs::MetricsRegistry* reg) {

@@ -20,10 +20,13 @@
 //   - MetricsRegistry: name -> metric. Metrics are either registry-owned
 //     (GetCounter/GetGauge/GetHistogram create on first use) or
 //     externally owned and Attach()ed — components (WAL, epoch manager,
-//     log shipper) own their metrics as plain members and attach them to
-//     an engine's registry when wired in, so the component works
-//     standalone and the engine's DumpMetrics() sees everything.
-//     Attached metrics must outlive the registry or be Detach()ed.
+//     checkpointer, log shipper) own their metrics as plain members and
+//     attach them to an engine's registry when wired in, so the engine's
+//     DumpMetrics() sees everything. The registry is the only read path:
+//     no component keeps a typed stats copy of what it publishes here,
+//     and a component used without an engine is read by attaching it to
+//     a local registry. Attached metrics must outlive the registry or be
+//     Detach()ed.
 //   - Snapshot-with-delta: Snapshot() captures every metric's value;
 //     MetricsSnapshot::DeltaSince(base) subtracts monotone quantities
 //     (counter values, histogram count/sum) so a caller can report

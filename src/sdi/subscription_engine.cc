@@ -833,12 +833,14 @@ void SubscriptionEngine::CaptureDurableImage(
   }
   exec::EpochManager::Guard guard = epoch_.Pin();
   const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-  // The image stores the fence positions only: the learned fence DIMENSION
-  // and overflow split are runtime state and reset to the configured
-  // initial on recovery (the tracker re-learns them from live traffic;
-  // routing stays exact either way because residency is always computed
-  // under the recovering engine's own snapshot).
+  // The whole routing plan: Recover restores what fits the recovering
+  // engine's configuration (routing stays exact either way, because
+  // residency is always computed under the recovering engine's own
+  // snapshot).
   out->fences = snap->plan.bounds;
+  out->dim = snap->plan.dim;
+  out->split_dim = snap->plan.split_dim;
+  out->split_bounds = snap->plan.split_bounds;
   out->routing_version = snap->version;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
   for (Shard* sh : snap->shards) {
@@ -954,7 +956,6 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   exec::EpochManager::Guard guard = epoch_.Pin();
   const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
   res->routing_version = snap->version;
-  res->epoch = guard.epoch();
 
   // Per-shard work queues. Broadcast policies enqueue every event on every
   // shard; kRange asks the router which shards each event's box overlaps.
@@ -983,14 +984,9 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
       targets->erase(std::unique(targets->begin(), targets->end()),
                      targets->end());
     });
-    if (range_routed_) {
-      // Overflow-pressure gauge: subscriptions homed in the overflow shard
-      // at dispatch time. overflow_shard names the entry so broadcast
-      // callers see "absent", never a silent zero.
-      res->overflow_shard = k - 1;
-      res->per_shard[k - 1].overflow_subscriptions =
-          snap->shards[k - 1]->subs.load(std::memory_order_relaxed);
-    }
+    // overflow_shard names the overflow entry so broadcast callers see
+    // "absent", never a silent zero.
+    if (range_routed_) res->overflow_shard = k - 1;
   }
   uint64_t routed_total = 0;
   uint64_t target_total = 0;
@@ -1256,9 +1252,6 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
   RebalanceStats st;
   st.boundary_moves = obs_->boundary_moves->Value();
   st.subscriptions_migrated = obs_->subs_migrated->Value();
-  st.dimension_switches = obs_->dimension_switches->Value();
-  st.overflow_splits = obs_->overflow_splits->Value();
-  st.straddlers_split = obs_->straddlers_split->Value();
   return st;
 }
 
@@ -1328,12 +1321,8 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
 
 bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
                                           const std::vector<float>& fences) {
-  if (!range_routed_ || num_split_shards_ == 0 || dim >= schema_.dims()) {
+  if (!range_routed_ || dim >= schema_.dims() || !SplitFits(fences)) {
     return false;
-  }
-  if (fences.size() + 1 > num_split_shards_) return false;
-  for (size_t i = 1; i < fences.size(); ++i) {
-    if (!(fences[i - 1] < fences[i])) return false;
   }
   std::unique_lock<std::mutex> lk(rebalance_mu_);
   WaitForMoveLocked(lk);
@@ -1347,6 +1336,16 @@ bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
   obs_->straddlers_split->Add(moved);
   ACCL_TRACE_INSTANT("adapt_overflow_split", static_cast<uint32_t>(moved));
   RunStagedMove(lk);
+  return true;
+}
+
+bool SubscriptionEngine::SplitFits(const std::vector<float>& fences) const {
+  if (num_split_shards_ == 0 || fences.size() + 1 > num_split_shards_) {
+    return false;
+  }
+  for (size_t i = 1; i < fences.size(); ++i) {
+    if (!(fences[i - 1] < fences[i])) return false;
+  }
   return true;
 }
 

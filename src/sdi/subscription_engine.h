@@ -334,13 +334,13 @@ class SubscriptionEngine {
   /// in flight. Per-shard metrics land in `out->per_shard` (shard order),
   /// aggregated into `out->total`; `per_shard[s].events_routed` counts the
   /// events dispatched to shard s, every entry carries the
-  /// `resident_subscriptions` gauge, and under kRange the entry named by
-  /// `out->overflow_shard` carries the `overflow_subscriptions` pressure
-  /// gauge (kNoOverflowShard for broadcast policies — explicitly absent,
-  /// not silently zero). `out->routing_version` / `out->epoch` record the
-  /// snapshot and epoch the batch ran under. A one-event batch runs on the
-  /// calling thread (fanning one event's visits out would cost more than
-  /// it saves). Every event's box must have the schema's dimensionality.
+  /// `resident_subscriptions` gauge, and under kRange
+  /// `out->overflow_shard` names the overflow shard's entry
+  /// (kNoOverflowShard for broadcast policies — explicitly absent, not
+  /// silently zero). `out->routing_version` records the snapshot the batch
+  /// ran under. A one-event batch runs on the calling thread (fanning one
+  /// event's visits out would cost more than it saves). Every event's box
+  /// must have the schema's dimensionality.
   /// An event SubscribeBox would refuse as a subscription (a NaN or
   /// infinite bound, or lo > hi) visits no shard and matches nothing; it
   /// still counts as an event of the batch.
@@ -425,22 +425,17 @@ class SubscriptionEngine {
   /// non-range engines, K < 3, or an empty mass.
   bool RebalanceOnce();
 
-  /// Lifetime rebalancing counters.
+  /// Lifetime rebalancing counters: a read of
+  /// accl_rebalance_boundary_moves_total and
+  /// accl_rebalance_subscriptions_migrated_total (safe from any thread,
+  /// racy-exact like every obs::Counter read). Dimension switches and
+  /// overflow splits are in adaptive_stats() and the accl_adapt_* counters.
   struct RebalanceStats {
     /// Fence re-plans applied (RebalanceOnce, periodic, or
     /// SetRangeBoundaries); one per move, however many fences it shifts.
     uint64_t boundary_moves = 0;
     uint64_t subscriptions_migrated = 0;
-    /// Online fence-dimension switches executed (advisor or manual).
-    uint64_t dimension_switches = 0;
-    /// Overflow-shard split activations (advisor or manual), and the
-    /// straddlers those activations moved out of the catch-all shard into
-    /// split sub-shards.
-    uint64_t overflow_splits = 0;
-    uint64_t straddlers_split = 0;
   };
-  /// Thin atomic snapshot read of the registry-backed rebalance counters
-  /// (safe from any thread, racy-exact like every obs::Counter read).
   RebalanceStats rebalance_stats() const;
 
   // ---- Adaptive routing (kRange only; see api/adaptive_routing.h) ----
@@ -507,10 +502,6 @@ class SubscriptionEngine {
   /// SynchronizeEpochs, the next auto decision) waits for the release
   /// too; the destructor releases.
   void HoldMovesForTesting(bool hold);
-
-  /// Counters of the engine's epoch manager (pins, grace periods, retired
-  /// and reclaimed snapshots).
-  exec::EpochManagerStats epoch_stats() const { return epoch_.stats(); }
 
   // ---- Observability (src/obs/) ----
 
@@ -752,6 +743,9 @@ class SubscriptionEngine {
   /// BeginMoveLocked).
   bool ReplanFencesLocked(std::unique_lock<std::mutex>& lk,
                           const adapt::PatternSnapshot& pattern, bool force);
+  /// True when `fences` are a strictly ascending overflow-split fence
+  /// array this engine's split capacity can hold.
+  bool SplitFits(const std::vector<float>& fences) const;
 
   // ---- The move routine (see the class comment's steps) ----
 

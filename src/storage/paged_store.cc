@@ -485,6 +485,7 @@ bool ClusterFileStore::SaveDirectory() {
 
 std::unique_ptr<ClusterFileStore> ClusterFileStore::Load(
     std::unique_ptr<PagedFile> file, SimDisk* disk) {
+  if (file == nullptr) return nullptr;  // PagedFile::Open refused the file
   uint64_t dir_first = 0, dir_pages = 0, dir_bytes = 0;
   if (!file->GetDirectory(&dir_first, &dir_pages, &dir_bytes)) return nullptr;
   std::vector<uint8_t> bytes(dir_bytes);

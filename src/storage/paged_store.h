@@ -141,7 +141,9 @@ class ClusterFileStore {
   /// Persists the directory block + all signatures; call before close.
   bool SaveDirectory();
 
-  /// Restores a store from an existing file's directory.
+  /// Restores a store from an existing file's directory. Returns nullptr
+  /// for a null `file` (a PagedFile::Open that refused a missing or
+  /// corrupt file) and for a directory that fails validation.
   static std::unique_ptr<ClusterFileStore> Load(
       std::unique_ptr<PagedFile> file, SimDisk* disk = nullptr);
 

@@ -1,8 +1,8 @@
 // Minimal little-endian binary (de)serialization used by the disk
-// persistence layer (storage/persist.h). Values are written in the host's
-// native representation; the format is an on-disk image for crash recovery
-// on the same machine, not a portable interchange format (matching the
-// paper's §6 "Fail Recovery" scope).
+// persistence layer (storage/paged_store.h, durability/). Values are
+// written in the host's native representation; the format is an on-disk
+// image for crash recovery on the same machine, not a portable interchange
+// format (matching the paper's §6 "Fail Recovery" scope).
 #pragma once
 
 #include <cstdint>

@@ -442,7 +442,6 @@ TEST(AdaptiveEngine, AutoSwitchConvergesToSelectiveDimension) {
   EXPECT_EQ(st.last_estimates.size(), static_cast<size_t>(kNd));
   EXPECT_GT(st.events_observed, 0u);
   EXPECT_GT(st.subscriptions_observed, 0u);
-  EXPECT_GE(engine.rebalance_stats().dimension_switches, 1u);
 
   // Post-convergence: routed visit economics and exact oracle parity. The
   // switch's move finishes on the migrator thread, and until it does
@@ -504,8 +503,10 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   EXPECT_EQ(engine.overflow_split_dimension(), st.split_dimension);
   // The split must have physically relocated straddlers out of the
   // catch-all.
-  EXPECT_GT(engine.rebalance_stats().straddlers_split, 0u);
-  EXPECT_GE(engine.rebalance_stats().overflow_splits, 1u);
+  EXPECT_GT(testutil::MetricOf(engine.metrics(),
+                               "accl_adapt_straddlers_split_total")
+                .counter,
+            0u);
 
   // Split sub-shards now carry residents, and a routed batch visits them.
   const auto infos = engine.GetShardInfos();
@@ -546,12 +547,12 @@ TEST(AdaptiveEngine, ManualDimensionSwitchKeepsMatchSetsExact) {
   EXPECT_FALSE(engine.SetRoutingDimension(kNd));  // outside the schema
   ASSERT_TRUE(engine.SetRoutingDimension(2));
   EXPECT_EQ(engine.routing_dimension(), 2u);
-  EXPECT_EQ(engine.rebalance_stats().dimension_switches, 1u);
+  EXPECT_EQ(engine.adaptive_stats().dimension_switches, 1u);
   ExpectOracleParity(engine, subs, probes, "after SetRoutingDimension");
 
   // Switching to the current dimension is a no-op success.
   ASSERT_TRUE(engine.SetRoutingDimension(2));
-  EXPECT_EQ(engine.rebalance_stats().dimension_switches, 1u);
+  EXPECT_EQ(engine.adaptive_stats().dimension_switches, 1u);
 
   // Residency bookkeeping survived the migration.
   size_t resident = 0;
@@ -560,7 +561,9 @@ TEST(AdaptiveEngine, ManualDimensionSwitchKeepsMatchSetsExact) {
   }
   EXPECT_EQ(resident, subs.size());
   engine.SynchronizeEpochs();
-  EXPECT_EQ(engine.epoch_stats().retired_pending, 0u);
+  EXPECT_EQ(
+      testutil::MetricOf(engine.metrics(), "accl_epoch_reclaimed_total").counter,
+      testutil::MetricOf(engine.metrics(), "accl_epoch_retired_total").counter);
 }
 
 TEST(AdaptiveEngine, ManualOverflowSplitLifecycle) {
@@ -590,7 +593,10 @@ TEST(AdaptiveEngine, ManualOverflowSplitLifecycle) {
 
   ASSERT_TRUE(engine.SetOverflowSplit(1, {0.5f}));
   EXPECT_EQ(engine.overflow_split_dimension(), 1);
-  EXPECT_GT(engine.rebalance_stats().straddlers_split, 0u);
+  EXPECT_GT(testutil::MetricOf(engine.metrics(),
+                               "accl_adapt_straddlers_split_total")
+                .counter,
+            0u);
   std::vector<Event> probes;
   for (int e = 0; e < 48; ++e) {
     probes.push_back(Event::Range(testutil::RandomBox(rng, kNd, 0.5f)));

@@ -142,6 +142,13 @@ void ExpectResidentHistogram(const SubscriptionEngine& engine,
 
 /// Match-set parity between `engine` and the `acked` oracle, via the
 /// MatchBatch read path (what a follower actually serves).
+/// One of the shipper's accl_repl_* metrics, read from the follower
+/// engine's registry (LogShipper::Create attaches them there).
+obs::MetricValue ReplMetric(const LogShipper& shipper,
+                            const std::string& name) {
+  return testutil::MetricOf(shipper.engine()->metrics(), name);
+}
+
 void ExpectEngineParity(SubscriptionEngine* engine,
                         const std::map<SubscriptionId, Box>& acked,
                         const std::string& context) {
@@ -202,14 +209,17 @@ TEST(LogShipping, FollowerTracksPrimaryAndServesReadOnly) {
   ASSERT_NE(shipper, nullptr) << st.message();
   ASSERT_TRUE(shipper->ShipOnce().ok());
 
-  ReplicationStats rs = shipper->stats();
-  EXPECT_EQ(rs.cursor_lsn, primary.wal->durable_lsn());
-  EXPECT_EQ(rs.lag_records, 0u);
-  EXPECT_EQ(rs.ship_passes, 1u);
-  EXPECT_EQ(rs.records_applied, 20u);
-  EXPECT_GT(rs.segments_mirrored, 1u);  // 256-byte segments: many files
-  EXPECT_GT(rs.bytes_shipped, 0u);
-  EXPECT_FALSE(rs.promoted);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_cursor_lsn").gauge,
+            static_cast<int64_t>(primary.wal->durable_lsn()));
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_lag_records").gauge, 0);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_ship_passes_total").counter, 1u);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_records_applied_total").counter,
+            20u);
+  // 256-byte segments: many files.
+  EXPECT_GT(ReplMetric(*shipper, "accl_repl_segments_mirrored_total").counter,
+            1u);
+  EXPECT_GT(ReplMetric(*shipper, "accl_repl_bytes_shipped_total").counter, 0u);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_promoted").gauge, 0);
   ExpectEngineParity(shipper->engine(), acked, "after first pass");
 
   // Read-only: every mutation path refuses BEFORE allocating an id, so a
@@ -229,10 +239,11 @@ TEST(LogShipping, FollowerTracksPrimaryAndServesReadOnly) {
   ASSERT_TRUE(primary.engine->Unsubscribe(acked.begin()->first));
   acked.erase(acked.begin());
   ASSERT_TRUE(shipper->ShipOnce().ok());
-  rs = shipper->stats();
-  EXPECT_EQ(rs.ship_passes, 2u);
-  EXPECT_EQ(rs.records_applied, 31u);
-  EXPECT_EQ(rs.cursor_lsn, primary.wal->durable_lsn());
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_ship_passes_total").counter, 2u);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_records_applied_total").counter,
+            31u);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_cursor_lsn").gauge,
+            static_cast<int64_t>(primary.wal->durable_lsn()));
   ExpectEngineParity(shipper->engine(), acked, "after second pass");
   c.Remove();
 }
@@ -252,17 +263,20 @@ TEST(LogShipping, MirrorFollowsSourceTruncationAndStaysBounded) {
 
   SubscribeSome(primary, rng, 16, &acked);
   ASSERT_TRUE(shipper->ShipOnce().ok());
-  const uint64_t mirrored = shipper->stats().segments_mirrored;
-  ASSERT_GT(mirrored, 2u);
+  ASSERT_GT(ReplMetric(*shipper, "accl_repl_segments_mirrored_total").counter,
+            2u);
 
   // The primary checkpoints and truncates; the next pass copies the
   // covering image and unlinks the now-stale mirror segments.
   ASSERT_TRUE(primary.checkpointer->CheckpointNow());
   SubscribeSome(primary, rng, 4, &acked);
   ASSERT_TRUE(shipper->ShipOnce().ok());
-  const ReplicationStats rs = shipper->stats();
-  EXPECT_GT(rs.mirror_segments_unlinked, 0u);
-  EXPECT_EQ(rs.checkpoint_catchups, 0u);  // cursor never fell behind
+  EXPECT_GT(
+      ReplMetric(*shipper, "accl_repl_mirror_segments_unlinked_total").counter,
+      0u);
+  // The cursor never fell behind.
+  EXPECT_EQ(
+      ReplMetric(*shipper, "accl_repl_checkpoint_catchups_total").counter, 0u);
   EXPECT_LE(durability::ListSegmentFiles(c.replica_wal).size(),
             durability::ListSegmentFiles(c.wal).size());
   ExpectEngineParity(shipper->engine(), acked, "after mirror GC");
@@ -295,10 +309,13 @@ TEST(LogShipping, CheckpointCatchupWhenTruncationOutrunsCursor) {
       LogShipper::Create(UnitSchema(), Opts(), c.ShipOpts(nullptr), nullptr);
   ASSERT_NE(shipper, nullptr);
   ASSERT_TRUE(shipper->ShipOnce().ok());
-  const ReplicationStats rs = shipper->stats();
-  EXPECT_EQ(rs.checkpoint_catchups, 1u);
-  EXPECT_EQ(rs.records_applied, 6u);  // only the tail came from the log
-  EXPECT_EQ(rs.cursor_lsn, primary.wal->durable_lsn());
+  EXPECT_EQ(
+      ReplMetric(*shipper, "accl_repl_checkpoint_catchups_total").counter, 1u);
+  // Only the tail came from the log.
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_records_applied_total").counter,
+            6u);
+  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_cursor_lsn").gauge,
+            static_cast<int64_t>(primary.wal->durable_lsn()));
   ExpectEngineParity(shipper->engine(), acked, "after catch-up");
   EXPECT_EQ(shipper->engine()->role(),
             SubscriptionEngine::EngineRole::kFollower);
@@ -363,7 +380,10 @@ TEST(LogShipping, PromoteFlipsWarmFollowerToWritablePrimary) {
   DurableEngine promoted;
   ASSERT_TRUE(shipper->Promote(DurOpts(), &promoted).ok());
   EXPECT_EQ(shipper->engine(), nullptr);
-  EXPECT_TRUE(shipper->stats().promoted);
+  // The shipper withdrew its accl_repl_* metrics from the registry the
+  // promoted engine keeps.
+  EXPECT_EQ(promoted.engine->metrics().Snapshot().Find("accl_repl_promoted"),
+            nullptr);
   // Warm promotion: the engine that was following IS the new primary.
   EXPECT_EQ(promoted.engine.get(), warm);
   EXPECT_EQ(promoted.engine->role(),

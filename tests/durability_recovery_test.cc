@@ -25,11 +25,15 @@
 
 #include "adapt/pattern_tracker.h"
 #include "durability/checkpoint.h"
+#include "durability/shipping.h"
 #include "durability/wal.h"
 #include "geometry/query.h"
 #include "sdi/subscription_engine.h"
+#include "storage/paged_store.h"
 #include "tests/test_util.h"
+#include "util/digest.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace accl {
 namespace {
@@ -220,14 +224,16 @@ void CleanRestartRoundTrip(bool group_commit) {
     // the tiny segment size that means real segment GC: files rotated in,
     // then unlinked once a checkpoint covered them — the on-disk footprint
     // is bounded, not just logically truncated.
-    const obs::MetricsSnapshot snap = de.engine->metrics().Snapshot();
-    ASSERT_NE(snap.Find("accl_ckpt_writes_total"), nullptr);
-    EXPECT_GT(snap.Find("accl_ckpt_writes_total")->counter, 0u);
-    const WalStats ws = de.wal->stats();
-    EXPECT_GT(ws.truncations, 0u);
-    EXPECT_GT(ws.segments_rotated, 0u);
-    EXPECT_GT(ws.segments_unlinked, 0u);
-    EXPECT_LT(ws.live_segments, ws.segments_rotated + 1);
+    const obs::MetricsRegistry& reg = de.engine->metrics();
+    using testutil::MetricOf;
+    EXPECT_GT(MetricOf(reg, "accl_ckpt_writes_total").counter, 0u);
+    EXPECT_GT(MetricOf(reg, "accl_wal_truncations_total").counter, 0u);
+    const uint64_t rotated =
+        MetricOf(reg, "accl_wal_segments_rotated_total").counter;
+    EXPECT_GT(rotated, 0u);
+    EXPECT_GT(MetricOf(reg, "accl_wal_segments_unlinked_total").counter, 0u);
+    EXPECT_LT(MetricOf(reg, "accl_wal_live_segments").gauge,
+              static_cast<int64_t>(rotated) + 1);
     fences_version = de.engine->routing_version();
     EXPECT_GT(acked.size(), 20u);  // the script really did build state
   }
@@ -307,6 +313,290 @@ TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
                           "crash point " + std::to_string(k));
     paths.Remove();
   }
+}
+
+// ---------------------------------------------------------------------------
+// The routing plan survives a restart and a failover
+// ---------------------------------------------------------------------------
+
+constexpr Dim kPlanNd = 4;
+
+AttributeSchema PlanSchema() {
+  AttributeSchema s;
+  for (Dim d = 0; d < kPlanNd; ++d) {
+    s.AddAttribute("p" + std::to_string(d), 0.0, 1.0);
+  }
+  return s;
+}
+
+/// 4 range shards plus the overflow shard, and two split sub-shards.
+EngineOptions PlanOpts() {
+  EngineOptions o = Opts();
+  o.shards = 5;
+  o.adaptive.overflow_split_shards = 2;
+  return o;
+}
+
+/// What an engine learned about routing, and where it put everything.
+struct PlanState {
+  uint32_t dim = 0;
+  std::vector<float> fences;
+  int32_t split_dim = -1;
+  std::vector<size_t> per_shard;
+
+  static PlanState Of(const SubscriptionEngine& e) {
+    PlanState p;
+    p.dim = e.routing_dimension();
+    p.fences = e.GetRangeBoundaries();
+    p.split_dim = e.overflow_split_dimension();
+    for (const auto& info : e.GetShardInfos()) {
+      p.per_shard.push_back(info.subscriptions);
+    }
+    return p;
+  }
+};
+
+void ExpectSamePlan(const PlanState& got, const PlanState& want,
+                    const std::string& context) {
+  EXPECT_EQ(got.dim, want.dim) << context;
+  EXPECT_EQ(got.fences, want.fences) << context;
+  EXPECT_EQ(got.split_dim, want.split_dim) << context;
+  EXPECT_EQ(got.per_shard, want.per_shard) << context;
+}
+
+void ExpectPlanParity(SubscriptionEngine& e,
+                      const std::map<SubscriptionId, Box>& acked,
+                      const std::string& context) {
+  ASSERT_EQ(e.subscription_count(), acked.size()) << context;
+  Rng rng(4242);
+  for (int i = 0; i < 16; ++i) {
+    const Box probe = testutil::RandomBox(rng, kPlanNd, 0.4f);
+    std::vector<SubscriptionId> got;
+    e.Match(Event::Range(probe), &got);
+    ASSERT_EQ(got, Oracle(acked, probe)) << context;
+  }
+  std::vector<Box> live;
+  for (const auto& [id, box] : acked) live.push_back(box);
+  EXPECT_TRUE(e.pattern_tracker()->Snapshot().sub_dims ==
+              testutil::ResidentHistogram(live, kPlanNd))
+      << context << ": resident histogram differs from the live set";
+}
+
+TEST(DurabilityRecovery, RestartAndFailoverKeepTheRoutingPlan) {
+  const Paths paths("plan");
+  const Paths replica("plan_replica");
+  paths.Remove();
+  replica.Remove();
+  durability::LogShipper::Options so;
+  so.source_wal_base = paths.wal;
+  so.source_checkpoint_path = paths.ckpt;
+  so.replica_wal_base = replica.wal;
+  so.replica_checkpoint_path = replica.ckpt;
+
+  std::map<SubscriptionId, Box> acked;
+  PlanState before;
+  std::unique_ptr<durability::LogShipper> shipper;
+  {
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(PlanSchema(), PlanOpts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    // Narrow and skewed on dimension 3, so fences planned there differ
+    // from the uniform ones; up to 0.3 wide elsewhere.
+    Rng rng(16);
+    for (int b = 0; b < 40; ++b) {
+      std::vector<Box> batch;
+      for (int i = 0; i < 100; ++i) {
+        Box box = testutil::RandomBox(rng, kPlanNd, 0.3f);
+        const float len = 0.05f * rng.NextFloat();
+        const float u = rng.NextFloat();
+        const float lo = u * u * (1.0f - len);
+        box.set(3, lo, lo + len);
+        batch.push_back(box);
+      }
+      std::vector<SubscriptionId> ids;
+      de.engine->SubscribeBatch(Span<const Box>(batch.data(), batch.size()),
+                                &ids);
+      ASSERT_EQ(ids.size(), batch.size());
+      for (size_t i = 0; i < ids.size(); ++i) acked[ids[i]] = batch[i];
+    }
+    ASSERT_TRUE(de.engine->SetRoutingDimension(3));
+    de.engine->RebalanceOnce();
+    ASSERT_TRUE(de.engine->SetOverflowSplit(1, {0.5f}));
+    before = PlanState::Of(*de.engine);
+    ASSERT_EQ(before.dim, 3u);
+    ASSERT_EQ(before.split_dim, 1);
+    // Every shard, split sub-shards included, holds someone: a plan the
+    // restore ignored would show in these counts.
+    for (const size_t n : before.per_shard) ASSERT_GT(n, 0u);
+    ASSERT_TRUE(de.checkpointer->CheckpointNow());
+
+    // A fresh follower: the checkpoint truncated the records it would
+    // need, so its first pass re-bases from the checkpoint.
+    shipper = durability::LogShipper::Create(PlanSchema(), PlanOpts(), so,
+                                             &st);
+    ASSERT_NE(shipper, nullptr) << st.message();
+    ASSERT_TRUE(shipper->ShipOnce().ok());
+    EXPECT_EQ(testutil::MetricOf(shipper->engine()->metrics(),
+                                 "accl_repl_checkpoint_catchups_total")
+                  .counter,
+              1u);
+  }  // primary gone; its files survive
+
+  {
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(PlanSchema(), PlanOpts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    EXPECT_TRUE(de.recovery.checkpoint_loaded);
+    ExpectSamePlan(PlanState::Of(*de.engine), before, "restart");
+    ExpectPlanParity(*de.engine, acked, "restart");
+  }
+
+  durability::DurableEngine promoted;
+  ASSERT_TRUE(shipper->Promote(DurOpts(), &promoted).ok());
+  ExpectSamePlan(PlanState::Of(*promoted.engine), before, "promoted");
+  ExpectPlanParity(*promoted.engine, acked, "promoted");
+  promoted = durability::DurableEngine();
+  shipper.reset();
+  paths.Remove();
+  replica.Remove();
+}
+
+TEST(DurabilityRecovery, SplitBeyondTheConfiguredCapacityIsDropped) {
+  const Paths paths("plan_nosplit");
+  paths.Remove();
+  std::map<SubscriptionId, Box> acked;
+  PlanState before;
+  {
+    durability::DurableEngine de;
+    ASSERT_TRUE(durability::OpenDurable(PlanSchema(), PlanOpts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        nullptr));
+    Rng rng(17);
+    for (int i = 0; i < 300; ++i) {
+      const Box b = testutil::RandomBox(rng, kPlanNd, 0.5f);
+      acked[de.engine->SubscribeBox(b)] = b;
+    }
+    ASSERT_TRUE(de.engine->SetRoutingDimension(2));
+    ASSERT_TRUE(de.engine->SetOverflowSplit(0, {0.5f}));
+    before = PlanState::Of(*de.engine);
+    ASSERT_TRUE(de.checkpointer->CheckpointNow());
+  }
+  // Restarted without split sub-shards: the dimension and fences stay,
+  // the split goes, and the straddlers it held return to the catch-all.
+  EngineOptions no_split = PlanOpts();
+  no_split.adaptive.overflow_split_shards = 0;
+  durability::DurableEngine de;
+  ASSERT_TRUE(durability::OpenDurable(PlanSchema(), no_split, DurOpts(),
+                                      paths.wal, paths.ckpt, nullptr, &de,
+                                      nullptr));
+  const PlanState after = PlanState::Of(*de.engine);
+  EXPECT_EQ(after.dim, 2u);
+  EXPECT_EQ(after.fences, before.fences);
+  EXPECT_EQ(after.split_dim, -1);
+  ASSERT_EQ(after.per_shard.size(), 5u);
+  // Range slices keep their residents; the catch-all takes the split's.
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(after.per_shard[s], before.per_shard[s]) << s;
+  }
+  EXPECT_EQ(after.per_shard[4],
+            before.per_shard[4] + before.per_shard[5] + before.per_shard[6]);
+  ExpectPlanParity(*de.engine, acked, "split dropped");
+  de = durability::DurableEngine();
+  paths.Remove();
+}
+
+/// Writes `image` as a version-1 checkpoint (the format before the routing
+/// plan's dimension and split were stored) into a fresh checkpoint file.
+void WriteVersion1Checkpoint(const std::string& path,
+                             const durability::EngineImage& image) {
+  ByteWriter w;
+  w.PutU32(0x41434B50u);  // "ACKP"
+  w.PutU32(1);
+  w.PutU64(image.lsn);
+  w.PutU32(image.next_id);
+  w.PutU64(image.routing_version);
+  w.PutU32(image.nd);
+  w.PutU32(static_cast<uint32_t>(image.fences.size()));
+  for (const float f : image.fences) w.PutF32(f);
+  w.PutU64(image.ids.size());
+  w.PutBytes(image.ids.data(), image.ids.size() * sizeof(SubscriptionId));
+  w.PutBytes(image.coords.data(), image.coords.size() * sizeof(float));
+  w.PutU32(FnvFold32(Fnv1aBytes(kFnvOffsetBasis, w.bytes().data(), w.size())));
+  auto file = PagedFile::Create(path, durability::kCheckpointPageBytes);
+  ASSERT_NE(file, nullptr);
+  const uint64_t pages =
+      (w.size() + file->page_bytes() - 1) / file->page_bytes();
+  const uint64_t first = file->AllocateRun(pages);
+  ASSERT_TRUE(file->WriteAt(first, 0, w.bytes().data(), w.size()));
+  ASSERT_TRUE(file->Sync());
+  ASSERT_TRUE(file->SetDirectory(first, pages, w.size()));
+  ASSERT_TRUE(file->Sync());
+}
+
+TEST(DurabilityRecovery, VersionOneCheckpointRestoresFencesOnDimensionZero) {
+  const Paths paths("v1");
+  paths.Remove();
+  durability::EngineImage image;
+  image.lsn = 0;
+  image.next_id = 301;
+  image.routing_version = 4;
+  image.nd = kNd;
+  image.fences = {0.3f, 0.45f};
+  std::map<SubscriptionId, Box> acked;
+  Rng rng(18);
+  for (SubscriptionId id = 1; id <= 300; ++id) {
+    const Box b = testutil::RandomBox(rng, kNd, 0.4f);
+    acked[id] = b;
+    image.ids.push_back(id);
+    image.coords.insert(image.coords.end(), b.data(), b.data() + 2 * kNd);
+  }
+  WriteVersion1Checkpoint(paths.ckpt, image);
+
+  // The store reads it as dimension 0 with no split.
+  {
+    auto store = durability::CheckpointStore::Open(PagedFile::Open(paths.ckpt));
+    ASSERT_NE(store, nullptr);
+    durability::EngineImage back;
+    ASSERT_TRUE(store->Read(&back));
+    EXPECT_EQ(back.fences, image.fences);
+    EXPECT_EQ(back.dim, 0u);
+    EXPECT_EQ(back.split_dim, -1);
+    EXPECT_TRUE(back.split_bounds.empty());
+    EXPECT_EQ(back.ids, image.ids);
+    EXPECT_EQ(back.coords, image.coords);
+  }
+
+  // The engine restores it as one configured with those fences would
+  // hold the same subscriptions: routing snapshot 1, dimension 0.
+  EngineOptions configured = Opts();
+  configured.range_boundaries = image.fences;
+  SubscriptionEngine reference(UnitSchema(), configured);
+  for (const auto& [id, box] : acked) reference.SubscribeBox(box);
+
+  durability::DurableEngine de;
+  Status st;
+  ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                      paths.wal, paths.ckpt, nullptr, &de,
+                                      &st))
+      << st.message();
+  EXPECT_TRUE(de.recovery.checkpoint_loaded);
+  EXPECT_EQ(de.engine->routing_version(), 1u);
+  ExpectSamePlan(PlanState::Of(*de.engine), PlanState::Of(reference), "v1");
+  for (const Box& probe : Probes()) {
+    std::vector<SubscriptionId> got;
+    de.engine->Match(Event::Range(probe), &got);
+    EXPECT_EQ(got, Oracle(acked, probe));
+  }
+  ExpectResidentHistogram(*de.engine, acked, "v1");
+  EXPECT_EQ(de.engine->SubscribeBox(Box::FullDomain(kNd)), 301u);
+  de = durability::DurableEngine();
+  paths.Remove();
 }
 
 }  // namespace

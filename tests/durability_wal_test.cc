@@ -20,6 +20,7 @@
 #include "durability/wal.h"
 #include "storage/paged_store.h"
 #include "storage/sim_disk.h"
+#include "tests/test_util.h"
 
 namespace accl {
 namespace durability {
@@ -34,6 +35,13 @@ std::string FreshBase(const char* name) {
   const std::string base = TempPath(name);
   RemoveWalFiles(base);
   return base;
+}
+
+/// One of `wal`'s accl_wal_* metrics, read through a local registry.
+obs::MetricValue WalMetric(WriteAheadLog& wal, const std::string& name) {
+  obs::MetricsRegistry reg;
+  wal.AttachMetrics(&reg);
+  return testutil::MetricOf(reg, name);
 }
 
 std::unique_ptr<PagedFile> FreshFile(const std::string& path) {
@@ -220,10 +228,10 @@ TEST(WriteAheadLog, RotationSealsSegmentsAndReplaySpansBoundaries) {
   ASSERT_NE(wal, nullptr);
   AppendSerial(wal.get(), 0, 9, 0.3f);
 
-  WalStats st = wal->stats();
-  EXPECT_EQ(st.live_segments, 5u);  // two records per sealed segment
-  EXPECT_EQ(st.segments_rotated, 4u);
-  EXPECT_EQ(st.tail_segment_seq, 5u);
+  // Two records per sealed segment.
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_live_segments").gauge, 5);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_segments_rotated_total").counter, 4u);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_tail_segment_seq").gauge, 5);
 
   // Replay crosses every rotation boundary in LSN order.
   std::vector<WalRecord> recs = ReplayAll(*wal);
@@ -264,7 +272,7 @@ TEST(WriteAheadLog, ReopenResumesInEmptyJustRotatedTail) {
   // prefix survives and appends resume inside segment 2.
   EXPECT_EQ(wal->max_lsn(), 2u);
   EXPECT_EQ(ReplayAll(*wal).size(), 2u);
-  EXPECT_EQ(wal->stats().tail_segment_seq, 2u);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_tail_segment_seq").gauge, 2);
   AppendSerial(wal.get(), 10, 1, 0.5f);
   const std::vector<WalRecord> recs = ReplayAll(*wal);
   ASSERT_EQ(recs.size(), 3u);
@@ -290,10 +298,9 @@ TEST(WriteAheadLog, TruncateDropsCoveredSegmentsDurablyAndBoundsFootprint) {
 
   // Segments {1,2}, {3,4}, {5,6} are fully covered and unlinked — the
   // on-disk footprint actually shrinks.
-  WalStats st = wal->stats();
-  EXPECT_EQ(st.truncations, 1u);
-  EXPECT_EQ(st.live_segments, 2u);
-  EXPECT_EQ(st.segments_unlinked, 3u);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_truncations_total").counter, 1u);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_live_segments").gauge, 2);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_segments_unlinked_total").counter, 3u);
   EXPECT_EQ(ListSegmentFiles(base).size(), 2u);
 
   std::vector<WalRecord> recs = ReplayAll(*wal);
@@ -316,7 +323,7 @@ TEST(WriteAheadLog, GenerationStampRejectsAForeignFramePastTheValidTail) {
   // Segments: 1:{1,2} 2:{3,4} 3:{5,6} 4:{7} — lsn 7 is the only frame of a
   // freshly created segment.
   AppendSerial(wal.get(), 0, 7, 0.6f);
-  EXPECT_EQ(wal->stats().tail_segment_seq, 4u);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_tail_segment_seq").gauge, 4);
   wal.reset();
 
   // Right after lsn 7's frame, put bytes segment 4's own appends never
@@ -408,7 +415,10 @@ TEST(WriteAheadLog, ReplaySkipsSubscribeRecordsWithMalformedBoxes) {
   auto shipper = LogShipper::Create(schema, EngineOptions(), so, &st);
   ASSERT_NE(shipper, nullptr) << st.message();
   ASSERT_TRUE(shipper->ShipOnce().ok());
-  EXPECT_EQ(shipper->stats().cursor_lsn, 6u);
+  EXPECT_EQ(testutil::MetricOf(shipper->engine()->metrics(),
+                               "accl_repl_cursor_lsn")
+                .gauge,
+            6);
   std::vector<SubscriptionId> got;
   shipper->engine()->Match(everything, &got, MatchPolicy::kIntersecting);
   EXPECT_EQ(got, expected);
@@ -434,10 +444,13 @@ TEST(WriteAheadLog, PerRecordModeSyncsEveryRecord) {
     const Lsn l = wal->AppendSubscribe(i, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(l));
   }
-  const WalStats st = wal->stats();
-  EXPECT_EQ(st.records_appended, 8u);
-  EXPECT_EQ(st.flush_batches, 8u);  // one sync per record, by construction
-  EXPECT_DOUBLE_EQ(st.records_per_flush(), 1.0);
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_records_appended_total").counter, 8u);
+  // One sync per record, by construction.
+  EXPECT_EQ(WalMetric(*wal, "accl_wal_flush_batches_total").counter, 8u);
+  const obs::HistogramSnapshot per_sync =
+      WalMetric(*wal, "accl_wal_records_per_sync").hist;
+  EXPECT_EQ(per_sync.count, 8u);
+  EXPECT_EQ(per_sync.max, 1u);
   wal.reset();
   RemoveWalFiles(base);
 }
@@ -458,14 +471,14 @@ TEST(WriteAheadLog, GroupCommitSharesSyncsAcrossConcurrentAppenders) {
     });
   }
   for (auto& t : threads) t.join();
-  const WalStats st = wal->stats();
-  EXPECT_EQ(st.records_appended,
-            static_cast<uint64_t>(kThreads) * kPerThread);
+  const uint64_t appended =
+      WalMetric(*wal, "accl_wal_records_appended_total").counter;
+  EXPECT_EQ(appended, static_cast<uint64_t>(kThreads) * kPerThread);
   // Batching is scheduling-dependent, but can never need MORE syncs than
   // records; every record must still be durable and replayable.
-  EXPECT_LE(st.flush_batches, st.records_appended);
-  EXPECT_EQ(st.durable_lsn, st.records_appended);
-  EXPECT_EQ(ReplayAll(*wal).size(), st.records_appended);
+  EXPECT_LE(WalMetric(*wal, "accl_wal_flush_batches_total").counter, appended);
+  EXPECT_EQ(wal->durable_lsn(), appended);
+  EXPECT_EQ(ReplayAll(*wal).size(), appended);
   wal.reset();
   RemoveWalFiles(base);
 }

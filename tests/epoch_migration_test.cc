@@ -180,16 +180,21 @@ TEST(EpochMigration, DigestExactDuringContinuousRebalance) {
   // Epoch hygiene: after quiescing, retired snapshots are reclaimable and
   // the grace-period machinery ran once per publish.
   engine.SynchronizeEpochs();
-  const exec::EpochManagerStats es = engine.epoch_stats();
-  EXPECT_EQ(es.retired_pending, 0u);
-  EXPECT_GT(es.synchronizes, 0u);
-  EXPECT_GT(es.pins, 0u);
+  const obs::MetricsRegistry& reg = engine.metrics();
+  using testutil::MetricOf;
+  EXPECT_EQ(MetricOf(reg, "accl_epoch_reclaimed_total").counter,
+            MetricOf(reg, "accl_epoch_retired_total").counter);
+  const uint64_t synchronizes =
+      MetricOf(reg, "accl_epoch_synchronizes_total").counter;
+  EXPECT_GT(synchronizes, 0u);
+  EXPECT_GT(MetricOf(reg, "accl_epoch_pins_total").counter, 0u);
   // Grace-wait telemetry is populated: every Synchronize measured its
-  // wait, and the window percentiles are ordered sanely.
-  EXPECT_EQ(es.grace_waits, es.synchronizes);
-  EXPECT_GE(es.grace_wait_p50_ms, 0.0);
-  EXPECT_GE(es.grace_wait_p99_ms, es.grace_wait_p50_ms);
-  EXPECT_GE(es.grace_wait_max_ms, es.grace_wait_p99_ms);
+  // wait, and the percentiles are ordered sanely.
+  const obs::HistogramSnapshot grace =
+      MetricOf(reg, "accl_epoch_grace_wait_us").hist;
+  EXPECT_EQ(grace.count, synchronizes);
+  EXPECT_GE(grace.p99, grace.p50);
+  EXPECT_GE(static_cast<double>(grace.max), grace.p99);
 
   // Residency bookkeeping survived: every subscription owned exactly once.
   size_t resident = 0;

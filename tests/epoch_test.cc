@@ -1,38 +1,70 @@
 // Unit tests for the epoch-based reclamation subsystem (exec/epoch.h):
 // pin/unpin slot protocol, deferred retire lists, grace-period
 // Synchronize, slot-pool growth under more concurrent pins than slots,
-// and the counters the engine's observability surfaces.
+// and the accl_epoch_* counters the engine's registry surfaces.
 #include "exec/epoch.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "tests/test_util.h"
 
 namespace accl::exec {
 namespace {
 
-TEST(Epoch, PinReportsCurrentEpochAndReleases) {
+/// One of `em`'s accl_epoch_* metrics, read through a local registry.
+obs::MetricValue EpochMetric(EpochManager& em, const std::string& name) {
+  obs::MetricsRegistry reg;
+  em.AttachMetrics(&reg);
+  return testutil::MetricOf(reg, name);
+}
+
+/// Runs Synchronize on a second thread and asserts it stays blocked (and
+/// `freed` stays false) for a while; the caller then unpins, and Join()
+/// waits for the grace period to end.
+class BlockedSynchronize {
+ public:
+  BlockedSynchronize(EpochManager* em, const std::atomic<bool>* freed)
+      : thread_([this, em] {
+          em->Synchronize();
+          done_.store(true);
+        }) {
+    // Give the synchronizer ample opportunity to (incorrectly) finish.
+    for (int i = 0; i < 100; ++i) {
+      std::this_thread::yield();
+      EXPECT_FALSE(done_.load());
+      EXPECT_FALSE(freed->load());
+    }
+  }
+  void Join() {
+    thread_.join();
+    EXPECT_TRUE(done_.load());
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+TEST(Epoch, PinOccupiesASlotUntilReleased) {
   EpochManager em;
-  const uint64_t e0 = em.current_epoch();
-  EXPECT_GE(e0, 1u);  // 0 is the quiescent sentinel and never a real epoch
   {
     EpochManager::Guard g = em.Pin();
     EXPECT_TRUE(g.pinned());
-    EXPECT_EQ(g.epoch(), e0);
   }
-  EXPECT_EQ(em.stats().pins, 1u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_pins_total").counter, 1u);
 }
 
 TEST(Epoch, GuardMoveTransfersThePin) {
   EpochManager em;
   EpochManager::Guard a = em.Pin();
-  const uint64_t e = a.epoch();
   EpochManager::Guard b = std::move(a);
   EXPECT_FALSE(a.pinned());  // NOLINT(bugprone-use-after-move): tested
   EXPECT_TRUE(b.pinned());
-  EXPECT_EQ(b.epoch(), e);
   b.Release();
   EXPECT_FALSE(b.pinned());
   b.Release();  // double release is a no-op
@@ -45,63 +77,52 @@ TEST(Epoch, ReentrantPinsOccupyDistinctSlots) {
   EXPECT_TRUE(a.pinned());
   EXPECT_TRUE(b.pinned());
   a.Release();
-  // b still pins its own slot: retire at the current epoch and verify the
-  // entry is not reclaimable while b lives.
-  bool freed = false;
-  em.Retire([&] { freed = true; });
-  EXPECT_EQ(em.TryReclaim(), 0u);
-  EXPECT_FALSE(freed);
+  // b still pins its own slot: an entry retired now must outlive it.
+  std::atomic<bool> freed{false};
+  em.Retire([&] { freed.store(true); });
+  BlockedSynchronize sync(&em, &freed);
   b.Release();
-  EXPECT_EQ(em.TryReclaim(), 1u);
-  EXPECT_TRUE(freed);
+  sync.Join();
+  EXPECT_TRUE(freed.load());
 }
 
-TEST(Epoch, RetireIsDeferredUntilReadersDrain) {
+TEST(Epoch, DeleterWaitsForAReaderPinnedBeforeItsRetire) {
   EpochManager em;
   EpochManager::Guard g = em.Pin();
   std::vector<int> order;
+  std::atomic<bool> freed{false};
   em.Retire([&] { order.push_back(1); });
-  em.Retire([&] { order.push_back(2); });
-  EXPECT_EQ(em.TryReclaim(), 0u);  // reader pinned at the retire epoch
-  EXPECT_EQ(em.stats().retired_pending, 2u);
+  em.Retire([&] {
+    order.push_back(2);
+    freed.store(true);
+  });
+  BlockedSynchronize sync(&em, &freed);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_retired_total").counter, 2u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_reclaimed_total").counter, 0u);
   g.Release();
-  EXPECT_EQ(em.TryReclaim(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // FIFO, never concurrent
-  EXPECT_EQ(em.stats().retired_pending, 0u);
-  EXPECT_EQ(em.stats().reclaimed, 2u);
+  sync.Join();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // Retire order
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_reclaimed_total").counter, 2u);
 }
 
-TEST(Epoch, SynchronizeAdvancesEpochAndReclaims) {
+TEST(Epoch, SynchronizeReclaimsAndRecordsItsWait) {
   EpochManager em;
-  const uint64_t e0 = em.current_epoch();
   bool freed = false;
   em.Retire([&] { freed = true; });
   em.Synchronize();
-  EXPECT_GT(em.current_epoch(), e0);
   EXPECT_TRUE(freed);
-  EXPECT_EQ(em.stats().synchronizes, 1u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_synchronizes_total").counter, 1u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_grace_wait_us").hist.count, 1u);
 }
 
 TEST(Epoch, SynchronizeWaitsForOldEpochReaders) {
   EpochManager em;
-  std::atomic<bool> synchronized{false};
-  std::atomic<bool> release_reader{false};
-
+  const std::atomic<bool> never{false};
   EpochManager::Guard reader = em.Pin();
-  std::thread sync([&] {
-    em.Synchronize();
-    synchronized.store(true);
-  });
   // The synchronizer must not return while the old-epoch reader is pinned.
-  // Give it ample opportunity to (incorrectly) finish.
-  for (int i = 0; i < 100; ++i) {
-    std::this_thread::yield();
-    ASSERT_FALSE(synchronized.load());
-  }
-  release_reader.store(true);
+  BlockedSynchronize sync(&em, &never);
   reader.Release();
-  sync.join();
-  EXPECT_TRUE(synchronized.load());
+  sync.Join();
 }
 
 TEST(Epoch, NewEpochReadersDoNotBlockSynchronize) {
@@ -120,21 +141,22 @@ TEST(Epoch, NewEpochReadersDoNotBlockSynchronize) {
   for (int i = 0; i < 50; ++i) em.Synchronize();
   stop.store(true);
   treadmill.join();
-  EXPECT_EQ(em.stats().synchronizes, 50u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_synchronizes_total").counter, 50u);
 }
 
 TEST(Epoch, SlotPoolGrowsBeyondOneBlock) {
   // More simultaneous pins than one block holds (32): every pin must still
-  // succeed, and releasing them all must make everything reclaimable.
+  // succeed, a grace period must wait for all of them, and releasing them
+  // all must let it reclaim.
   EpochManager em;
   std::vector<EpochManager::Guard> guards;
   for (int i = 0; i < 100; ++i) guards.push_back(em.Pin());
-  bool freed = false;
-  em.Retire([&] { freed = true; });
-  EXPECT_EQ(em.TryReclaim(), 0u);
+  std::atomic<bool> freed{false};
+  em.Retire([&] { freed.store(true); });
+  BlockedSynchronize sync(&em, &freed);
   guards.clear();
-  EXPECT_EQ(em.TryReclaim(), 1u);
-  EXPECT_TRUE(freed);
+  sync.Join();
+  EXPECT_TRUE(freed.load());
 }
 
 TEST(Epoch, ConcurrentPinnersNeverLoseASlot) {
@@ -155,7 +177,8 @@ TEST(Epoch, ConcurrentPinnersNeverLoseASlot) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(pinned_total.load(), uint64_t{kThreads} * kItersPerThread);
-  EXPECT_EQ(em.stats().pins, uint64_t{kThreads} * kItersPerThread);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_pins_total").counter,
+            uint64_t{kThreads} * kItersPerThread);
 }
 
 TEST(Epoch, ConcurrentRetireAndSynchronizeReclaimEverything) {
@@ -169,7 +192,7 @@ TEST(Epoch, ConcurrentRetireAndSynchronizeReclaimEverything) {
       threads.emplace_back([&] {
         for (int i = 0; i < kPerThread; ++i) {
           em.Retire([&] { freed.fetch_add(1, std::memory_order_relaxed); });
-          if (i % 64 == 0) em.TryReclaim();
+          if (i % 64 == 0) em.Synchronize();
         }
       });
     }
@@ -184,7 +207,8 @@ TEST(Epoch, ConcurrentRetireAndSynchronizeReclaimEverything) {
   }
   em.Synchronize();
   EXPECT_EQ(freed.load(), kRetirers * kPerThread);
-  EXPECT_EQ(em.stats().retired_pending, 0u);
+  EXPECT_EQ(EpochMetric(em, "accl_epoch_reclaimed_total").counter,
+            uint64_t{kRetirers} * kPerThread);
 }
 
 TEST(Epoch, DestructorRunsPendingDeleters) {
@@ -192,7 +216,7 @@ TEST(Epoch, DestructorRunsPendingDeleters) {
   {
     EpochManager em;
     em.Retire([&] { freed = true; });
-    // No TryReclaim/Synchronize: the destructor must not leak the entry.
+    // No Synchronize: the destructor must not leak the entry.
   }
   EXPECT_TRUE(freed);
 }

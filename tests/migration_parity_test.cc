@@ -171,8 +171,9 @@ TEST(MigrationParity, ScriptedRoutingChangesUnderChurn) {
   h.AddShards(engine);
 
   const auto rs = engine.rebalance_stats();
-  EXPECT_GE(rs.dimension_switches, 2u);
-  EXPECT_GE(rs.overflow_splits, 2u);
+  const AdaptiveRoutingStats as = engine.adaptive_stats();
+  EXPECT_GE(as.dimension_switches, 2u);
+  EXPECT_GE(as.overflow_splits, 2u);
   EXPECT_GT(rs.subscriptions_migrated, 4000u);
   h.Add(rs.subscriptions_migrated);
   h.Add(rs.boundary_moves);

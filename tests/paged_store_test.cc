@@ -242,6 +242,87 @@ TEST(ClusterFileStore, EndToEndIndexCheckpoint) {
   std::remove(path.c_str());
 }
 
+TEST(ClusterFileStore, EmptyIndexRoundTrip) {
+  const std::string path = TempPath("store_empty.pf");
+  AdaptiveConfig cfg;
+  cfg.nd = 4;
+  AdaptiveIndex idx(cfg);
+  {
+    ClusterFileStore store(PagedFile::Create(path, 1024), cfg.nd);
+    ASSERT_TRUE(store.PutAll(idx));
+    ASSERT_TRUE(store.SaveDirectory());
+  }
+  auto store = ClusterFileStore::Load(PagedFile::Open(path));
+  ASSERT_NE(store, nullptr);
+  std::vector<ClusterImage> images;
+  ASSERT_TRUE(store->GetAll(&images));
+  auto recovered = AdaptiveIndex::FromImages(cfg, images);
+  recovered->CheckInvariants();
+  EXPECT_EQ(recovered->size(), 0u);
+  EXPECT_EQ(recovered->cluster_count(), 1u);
+  std::remove(path.c_str());
+}
+
+/// Saves a small three-cluster store of dimensionality `nd` at `path`.
+void SaveSmallStore(const std::string& path, Dim nd) {
+  ClusterFileStore store(PagedFile::Create(path, 1024), nd);
+  for (ClusterId id = 0; id < 3; ++id) {
+    ASSERT_TRUE(store.Put(MakeImage(id, nd, 40, id + 1)));
+  }
+  ASSERT_TRUE(store.SaveDirectory());
+}
+
+TEST(ClusterFileStore, LoadRejectsMissingFile) {
+  EXPECT_EQ(ClusterFileStore::Load(PagedFile::Open("/nonexistent/path.pf")),
+            nullptr);
+}
+
+TEST(ClusterFileStore, LoadRejectsWrongDimensionality) {
+  // The directory records the dimensionality every stored signature must
+  // have: a directory that claims another one is refused.
+  const std::string path = TempPath("store_wrongnd.pf");
+  SaveSmallStore(path, 3);
+  {
+    auto pf = PagedFile::Open(path);
+    ASSERT_NE(pf, nullptr);
+    uint64_t first = 0, pages = 0, bytes = 0;
+    ASSERT_TRUE(pf->GetDirectory(&first, &pages, &bytes));
+    const uint32_t nd = 4;  // the directory's leading field
+    ASSERT_TRUE(pf->WriteAt(first, 0, &nd, sizeof(nd)));
+    ASSERT_TRUE(pf->Sync());
+  }
+  EXPECT_EQ(ClusterFileStore::Load(PagedFile::Open(path)), nullptr);
+  // The intact file reports the dimensionality it was saved with, which a
+  // caller compares against its AdaptiveConfig before FromImages.
+  SaveSmallStore(path, 3);
+  auto store = ClusterFileStore::Load(PagedFile::Open(path));
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->dims(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(ClusterFileStore, LoadRejectsCorruptedHeader) {
+  const std::string path = TempPath("store_badmagic.pf");
+  SaveSmallStore(path, 2);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
+  bytes[0] ^= 0xFF;  // file magic
+  ASSERT_TRUE(WriteFile(path, bytes));
+  EXPECT_EQ(ClusterFileStore::Load(PagedFile::Open(path)), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(ClusterFileStore, LoadRejectsTruncatedFile) {
+  const std::string path = TempPath("store_trunc.pf");
+  SaveSmallStore(path, 2);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
+  bytes.resize(bytes.size() * 2 / 3);
+  ASSERT_TRUE(WriteFile(path, bytes));
+  EXPECT_EQ(ClusterFileStore::Load(PagedFile::Open(path)), nullptr);
+  std::remove(path.c_str());
+}
+
 size_t OpenFdCount() {
   DIR* dir = opendir("/proc/self/fd");
   if (dir == nullptr) return 0;

@@ -366,9 +366,12 @@ TEST(RebalanceFuzz, FuzzedLogsActuallyExerciseTheRebalancer) {
   // snapshot; after a final drain nothing may be left pending.
   EXPECT_GT(engine.routing_version(), 1u);
   engine.SynchronizeEpochs();
-  const exec::EpochManagerStats es = engine.epoch_stats();
-  EXPECT_EQ(es.retired_pending, 0u);
-  EXPECT_EQ(es.retired, engine.routing_version() - 1);
+  const uint64_t retired =
+      testutil::MetricOf(engine.metrics(), "accl_epoch_retired_total").counter;
+  EXPECT_EQ(
+      testutil::MetricOf(engine.metrics(), "accl_epoch_reclaimed_total").counter,
+      retired);
+  EXPECT_EQ(retired, engine.routing_version() - 1);
 }
 
 TEST(RebalanceFuzz, ConcurrentRebalanceKeepsEngineConsistent) {
@@ -553,7 +556,9 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   }
   EXPECT_EQ(resident, subs.size());
   engine.SynchronizeEpochs();
-  EXPECT_EQ(engine.epoch_stats().retired_pending, 0u);
+  EXPECT_EQ(
+      testutil::MetricOf(engine.metrics(), "accl_epoch_reclaimed_total").counter,
+      testutil::MetricOf(engine.metrics(), "accl_epoch_retired_total").counter);
 }
 
 }  // namespace

@@ -505,17 +505,19 @@ TEST(RoutedEngine, OverflowPressureObservability) {
   EXPECT_EQ(infos[0].subscriptions + infos[1].subscriptions,
             120u - straddlers);
 
-  // MatchBatch stamps the overflow gauge on the overflow shard's entry
-  // only, alongside the routing snapshot version and epoch it ran under.
+  // MatchBatch names the overflow shard's entry, whose resident gauge is
+  // the straddler population, alongside the routing snapshot version it
+  // ran under.
   std::vector<Event> events = MakeEvents(rng, 8, {0.5f});
   MatchBatchResult res;
   engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res);
   ASSERT_EQ(res.per_shard.size(), 3u);
-  EXPECT_EQ(res.per_shard[2].overflow_subscriptions, straddlers);
-  EXPECT_EQ(res.per_shard[0].overflow_subscriptions, 0u);
-  EXPECT_EQ(res.per_shard[1].overflow_subscriptions, 0u);
+  ASSERT_EQ(res.overflow_shard, 2u);
+  EXPECT_EQ(res.per_shard[2].resident_subscriptions, straddlers);
+  EXPECT_EQ(res.per_shard[0].resident_subscriptions +
+                res.per_shard[1].resident_subscriptions,
+            120u - straddlers);
   EXPECT_EQ(res.routing_version, engine.routing_version());
-  EXPECT_GT(res.epoch, 0u);
 
 }
 

@@ -196,14 +196,19 @@ TEST(SdiEngine, MalformedBoxesNeverReachTheLog) {
                                       ckpt_path, nullptr, &de, &st))
       << st.message();
   const Dim nd = de.engine->schema().dims();
-  const uint64_t before = de.wal->stats().records_appended;
+  const auto appended = [&] {
+    return testutil::MetricOf(de.engine->metrics(),
+                              "accl_wal_records_appended_total")
+        .counter;
+  };
+  const uint64_t before = appended();
   EXPECT_EQ(de.engine->SubscribeBox(SpoiledBox(nd, 1, 0)), kInvalidObject);
   std::vector<Box> batch = {SpoiledBox(nd, 0, 2)};
   std::vector<SubscriptionId> ids;
   de.engine->SubscribeBatch(Span<const Box>(batch.data(), batch.size()),
                             &ids);
   EXPECT_TRUE(ids.empty());
-  EXPECT_EQ(de.wal->stats().records_appended, before);
+  EXPECT_EQ(appended(), before);
   de = durability::DurableEngine();
   durability::RemoveWalFiles(wal_path);
   std::remove(ckpt_path.c_str());

@@ -1,12 +1,16 @@
 // Shared helpers for the accl test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "adapt/pattern_tracker.h"
 #include "api/spatial_index.h"
 #include "geometry/query.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "workload/dataset.h"
 
@@ -65,6 +69,21 @@ inline std::vector<adapt::DimPattern> ResidentHistogram(
     }
   }
   return h;
+}
+
+/// The value of metric `name` in `reg` right now: `.counter`, `.gauge` or
+/// `.hist` by its type. Every component counter is read this way — a
+/// component without an engine is attached to a local registry first. A
+/// missing name fails the calling test and reads as zero.
+inline obs::MetricValue MetricOf(const obs::MetricsRegistry& reg,
+                                 const std::string& name) {
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  const obs::MetricValue* v = snap.Find(name);
+  if (v == nullptr) {
+    ADD_FAILURE() << "metric " << name << " is not registered";
+    return obs::MetricValue();
+  }
+  return *v;
 }
 
 }  // namespace testutil
