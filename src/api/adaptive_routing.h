@@ -1,6 +1,6 @@
 // Configuration and statistics types of the workload-adaptive routing
-// subsystem (src/adapt/): online fence-dimension selection and
-// overflow-shard splitting for the range-routed SDI engine.
+// subsystem (src/adapt/): online fence-dimension selection for the
+// range-routed SDI engine.
 //
 // The paper's index adapts each cluster to its observed queries; these
 // types lift the same idea one level up, to the *routing* layer. kRange
@@ -10,15 +10,14 @@
 // degrades toward broadcast. The adaptive subsystem observes event and
 // subscription interval distributions per dimension (QueryPatternTracker),
 // predicts each candidate dimension's routing selectivity under an optimal
-// fence set (SelectivityAnalyzer), and switches the fence dimension or
-// splits the overflow shard online (RoutingAdvisor), through the same
-// epoch-snapshot + double-residency migration machinery every routing
-// change uses — so match sets stay byte-identical to the serial oracle at
-// every instant.
+// fence set (SelectivityAnalyzer), and switches the fence dimension online
+// (adapt::AdviseRouting), through the same epoch-snapshot + double-residency
+// migration machinery every routing change uses — so match sets stay
+// byte-identical to the serial oracle at every instant.
 //
-// The fence starts on dimension 0. The hysteresis and split trigger below
-// are constants: no workload needs other values, and each would be one more
-// input to reason about when diagnosing a routing decision.
+// The fence starts on dimension 0. The hysteresis below is a constant: no
+// workload needs another value, and it would be one more input to reason
+// about when diagnosing a routing decision.
 //
 // These types live in api/ so the engine's options/stats surface does not
 // depend on the adapt/ implementation layer.
@@ -38,16 +37,6 @@ namespace accl {
 /// and forth at every evaluation.
 inline constexpr double kRoutingSwitchThreshold = 1.5;
 
-/// Overflow-split trigger: straddler pressure (catch-all overflow residents
-/// as a fraction of all subscriptions) must reach this level...
-inline constexpr double kSplitStraddlerThreshold = 0.25;
-
-/// ...for this many consecutive advisor windows before the overflow shard
-/// is split on a second dimension (straddler pressure under well-placed
-/// fences is a steady-state property, not a one-window blip). The advisor
-/// splits on the most selective dimension other than the fence dimension.
-inline constexpr uint32_t kSplitPatience = 2;
-
 /// Knobs of the adaptive routing subsystem (EngineOptions::adaptive).
 /// Validated by SubscriptionEngine::ValidateOptions; every violation is a
 /// descriptive Status from Create, never a crash in the first window.
@@ -63,13 +52,9 @@ struct AdaptiveRoutingOptions {
   /// be >= 1 when enabled (a zero window would evaluate on every event).
   uint32_t sample_window = 4096;
 
-  /// Overflow sub-shards reserved for splitting (0 = splitting disabled;
-  /// requires kRange when > 0). The engine allocates these physically at
-  /// construction; they stay empty and unvisited until a split activates.
-  /// With a split on dimension d2, a straddler whose d2 interval fits one
-  /// split slice lives in that sub-shard and an event visits only the
-  /// sub-shards its own d2 interval overlaps — the catch-all overflow
-  /// shard keeps only double-straddlers.
+  /// Ignored: nothing reads it, and it allocates no shard. It remains only
+  /// because perfbench/src/match_stream.cc still sets it; ROADMAP item 8
+  /// deletes the field together with that line.
   uint32_t overflow_split_shards = 0;
 };
 
@@ -95,11 +80,7 @@ struct AdaptiveRoutingStats {
   bool enabled = false;
   /// Fence dimension of the current routing snapshot.
   uint32_t fence_dimension = 0;
-  /// Overflow-split dimension of the current snapshot, or -1 when the
-  /// split is inactive.
-  int32_t split_dimension = -1;
   uint64_t dimension_switches = 0;
-  uint64_t overflow_splits = 0;
   /// Advisor windows evaluated (each may or may not act).
   uint64_t windows_evaluated = 0;
   /// Lifetime samples the tracker has folded in.

@@ -17,9 +17,13 @@ namespace accl::durability {
 namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x41434B50u;  // "ACKP"
-// Version 2 added the routing plan's fence dimension and overflow split
-// after the fences; a version-1 image reads as dimension 0, no split.
+// Version 2 added the routing plan's fence dimension after the fences,
+// followed by a split dimension and a split fence array that earlier
+// engines used. They are still framed (written as -1 and empty) so images
+// open in both directions; the reader bounds-checks and discards them. A
+// version-1 image reads as dimension 0.
 constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kNoSplitDimension = static_cast<uint32_t>(-1);
 
 uint32_t ChecksumOf(const uint8_t* p, size_t n) {
   return FnvFold32(Fnv1aBytes(kFnvOffsetBasis, p, n));
@@ -60,9 +64,8 @@ bool CheckpointStore::Write(const EngineImage& image) {
   w.PutU32(static_cast<uint32_t>(image.fences.size()));
   for (const float f : image.fences) w.PutF32(f);
   w.PutU32(image.dim);
-  w.PutU32(static_cast<uint32_t>(image.split_dim));
-  w.PutU32(static_cast<uint32_t>(image.split_bounds.size()));
-  for (const float f : image.split_bounds) w.PutF32(f);
+  w.PutU32(kNoSplitDimension);
+  w.PutU32(0);  // split fence count
   const uint64_t n = image.ids.size();
   ACCL_CHECK(image.coords.size() ==
              n * 2 * static_cast<size_t>(image.nd));
@@ -146,21 +149,18 @@ bool CheckpointStore::Read(EngineImage* out) {
     if (!r.GetF32(&out->fences[i])) return false;
   }
   out->dim = 0;
-  out->split_dim = -1;
-  out->split_bounds.clear();
   if (version >= 2) {
-    uint32_t split_dim = 0, n_split = 0;
     if (!r.GetU32(&out->dim) || out->dim >= out->nd) return false;
-    if (!r.GetU32(&split_dim)) return false;
-    out->split_dim = static_cast<int32_t>(split_dim);
-    if (out->split_dim < -1 ||
-        out->split_dim >= static_cast<int32_t>(out->nd)) {
+    // The overflow split's dimension and fences: bounds-checked, discarded.
+    uint32_t axis = 0, n_axis_fences = 0;
+    if (!r.GetU32(&axis)) return false;
+    if (axis != kNoSplitDimension && axis >= out->nd) return false;
+    if (!r.GetU32(&n_axis_fences) || n_axis_fences > r.remaining() / 4) {
       return false;
     }
-    if (!r.GetU32(&n_split) || n_split > r.remaining() / 4) return false;
-    out->split_bounds.resize(n_split);
-    for (uint32_t i = 0; i < n_split; ++i) {
-      if (!r.GetF32(&out->split_bounds[i])) return false;
+    for (uint32_t i = 0; i < n_axis_fences; ++i) {
+      float ignored = 0.0f;
+      if (!r.GetF32(&ignored)) return false;
     }
   }
   uint64_t n = 0;

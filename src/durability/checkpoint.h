@@ -3,7 +3,7 @@
 //
 // A checkpoint is one self-contained, checksummed image of the engine —
 // every live subscription (id + normalized box), the routing plan (fence
-// dimension and fences, overflow split) and version, the id allocator,
+// dimension and fences) and version, the id allocator,
 // and the WAL LSN the image covers — written
 // through the PagedFile shadow-paging path ClusterFileStore established:
 // the blob goes into a *fresh* page run, is synced, and only then does the
@@ -51,8 +51,6 @@ struct EngineImage {
   Dim nd = 0;
   std::vector<float> fences;            ///< kRange interior fences (or empty)
   uint32_t dim = 0;                     ///< dimension the fences cut
-  int32_t split_dim = -1;               ///< overflow split dimension, or -1
-  std::vector<float> split_bounds;      ///< interior split fences
   std::vector<SubscriptionId> ids;      ///< live subscriptions
   std::vector<float> coords;            ///< ids.size() * 2 * nd floats
 };

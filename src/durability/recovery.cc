@@ -109,11 +109,12 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
     rs.checkpoint_subscriptions = image.ids.size();
     rs.checkpoint_lsn = image.lsn;
     // Restore the checkpointed fence array when it fits the configured
-    // shard count; otherwise keep the configured boundaries — the restore
-    // below re-routes every subscription under whatever table the engine
-    // starts with, so shard-count changes across a restart are legal.
+    // shard count and is a valid fence array (finite, strictly ascending);
+    // otherwise keep the configured boundaries — the restore below
+    // re-routes every subscription under whatever table the engine starts
+    // with, so shard-count changes across a restart are legal.
     if (options.sharding == ShardingPolicy::kRange && options.shards >= 2 &&
-        image.fences.size() == static_cast<size_t>(options.shards) - 2) {
+        FencesFit(image.fences, static_cast<size_t>(options.shards) - 2)) {
       options.range_boundaries = image.fences;
     }
   }
@@ -122,23 +123,15 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
       Create(std::move(schema), std::move(options), status);
   if (engine == nullptr) return nullptr;
 
-  // The fence dimension and the overflow split are not options: publish
-  // them on the still-empty engine, so the restore below homes every
-  // subscription by the captured plan. A split that does not fit the
-  // configured split capacity is dropped, as a fence array that does not
-  // fit the shard count is above. A version-1 image carries dimension 0
-  // and no split, which is the configured plan: nothing is published.
-  if (have_image && engine->range_routed_) {
+  // The fence dimension is not an option: publish it on the still-empty
+  // engine, so the restore below homes every subscription by the captured
+  // plan. A version-1 image carries dimension 0, which is the configured
+  // plan: nothing is published.
+  if (have_image && engine->range_routed_ && image.dim != 0) {
     std::lock_guard<std::mutex> lk(engine->rebalance_mu_);
     RoutingPlan plan = engine->SnapshotUnderRebalanceLock()->plan;
     plan.dim = image.dim;
-    if (image.split_dim >= 0 && engine->SplitFits(image.split_bounds)) {
-      plan.split_dim = image.split_dim;
-      plan.split_bounds = image.split_bounds;
-    }
-    if (plan.dim != 0 || plan.split_dim >= 0) {
-      engine->PublishSnapshot(std::move(plan), std::nullopt);
-    }
+    engine->PublishSnapshot(std::move(plan), std::nullopt);
   }
 
   WallTimer timer;

@@ -329,7 +329,6 @@ Status LogShipper::Promote(const DurabilityOptions& durability_options,
   out->engine->SetRole(SubscriptionEngine::EngineRole::kPrimary);
   WireDurableEngine(durability_options, out);
   out->recovery = apply_stats_;
-  promoted_gauge_.Set(1);
   cursor_lsn_gauge_.Set(static_cast<int64_t>(cursor_lsn_));
   // The promoted engine (and its registry) outlives this shipper, and the
   // shipper-owned counters stop meaning anything for a primary: withdraw
@@ -346,8 +345,7 @@ void LogShipper::DetachMetrics() {
         "accl_repl_mirror_segments_unlinked_total",
         "accl_repl_checkpoint_catchups_total", "accl_repl_ship_errors_total",
         "accl_repl_ship_pass_us", "accl_repl_cursor_lsn",
-        "accl_repl_source_durable_lsn", "accl_repl_lag_records",
-        "accl_repl_promoted"}) {
+        "accl_repl_source_durable_lsn", "accl_repl_lag_records"}) {
     attached_reg_->Detach(name);
   }
   attached_reg_ = nullptr;
@@ -377,8 +375,6 @@ void LogShipper::AttachMetrics(obs::MetricsRegistry* reg) {
               "highest source LSN observed");
   reg->Attach("accl_repl_lag_records", &lag_records_gauge_,
               "records the follower is behind the source");
-  reg->Attach("accl_repl_promoted", &promoted_gauge_,
-              "1 after a successful promotion");
 }
 
 }  // namespace accl::durability

@@ -161,7 +161,6 @@ class LogShipper {
   obs::Gauge cursor_lsn_gauge_;
   obs::Gauge source_durable_lsn_gauge_;
   obs::Gauge lag_records_gauge_;
-  obs::Gauge promoted_gauge_;  ///< 0/1
   obs::MetricsRegistry* attached_reg_ = nullptr;
 
   /// Withdraws the accl_repl_* names from attached_reg_ (if any).

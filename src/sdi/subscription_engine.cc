@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -208,12 +207,6 @@ struct SubscriptionEngine::EngineObs {
         dimension_switches(r->GetCounter(
             "accl_adapt_dimension_switches_total",
             "online fence-dimension switches (advisor or manual)")),
-        overflow_splits(r->GetCounter(
-            "accl_adapt_overflow_splits_total",
-            "overflow-shard split activations (advisor or manual)")),
-        straddlers_split(r->GetCounter(
-            "accl_adapt_straddlers_split_total",
-            "straddlers moved out of the catch-all shard by splits")),
         windows_evaluated(r->GetCounter("accl_adapt_windows_evaluated_total",
                                         "advisor windows evaluated")),
         subscriptions(r->GetGauge("accl_engine_subscriptions",
@@ -238,8 +231,6 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* transition_events;
   obs::Counter* transition_extra_visits;
   obs::Counter* dimension_switches;
-  obs::Counter* overflow_splits;
-  obs::Counter* straddlers_split;
   obs::Counter* windows_evaluated;
   obs::Gauge* subscriptions;
   obs::Gauge* heap_allocs;
@@ -292,27 +283,24 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
           "ShardingPolicy::kRange needs shards >= 2 (K-1 slice shards plus "
           "the overflow shard)");
     }
+    const size_t interior = static_cast<size_t>(o.shards) - 2;
     if (!o.range_boundaries.empty()) {
-      if (o.range_boundaries.size() != static_cast<size_t>(o.shards) - 2) {
+      if (o.range_boundaries.size() != interior) {
         return Status::InvalidArgument(
             "range_boundaries must have exactly shards-2 interior fences "
             "(or be empty for a uniform split)");
       }
-      for (size_t i = 1; i < o.range_boundaries.size(); ++i) {
-        if (!(o.range_boundaries[i - 1] < o.range_boundaries[i])) {
-          return Status::InvalidArgument(
-              "range_boundaries must be strictly ascending");
-        }
+      if (!FencesFit(o.range_boundaries, interior)) {
+        return Status::InvalidArgument(
+            "range_boundaries must be finite and strictly ascending");
       }
     }
   }
   const AdaptiveRoutingOptions& a = o.adaptive;
-  if ((a.enabled || a.overflow_split_shards > 0) &&
-      o.sharding != ShardingPolicy::kRange) {
+  if (a.enabled && o.sharding != ShardingPolicy::kRange) {
     return Status::InvalidArgument(
-        "adaptive routing (adaptive.enabled / overflow_split_shards) "
-        "requires ShardingPolicy::kRange — other policies have no fence "
-        "dimension to adapt");
+        "adaptive routing (adaptive.enabled) requires ShardingPolicy::kRange "
+        "— other policies have no fence dimension to adapt");
   }
   if (a.enabled && a.sample_window < 1) {
     return Status::InvalidArgument(
@@ -321,6 +309,16 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
   }
   // match_threads == 0 is documented as "caller thread does everything".
   return Status::Ok();
+}
+
+bool SubscriptionEngine::FencesFit(const std::vector<float>& fences,
+                                   size_t count) {
+  if (fences.size() != count) return false;
+  for (size_t i = 0; i < fences.size(); ++i) {
+    if (!std::isfinite(fences[i])) return false;
+    if (i > 0 && !(fences[i - 1] < fences[i])) return false;
+  }
+  return true;
 }
 
 std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Create(
@@ -350,15 +348,9 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   epoch_.AttachMetrics(metrics_.get());
   options_.index.nd = schema_.dims();
   RoutingPlan plan;
-  uint32_t physical_shards = options_.shards;
   if (options_.sharding == ShardingPolicy::kRange) {
     range_routed_ = true;
     num_range_shards_ = options_.shards - 1;
-    // Split sub-shards are allocated up front (the shard table is never
-    // resized concurrently); they idle — empty and unrouted — until a
-    // split activates. The catch-all overflow shard stays LAST.
-    num_split_shards_ = options_.adaptive.overflow_split_shards;
-    physical_shards = options_.shards + num_split_shards_;
     plan.dim = 0;
     if (!options_.range_boundaries.empty()) {
       plan.bounds = options_.range_boundaries;
@@ -370,13 +362,10 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
       }
     }
     tracker_ = std::make_unique<adapt::QueryPatternTracker>(schema_.dims());
-    if (options_.adaptive.enabled) {
-      advisor_ = std::make_unique<adapt::RoutingAdvisor>();
-    }
     auto_moves_ = options_.rebalance_period > 0 || options_.adaptive.enabled;
   }
-  shards_.reserve(physical_shards);
-  for (uint32_t s = 0; s < physical_shards; ++s) {
+  shards_.reserve(options_.shards);
+  for (uint32_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.index));
   }
   // The pool's fan-outs include the calling thread, so N-way matching
@@ -431,40 +420,19 @@ uint32_t SubscriptionEngine::RangeShardFor(const RoutingPlan& plan,
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
-  if (a == b) return a;
-  // Fence straddler. With an active split, a straddler whose
-  // split-dimension interval fits one split slice lives in that sub-shard;
-  // only double-straddlers fall through to the catch-all overflow shard.
-  if (plan.split_dim >= 0) {
-    const Dim sd = static_cast<Dim>(plan.split_dim);
-    const uint32_t ja = SliceOf(plan.split_bounds, box.lo(sd));
-    const uint32_t jb = SliceOf(plan.split_bounds, box.hi(sd));
-    if (ja == jb) return num_range_shards_ + ja;
-  }
-  return static_cast<uint32_t>(shards_.size() - 1);
+  return a == b ? a : static_cast<uint32_t>(shards_.size() - 1);
 }
 
 void SubscriptionEngine::RouteEvent(const RoutingPlan& plan, const Box& box,
                                     std::vector<uint32_t>* out) const {
-  // The slice span of the event's fence-dimension interval, then (split
-  // active) the sub-shards its split-dimension interval overlaps, then the
-  // catch-all overflow shard. Sub-shard ids sit strictly between the slice
-  // ids and the catch-all's, so the route list stays ascending — which the
-  // pipeline's deterministic per-shard execution order relies on. Routing
-  // stays exact: every supported relation implies per-dimension interval
-  // overlap, so an event overlaps a sub-shard resident's split slice span.
+  // The slice span of the event's fence-dimension interval, then the
+  // overflow shard, whose id is the highest: the route list stays
+  // ascending, which the pipeline's deterministic per-shard execution order
+  // relies on.
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
   for (uint32_t s = a; s <= b; ++s) out->push_back(s);
-  if (plan.split_dim >= 0) {
-    const Dim sd = static_cast<Dim>(plan.split_dim);
-    const uint32_t ja = SliceOf(plan.split_bounds, box.lo(sd));
-    const uint32_t jb = SliceOf(plan.split_bounds, box.hi(sd));
-    for (uint32_t j = ja; j <= jb; ++j) {
-      out->push_back(num_range_shards_ + j);
-    }
-  }
   out->push_back(static_cast<uint32_t>(shards_.size() - 1));
 }
 
@@ -723,11 +691,6 @@ uint32_t SubscriptionEngine::routing_dimension() const {
   return snapshot_.load(std::memory_order_seq_cst)->plan.dim;
 }
 
-int32_t SubscriptionEngine::overflow_split_dimension() const {
-  exec::EpochManager::Guard guard = epoch_.Pin();
-  return snapshot_.load(std::memory_order_seq_cst)->plan.split_dim;
-}
-
 uint64_t SubscriptionEngine::routing_version() const {
   exec::EpochManager::Guard guard = epoch_.Pin();
   return snapshot_.load(std::memory_order_seq_cst)->version;
@@ -839,8 +802,6 @@ void SubscriptionEngine::CaptureDurableImage(
   // snapshot).
   out->fences = snap->plan.bounds;
   out->dim = snap->plan.dim;
-  out->split_dim = snap->plan.split_dim;
-  out->split_bounds = snap->plan.split_bounds;
   out->routing_version = snap->version;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
   for (Shard* sh : snap->shards) {
@@ -1132,7 +1093,7 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
 void SubscriptionEngine::MaybeAutoMove(uint64_t events) {
   if (!auto_moves_) return;
   const bool window_due =
-      advisor_ != nullptr &&
+      options_.adaptive.enabled &&
       events_since_window_.fetch_add(events, std::memory_order_relaxed) +
               events >=
           options_.adaptive.sample_window;
@@ -1168,73 +1129,35 @@ void SubscriptionEngine::MaybeAutoMove(uint64_t events) {
 bool SubscriptionEngine::EvaluateAdaptiveLocked(
     std::unique_lock<std::mutex>& lk, const adapt::PatternSnapshot& pattern) {
   obs_->windows_evaluated->Add(1);
-  const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
-
-  adapt::AdvisorState st;
-  st.current_dim = cur.dim;
-  st.split_active = cur.split_dim >= 0;
-  st.range_slices = num_range_shards_;
-  st.split_slices = num_split_shards_;
-  st.overflow_residents =
-      shards_.back()->subs.load(std::memory_order_relaxed);
-  st.total_subscriptions =
-      subscription_count_.load(std::memory_order_relaxed);
-
-  adapt::RoutingDecision d = advisor_->Evaluate(pattern, st);
+  adapt::RoutingDecision d = adapt::AdviseRouting(
+      pattern, SnapshotUnderRebalanceLock()->plan.dim, num_range_shards_);
   {
     std::lock_guard<std::mutex> elk(adapt_estimates_mu_);
     last_estimates_ = std::move(d.estimates);
   }
-  if (d.kind == adapt::RoutingDecision::Kind::kNone) return false;
+  if (!d.switch_dimension) return false;
   // A decision was made against the newest plan, which an in-flight move
   // already counts by; only its scan needs that move to have finished.
   WaitForMoveLocked(lk);
-  switch (d.kind) {
-    case adapt::RoutingDecision::Kind::kNone:
-      return false;
-    case adapt::RoutingDecision::Kind::kSwitchDimension: {
-      // Re-fence on the winning dimension; any resident anywhere may
-      // re-route (straddlers become non-straddlers and vice versa), so
-      // the scan covers every shard. An active split dies with the old
-      // dimension's straddler population.
-      RoutingPlan plan;
-      plan.dim = d.dim;
-      plan.bounds = std::move(d.fences);
-      BeginMoveLocked(std::move(plan), AllShardIds());
-      obs_->dimension_switches->Add(1);
-      ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
-      // The old events argued for this switch; they must not immediately
-      // argue again.
-      tracker_->ResetWindow();
-      return true;
-    }
-    case adapt::RoutingDecision::Kind::kSplitOverflow: {
-      RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-      plan.split_dim = static_cast<int32_t>(d.dim);
-      plan.split_bounds = std::move(d.fences);
-      const size_t moved =
-          BeginMoveLocked(std::move(plan), OverflowShardIds());
-      obs_->overflow_splits->Add(1);
-      obs_->straddlers_split->Add(moved);
-      ACCL_TRACE_INSTANT("adapt_overflow_split",
-                         static_cast<uint32_t>(moved));
-      return true;
-    }
-  }
-  return false;
+  // Re-fence on the winning dimension; any resident anywhere may re-route
+  // (straddlers become non-straddlers and vice versa).
+  RoutingPlan plan;
+  plan.dim = d.dim;
+  plan.bounds = std::move(d.fences);
+  BeginMoveLocked(std::move(plan));
+  obs_->dimension_switches->Add(1);
+  ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
+  // The old events argued for this switch; they must not immediately
+  // argue again.
+  tracker_->ResetWindow();
+  return true;
 }
 
 AdaptiveRoutingStats SubscriptionEngine::adaptive_stats() const {
   AdaptiveRoutingStats st;
-  st.enabled = advisor_ != nullptr;
-  {
-    exec::EpochManager::Guard guard = epoch_.Pin();
-    const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-    st.fence_dimension = snap->plan.dim;
-    st.split_dimension = snap->plan.split_dim;
-  }
+  st.enabled = options_.adaptive.enabled;
+  st.fence_dimension = routing_dimension();
   st.dimension_switches = obs_->dimension_switches->Value();
-  st.overflow_splits = obs_->overflow_splits->Value();
   st.windows_evaluated = obs_->windows_evaluated->Value();
   if (tracker_ != nullptr) {
     st.events_observed = tracker_->events_observed();
@@ -1265,36 +1188,17 @@ bool SubscriptionEngine::RebalanceOnce() {
   return moved;
 }
 
-std::vector<uint32_t> SubscriptionEngine::AllShardIds() const {
-  std::vector<uint32_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), 0u);
-  return all;
-}
-
-std::vector<uint32_t> SubscriptionEngine::OverflowShardIds() const {
-  std::vector<uint32_t> ids;
-  for (uint32_t s = num_range_shards_; s < shards_.size(); ++s) {
-    ids.push_back(s);
-  }
-  return ids;
-}
-
 bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
-  if (!range_routed_) return false;
-  if (bounds.size() != static_cast<size_t>(num_range_shards_) - 1) {
+  if (!range_routed_ || !FencesFit(bounds, num_range_shards_ - 1)) {
     return false;
-  }
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i - 1] < bounds[i])) return false;
   }
   std::unique_lock<std::mutex> lk(rebalance_mu_);
   WaitForMoveLocked(lk);
-  // Arbitrary table change: any shard may hold re-routed residents, so the
-  // migration scan covers all of them (overflow drains too). The fence
-  // dimension and split state carry over unchanged.
+  // Arbitrary table change: any shard may hold re-routed residents (the
+  // overflow shard drains too). The fence dimension carries over.
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
   plan.bounds = bounds;
-  BeginMoveLocked(std::move(plan), AllShardIds());
+  BeginMoveLocked(std::move(plan));
   obs_->boundary_moves->Add(1);
   RunStagedMove(lk);
   return true;
@@ -1309,55 +1213,10 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   RoutingPlan plan;
   plan.dim = dim;
   plan.bounds = cur.bounds;  // positions retained; the straddler SET changes
-  // An active split is cleared: its slicing was chosen against the old
-  // dimension's straddler population.
-  BeginMoveLocked(std::move(plan), AllShardIds());
+  BeginMoveLocked(std::move(plan));
   obs_->dimension_switches->Add(1);
   ACCL_TRACE_INSTANT("adapt_dimension_switch", dim);
   tracker_->ResetWindow();
-  RunStagedMove(lk);
-  return true;
-}
-
-bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
-                                          const std::vector<float>& fences) {
-  if (!range_routed_ || dim >= schema_.dims() || !SplitFits(fences)) {
-    return false;
-  }
-  std::unique_lock<std::mutex> lk(rebalance_mu_);
-  WaitForMoveLocked(lk);
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  plan.split_dim = static_cast<int32_t>(dim);
-  plan.split_bounds = fences;
-  // Only the overflow family can re-route: range-slice residents are not
-  // straddlers, so their home is unaffected by split fences.
-  const size_t moved = BeginMoveLocked(std::move(plan), OverflowShardIds());
-  obs_->overflow_splits->Add(1);
-  obs_->straddlers_split->Add(moved);
-  ACCL_TRACE_INSTANT("adapt_overflow_split", static_cast<uint32_t>(moved));
-  RunStagedMove(lk);
-  return true;
-}
-
-bool SubscriptionEngine::SplitFits(const std::vector<float>& fences) const {
-  if (num_split_shards_ == 0 || fences.size() + 1 > num_split_shards_) {
-    return false;
-  }
-  for (size_t i = 1; i < fences.size(); ++i) {
-    if (!(fences[i - 1] < fences[i])) return false;
-  }
-  return true;
-}
-
-bool SubscriptionEngine::ClearOverflowSplit() {
-  if (!range_routed_) return false;
-  std::unique_lock<std::mutex> lk(rebalance_mu_);
-  WaitForMoveLocked(lk);
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  if (plan.split_dim < 0) return true;
-  plan.split_dim = -1;
-  plan.split_bounds.clear();
-  BeginMoveLocked(std::move(plan), OverflowShardIds());
   RunStagedMove(lk);
   return true;
 }
@@ -1386,8 +1245,7 @@ bool SubscriptionEngine::ReplanFencesLocked(
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
   if (plan.dim != dim) return false;
   plan.bounds = std::move(fences);
-  // Every fence may move, so any shard may hold re-routed residents.
-  BeginMoveLocked(std::move(plan), AllShardIds());
+  BeginMoveLocked(std::move(plan));
   obs_->boundary_moves->Add(1);
   return true;
 }
@@ -1397,11 +1255,10 @@ void SubscriptionEngine::WaitForMoveLocked(
   move_done_cv_.wait(lk, [this] { return !move_in_flight_; });
 }
 
-size_t SubscriptionEngine::BeginMoveLocked(
-    RoutingPlan plan, const std::vector<uint32_t>& scan_shards) {
+void SubscriptionEngine::BeginMoveLocked(RoutingPlan plan) {
   ACCL_CHECK(!move_in_flight_);
-  ACCL_TRACE_SPAN_ARG("routing_migrate.scan",
-                      static_cast<uint32_t>(scan_shards.size()));
+  const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
+  ACCL_TRACE_SPAN_ARG("routing_migrate.scan", num_shards);
   auto m = std::make_unique<Move>();
   RoutingPlan from = SnapshotUnderRebalanceLock()->plan;
   m->plan = std::move(plan);
@@ -1413,10 +1270,10 @@ size_t SubscriptionEngine::BeginMoveLocked(
   // so every physical resident seen here is an owned, single copy.)
   // Each scanned shard is marked with the plan under the scan's lock; see
   // ApplyUnsubscribe.
-  m->sources.reserve(scan_shards.size());
-  m->incoming.resize(shards_.size());
-  std::vector<size_t> leaving(shards_.size(), 0);
-  for (const uint32_t src : scan_shards) {
+  m->sources.reserve(num_shards);
+  m->incoming.resize(num_shards);
+  std::vector<size_t> leaving(num_shards, 0);
+  for (uint32_t src = 0; src < num_shards; ++src) {
     const uint32_t k = static_cast<uint32_t>(m->sources.size());
     m->sources.push_back(Move::Source{src, {}});
     std::lock_guard<std::mutex> lk(shards_[src]->mu);
@@ -1432,11 +1289,11 @@ size_t SubscriptionEngine::BeginMoveLocked(
     });
   }
   size_t movers = 0;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
+  for (uint32_t s = 0; s < num_shards; ++s) {
     const size_t arriving = m->incoming[s].ids.size();
     movers += arriving;
-    // Re-count the movers at their new homes now, so the advisor's
-    // overflow pressure and ShardInfo are final from this publish on.
+    // Re-count the movers at their new homes now, so ShardInfo is final
+    // from this publish on.
     shards_[s]->subs.fetch_add(arriving, std::memory_order_relaxed);
     shards_[s]->subs.fetch_sub(leaving[s], std::memory_order_relaxed);
   }
@@ -1444,20 +1301,19 @@ size_t SubscriptionEngine::BeginMoveLocked(
 
   if (movers == 0) {
     // Nothing changes home: publish the plan directly.
-    for (const uint32_t src : scan_shards) {
-      std::lock_guard<std::mutex> lk(shards_[src]->mu);
-      shards_[src]->moving_plan = nullptr;
+    for (const auto& sh : shards_) {
+      std::lock_guard<std::mutex> lk(sh->mu);
+      sh->moving_plan = nullptr;
     }
     PublishSnapshot(std::move(m->plan));
     obs_->migration_us->Record(static_cast<uint64_t>(
         std::max(0.0, std::round(m->timer.ElapsedMs() * 1000.0))));
-    return 0;
+    return;
   }
   // Until the movers are inserted, events must reach both homes.
   PublishSnapshot(m->plan, std::move(from));
   move_in_flight_ = true;
   staged_move_ = std::move(m);
-  return movers;
 }
 
 void SubscriptionEngine::RunStagedMove(std::unique_lock<std::mutex>& lk) {

@@ -42,18 +42,13 @@
 // the advisor's dimension switches alike.
 //
 // Workload-adaptive routing (EngineOptions::adaptive): every
-// sample_window events a RoutingAdvisor compares the predicted routing
+// sample_window events adapt::AdviseRouting compares the predicted routing
 // selectivity of every candidate fence dimension and, when another
 // dimension is predicted kRoutingSwitchThreshold× more selective,
 // re-fences the engine on that dimension online — through the same
 // epoch-snapshot + double-residency migration every routing change uses,
-// so match sets stay exact throughout. When the overflow shard stays hot
-// under well-placed fences (sustained straddler pressure: overflow
-// residents over all subscriptions), the advisor splits it on a second
-// dimension into pre-allocated sub-shards: a straddler whose
-// split-dimension interval fits one split slice moves to that sub-shard,
-// and events visit only the sub-shards their own split-dimension interval
-// overlaps instead of one monolithic overflow.
+// so match sets stay exact throughout. A routing plan is just that: a
+// fence dimension and its fences.
 //
 // Epoch-published routing snapshots: the fence array, the shard handle
 // table and a version number live in one immutable RoutingSnapshot behind
@@ -105,7 +100,6 @@ struct WalRecord;
 
 namespace adapt {
 class QueryPatternTracker;
-class RoutingAdvisor;
 struct PatternSnapshot;
 }  // namespace adapt
 
@@ -169,9 +163,10 @@ struct EngineOptions {
   ShardingPolicy sharding = ShardingPolicy::kHashId;
 
   // ---- kRange knobs (ignored by the other policies) ----
-  /// Initial interior boundaries: strictly ascending, size K-2 (the K-1
-  /// range shards need K-2 interior fences; the implicit outer fences are
-  /// ±infinity). Empty = uniform split of [0,1] into K-1 slices.
+  /// Initial interior boundaries: finite, strictly ascending, size K-2
+  /// (the K-1 range shards need K-2 interior fences; the implicit outer
+  /// fences are ±infinity). Empty = uniform split of [0,1] into K-1
+  /// slices.
   std::vector<float> range_boundaries;
   /// Events between automatic fence re-plans; 0 = re-plan only on
   /// explicit RebalanceOnce()/SetRangeBoundaries() calls. Each re-plan
@@ -182,8 +177,8 @@ struct EngineOptions {
   /// or off.
   uint32_t rebalance_period = 0;
 
-  /// Workload-adaptive routing: online fence-dimension selection and
-  /// overflow-shard splitting (kRange only; see api/adaptive_routing.h).
+  /// Workload-adaptive routing: online fence-dimension selection (kRange
+  /// only; see api/adaptive_routing.h).
   AdaptiveRoutingOptions adaptive;
 };
 
@@ -211,8 +206,8 @@ struct EngineOptions {
 ///     so it may run concurrently with an in-flight migration and still
 ///     observe each subscription all-or-nothing.
 ///
-///   - Every routing change (boundary move, dimension switch, overflow
-///     split) is one move routine with grace-period double residency:
+///   - Every routing change (boundary move, dimension switch) is one move
+///     routine with grace-period double residency:
 ///     (1) the residents the new plan routes elsewhere are scanned, and a
 ///     *transitional* snapshot is published that routes each event to the
 ///     sorted union of its old-plan and new-plan shards (new subscriptions
@@ -240,23 +235,22 @@ struct EngineOptions {
 ///     At most one move is in flight: a later decision that would migrate
 ///     waits for it before its scan (evaluations that decide nothing never
 ///     wait). RebalanceOnce, SetRangeBoundaries, SetRoutingDimension,
-///     Set/ClearOverflowSplit, CaptureDurableImage, SynchronizeEpochs and
-///     the destructor wait for any in-flight move; the routing calls then
-///     run the whole move routine on their own thread and return after
-///     step (5).
+///     CaptureDurableImage, SynchronizeEpochs and the destructor wait for
+///     any in-flight move; the routing calls then run the whole move
+///     routine on their own thread and return after step (5).
 ///
 ///   - Determinism: for a deterministic call sequence the results are
 ///     byte-identical across shard/thread/boundary configurations
 ///     (concurrent *callers* race for shard-lock order like any concurrent
 ///     writers would). Routing decisions are deterministic for a
-///     deterministic single-caller sequence too: the planner's inputs (the
-///     tracker's histograms, and the overflow residents counted against
-///     the newest plan) do not depend on how far the migrator has got.
+///     deterministic single-caller sequence too: the planner's input (the
+///     tracker's histograms) does not depend on how far the migrator has
+///     got.
 ///     MatchBatchResult::routing_version is monotone per caller.
 class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
-  /// K >= 2, boundary arrays must have size K-2 and be strictly
+  /// K >= 2, boundary arrays must have size K-2 and be finite and strictly
   /// ascending, adaptive routing needs kRange and a non-zero
   /// sample_window, a schema with >= 1 attribute, and index knobs the
   /// structure can actually run with (division_factor >= 2, a registered
@@ -409,11 +403,11 @@ class SubscriptionEngine {
   /// Version of the current routing snapshot; bumped on every publish.
   uint64_t routing_version() const;
 
-  /// Installs `bounds` (strictly ascending, size shard_count()-2) as the
-  /// boundary array and migrates every subscription whose target shard
-  /// changed — including draining overflow subscriptions that no longer
-  /// straddle. Returns false (and changes nothing) when the engine is not
-  /// range-routed or the array is malformed.
+  /// Installs `bounds` (finite, strictly ascending, size shard_count()-2)
+  /// as the boundary array and migrates every subscription whose target
+  /// shard changed — including draining overflow subscriptions that no
+  /// longer straddle. Returns false (and changes nothing) when the engine
+  /// is not range-routed or the array is malformed.
   bool SetRangeBoundaries(const std::vector<float>& bounds);
 
   /// One forced fence re-plan: places the current dimension's interior
@@ -428,8 +422,8 @@ class SubscriptionEngine {
   /// Lifetime rebalancing counters: a read of
   /// accl_rebalance_boundary_moves_total and
   /// accl_rebalance_subscriptions_migrated_total (safe from any thread,
-  /// racy-exact like every obs::Counter read). Dimension switches and
-  /// overflow splits are in adaptive_stats() and the accl_adapt_* counters.
+  /// racy-exact like every obs::Counter read). Dimension switches are in
+  /// adaptive_stats() and the accl_adapt_* counters.
   struct RebalanceStats {
     /// Fence re-plans applied (RebalanceOnce, periodic, or
     /// SetRangeBoundaries); one per move, however many fences it shifts.
@@ -444,35 +438,13 @@ class SubscriptionEngine {
   /// engines). Taken under an epoch pin; lock-free.
   uint32_t routing_dimension() const;
 
-  /// Split dimension of the current snapshot, or -1 when the overflow
-  /// split is inactive.
-  int32_t overflow_split_dimension() const;
-
-  /// Sub-shards physically reserved for overflow splitting
-  /// (adaptive.overflow_split_shards; 0 = splitting unavailable).
-  uint32_t overflow_split_capacity() const { return num_split_shards_; }
-
   /// Manually re-fences routing on `dim` (the advisor's switch, forced):
-  /// the interior fence positions are retained, every resident the new
-  /// dimension routes elsewhere is migrated (double-residency protocol),
-  /// and an active overflow split is cleared (the straddler set changed).
+  /// the interior fence positions are retained and every resident the new
+  /// dimension routes elsewhere is migrated (double-residency protocol).
   /// Returns false for non-range engines or a dimension outside the
   /// schema; returns true without a migration when `dim` is already the
   /// fence dimension.
   bool SetRoutingDimension(uint32_t dim);
-
-  /// Manually activates (or re-fences) the overflow split on `dim` with
-  /// the given strictly ascending interior fences (`fences.size() + 1`
-  /// split slices; at most overflow_split_capacity()). Catch-all
-  /// straddlers whose `dim` interval fits one split slice migrate into
-  /// that sub-shard. Returns false for non-range engines, zero split
-  /// capacity, a dimension outside the schema, or a malformed fence array.
-  bool SetOverflowSplit(uint32_t dim, const std::vector<float>& fences);
-
-  /// Deactivates the overflow split; sub-shard residents migrate back to
-  /// the catch-all shard. Returns false for non-range engines (a no-op
-  /// true when no split was active).
-  bool ClearOverflowSplit();
 
   /// Point-in-time view of the adaptive subsystem (valid — with
   /// enabled=false and live routing fields — even when the advisor is
@@ -614,18 +586,16 @@ class SubscriptionEngine {
   /// (or the tracker's event histograms) as garbage.
   static bool WellFormed(BoxView b);
 
-  /// The routing function's parameters: which dimension the fences cut,
-  /// where they sit, and (when active) the overflow split's dimension and
-  /// fences. Value-copied into plans by the publishers, embedded immutably
-  /// in the published snapshot.
+  /// True when `fences` has `count` entries, every one finite, in
+  /// strictly ascending order: the fence arrays a routing plan accepts.
+  static bool FencesFit(const std::vector<float>& fences, size_t count);
+
+  /// The routing function's parameters: which dimension the fences cut and
+  /// where they sit. Value-copied into plans by the publishers, embedded
+  /// immutably in the published snapshot.
   struct RoutingPlan {
     uint32_t dim = 0;           ///< fence dimension (kRange)
     std::vector<float> bounds;  ///< sorted interior fences (kRange)
-    /// Overflow split: -1 = inactive (all straddlers in the catch-all
-    /// shard). When >= 0, a straddler whose split_dim interval fits one
-    /// split slice lives in sub-shard num_range_shards_ + slice.
-    int32_t split_dim = -1;
-    std::vector<float> split_bounds;  ///< sorted interior split fences
   };
 
   struct Shard {
@@ -672,13 +642,11 @@ class SubscriptionEngine {
   /// operation with).
   uint32_t ShardFor(SubscriptionId id, BoxView box,
                     const RoutingPlan& plan) const;
-  /// kRange home of a box under `plan`: its slice's shard; a straddler
-  /// goes to the sub-shard its split_dim interval fits (split active), or
-  /// the catch-all overflow shard.
+  /// kRange home of a box under `plan`: its slice's shard, or the overflow
+  /// shard for a fence straddler.
   uint32_t RangeShardFor(const RoutingPlan& plan, BoxView box) const;
   /// Shards an event must visit under `plan`: the slice span of its
-  /// fence-dimension interval, the sub-shards its split_dim interval
-  /// overlaps (split active), and the catch-all shard — ascending.
+  /// fence-dimension interval, then the overflow shard — ascending.
   void RouteEvent(const RoutingPlan& plan, const Box& box,
                   std::vector<uint32_t>* out) const;
 
@@ -731,8 +699,8 @@ class SubscriptionEngine {
   /// most one move.
   void MaybeAutoMove(uint64_t events);
   /// One advisor window over `pattern`: evaluate, begin at most one
-  /// routing change. Caller holds `lk` on rebalance_mu_. Returns true when
-  /// a change was begun.
+  /// dimension switch. Caller holds `lk` on rebalance_mu_. Returns true
+  /// when a switch was begun.
   bool EvaluateAdaptiveLocked(std::unique_lock<std::mutex>& lk,
                               const adapt::PatternSnapshot& pattern);
   /// One fence re-plan of the current dimension over `pattern`; caller
@@ -743,9 +711,6 @@ class SubscriptionEngine {
   /// BeginMoveLocked).
   bool ReplanFencesLocked(std::unique_lock<std::mutex>& lk,
                           const adapt::PatternSnapshot& pattern, bool force);
-  /// True when `fences` are a strictly ascending overflow-split fence
-  /// array this engine's split capacity can hold.
-  bool SplitFits(const std::vector<float>& fences) const;
 
   // ---- The move routine (see the class comment's steps) ----
 
@@ -756,14 +721,13 @@ class SubscriptionEngine {
   /// Blocks (releasing `lk` on rebalance_mu_ meanwhile) until no move is
   /// in flight.
   void WaitForMoveLocked(std::unique_lock<std::mutex>& lk) const;
-  /// Step (1): scans `scan_shards` for residents `plan` homes elsewhere,
+  /// Step (1): scans every shard for residents `plan` homes elsewhere
+  /// (any fence or dimension change may re-route a resident of any shard),
   /// re-counts them at their destinations and publishes the transitional
   /// snapshot; the rest of the move is staged in `staged_move_` for
   /// FinishMove. A change that moves nothing publishes `plan` directly and
   /// stages nothing. Caller holds rebalance_mu_ with no move in flight.
-  /// Returns the number of subscriptions that move.
-  size_t BeginMoveLocked(RoutingPlan plan,
-                         const std::vector<uint32_t>& scan_shards);
+  void BeginMoveLocked(RoutingPlan plan);
   /// Steps (2)-(5) of a staged move; takes rebalance_mu_ itself, for the
   /// final publish and to clear the in-flight state.
   void FinishMove(std::unique_ptr<Move> move);
@@ -774,11 +738,6 @@ class SubscriptionEngine {
   void HandOffStagedMoveLocked();
   /// Body of the migrator thread.
   void MigratorLoop();
-
-  /// All shard indices, and the overflow family (sub-shards + catch-all):
-  /// the migration scan sets the adaptive publishers use.
-  std::vector<uint32_t> AllShardIds() const;
-  std::vector<uint32_t> OverflowShardIds() const;
 
   /// Registry-owned handles for the engine's own metrics (pipeline,
   /// rebalance, adaptive, gauges); defined in the .cc.
@@ -796,11 +755,9 @@ class SubscriptionEngine {
   std::unique_ptr<EngineObs> obs_;
   bool range_routed_ = false;
   /// kRange shard layout: shards 0..num_range_shards_-1 are the range
-  /// slices, the next num_split_shards_ are overflow sub-shards (idle
-  /// until a split activates), and the last shard is the catch-all
-  /// overflow. Both are 0 for non-range engines (every shard is plain).
+  /// slices and the last shard is the overflow shard. 0 for non-range
+  /// engines (every shard is plain).
   uint32_t num_range_shards_ = 0;
-  uint32_t num_split_shards_ = 0;
   /// Durability hooks; null = volatile engine (the default). Set by
   /// AttachDurability/SetCheckpointer, read by the mutation entry points.
   durability::WriteAheadLog* wal_ = nullptr;
@@ -850,12 +807,10 @@ class SubscriptionEngine {
   std::atomic<uint64_t> events_since_replan_{0};
   std::atomic<uint64_t> events_since_window_{0};
 
-  /// The planner's input: exists for every kRange engine. The advisor
-  /// exists only when options_.adaptive.enabled (the manual entry points
-  /// SetRoutingDimension/SetOverflowSplit work without it) and is only
-  /// ever called under rebalance_mu_.
+  /// The planner's input: exists for every kRange engine. Advisor windows
+  /// run only when options_.adaptive.enabled (SetRoutingDimension works
+  /// without them), under rebalance_mu_.
   std::unique_ptr<adapt::QueryPatternTracker> tracker_;
-  std::unique_ptr<adapt::RoutingAdvisor> advisor_;
   /// Most recent advisor window's per-dimension estimates; its own tiny
   /// lock so adaptive_stats() never waits behind a migration.
   mutable std::mutex adapt_estimates_mu_;

@@ -4,10 +4,9 @@
 // selectivity lives on a non-default dimension must trigger an online
 // fence-dimension switch that drops shard visits per event to routed
 // levels — and the dense-cut regression: when EVERY dimension's fences
-// would cut the subscription population (so no switch can win), sustained
-// straddler pressure must split the overflow shard on a second dimension
-// instead of letting routing silently degrade to broadcast. Every engine
-// assertion is paired with a brute-force oracle so an adaptation that
+// would cut the subscription population, no switch can win, and the
+// advisor must keep the fence dimension instead of thrashing between
+// equally bad ones. Every engine assertion is paired with a brute-force oracle so an adaptation that
 // loses or duplicates a subscription fails loudly, not just slowly.
 #include <gtest/gtest.h>
 
@@ -275,33 +274,24 @@ TEST(SelectivityAnalyzer, MaxLoadPricesSlicesAndOverflow) {
 }
 
 // ---------------------------------------------------------------------------
-// RoutingAdvisor
+// AdviseRouting
 // ---------------------------------------------------------------------------
 
-adapt::AdvisorState DefaultState() {
-  adapt::AdvisorState st;
-  st.current_dim = 0;
-  st.range_slices = 4;
-  st.split_slices = 2;
-  st.total_subscriptions = 512;
-  return st;
-}
+constexpr uint32_t kSlices = 4;
 
 TEST(RoutingAdvisor, EmptyWindowDecidesNothing) {
-  adapt::RoutingAdvisor advisor;
   adapt::PatternSnapshot p;
   p.Reset(kNd);
-  const adapt::RoutingDecision d = advisor.Evaluate(p, DefaultState());
-  EXPECT_EQ(d.kind, adapt::RoutingDecision::Kind::kNone);
+  const adapt::RoutingDecision d = adapt::AdviseRouting(p, 0, kSlices);
+  EXPECT_FALSE(d.switch_dimension);
 }
 
 TEST(RoutingAdvisor, SwitchesToThePredictedBetterDimension) {
-  adapt::RoutingAdvisor advisor;
   const adapt::PatternSnapshot p = DimShiftedPattern(/*good_dim=*/3, 512);
-  const adapt::RoutingDecision d = advisor.Evaluate(p, DefaultState());
-  ASSERT_EQ(d.kind, adapt::RoutingDecision::Kind::kSwitchDimension);
+  const adapt::RoutingDecision d = adapt::AdviseRouting(p, 0, kSlices);
+  ASSERT_TRUE(d.switch_dimension);
   EXPECT_EQ(d.dim, 3u);
-  ASSERT_EQ(d.fences.size(), 3u);  // range_slices - 1
+  ASSERT_EQ(d.fences.size(), 3u);  // kSlices - 1
   for (size_t i = 1; i < d.fences.size(); ++i) {
     EXPECT_LT(d.fences[i - 1], d.fences[i]);
   }
@@ -309,70 +299,10 @@ TEST(RoutingAdvisor, SwitchesToThePredictedBetterDimension) {
 }
 
 TEST(RoutingAdvisor, NoSwitchWhenCurrentDimensionIsAlreadyBest) {
-  adapt::RoutingAdvisor advisor;
-  adapt::AdvisorState st = DefaultState();
-  st.current_dim = 3;
   const adapt::PatternSnapshot p = DimShiftedPattern(3, 512);
-  const adapt::RoutingDecision d = advisor.Evaluate(p, st);
-  EXPECT_EQ(d.kind, adapt::RoutingDecision::Kind::kNone);
-}
-
-TEST(RoutingAdvisor, SplitRequiresSustainedPressure) {
-  adapt::RoutingAdvisor advisor;
-  // Current dimension already the best one, so the split branch is live.
-  adapt::AdvisorState st = DefaultState();
-  st.current_dim = 2;
-  st.overflow_residents = 300;  // 300/512 > kSplitStraddlerThreshold
-  const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
-
-  for (uint32_t w = 1; w < kSplitPatience; ++w) {
-    EXPECT_EQ(advisor.Evaluate(p, st).kind,
-              adapt::RoutingDecision::Kind::kNone)
-        << "window " << w;
-    EXPECT_EQ(advisor.straddle_streak(), w);
-  }
-  const adapt::RoutingDecision d = advisor.Evaluate(p, st);
-  ASSERT_EQ(d.kind, adapt::RoutingDecision::Kind::kSplitOverflow);
-  EXPECT_NE(d.dim, st.current_dim);
-  EXPECT_LT(d.dim, static_cast<uint32_t>(kNd));
-  EXPECT_EQ(d.fences.size(), 1u);  // split_slices - 1
-  EXPECT_EQ(advisor.straddle_streak(), 0u);  // streak consumed by the split
-}
-
-TEST(RoutingAdvisor, PressureDipResetsThePatienceStreak) {
-  static_assert(kSplitPatience == 2, "the dip lands inside the streak");
-  adapt::RoutingAdvisor advisor;
-  adapt::AdvisorState st = DefaultState();
-  st.current_dim = 2;
-  const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
-
-  st.overflow_residents = 300;
-  EXPECT_EQ(advisor.Evaluate(p, st).kind,
-            adapt::RoutingDecision::Kind::kNone);
-  EXPECT_EQ(advisor.straddle_streak(), 1u);
-  st.overflow_residents = 10;  // dip below the threshold
-  EXPECT_EQ(advisor.Evaluate(p, st).kind,
-            adapt::RoutingDecision::Kind::kNone);
-  EXPECT_EQ(advisor.straddle_streak(), 0u);
-  st.overflow_residents = 300;  // pressure returns: patience starts over
-  EXPECT_EQ(advisor.Evaluate(p, st).kind,
-            adapt::RoutingDecision::Kind::kNone);
-  EXPECT_EQ(advisor.straddle_streak(), 1u);
-}
-
-TEST(RoutingAdvisor, ActiveSplitIsNeverSplitAgain) {
-  adapt::RoutingAdvisor advisor;
-  adapt::AdvisorState st = DefaultState();
-  st.current_dim = 2;
-  st.overflow_residents = 400;
-  const adapt::PatternSnapshot p = DimShiftedPattern(2, 512);
-
-  st.split_active = true;  // already split: never split again
-  for (uint32_t w = 0; w <= kSplitPatience; ++w) {
-    EXPECT_EQ(advisor.Evaluate(p, st).kind,
-              adapt::RoutingDecision::Kind::kNone);
-    EXPECT_EQ(advisor.straddle_streak(), 0u);
-  }
+  const adapt::RoutingDecision d = adapt::AdviseRouting(p, 3, kSlices);
+  EXPECT_FALSE(d.switch_dimension);
+  EXPECT_EQ(d.estimates.size(), static_cast<size_t>(kNd));
 }
 
 // ---------------------------------------------------------------------------
@@ -461,12 +391,11 @@ TEST(AdaptiveEngine, AutoSwitchConvergesToSelectiveDimension) {
   }
 }
 
-TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
+TEST(AdaptiveEngine, DenseCutWorkloadDoesNotThrash) {
   // Dense-cut regression: moderate extent on EVERY dimension. No candidate
   // dimension can beat the current one by 1.5x (all fences cut the same
-  // population), so the advisor must not switch — it must recognize the
-  // sustained straddler pressure and split the overflow shard on a second
-  // dimension, acting on the observed overflow residency.
+  // population), so the advisor must keep the fence dimension window after
+  // window, and every batch must still equal the oracle.
   EngineOptions o;
   o.shards = 6;
   o.sharding = ShardingPolicy::kRange;
@@ -474,10 +403,8 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   o.default_policy = MatchPolicy::kIntersecting;
   o.adaptive.enabled = true;
   o.adaptive.sample_window = 128;
-  o.adaptive.overflow_split_shards = 2;
   SubscriptionEngine engine(UnitSchema(), o);
-  ASSERT_EQ(engine.overflow_split_capacity(), 2u);
-  ASSERT_EQ(engine.overflow_split_dimension(), -1);
+  ASSERT_EQ(engine.shard_count(), 6u);
 
   Rng rng(13);
   std::vector<std::pair<SubscriptionId, Box>> subs;
@@ -486,39 +413,24 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
     subs.emplace_back(engine.SubscribeBox(b), b);
   }
 
-  for (int round = 0; round < 12 && engine.overflow_split_dimension() < 0;
-       ++round) {
+  for (int round = 0; round < 12; ++round) {
     std::vector<Event> evs;
     for (int e = 0; e < 64; ++e) {
       evs.push_back(Event::Range(ModerateEverywhere(rng, 0.1f)));
     }
-    MatchBatchResult res;
-    engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
+    ExpectOracleParity(engine, subs, evs, "dense-cut round");
   }
 
   const AdaptiveRoutingStats st = engine.adaptive_stats();
-  ASSERT_GE(st.overflow_splits, 1u) << "split never fired";
-  EXPECT_GE(st.split_dimension, 0);
-  EXPECT_NE(static_cast<uint32_t>(st.split_dimension), st.fence_dimension);
-  EXPECT_EQ(engine.overflow_split_dimension(), st.split_dimension);
-  // The split must have physically relocated straddlers out of the
-  // catch-all.
-  EXPECT_GT(testutil::MetricOf(engine.metrics(),
-                               "accl_adapt_straddlers_split_total")
-                .counter,
-            0u);
-
-  // Split sub-shards now carry residents, and a routed batch visits them.
-  const auto infos = engine.GetShardInfos();
+  EXPECT_GE(st.windows_evaluated, 5u);  // 768 events over 128-event windows
+  EXPECT_EQ(st.dimension_switches, 0u);
+  EXPECT_EQ(st.fence_dimension, 0u);
+  EXPECT_EQ(st.last_estimates.size(), static_cast<size_t>(kNd));
   size_t resident = 0;
-  for (const auto& info : infos) resident += info.subscriptions;
-  EXPECT_EQ(resident, subs.size());
-
-  std::vector<Event> probes;
-  for (int e = 0; e < 64; ++e) {
-    probes.push_back(Event::Range(ModerateEverywhere(rng, 0.1f)));
+  for (const auto& info : engine.GetShardInfos()) {
+    resident += info.subscriptions;
   }
-  ExpectOracleParity(engine, subs, probes, "post-split");
+  EXPECT_EQ(resident, subs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -566,92 +478,15 @@ TEST(AdaptiveEngine, ManualDimensionSwitchKeepsMatchSetsExact) {
       testutil::MetricOf(engine.metrics(), "accl_epoch_retired_total").counter);
 }
 
-TEST(AdaptiveEngine, ManualOverflowSplitLifecycle) {
+TEST(AdaptiveEngine, RoutingControlsNeedRangeRouting) {
   EngineOptions o;
   o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.match_threads = 0;
-  o.default_policy = MatchPolicy::kIntersecting;
-  o.adaptive.overflow_split_shards = 2;  // capacity without the advisor
-  SubscriptionEngine engine(UnitSchema(), o);
-  ASSERT_EQ(engine.shard_count(), 4u + 2u);  // slices + sub-shards + catch-all
-  ASSERT_EQ(engine.overflow_split_capacity(), 2u);
-
-  Rng rng(31);
-  std::vector<std::pair<SubscriptionId, Box>> subs;
-  for (int i = 0; i < 400; ++i) {
-    // Wide on dim 0 (guaranteed straddlers), narrow on dim 1 (splittable).
-    Box b = NarrowOn(1, rng.NextFloat(), 0.05f);
-    subs.emplace_back(engine.SubscribeBox(b), b);
-  }
-
-  // Malformed requests change nothing.
-  EXPECT_FALSE(engine.SetOverflowSplit(kNd, {0.5f}));          // bad dim
-  EXPECT_FALSE(engine.SetOverflowSplit(1, {0.6f, 0.4f}));      // not ascending
-  EXPECT_FALSE(engine.SetOverflowSplit(1, {0.3f, 0.5f, 0.7f}));  // > capacity
-  EXPECT_EQ(engine.overflow_split_dimension(), -1);
-
-  ASSERT_TRUE(engine.SetOverflowSplit(1, {0.5f}));
-  EXPECT_EQ(engine.overflow_split_dimension(), 1);
-  EXPECT_GT(testutil::MetricOf(engine.metrics(),
-                               "accl_adapt_straddlers_split_total")
-                .counter,
-            0u);
-  std::vector<Event> probes;
-  for (int e = 0; e < 48; ++e) {
-    probes.push_back(Event::Range(testutil::RandomBox(rng, kNd, 0.5f)));
-  }
-  ExpectOracleParity(engine, subs, probes, "split active");
-
-  // A routed batch pays visits to the sub-shards only per its own overlap;
-  // the catch-all keeps only double-straddlers (narrow dim-1 boxes fit one
-  // split slice unless they cross 0.5 exactly).
-  {
-    MatchBatchResult res;
-    std::vector<Event> evs;
-    for (int e = 0; e < 32; ++e) {
-      evs.push_back(Event::Range(NarrowOn(1, rng.NextFloat(), 0.05f)));
-    }
-    engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
-    ASSERT_EQ(res.overflow_shard, engine.shard_count() - 1);
-    uint64_t subshard_routed = 0;
-    for (size_t s = 4 - 1; s < engine.shard_count() - 1; ++s) {
-      subshard_routed += res.per_shard[s].events_routed;
-    }
-    EXPECT_GT(subshard_routed, 0u);
-  }
-
-  // Re-fencing an active split and clearing it both preserve parity.
-  ASSERT_TRUE(engine.SetOverflowSplit(1, {0.4f}));
-  ExpectOracleParity(engine, subs, probes, "split re-fenced");
-  ASSERT_TRUE(engine.ClearOverflowSplit());
-  EXPECT_EQ(engine.overflow_split_dimension(), -1);
-  ASSERT_TRUE(engine.ClearOverflowSplit());  // idempotent no-op
-  ExpectOracleParity(engine, subs, probes, "split cleared");
-
-  size_t resident = 0;
-  for (const auto& info : engine.GetShardInfos()) {
-    resident += info.subscriptions;
-  }
-  EXPECT_EQ(resident, subs.size());
-}
-
-TEST(AdaptiveEngine, SplitUnavailableWithoutCapacityOrRangeRouting) {
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;  // capacity defaults to 0
-  SubscriptionEngine range_engine(UnitSchema(), o);
-  EXPECT_EQ(range_engine.overflow_split_capacity(), 0u);
-  EXPECT_FALSE(range_engine.SetOverflowSplit(1, {0.5f}));
-
   o.sharding = ShardingPolicy::kHashId;
   SubscriptionEngine hash_engine(UnitSchema(), o);
   EXPECT_FALSE(hash_engine.SetRoutingDimension(1));
-  EXPECT_FALSE(hash_engine.SetOverflowSplit(1, {0.5f}));
-  EXPECT_FALSE(hash_engine.ClearOverflowSplit());
   const AdaptiveRoutingStats st = hash_engine.adaptive_stats();
   EXPECT_FALSE(st.enabled);
-  EXPECT_EQ(st.split_dimension, -1);
+  EXPECT_EQ(st.fence_dimension, 0u);
 }
 
 }  // namespace

@@ -219,7 +219,6 @@ TEST(LogShipping, FollowerTracksPrimaryAndServesReadOnly) {
   EXPECT_GT(ReplMetric(*shipper, "accl_repl_segments_mirrored_total").counter,
             1u);
   EXPECT_GT(ReplMetric(*shipper, "accl_repl_bytes_shipped_total").counter, 0u);
-  EXPECT_EQ(ReplMetric(*shipper, "accl_repl_promoted").gauge, 0);
   ExpectEngineParity(shipper->engine(), acked, "after first pass");
 
   // Read-only: every mutation path refuses BEFORE allocating an id, so a
@@ -382,8 +381,9 @@ TEST(LogShipping, PromoteFlipsWarmFollowerToWritablePrimary) {
   EXPECT_EQ(shipper->engine(), nullptr);
   // The shipper withdrew its accl_repl_* metrics from the registry the
   // promoted engine keeps.
-  EXPECT_EQ(promoted.engine->metrics().Snapshot().Find("accl_repl_promoted"),
-            nullptr);
+  EXPECT_EQ(
+      promoted.engine->metrics().Snapshot().Find("accl_repl_cursor_lsn"),
+      nullptr);
   // Warm promotion: the engine that was following IS the new primary.
   EXPECT_EQ(promoted.engine.get(), warm);
   EXPECT_EQ(promoted.engine->role(),

@@ -13,9 +13,13 @@
 //
 // The clean-restart case runs under both commit modes and adds concurrent
 // subscribers, so a group-commit (or per-record) ack taken from several
-// threads at once must survive the restart too.
+// threads at once must survive the restart too. The mutation-count case
+// lets the checkpointer schedule itself (checkpoint_every_mutations)
+// under two concurrent writers, inline and on its background worker.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -273,6 +277,82 @@ TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
   }
 }
 
+TEST(DurabilityRecovery, MutationCountTriggerCheckpointsUnderTwoWriters) {
+  constexpr uint64_t kEvery = 50;
+  constexpr int kPerWriter = 120;     // subscribes per writer
+  constexpr int kDropPerWriter = 15;  // then unsubscribes of its own
+  // 2 * (120 + 15) = 270 acknowledged mutations: five full periods of 50.
+  // A run needs 50 fresh mutations, and a mutation that lands while a
+  // run is starting is not counted, so a concurrent writer can cost the
+  // last period at most the 20 spare mutations before the count changes.
+  constexpr uint64_t kExpectedInline =
+      2 * (kPerWriter + kDropPerWriter) / kEvery;
+  for (const bool background : {false, true}) {
+    SCOPED_TRACE(background ? "background" : "inline");
+    const Paths paths(background ? "every_bg" : "every_inline");
+    paths.Remove();
+    DurabilityOptions dopts = DurOpts();
+    dopts.checkpoint_every_mutations = kEvery;
+    dopts.background_checkpoints = background;
+    std::map<SubscriptionId, Box> acked;
+    {
+      durability::DurableEngine de;
+      Status st;
+      ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), dopts,
+                                          paths.wal, paths.ckpt, nullptr, &de,
+                                          &st))
+          << st.message();
+      std::mutex mu;
+      std::vector<std::thread> writers;
+      for (int t = 0; t < 2; ++t) {
+        writers.emplace_back([&, t] {
+          Rng rng(5000 + t);
+          std::vector<SubscriptionId> mine;
+          for (int i = 0; i < kPerWriter; ++i) {
+            const Box b = testutil::RandomBox(rng, kNd, 0.5f);
+            const SubscriptionId id = de.engine->SubscribeBox(b);
+            if (id == kInvalidObject) {
+              ADD_FAILURE() << "writer " << t << " lost subscription " << i;
+              continue;
+            }
+            mine.push_back(id);
+            std::lock_guard<std::mutex> lk(mu);
+            acked[id] = b;
+          }
+          for (size_t i = 0; i < kDropPerWriter && i < mine.size(); ++i) {
+            EXPECT_TRUE(de.engine->Unsubscribe(mine[i]));
+            std::lock_guard<std::mutex> lk(mu);
+            acked.erase(mine[i]);
+          }
+        });
+      }
+      for (std::thread& w : writers) w.join();
+      const obs::MetricsRegistry& reg = de.engine->metrics();
+      using testutil::MetricOf;
+      if (background) {
+        // The triggering writers never wait for the worker: give its first
+        // run time to land.
+        for (int i = 0;
+             i < 10000 &&
+             MetricOf(reg, "accl_ckpt_writes_total").counter == 0 &&
+             MetricOf(reg, "accl_ckpt_failures_total").counter == 0;
+             ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_GE(MetricOf(reg, "accl_ckpt_writes_total").counter, 1u);
+      } else {
+        EXPECT_EQ(MetricOf(reg, "accl_ckpt_writes_total").counter,
+                  kExpectedInline);
+      }
+      EXPECT_EQ(MetricOf(reg, "accl_ckpt_failures_total").counter, 0u);
+      EXPECT_EQ(acked.size(),
+                static_cast<size_t>(2 * (kPerWriter - kDropPerWriter)));
+    }
+    ExpectRecoveredParity(paths, acked, "restart after scheduled checkpoints");
+    paths.Remove();
+  }
+}
+
 TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
   // Dry run with a counting disk: its io_ops() is the matrix size.
   uint64_t total_ops = 0;
@@ -329,11 +409,10 @@ AttributeSchema PlanSchema() {
   return s;
 }
 
-/// 4 range shards plus the overflow shard, and two split sub-shards.
+/// 4 range shards plus the overflow shard.
 EngineOptions PlanOpts() {
   EngineOptions o = Opts();
   o.shards = 5;
-  o.adaptive.overflow_split_shards = 2;
   return o;
 }
 
@@ -341,14 +420,12 @@ EngineOptions PlanOpts() {
 struct PlanState {
   uint32_t dim = 0;
   std::vector<float> fences;
-  int32_t split_dim = -1;
   std::vector<size_t> per_shard;
 
   static PlanState Of(const SubscriptionEngine& e) {
     PlanState p;
     p.dim = e.routing_dimension();
     p.fences = e.GetRangeBoundaries();
-    p.split_dim = e.overflow_split_dimension();
     for (const auto& info : e.GetShardInfos()) {
       p.per_shard.push_back(info.subscriptions);
     }
@@ -360,7 +437,6 @@ void ExpectSamePlan(const PlanState& got, const PlanState& want,
                     const std::string& context) {
   EXPECT_EQ(got.dim, want.dim) << context;
   EXPECT_EQ(got.fences, want.fences) << context;
-  EXPECT_EQ(got.split_dim, want.split_dim) << context;
   EXPECT_EQ(got.per_shard, want.per_shard) << context;
 }
 
@@ -424,12 +500,10 @@ TEST(DurabilityRecovery, RestartAndFailoverKeepTheRoutingPlan) {
     }
     ASSERT_TRUE(de.engine->SetRoutingDimension(3));
     de.engine->RebalanceOnce();
-    ASSERT_TRUE(de.engine->SetOverflowSplit(1, {0.5f}));
     before = PlanState::Of(*de.engine);
     ASSERT_EQ(before.dim, 3u);
-    ASSERT_EQ(before.split_dim, 1);
-    // Every shard, split sub-shards included, holds someone: a plan the
-    // restore ignored would show in these counts.
+    // Every shard holds someone: a plan the restore ignored would show in
+    // these counts.
     for (const size_t n : before.per_shard) ASSERT_GT(n, 0u);
     ASSERT_TRUE(de.checkpointer->CheckpointNow());
 
@@ -467,63 +541,36 @@ TEST(DurabilityRecovery, RestartAndFailoverKeepTheRoutingPlan) {
   replica.Remove();
 }
 
-TEST(DurabilityRecovery, SplitBeyondTheConfiguredCapacityIsDropped) {
-  const Paths paths("plan_nosplit");
-  paths.Remove();
-  std::map<SubscriptionId, Box> acked;
-  PlanState before;
-  {
-    durability::DurableEngine de;
-    ASSERT_TRUE(durability::OpenDurable(PlanSchema(), PlanOpts(), DurOpts(),
-                                        paths.wal, paths.ckpt, nullptr, &de,
-                                        nullptr));
-    Rng rng(17);
-    for (int i = 0; i < 300; ++i) {
-      const Box b = testutil::RandomBox(rng, kPlanNd, 0.5f);
-      acked[de.engine->SubscribeBox(b)] = b;
-    }
-    ASSERT_TRUE(de.engine->SetRoutingDimension(2));
-    ASSERT_TRUE(de.engine->SetOverflowSplit(0, {0.5f}));
-    before = PlanState::Of(*de.engine);
-    ASSERT_TRUE(de.checkpointer->CheckpointNow());
-  }
-  // Restarted without split sub-shards: the dimension and fences stay,
-  // the split goes, and the straddlers it held return to the catch-all.
-  EngineOptions no_split = PlanOpts();
-  no_split.adaptive.overflow_split_shards = 0;
-  durability::DurableEngine de;
-  ASSERT_TRUE(durability::OpenDurable(PlanSchema(), no_split, DurOpts(),
-                                      paths.wal, paths.ckpt, nullptr, &de,
-                                      nullptr));
-  const PlanState after = PlanState::Of(*de.engine);
-  EXPECT_EQ(after.dim, 2u);
-  EXPECT_EQ(after.fences, before.fences);
-  EXPECT_EQ(after.split_dim, -1);
-  ASSERT_EQ(after.per_shard.size(), 5u);
-  // Range slices keep their residents; the catch-all takes the split's.
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(after.per_shard[s], before.per_shard[s]) << s;
-  }
-  EXPECT_EQ(after.per_shard[4],
-            before.per_shard[4] + before.per_shard[5] + before.per_shard[6]);
-  ExpectPlanParity(*de.engine, acked, "split dropped");
-  de = durability::DurableEngine();
-  paths.Remove();
-}
+/// What a checkpoint writer of an earlier engine stored after the fences.
+struct FramedPlanTail {
+  /// 1: nothing (the format before the routing plan's dimension was
+  /// stored). 2: the fence dimension, then an overflow split's dimension
+  /// (-1 = none) and its fences, as engines that had the split wrote them.
+  uint32_t version = 1;
+  int32_t split_dim = -1;
+  std::vector<float> split_fences;
+};
 
-/// Writes `image` as a version-1 checkpoint (the format before the routing
-/// plan's dimension and split were stored) into a fresh checkpoint file.
-void WriteVersion1Checkpoint(const std::string& path,
-                             const durability::EngineImage& image) {
+/// Frames `image` by hand in the on-disk layout of `tail.version` into a
+/// fresh checkpoint file.
+void WriteFramedCheckpoint(const std::string& path,
+                           const durability::EngineImage& image,
+                           const FramedPlanTail& tail) {
   ByteWriter w;
   w.PutU32(0x41434B50u);  // "ACKP"
-  w.PutU32(1);
+  w.PutU32(tail.version);
   w.PutU64(image.lsn);
   w.PutU32(image.next_id);
   w.PutU64(image.routing_version);
   w.PutU32(image.nd);
   w.PutU32(static_cast<uint32_t>(image.fences.size()));
   for (const float f : image.fences) w.PutF32(f);
+  if (tail.version >= 2) {
+    w.PutU32(image.dim);
+    w.PutU32(static_cast<uint32_t>(tail.split_dim));
+    w.PutU32(static_cast<uint32_t>(tail.split_fences.size()));
+    for (const float f : tail.split_fences) w.PutF32(f);
+  }
   w.PutU64(image.ids.size());
   w.PutBytes(image.ids.data(), image.ids.size() * sizeof(SubscriptionId));
   w.PutBytes(image.coords.data(), image.coords.size() * sizeof(float));
@@ -556,9 +603,9 @@ TEST(DurabilityRecovery, VersionOneCheckpointRestoresFencesOnDimensionZero) {
     image.ids.push_back(id);
     image.coords.insert(image.coords.end(), b.data(), b.data() + 2 * kNd);
   }
-  WriteVersion1Checkpoint(paths.ckpt, image);
+  WriteFramedCheckpoint(paths.ckpt, image, FramedPlanTail{});
 
-  // The store reads it as dimension 0 with no split.
+  // The store reads it as dimension 0.
   {
     auto store = durability::CheckpointStore::Open(PagedFile::Open(paths.ckpt));
     ASSERT_NE(store, nullptr);
@@ -566,8 +613,6 @@ TEST(DurabilityRecovery, VersionOneCheckpointRestoresFencesOnDimensionZero) {
     ASSERT_TRUE(store->Read(&back));
     EXPECT_EQ(back.fences, image.fences);
     EXPECT_EQ(back.dim, 0u);
-    EXPECT_EQ(back.split_dim, -1);
-    EXPECT_TRUE(back.split_bounds.empty());
     EXPECT_EQ(back.ids, image.ids);
     EXPECT_EQ(back.coords, image.coords);
   }
@@ -597,6 +642,123 @@ TEST(DurabilityRecovery, VersionOneCheckpointRestoresFencesOnDimensionZero) {
   EXPECT_EQ(de.engine->SubscribeBox(Box::FullDomain(kNd)), 301u);
   de = durability::DurableEngine();
   paths.Remove();
+}
+
+/// A checkpoint image of 300 subscriptions on PlanSchema(), fenced on
+/// dimension 2, with boxes wide enough that many straddle the fences.
+durability::EngineImage PlanImage(std::map<SubscriptionId, Box>* acked) {
+  durability::EngineImage image;
+  image.lsn = 0;
+  image.next_id = 301;
+  image.routing_version = 7;
+  image.nd = kPlanNd;
+  image.dim = 2;
+  image.fences = {0.2f, 0.45f, 0.7f};
+  Rng rng(19);
+  for (SubscriptionId id = 1; id <= 300; ++id) {
+    const Box b = testutil::RandomBox(rng, kPlanNd, 0.4f);
+    (*acked)[id] = b;
+    image.ids.push_back(id);
+    image.coords.insert(image.coords.end(), b.data(), b.data() + 2 * kPlanNd);
+  }
+  return image;
+}
+
+TEST(DurabilityRecovery, VersionTwoCheckpointRestoresItsPlanWithOrWithoutSplit) {
+  // A version-2 image as an engine that still had the overflow split wrote
+  // it: with the split inactive, and with one active on dimension 1.
+  // Either way the fence dimension and fences come back, and the split's
+  // straddlers live in the overflow shard, as in an engine configured
+  // with that plan.
+  const FramedPlanTail tails[] = {{2, -1, {}}, {2, 1, {0.5f}}};
+  for (const FramedPlanTail& tail : tails) {
+    SCOPED_TRACE(tail.split_dim < 0 ? "no split" : "active split");
+    const Paths paths("v2_split");
+    paths.Remove();
+    std::map<SubscriptionId, Box> acked;
+    const durability::EngineImage image = PlanImage(&acked);
+    WriteFramedCheckpoint(paths.ckpt, image, tail);
+    {
+      auto store =
+          durability::CheckpointStore::Open(PagedFile::Open(paths.ckpt));
+      ASSERT_NE(store, nullptr);
+      durability::EngineImage back;
+      ASSERT_TRUE(store->Read(&back));
+      EXPECT_EQ(back.dim, image.dim);
+      EXPECT_EQ(back.fences, image.fences);
+      EXPECT_EQ(back.ids, image.ids);
+    }
+
+    EngineOptions configured = PlanOpts();
+    configured.range_boundaries = image.fences;
+    SubscriptionEngine reference(PlanSchema(), configured);
+    ASSERT_TRUE(reference.SetRoutingDimension(image.dim));
+    for (const auto& [id, box] : acked) reference.SubscribeBox(box);
+    const PlanState want = PlanState::Of(reference);
+    ASSERT_GT(want.per_shard.back(), 0u);  // the overflow shard has residents
+
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(PlanSchema(), PlanOpts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    EXPECT_TRUE(de.recovery.checkpoint_loaded);
+    ExpectSamePlan(PlanState::Of(*de.engine), want, "v2");
+    ExpectPlanParity(*de.engine, acked, "v2");
+    de = durability::DurableEngine();
+    paths.Remove();
+  }
+}
+
+TEST(DurabilityRecovery, CheckpointFencesThatAreNotAscendingAreDropped) {
+  // A checksum-valid image whose fence array has the right size but is not
+  // a valid fence array (descending, or NaN) restores on the configured
+  // fences, as a wrongly sized array does.
+  const std::vector<std::vector<float>> bad = {{0.7f, 0.3f},
+                                               {std::nanf(""), 0.5f}};
+  for (const std::vector<float>& fences : bad) {
+    const Paths paths("bad_fences");
+    paths.Remove();
+    durability::EngineImage image;
+    image.lsn = 0;
+    image.next_id = 201;
+    image.nd = kNd;
+    image.fences = fences;
+    std::map<SubscriptionId, Box> acked;
+    Rng rng(20);
+    for (SubscriptionId id = 1; id <= 200; ++id) {
+      const Box b = testutil::RandomBox(rng, kNd, 0.4f);
+      acked[id] = b;
+      image.ids.push_back(id);
+      image.coords.insert(image.coords.end(), b.data(), b.data() + 2 * kNd);
+    }
+    {
+      auto store = durability::CheckpointStore::Open(
+          PagedFile::Create(paths.ckpt, durability::kCheckpointPageBytes));
+      ASSERT_NE(store, nullptr);
+      ASSERT_TRUE(store->Write(image));
+    }
+
+    const std::vector<float> configured =
+        SubscriptionEngine(UnitSchema(), Opts()).GetRangeBoundaries();
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    EXPECT_TRUE(de.recovery.checkpoint_loaded);
+    EXPECT_EQ(de.engine->GetRangeBoundaries(), configured);
+    for (const Box& probe : Probes()) {
+      std::vector<SubscriptionId> got;
+      de.engine->Match(Event::Range(probe), &got);
+      EXPECT_EQ(got, Oracle(acked, probe));
+    }
+    ExpectResidentHistogram(*de.engine, acked, "bad fences");
+    de = durability::DurableEngine();
+    paths.Remove();
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // the bad knob.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "sdi/subscription_engine.h"
@@ -80,6 +81,11 @@ TEST(EngineConfig, BoundaryArraySizeAndOrderValidated) {
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("ascending"), std::string::npos);
 
+  o.range_boundaries = {0.25f, std::nanf(""), 0.75f};  // NaN fence
+  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("finite"), std::string::npos);
+
   o.range_boundaries = {0.25f, 0.5f, 0.75f};
   EXPECT_NE(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
   EXPECT_TRUE(st.ok());
@@ -114,8 +120,8 @@ TEST(EngineConfig, ValidateOptionsIsSideEffectFree) {
 }
 
 TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
-  // Any adaptive knob — not just the master switch — implies a fence
-  // dimension to adapt, which only kRange has.
+  // Adaptive routing implies a fence dimension to adapt, which only kRange
+  // has.
   Status st;
   EngineOptions o;
   o.shards = 4;
@@ -124,14 +130,6 @@ TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("kRange"), std::string::npos);
-
-  o = EngineOptions{};
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kHashId;
-  o.adaptive.overflow_split_shards = 2;  // split capacity alone also counts
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("overflow_split_shards"), std::string::npos);
 }
 
 TEST(EngineConfig, AdaptiveSampleWindowValidated) {

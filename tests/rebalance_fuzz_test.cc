@@ -2,23 +2,21 @@
 //
 // A seeded operation log interleaving Subscribe / SubscribeBatch /
 // Unsubscribe / MatchBatch / forced RebalanceOnce / SetRangeBoundaries /
-// fence-dimension switches (SetRoutingDimension) / overflow-split toggles
-// (SetOverflowSplit, ClearOverflowSplit) / epoch-drain points
+// fence-dimension switches (SetRoutingDimension) / epoch-drain points
 // (SynchronizeEpochs — forcing retired routing snapshots through the
 // grace period at arbitrary log positions) is replayed through sharded
-// kRange engines (several shard counts, thread counts, auto-rebalance and
-// split-capacity settings, one with the adaptive advisor live) and through
-// the serial single-index engine; every batch's match sets — and an FNV
-// digest over the exact (event, id) assignment (util/digest.h, the oracle
+// kRange engines (several shard counts, thread counts and auto-rebalance
+// settings, one with the adaptive advisor live) and through the serial
+// single-index engine; every batch's match sets — and an FNV digest over
+// the exact (event, id) assignment (util/digest.h, the oracle
 // migration_parity_test pins too) — must be identical. Boundary moves,
-// dimension switches, split migrations, and advisor-driven adaptations
-// interleave with the match stream mid-log, so any routing table /
+// dimension switches and advisor-driven adaptations interleave with the match stream mid-log, so any routing table /
 // residency disagreement shows up as a digest divergence. Failures print
 // the reproducing seed.
 //
 // Scheduler-adversarial companions hammer RebalanceOnce +
 // SetRangeBoundaries (and, in the dimension-flip variant, continuous
-// SetRoutingDimension / SetOverflowSplit over a STATIC subscription
+// SetRoutingDimension / SetRangeBoundaries over a STATIC subscription
 // population, where every mid-migration batch must already be
 // oracle-exact) from dedicated threads while matchers run. Primary TSan
 // targets for the migration locking.
@@ -53,8 +51,7 @@ struct EngineConfig {
   uint32_t threads;
   ShardingPolicy policy;
   uint32_t rebalance_period;  // 0 = manual only
-  uint32_t split_capacity = 0;  // adaptive.overflow_split_shards
-  bool adaptive = false;        // advisor live mid-log
+  bool adaptive = false;      // advisor live mid-log
 };
 
 SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
@@ -66,7 +63,6 @@ SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
   o.match_threads = cfg.threads;
   o.sharding = cfg.policy;
   o.rebalance_period = cfg.rebalance_period;
-  o.adaptive.overflow_split_shards = cfg.split_capacity;
   if (cfg.adaptive) {
     // Advisor decisions only have to be deterministic per engine config;
     // parity with the serial oracle must hold whatever it decides.
@@ -88,14 +84,13 @@ struct Op {
     kSetBoundaries,
     kEpochDrain,
     kSwitchDim,     // SetRoutingDimension mid-log
-    kSplitToggle,   // SetOverflowSplit / ClearOverflowSplit mid-log
   } kind;
   Box box;                    // kSubscribe
   std::vector<Box> boxes;     // kSubscribeBatch
   size_t victim_index;        // kUnsubscribe: index into the live list
   std::vector<Event> events;  // kMatchBatch
-  uint64_t bounds_seed;       // kSetBoundaries / kSplitToggle fence seed
-  uint32_t dim;               // kSwitchDim / kSplitToggle target dimension
+  uint64_t bounds_seed;       // kSetBoundaries fence seed
+  uint32_t dim;               // kSwitchDim target dimension
 };
 
 /// Fence values every engine config under test can start with — boxes are
@@ -172,12 +167,8 @@ std::vector<Op> MakeOpLog(uint64_t seed, size_t n_ops) {
     } else if (roll < 0.98) {
       op.kind = Op::kSetBoundaries;
       op.bounds_seed = rng.NextU64();
-    } else if (roll < 0.99) {
-      op.kind = Op::kSwitchDim;
-      op.dim = static_cast<uint32_t>(rng.NextBelow(kNd));
     } else {
-      op.kind = Op::kSplitToggle;
-      op.bounds_seed = rng.NextU64();
+      op.kind = Op::kSwitchDim;
       op.dim = static_cast<uint32_t>(rng.NextBelow(kNd));
     }
     log.push_back(std::move(op));
@@ -253,9 +244,6 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
         engine.SynchronizeEpochs();
         break;
       case Op::kSetBoundaries:
-        // Size the array from the live boundary count, not shard_count():
-        // engines with overflow-split capacity have more physical shards
-        // than range slices.
         if (engine.range_routed() &&
             !engine.GetRangeBoundaries().empty()) {
           EXPECT_TRUE(engine.SetRangeBoundaries(BoundsFromSeed(
@@ -267,21 +255,9 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
           EXPECT_TRUE(engine.SetRoutingDimension(op.dim));
         }
         break;
-      case Op::kSplitToggle:
-        if (engine.range_routed() && engine.overflow_split_capacity() > 0) {
-          if (op.bounds_seed % 3 == 0) {
-            EXPECT_TRUE(engine.ClearOverflowSplit());
-          } else {
-            EXPECT_TRUE(engine.SetOverflowSplit(
-                op.dim,
-                BoundsFromSeed(op.bounds_seed,
-                               engine.overflow_split_capacity() - 1)));
-          }
-        }
-        break;
     }
     // The planner's resident histogram is the live set, exactly, after
-    // every step: moves, switches and splits leave it unchanged.
+    // every step: moves and switches leave it unchanged.
     if (const adapt::QueryPatternTracker* t = engine.pattern_tracker()) {
       const adapt::PatternSnapshot p = t->Snapshot();
       if (p.subscriptions != live.size() ||
@@ -302,9 +278,8 @@ TEST(RebalanceFuzz, ShardedReplayMatchesSerialReplayAcrossSeeds) {
       {4, 0, ShardingPolicy::kRange, 32},  // auto-rebalance mid-log
       {6, 3, ShardingPolicy::kRange, 48},
       {4, 2, ShardingPolicy::kHashId, 0},  // broadcast cross-check
-      {4, 0, ShardingPolicy::kRange, 0, 2},   // split toggles live
-      {5, 3, ShardingPolicy::kRange, 40, 3},  // splits + auto-rebalance
-      {5, 2, ShardingPolicy::kRange, 0, 2, true},  // advisor adapts mid-log
+      {5, 3, ShardingPolicy::kRange, 40},
+      {5, 2, ShardingPolicy::kRange, 0, true},  // advisor adapts mid-log
   };
   for (const uint64_t seed : {11ull, 2026ull, 777ull, 31415ull}) {
     const std::vector<Op> log = MakeOpLog(seed, 600);
@@ -473,8 +448,7 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   // The strongest mid-migration guarantee the adaptive subsystem makes:
   // with a STATIC subscription population, every MatchBatch result must be
   // brute-force exact even while a dedicated thread continuously flips the
-  // fence dimension and toggles the overflow split underneath the
-  // matchers. A reader on the old snapshot finds migrating subscriptions
+  // fence dimension and moves the fences underneath the matchers. A reader on the old snapshot finds migrating subscriptions
   // at their source, one on the new snapshot at their destination, and the
   // ObjectId dedup pass removes double-resident duplicates — so there is
   // no instant at which a result may differ from the oracle. Primary TSan
@@ -486,7 +460,6 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   o.shards = 5;
   o.match_threads = 3;
   o.sharding = ShardingPolicy::kRange;
-  o.adaptive.overflow_split_shards = 2;
   SubscriptionEngine engine(UnitSchema(), o);
 
   Rng rng(4242);
@@ -511,20 +484,12 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   std::thread flipper([&] {
     Rng frng(rng.NextU64());
     for (int i = 0; i < 48; ++i) {
-      switch (i % 4) {
-        case 0:
-        case 1:
-          EXPECT_TRUE(engine.SetRoutingDimension(
-              static_cast<uint32_t>(frng.NextBelow(kNd))));
-          break;
-        case 2:
-          EXPECT_TRUE(engine.SetOverflowSplit(
-              static_cast<uint32_t>(frng.NextBelow(kNd)),
-              BoundsFromSeed(frng.NextU64(), 1)));
-          break;
-        default:
-          EXPECT_TRUE(engine.ClearOverflowSplit());
-          break;
+      if (i % 4 == 2) {
+        EXPECT_TRUE(engine.SetRangeBoundaries(BoundsFromSeed(
+            frng.NextU64(), engine.GetRangeBoundaries().size())));
+      } else {
+        EXPECT_TRUE(engine.SetRoutingDimension(
+            static_cast<uint32_t>(frng.NextBelow(kNd))));
       }
     }
     stop.store(true, std::memory_order_release);
