@@ -200,6 +200,8 @@ std::vector<CompetitorResult> RunExperiment(const Dataset& ds,
     AdaptiveConfig acfg = opt.adaptive;
     acfg.nd = ds.nd;
     acfg.scenario = opt.scenario;
+    // Single-threaded like SeqScan and the R*-tree it is compared with.
+    acfg.verify_threads = 1;
     AdaptiveIndex ac(acfg);
     for (size_t i = 0; i < ds.size(); ++i) ac.Insert(ds.ids[i], ds.box(i));
     // Convergence phase: the structure adapts to the query distribution.

@@ -1,10 +1,13 @@
 #include "core/adaptive_index.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 
+#include "exec/thread_pool.h"
 #include "geometry/predicates.h"
 #include "kernels/backend_registry.h"
 #include "util/check.h"
@@ -33,6 +36,22 @@ uint32_t LogCapacity(uint32_t reorg_period) {
   return std::min(RingCapacity(reorg_period), kMaxLog);
 }
 
+// A fan-out chunk holds at least this many objects, so that each claim's
+// verification outweighs its claim.
+constexpr size_t kMinVerifyChunkObjects = 1024;
+
+size_t ResolveVerifyThreads(uint32_t requested) {
+  size_t n = requested;
+  if (n == 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    n = sched_getaffinity(0, sizeof(set), &set) == 0
+            ? static_cast<size_t>(CPU_COUNT(&set))
+            : 1;
+  }
+  return std::clamp<size_t>(n, 1, AdaptiveIndex::kMaxVerifyThreads);
+}
+
 }  // namespace
 
 AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
@@ -45,7 +64,8 @@ AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
       backend_(kernels::BackendRegistry::Instance().Resolve(
           cfg.verify_backend)),
       sig_table_(cfg.nd, backend_),
-      ring_(cfg.nd, cfg.division_factor, RingCapacity(cfg.reorg_period)) {
+      ring_(cfg.nd, cfg.division_factor, RingCapacity(cfg.reorg_period)),
+      verify_threads_(ResolveVerifyThreads(cfg.verify_threads)) {
   ACCL_CHECK(cfg_.nd > 0);
   // Unknown names should be caught by validation (sdi::ValidateOptions)
   // before an index is ever constructed; here it is a programming error.
@@ -59,6 +79,10 @@ AdaptiveIndex::~AdaptiveIndex() = default;
 
 VerifyKernelInfo AdaptiveIndex::verify_kernel() const {
   return {backend_->name(), backend_->vector_width_floats()};
+}
+
+size_t AdaptiveIndex::verify_workers() const {
+  return verify_pool_ ? verify_pool_->worker_count() : 0;
 }
 
 ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
@@ -325,9 +349,17 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   for (ClusterId cid : admitted_) {
     __builtin_prefetch(cluster(cid)->candidates.log_tail(), 1);
   }
-  out->reserve(out->size() + verify_total);
+  const size_t out_base = out->size();
+  out->reserve(out_base + verify_total);
 
   bq_.Assign(q.box.view(), q.rel);
+  // A large query verifies its clusters on several threads first, keeping
+  // the matches in admitted order and each cluster's dims_checked. The
+  // accounting below stays on this thread and in id order either way, so
+  // the answer and every metric are the serial loop's, bit for bit.
+  const bool fanned = verify_threads_ > 1 && admitted_.size() > 1 &&
+                      verify_total >= kParallelVerifyObjects;
+  if (fanned) VerifyInParallel(verify_total, out);
   uint16_t slot = 0;
   if (!admitted_.empty()) {
     if (ring_.full()) ReplayAllLogs();
@@ -335,8 +367,8 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     ++round_.slots;
     backend_->NoteDispatch(admitted_.size());  // one VerifyBatch per cluster
   }
-  for (ClusterId cid : admitted_) {
-    Cluster* c = cluster(cid);
+  for (size_t i = 0; i < admitted_.size(); ++i) {
+    Cluster* c = cluster(admitted_[i]);
 
     // Explore the cluster: every member is checked individually.
     ++m->groups_explored;
@@ -354,9 +386,12 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     LogExploration(c, slot);
 
     uint64_t cluster_dims = 0;
-    m->result_count += backend_->VerifyBatch(c->objects.coords_data(),
-                                             c->objects.ids().data(), n, bq_,
-                                             out, &cluster_dims);
+    if (fanned) {
+      cluster_dims = verify_dims_[i];
+    } else {
+      backend_->VerifyBatch(c->objects.coords_data(), c->objects.ids().data(),
+                            n, bq_, out, &cluster_dims);
+    }
     m->dims_checked += cluster_dims;
     m->objects_verified += n;
     m->bytes_verified += c->objects.live_bytes();
@@ -366,6 +401,7 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     m->sim_time_ms += cfg_.sys.verify_ms_per_byte *
                       static_cast<double>(4ull * n + 8ull * cluster_dims);
   }
+  m->result_count = out->size() - out_base;
 
   ++total_queries_;
   total_weight_ += 1.0;
@@ -374,6 +410,44 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
     HalveAllStats();
   }
   if (cfg_.reorg_period != 0) ContinueRound();
+}
+
+void AdaptiveIndex::VerifyInParallel(size_t objects,
+                                     std::vector<ObjectId>* out) {
+  if (!verify_pool_) {
+    verify_pool_ = std::make_unique<exec::ThreadPool>(verify_threads_ - 1);
+  }
+  verify_dims_.assign(admitted_.size(), 0);
+  // Cut admitted_ into runs of about a quarter of one thread's share, so
+  // the dynamic claims even out clusters of uneven size.
+  const size_t target =
+      std::max(kMinVerifyChunkObjects, objects / (4 * verify_threads_));
+  size_t chunks = 0;
+  size_t held = 0;
+  for (size_t i = 0, begin = 0; i < admitted_.size(); ++i) {
+    held += cluster(admitted_[i])->size();
+    if (held < target && i + 1 < admitted_.size()) continue;
+    if (chunks == chunks_.size()) chunks_.emplace_back();
+    chunks_[chunks].begin = begin;
+    chunks_[chunks].end = i + 1;
+    ++chunks;
+    begin = i + 1;
+    held = 0;
+  }
+  // Chunks only read the index; each writes its own buffer and its own
+  // clusters' dims.
+  verify_pool_->ParallelForDynamic(chunks, [this](size_t k) {
+    VerifyChunk& chunk = chunks_[k];
+    chunk.out.clear();
+    for (size_t i = chunk.begin; i < chunk.end; ++i) {
+      const Cluster* c = cluster(admitted_[i]);
+      backend_->VerifyBatch(c->objects.coords_data(), c->objects.ids().data(),
+                            c->size(), bq_, &chunk.out, &verify_dims_[i]);
+    }
+  });
+  for (size_t k = 0; k < chunks; ++k) {
+    out->insert(out->end(), chunks_[k].out.begin(), chunks_[k].out.end());
+  }
 }
 
 void AdaptiveIndex::LogExploration(Cluster* c, uint16_t slot) {

@@ -35,6 +35,9 @@
 
 namespace accl {
 
+namespace exec {
+class ThreadPool;
+}  // namespace exec
 namespace kernels {
 class VerifyBackend;
 }  // namespace kernels
@@ -85,6 +88,15 @@ struct AdaptiveConfig {
   /// backend the build or host lacks aborts at construction — validate
   /// first via kernels::BackendRegistry (ValidateOptions does).
   std::string verify_backend;
+  /// Threads that verify one query's admitted clusters once they hold at
+  /// least AdaptiveIndex::kParallelVerifyObjects objects: the caller plus
+  /// the workers of a pool the index starts on the first such query. 0 =
+  /// the CPUs in the process's affinity mask; 1 = the caller only. Either
+  /// way at most AdaptiveIndex::kMaxVerifyThreads. Answers, QueryMetrics
+  /// and reorganization decisions are identical for every value. An
+  /// engine that already runs its indexes side by side pins this to 1
+  /// (SubscriptionEngine does).
+  uint32_t verify_threads = 0;
 };
 
 /// Aggregate reorganization counters for introspection and tests.
@@ -115,7 +127,9 @@ struct ClusterImage {
 /// (the signature table's query bounds, the admitted list). Concurrent use
 /// therefore requires external serialization per index; the sdi sharded
 /// engine wraps each instance behind a shard mutex and scales out across
-/// instances.
+/// instances. Execute may verify on the index's own worker threads
+/// (AdaptiveConfig::verify_threads), but they only read, and every one has
+/// finished before Execute returns; that changes nothing for callers.
 class AdaptiveIndex : public SpatialIndex {
  public:
   explicit AdaptiveIndex(const AdaptiveConfig& cfg);
@@ -211,6 +225,17 @@ class AdaptiveIndex : public SpatialIndex {
   /// p99 3.2x for ~12% on p50.
   static constexpr size_t kReorgSliceClusters = 384;
 
+  /// Objects a query's admitted clusters must hold before Execute splits
+  /// their verification across threads. Below it, the fan-out's wake-up
+  /// and join would cost more than the verification they share.
+  static constexpr size_t kParallelVerifyObjects = 8192;
+  /// Cap on AdaptiveConfig::verify_threads, including its automatic value.
+  static constexpr size_t kMaxVerifyThreads = 8;
+
+  /// Worker threads started for verification: 0 until a query crosses
+  /// kParallelVerifyObjects with more than one verify thread.
+  size_t verify_workers() const;
+
   /// Total queries executed (drives periodic reorganization).
   uint64_t total_queries() const { return total_queries_; }
 
@@ -295,6 +320,11 @@ class AdaptiveIndex : public SpatialIndex {
 
   void HalveAllStats();
 
+  /// Verifies admitted_ against bq_ in contiguous chunks, on verify_pool_
+  /// and the caller: appends the matches to *out in admitted order and
+  /// stores each cluster's dims_checked in verify_dims_.
+  void VerifyInParallel(size_t objects, std::vector<ObjectId>* out);
+
   /// Appends ring slot `slot` to `c`'s exploration log, replaying the log
   /// first when it is full.
   void LogExploration(Cluster* c, uint16_t slot);
@@ -340,6 +370,20 @@ class AdaptiveIndex : public SpatialIndex {
   std::vector<double> beta_;
   /// Reused per-query verification image (avoids per-query allocation).
   BatchQuery bq_;
+  /// dims_checked of each admitted cluster of a fanned-out query, in
+  /// admitted_ order.
+  std::vector<uint64_t> verify_dims_;
+  /// Resolved cfg_.verify_threads (1..kMaxVerifyThreads).
+  size_t verify_threads_;
+  /// verify_threads_ - 1 workers, started by the first query that fans out.
+  std::unique_ptr<exec::ThreadPool> verify_pool_;
+  /// A run of admitted clusters verified by one claim, and its matches
+  /// (the buffers are reused across queries).
+  struct VerifyChunk {
+    size_t begin = 0, end = 0;
+    std::vector<ObjectId> out;
+  };
+  std::vector<VerifyChunk> chunks_;
   /// Scratch for Insert's root-down descent.
   std::vector<ClusterId> descent_;
 

@@ -1,8 +1,6 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 namespace accl::exec {
@@ -32,72 +30,70 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
+void ThreadPool::RunIndices(Job* job) {
+  for (size_t i;
+       (i = job->next.fetch_add(1, std::memory_order_relaxed)) < job->n;) {
+    job->call(job->body, i);
   }
-  task();
-  return true;
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ && drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    cv_.wait(lk, [this] {
+      return stop_ || jobs_ != nullptr || !queue_.empty();
+    });
+    // Fork-join runners first: a caller is blocked on them.
+    if (Job* job = jobs_) {
+      if (--job->open == 0) jobs_ = job->next_job;
+      ++job->live;
+      lk.unlock();
+      RunIndices(job);
+      lk.lock();
+      // The caller may return, and `job` die, once live reaches 0 and the
+      // lock is released; `joined_` belongs to the pool, not to the job.
+      if (--job->live == 0) joined_.notify_all();
+      continue;
     }
+    if (queue_.empty()) return;  // stop_ && drained
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lk.unlock();
     task();
+    lk.lock();
   }
 }
 
-void ThreadPool::ParallelForDynamic(size_t n,
-                                    const std::function<void(size_t)>& body) {
+void ThreadPool::ForkJoin(size_t n, void* body,
+                          void (*call)(void*, size_t)) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
+    for (size_t i = 0; i < n; ++i) call(body, i);
     return;
   }
-  // Chunked submission: one runner per available thread (capped at n), each
-  // claiming indices from the shared cursor until the range is exhausted.
-  // `body` is captured by reference — safe because this function does not
-  // return until every runner has finished.
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::atomic<size_t> next{0};
-    size_t live_runners = 0;
-  };
-  auto st = std::make_shared<State>();
-  const size_t runners = std::min(n, concurrency());
-  st->live_runners = runners - 1;  // the caller's inline runner isn't queued
-  const auto run = [st, n, &body] {
-    for (size_t i;
-         (i = st->next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      body(i);
-    }
-  };
-  for (size_t r = 1; r < runners; ++r) {
-    Submit([st, run] {
-      run();
-      std::lock_guard<std::mutex> lk(st->mu);
-      if (--st->live_runners == 0) st->cv.notify_all();
-    });
+  Job job;
+  job.body = body;
+  job.call = call;
+  job.n = n;
+  job.open = std::min(n, concurrency()) - 1;  // the caller runs inline
+  const size_t slots = job.open;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    job.next_job = jobs_;
+    jobs_ = &job;
   }
-  run();  // caller participates in the claiming loop
-  // Help drain the shared queue (our runners, or overlapping calls') while
-  // waiting for the queued runners to finish.
-  while (RunOneTask()) {
+  for (size_t r = 0; r < slots; ++r) cv_.notify_one();
+  RunIndices(&job);  // the caller claims indices too
+  // Every index is claimed now. Withdraw the slots no worker took (a late
+  // runner would find nothing to do), then wait for the runners that did.
+  std::unique_lock<std::mutex> lk(mu_);
+  if (job.open > 0) {
+    Job** link = &jobs_;
+    while (*link != &job) link = &(*link)->next_job;
+    *link = job.next_job;
+    job.open = 0;
   }
-  std::unique_lock<std::mutex> lk(st->mu);
-  st->cv.wait(lk, [&st] { return st->live_runners == 0; });
+  joined_.wait(lk, [&job] { return job.live == 0; });
 }
 
 }  // namespace accl::exec

@@ -347,6 +347,9 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   obs_ = std::make_unique<EngineObs>(metrics_.get());
   epoch_.AttachMetrics(metrics_.get());
   options_.index.nd = schema_.dims();
+  // The engine runs shards side by side (MatchBatch's pool, concurrent
+  // callers); a shard's query verifies on its caller's thread alone.
+  options_.index.verify_threads = 1;
   RoutingPlan plan;
   if (options_.sharding == ShardingPolicy::kRange) {
     range_routed_ = true;

@@ -148,7 +148,8 @@ struct Event {
 
 /// Tuning for the engine; forwards the index knobs.
 struct EngineOptions {
-  AdaptiveConfig index;  ///< nd overwritten from the schema
+  /// nd is overwritten from the schema, and verify_threads with 1.
+  AdaptiveConfig index;
   MatchPolicy default_policy = MatchPolicy::kCovering;
 
   /// Number of independent index shards (K >= 1). 1 keeps the classic

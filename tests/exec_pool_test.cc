@@ -5,6 +5,11 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/alloc_hook.h"
+
+// This binary counts every global operator new, so the allocation case can
+// read obs::HeapAllocsNow().
+ACCL_OBS_INSTALL_GLOBAL_ALLOC_HOOK();
 
 namespace accl {
 namespace {
@@ -67,6 +72,32 @@ TEST(ThreadPool, ParallelForDynamicFromMultipleCallers) {
   t2.join();
   EXPECT_EQ(a.load(), 500u);
   EXPECT_EQ(b.load(), 500u);
+}
+
+TEST(ThreadPool, ParallelForDynamicSteadyStateAllocatesNothing) {
+  ASSERT_TRUE(obs::HeapAllocHookInstalled());
+  exec::ThreadPool pool(3);
+  std::vector<uint64_t> sums(64, 0);
+  uint64_t a = 1, b = 2, c = 3, d = 4;
+  // Captures too large for std::function's inline buffer: a copy of the
+  // body into a std::function would allocate.
+  const auto body = [&sums, &a, &b, &c, &d](size_t i) {
+    sums[i] += a + b + c + d + i;
+  };
+  pool.ParallelForDynamic(sums.size(), body);  // warm-up
+  uint64_t allocs = 0;
+  for (int round = 0; round < 100; ++round) {
+    const uint64_t before = obs::HeapAllocsNow();
+    pool.ParallelForDynamic(sums.size(), body);
+    pool.ParallelForDynamic(sums.size(), [&sums, &a, &b, &c, &d](size_t i) {
+      sums[i] -= a + b + c + d;
+    });
+    allocs += obs::HeapAllocsNow() - before;
+  }
+  EXPECT_EQ(allocs, 0u);
+  for (size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_EQ(sums[i], 10 + 101 * i) << i;
+  }
 }
 
 }  // namespace
