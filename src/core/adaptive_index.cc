@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "exec/thread_pool.h"
 #include "geometry/predicates.h"
@@ -39,6 +40,8 @@ uint32_t LogCapacity(uint32_t reorg_period) {
 // A fan-out chunk holds at least this many objects, so that each claim's
 // verification outweighs its claim.
 constexpr size_t kMinVerifyChunkObjects = 1024;
+// Consecutive clusters one claim of a parallel scan replays and scans.
+constexpr size_t kScanRunClusters = 16;
 
 size_t ResolveVerifyThreads(uint32_t requested) {
   size_t n = requested;
@@ -412,11 +415,15 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   if (cfg_.reorg_period != 0) ContinueRound();
 }
 
-void AdaptiveIndex::VerifyInParallel(size_t objects,
-                                     std::vector<ObjectId>* out) {
+exec::ThreadPool& AdaptiveIndex::Pool() {
   if (!verify_pool_) {
     verify_pool_ = std::make_unique<exec::ThreadPool>(verify_threads_ - 1);
   }
+  return *verify_pool_;
+}
+
+void AdaptiveIndex::VerifyInParallel(size_t objects,
+                                     std::vector<ObjectId>* out) {
   verify_dims_.assign(admitted_.size(), 0);
   // Cut admitted_ into runs of about a quarter of one thread's share, so
   // the dynamic claims even out clusters of uneven size.
@@ -436,7 +443,7 @@ void AdaptiveIndex::VerifyInParallel(size_t objects,
   }
   // Chunks only read the index; each writes its own buffer and its own
   // clusters' dims.
-  verify_pool_->ParallelForDynamic(chunks, [this](size_t k) {
+  Pool().ParallelForDynamic(chunks, [this](size_t k) {
     VerifyChunk& chunk = chunks_[k];
     chunk.out.clear();
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
@@ -473,14 +480,15 @@ void AdaptiveIndex::ClearRing() {
 
 void AdaptiveIndex::HalveAllStats() {
   // Halving does not commute with the logged increments: count them first.
-  ReplayAllLogs();
-  total_weight_ *= 0.5;
   for (const auto& up : clusters_) {
     if (!up) continue;
+    up->candidates.Replay(ring_);
     up->q *= 0.5;
     up->w0 *= 0.5;
     up->candidates.Halve();
   }
+  ClearRing();
+  total_weight_ *= 0.5;
 }
 
 void AdaptiveIndex::Reorganize() {
@@ -543,6 +551,16 @@ void AdaptiveIndex::CloseRound() {
 
 void AdaptiveIndex::VisitClusters(size_t begin, size_t end) {
   const std::vector<ClusterId>& snapshot = round_.snapshot;
+  // A large slice first replays every cluster's log and runs the first
+  // split scan of each observable one across threads, storing its choice
+  // in Cluster::prescanned; each touches only its own candidate block and
+  // reads the ring and the weights, which the walk below leaves alone.
+  // The walk then decides in snapshot order as before, and every input of
+  // a stored choice holds until its cluster's visit, except the object
+  // counts a merge adds to its parent (MergeCluster drops that choice).
+  const bool prescan =
+      verify_threads_ > 1 && end - begin >= kParallelScanClusters;
+  if (prescan) PrescanSlice(begin, end);
   // Paper Fig. 1, applied to every materialized cluster: merge if
   // profitable, otherwise try to split. Either way the cluster's
   // exploration log is consumed.
@@ -552,8 +570,8 @@ void AdaptiveIndex::VisitClusters(size_t begin, size_t end) {
     if (c == nullptr) continue;  // merged away earlier in this round
     // Stage upcoming clusters in two steps: the record three ahead (its
     // candidate header holds the block pointers), then the candidate block
-    // two ahead.
-    if (si + 3 < end) {
+    // two ahead. After a prescan the workers have touched both already.
+    if (!prescan && si + 3 < end) {
       if (const Cluster* nx = cluster(snapshot[si + 3])) {
         const auto* p = reinterpret_cast<const char*>(nx);
         __builtin_prefetch(p);
@@ -561,7 +579,7 @@ void AdaptiveIndex::VisitClusters(size_t begin, size_t end) {
         __builtin_prefetch(p + 128);
       }
     }
-    if (si + 2 < end) {
+    if (!prescan && si + 2 < end) {
       if (const Cluster* nx = cluster(snapshot[si + 2])) {
         nx->candidates.Prefetch();
       }
@@ -582,7 +600,10 @@ void AdaptiveIndex::VisitClusters(size_t begin, size_t end) {
         continue;
       }
     }
-    round_.splits += TryClusterSplit(id);
+    const size_t stored =
+        prescan ? std::exchange(c->prescanned, Cluster::kUnscanned)
+                : Cluster::kUnscanned;
+    round_.splits += TryClusterSplit(id, stored);
   }
 }
 
@@ -609,36 +630,72 @@ void AdaptiveIndex::MergeCluster(ClusterId cid) {
   }
   c->children.clear();
   FreeCluster(cid);
+  // The moved objects changed the parent's candidate counts.
+  a->prescanned = Cluster::kUnscanned;
 }
 
-size_t AdaptiveIndex::TryClusterSplit(ClusterId cid) {
+void AdaptiveIndex::PrescanSlice(size_t begin, size_t end) {
+  const std::vector<ClusterId>& snapshot = round_.snapshot;
+  const size_t runs = (end - begin + kScanRunClusters - 1) / kScanRunClusters;
+  if (scan_beta_.size() < runs) scan_beta_.resize(runs);
+  Pool().ParallelForDynamic(runs, [&](size_t r) {
+    std::vector<double>& beta = scan_beta_[r];
+    const size_t run_end = std::min(end, begin + (r + 1) * kScanRunClusters);
+    for (size_t si = begin + r * kScanRunClusters; si < run_end; ++si) {
+      Cluster* c = cluster(snapshot[si]);
+      if (c == nullptr) continue;
+      if (!SplitObservable(*c)) {
+        c->candidates.Replay(ring_);
+        continue;
+      }
+      if (beta.size() < c->candidates.padded_size()) {
+        beta.resize(c->candidates.padded_size());
+      }
+      c->prescanned =
+          c->candidates.BestSplit(ring_, SplitScanOf(*c), beta.data());
+    }
+  });
+}
+
+bool AdaptiveIndex::SplitObservable(const Cluster& c) const {
+  return c.ObservationWindow(total_weight_) >= cfg_.min_observation &&
+         total_weight_ - c.candidates.created_weight() >= cfg_.min_observation;
+}
+
+SplitScan AdaptiveIndex::SplitScanOf(const Cluster& c) const {
+  // Candidates failing the object-count, probability-gap (see
+  // kSplitProbabilityRatio) or benefit-floor tests can never be selected.
+  SplitScan scan;
+  scan.A = model_.A;
+  scan.B = model_.B;
+  scan.C = model_.C;
+  scan.p_c = AccessProbOf(c);
+  scan.window = total_weight_ - c.candidates.created_weight() + 1.0;
+  scan.min_n = static_cast<double>(kMinSplitObjects);
+  scan.p_gap = kSplitProbabilityRatio * scan.p_c;
+  scan.min_benefit = kMinSplitBenefitMs;
+  return scan;
+}
+
+size_t AdaptiveIndex::TryClusterSplit(ClusterId cid, size_t best) {
   Cluster* c = cluster(cid);
   size_t created = 0;
   // Paper Fig. 3: greedily materialize the most profitable candidate, then
   // recompute (moved objects change the indicators of other candidates).
-  while (c->ObservationWindow(total_weight_) >= cfg_.min_observation &&
-         live_clusters_ < kMaxClusters) {
-    CandidateSet& cs = c->candidates;
-    const double cand_window = total_weight_ - cs.created_weight();
-    if (cand_window < cfg_.min_observation) break;
-
-    // The split scan also counts and folds the exploration log. Candidates
-    // failing the object-count, probability-gap (see kSplitProbabilityRatio)
-    // or benefit-floor tests can never be selected.
-    SplitScan scan;
-    scan.A = model_.A;
-    scan.B = model_.B;
-    scan.C = model_.C;
-    scan.p_c = AccessProbOf(*c);
-    scan.window = cand_window + 1.0;
-    scan.min_n = static_cast<double>(kMinSplitObjects);
-    scan.p_gap = kSplitProbabilityRatio * scan.p_c;
-    scan.min_benefit = kMinSplitBenefitMs;
-    if (beta_.size() < cs.padded_size()) beta_.resize(cs.padded_size());
-    const size_t best = cs.BestSplit(ring_, scan, beta_.data());
+  // A stored first scan stands in for this visit's first one; the phase
+  // that stored it checked the observation windows.
+  while (live_clusters_ < kMaxClusters) {
+    if (best == Cluster::kUnscanned) {
+      if (!SplitObservable(*c)) break;
+      // The split scan also counts and folds the exploration log.
+      CandidateSet& cs = c->candidates;
+      if (beta_.size() < cs.padded_size()) beta_.resize(cs.padded_size());
+      best = cs.BestSplit(ring_, SplitScanOf(*c), beta_.data());
+    }
     if (best == static_cast<size_t>(-1)) break;
     MaterializeCandidate(cid, best);
     c = cluster(cid);
+    best = Cluster::kUnscanned;
     ++created;
     ++reorg_stats_.splits;
   }
@@ -779,6 +836,8 @@ void AdaptiveIndex::CheckInvariants() const {
     for (size_t e = 0; e < c.candidates.log_size(); ++e) {
       ACCL_CHECK(ring_.rank(c.candidates.logged(e)) < ring_.size());
     }
+    // A stored split scan never outlives the slice that made it.
+    ACCL_CHECK(c.prescanned == Cluster::kUnscanned);
   }
   ACCL_CHECK(live == live_clusters_);
   ACCL_CHECK(objects == object_count_);

@@ -89,12 +89,14 @@ struct AdaptiveConfig {
   /// first via kernels::BackendRegistry (ValidateOptions does).
   std::string verify_backend;
   /// Threads that verify one query's admitted clusters once they hold at
-  /// least AdaptiveIndex::kParallelVerifyObjects objects: the caller plus
-  /// the workers of a pool the index starts on the first such query. 0 =
-  /// the CPUs in the process's affinity mask; 1 = the caller only. Either
-  /// way at most AdaptiveIndex::kMaxVerifyThreads. Answers, QueryMetrics
-  /// and reorganization decisions are identical for every value. An
-  /// engine that already runs its indexes side by side pins this to 1
+  /// least AdaptiveIndex::kParallelVerifyObjects objects, and that replay
+  /// and split-scan the clusters of a reorganization slice once it holds
+  /// at least AdaptiveIndex::kParallelScanClusters: the caller plus the
+  /// workers of a pool the index starts on the first such query. 0 = the
+  /// CPUs in the process's affinity mask; 1 = the caller only. Either way
+  /// at most AdaptiveIndex::kMaxVerifyThreads. Answers, QueryMetrics and
+  /// reorganization decisions are identical for every value. An engine
+  /// that already runs its indexes side by side pins this to 1
   /// (SubscriptionEngine does).
   uint32_t verify_threads = 0;
 };
@@ -127,9 +129,12 @@ struct ClusterImage {
 /// (the signature table's query bounds, the admitted list). Concurrent use
 /// therefore requires external serialization per index; the sdi sharded
 /// engine wraps each instance behind a shard mutex and scales out across
-/// instances. Execute may verify on the index's own worker threads
-/// (AdaptiveConfig::verify_threads), but they only read, and every one has
-/// finished before Execute returns; that changes nothing for callers.
+/// instances. Execute may verify, and replay and split-scan the clusters
+/// of a reorganization slice, on the index's own worker threads
+/// (AdaptiveConfig::verify_threads); a verifying worker only reads, a
+/// scanning worker writes only its own clusters' candidate statistics,
+/// and every one has finished before Execute returns, so that changes
+/// nothing for callers.
 class AdaptiveIndex : public SpatialIndex {
  public:
   explicit AdaptiveIndex(const AdaptiveConfig& cfg);
@@ -219,11 +224,19 @@ class AdaptiveIndex : public SpatialIndex {
   /// one-shot pass; a larger one spreads it over ceil(clusters / this) of
   /// the round's queries. The size trades the tail against the median:
   /// each slice-carrying query pays for its slice, and the more of them a
-  /// round has, the further the median query moves toward them. On
-  /// perfbench's index_converge (~2,450 clusters, reorg_period 50; 4-vCPU
-  /// Xeon), 256 cut call_p99_us 3.3x but raised call_p50_us ~21%; 384 cut
-  /// p99 3.2x for ~12% on p50.
+  /// round has, the further the median query moves toward them. Measured
+  /// when a slice still ran on the caller alone, before its scans fanned
+  /// out (perfbench's index_converge, ~2,450 clusters, reorg_period 50;
+  /// 4-vCPU Xeon): 256 cut call_p99_us 3.3x but raised call_p50_us ~21%;
+  /// 384 cut p99 3.2x for ~12% on p50.
   static constexpr size_t kReorgSliceClusters = 384;
+
+  /// Clusters a reorganization slice must hold before its log replays and
+  /// first split scans are spread across the verify threads; a smaller
+  /// one stays on the caller. Not tuned: every full slice
+  /// (kReorgSliceClusters) clears it, so it decides only for a round's
+  /// short last slice, and no run has timed that case.
+  static constexpr size_t kParallelScanClusters = 64;
 
   /// Objects a query's admitted clusters must hold before Execute splits
   /// their verification across threads. Below it, the fan-out's wake-up
@@ -307,9 +320,24 @@ class AdaptiveIndex : public SpatialIndex {
   /// children, removes `c`.
   void MergeCluster(ClusterId c);
 
-  /// paper Fig. 3. Greedily materializes profitable candidates of `c`.
-  /// Returns the number of clusters created.
-  size_t TryClusterSplit(ClusterId c);
+  /// paper Fig. 3. Greedily materializes profitable candidates of `c`;
+  /// `best` is its first split scan's result when PrescanSlice stored one,
+  /// Cluster::kUnscanned otherwise. Returns the number of clusters created.
+  size_t TryClusterSplit(ClusterId c, size_t best);
+
+  /// Whether `c`'s own and its candidates' observation windows are long
+  /// enough for a split decision.
+  bool SplitObservable(const Cluster& c) const;
+  /// The split scan's inputs for `c` (paper eq. 3).
+  SplitScan SplitScanOf(const Cluster& c) const;
+
+  /// Replays the logs of the slice's clusters [begin, end) of
+  /// round_.snapshot and stores the first split scan of each observable
+  /// one in Cluster::prescanned, on verify_pool_ and the caller in runs of
+  /// consecutive entries.
+  void PrescanSlice(size_t begin, size_t end);
+  /// Starts verify_pool_ if it is not running.
+  exec::ThreadPool& Pool();
 
   /// Materializes candidate `ci` of cluster `c`; returns the new cluster.
   ClusterId MaterializeCandidate(ClusterId c, size_t ci);
@@ -368,6 +396,8 @@ class AdaptiveIndex : public SpatialIndex {
   Round round_;
   /// Split-scan benefits of the cluster being split (padded_size() long).
   std::vector<double> beta_;
+  /// The same per run of a parallel slice scan (PrescanSlice).
+  std::vector<std::vector<double>> scan_beta_;
   /// Reused per-query verification image (avoids per-query allocation).
   BatchQuery bq_;
   /// dims_checked of each admitted cluster of a fanned-out query, in

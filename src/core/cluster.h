@@ -51,6 +51,14 @@ struct Cluster {
   Signature sig;
   SlotArray objects;
 
+  /// No split scan is stored (see prescanned).
+  static constexpr size_t kUnscanned = static_cast<size_t>(-2);
+  /// The split scan's result (a candidate index, or SIZE_MAX for none)
+  /// when reorganization scanned this cluster ahead of its visit in the
+  /// same slice; kUnscanned otherwise. Read only by the visits of such a
+  /// slice, so it comes after the fields every exploration touches.
+  size_t prescanned = kUnscanned;
+
   bool is_root() const { return parent == kNoCluster; }
   size_t size() const { return objects.size(); }
 

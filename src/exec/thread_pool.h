@@ -1,6 +1,7 @@
 // Fixed-size thread-pool executor for fork-join sections: the sharded
 // matching subsystem's MatchBatch (execute and finalize phases) and
-// AdaptiveIndex::Execute's verification of a query's admitted clusters.
+// AdaptiveIndex::Execute's verification of a query's admitted clusters and
+// its reorganization scans.
 //
 // The paper's motivating SDI workload (§1) is many concurrent event streams
 // matched against millions of subscriptions; one OS thread per query cannot

@@ -523,16 +523,29 @@ TEST(ObsFlightRecorder, TracedMatchBatchShowsStagesAcrossWorkers) {
   for (int i = 0; i < 256; ++i) {
     engine.SubscribeBox(testutil::RandomBox(rng, kNd, 0.5f));
   }
-  // Warm pass untraced, then trace one 256-event batch (repeated a few
-  // times so every pool worker participates).
+  // Warm pass untraced, then trace 256-event batches: at least four, and
+  // then more, up to a bound, until a pool worker's spans appear beside
+  // the caller's. On a loaded host the caller can claim every shard and
+  // event of a batch before any worker wakes, so a fixed number of
+  // batches may all run on one thread.
+  constexpr uint64_t kMaxTracedBatches = 400;
   RunSomeBatches(&engine, 21, 256);
-  SubscriptionEngine::SetTracing(true);
-  ASSERT_TRUE(SubscriptionEngine::tracing_enabled());
-  for (uint64_t seed = 22; seed < 26; ++seed) {
-    RunSomeBatches(&engine, seed, 256);
+  std::string json;
+  std::set<std::string> tids;
+  for (uint64_t b = 0; b < kMaxTracedBatches && (b < 4 || tids.size() < 2);
+       ++b) {
+    SubscriptionEngine::SetTracing(true);
+    ASSERT_TRUE(SubscriptionEngine::tracing_enabled());
+    RunSomeBatches(&engine, 22 + b, 256);
+    SubscriptionEngine::SetTracing(false);
+    json = engine.DumpTrace();
+    tids.clear();
+    for (size_t at = json.find("\"tid\":"); at != std::string::npos;
+         at = json.find("\"tid\":", at + 1)) {
+      const size_t end = json.find_first_of(",}", at + 6);
+      tids.insert(json.substr(at + 6, end - at - 6));
+    }
   }
-  SubscriptionEngine::SetTracing(false);
-  const std::string json = engine.DumpTrace();
 
   // Per-stage spans of the batch pipeline are all present.
   for (const char* span :
@@ -543,12 +556,6 @@ TEST(ObsFlightRecorder, TracedMatchBatchShowsStagesAcrossWorkers) {
   }
   // The spans landed on more than one thread: the pool fan-out records
   // each worker's ring under its own dense tid.
-  std::set<std::string> tids;
-  for (size_t at = json.find("\"tid\":"); at != std::string::npos;
-       at = json.find("\"tid\":", at + 1)) {
-    const size_t end = json.find_first_of(",}", at + 6);
-    tids.insert(json.substr(at + 6, end - at - 6));
-  }
   EXPECT_GE(tids.size(), 2u) << json.substr(0, 2000);
 }
 
