@@ -100,6 +100,7 @@ ClusterId AdaptiveIndex::NewCluster(Signature sig, ClusterId parent) {
   } else {
     id = static_cast<ClusterId>(clusters_.size());
     clusters_.push_back(std::move(c));
+    object_counts_.push_back(0);
   }
   Cluster* cl = cluster(id);
   cl->id = id;
@@ -162,6 +163,7 @@ void AdaptiveIndex::Place(ObjectId id, BoxView box, ClusterId best) {
   const uint32_t slot = static_cast<uint32_t>(b->objects.size());
   b->objects.Append(id, box);
   b->candidates.AccountObject(box, +1);
+  ++object_counts_[best];
   owner_.Insert(id, ObjectRef{best, slot});  // callers checked it is new
   ++object_count_;
 }
@@ -304,6 +306,7 @@ bool AdaptiveIndex::Erase(ObjectId id) {
   ACCL_DCHECK(c->objects.id(ref.slot) == id);
   c->candidates.AccountObject(c->objects.box(ref.slot), -1);
   const ObjectId filler = c->objects.RemoveAt(ref.slot);
+  --object_counts_[ref.cluster];
   owner_.Erase(id);
   if (filler != kInvalidObject) {
     // `filler` is the (distinct) object swapped down from the cluster's
@@ -337,74 +340,51 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   admitted_.clear();
   sig_table_.CollectAdmitted(q, &admitted_);
 
-  // Pre-pass: size the output for the worst case (every verified object
-  // matches) and issue the pointer chases for the scattered per-cluster
-  // data early, so the explore loop below streams instead of stalling.
-  size_t verify_total = 0;
-  for (ClusterId cid : admitted_) {
-    const Cluster* c = cluster(cid);
-    verify_total += c->size();
-    __builtin_prefetch(c->objects.coords_data());
-    __builtin_prefetch(&c->candidates);
+  // A large query explores its clusters on several threads, sized from the
+  // object-count column without touching the clusters.
+  size_t fan_objects = 0;
+  if (verify_threads_ > 1 && admitted_.size() > 1) {
+    for (ClusterId cid : admitted_) fan_objects += object_counts_[cid];
   }
-  // Second stage: the log headers are in flight now, so the log slots the
-  // explore loop appends to can be staged too.
-  for (ClusterId cid : admitted_) {
-    __builtin_prefetch(cluster(cid)->candidates.log_tail(), 1);
-  }
-  const size_t out_base = out->size();
-  out->reserve(out_base + verify_total);
-
-  bq_.Assign(q.box.view(), q.rel);
-  // A large query verifies its clusters on several threads first, keeping
-  // the matches in admitted order and each cluster's dims_checked. The
-  // accounting below stays on this thread and in id order either way, so
-  // the answer and every metric are the serial loop's, bit for bit.
-  const bool fanned = verify_threads_ > 1 && admitted_.size() > 1 &&
-                      verify_total >= kParallelVerifyObjects;
-  if (fanned) VerifyInParallel(verify_total, out);
-  uint16_t slot = 0;
-  if (!admitted_.empty()) {
-    if (ring_.full()) ReplayAllLogs();
-    slot = ring_.Push(q);
-    ++round_.slots;
-    backend_->NoteDispatch(admitted_.size());  // one VerifyBatch per cluster
-  }
-  for (size_t i = 0; i < admitted_.size(); ++i) {
-    Cluster* c = cluster(admitted_[i]);
-
-    // Explore the cluster: every member is checked individually.
-    ++m->groups_explored;
-    const size_t n = c->size();
-    m->sim_time_ms += model_.B;  // exploration setup (+ seek on disk)
-    if (cfg_.scenario == StorageScenario::kDisk) {
-      ++m->disk_seeks;
-      m->disk_bytes += c->objects.live_bytes();
-      m->sim_time_ms += cfg_.sys.disk_ms_per_byte *
-                        static_cast<double>(c->objects.live_bytes());
+  if (fan_objects >= kParallelVerifyObjects) {
+    ExploreInParallel(q, fan_objects, out, m);
+  } else {
+    // Pre-pass: size the output for the worst case (every verified object
+    // matches) and issue the pointer chases for the scattered per-cluster
+    // data early, so the explore loop below streams instead of stalling.
+    size_t verify_total = 0;
+    for (ClusterId cid : admitted_) {
+      const Cluster* c = cluster(cid);
+      verify_total += c->size();
+      __builtin_prefetch(c->objects.coords_data());
+      __builtin_prefetch(&c->candidates);
     }
-    // Update performance indicators (paper Fig. 5 steps 7-10): the
-    // cluster's own count now, its candidates' at the next replay.
-    c->q += 1.0;
-    LogExploration(c, slot);
+    // Second stage: the log headers are in flight now, so the log slots
+    // the explore loop appends to can be staged too.
+    for (ClusterId cid : admitted_) {
+      __builtin_prefetch(cluster(cid)->candidates.log_tail(), 1);
+    }
+    const size_t out_base = out->size();
+    out->reserve(out_base + verify_total);
 
-    uint64_t cluster_dims = 0;
-    if (fanned) {
-      cluster_dims = verify_dims_[i];
-    } else {
+    bq_.Assign(q.box.view(), q.rel);
+    uint16_t slot = 0;
+    if (!admitted_.empty()) slot = PushExploringQuery(q);
+    for (ClusterId cid : admitted_) {
+      Cluster* c = cluster(cid);
+      // Update performance indicators (paper Fig. 5 steps 7-10): the
+      // cluster's own count now, its candidates' at the next replay.
+      c->q += 1.0;
+      LogExploration(c, slot);
+      // Explore the cluster: every member is checked individually.
+      const size_t n = c->size();
+      uint64_t cluster_dims = 0;
       backend_->VerifyBatch(c->objects.coords_data(), c->objects.ids().data(),
                             n, bq_, out, &cluster_dims);
+      ChargeExploration(n, cluster_dims, m);
     }
-    m->dims_checked += cluster_dims;
-    m->objects_verified += n;
-    m->bytes_verified += c->objects.live_bytes();
-    // CPU verification charged for the bytes actually compared (early exit
-    // on the first failing dimension), matching the Sequential Scan
-    // accounting so the competitors are charged identically per check.
-    m->sim_time_ms += cfg_.sys.verify_ms_per_byte *
-                      static_cast<double>(4ull * n + 8ull * cluster_dims);
+    m->result_count = out->size() - out_base;
   }
-  m->result_count = out->size() - out_base;
 
   ++total_queries_;
   total_weight_ += 1.0;
@@ -415,6 +395,34 @@ void AdaptiveIndex::Execute(const Query& q, std::vector<ObjectId>* out,
   if (cfg_.reorg_period != 0) ContinueRound();
 }
 
+uint16_t AdaptiveIndex::PushExploringQuery(const Query& q) {
+  if (ring_.full()) ReplayAllLogs();
+  const uint16_t slot = ring_.Push(q);
+  ++round_.slots;
+  backend_->NoteDispatch(admitted_.size());  // one VerifyBatch per cluster
+  return slot;
+}
+
+void AdaptiveIndex::ChargeExploration(size_t n, uint64_t dims,
+                                      QueryMetrics* m) const {
+  const uint64_t bytes = n * ObjectBytes(cfg_.nd);
+  ++m->groups_explored;
+  m->sim_time_ms += model_.B;  // exploration setup (+ seek on disk)
+  if (cfg_.scenario == StorageScenario::kDisk) {
+    ++m->disk_seeks;
+    m->disk_bytes += bytes;
+    m->sim_time_ms += cfg_.sys.disk_ms_per_byte * static_cast<double>(bytes);
+  }
+  m->dims_checked += dims;
+  m->objects_verified += n;
+  m->bytes_verified += bytes;
+  // CPU verification charged for the bytes actually compared (early exit
+  // on the first failing dimension), matching the Sequential Scan
+  // accounting so the competitors are charged identically per check.
+  m->sim_time_ms += cfg_.sys.verify_ms_per_byte *
+                    static_cast<double>(4ull * n + 8ull * dims);
+}
+
 exec::ThreadPool& AdaptiveIndex::Pool() {
   if (!verify_pool_) {
     verify_pool_ = std::make_unique<exec::ThreadPool>(verify_threads_ - 1);
@@ -422,9 +430,16 @@ exec::ThreadPool& AdaptiveIndex::Pool() {
   return *verify_pool_;
 }
 
-void AdaptiveIndex::VerifyInParallel(size_t objects,
-                                     std::vector<ObjectId>* out) {
-  verify_dims_.assign(admitted_.size(), 0);
+void AdaptiveIndex::ExploreInParallel(const Query& q, size_t objects,
+                                      std::vector<ObjectId>* out,
+                                      QueryMetrics* m) {
+  const size_t out_base = out->size();
+  out->reserve(out_base + objects);
+  bq_.Assign(q.box.view(), q.rel);
+  // The slot is pushed before the runs start: they log it, and a full log
+  // replays against the ring, which stays fixed until the join.
+  const uint16_t slot = PushExploringQuery(q);
+  verify_dims_.resize(admitted_.size());
   // Cut admitted_ into runs of about a quarter of one thread's share, so
   // the dynamic claims even out clusters of uneven size.
   const size_t target =
@@ -432,7 +447,7 @@ void AdaptiveIndex::VerifyInParallel(size_t objects,
   size_t chunks = 0;
   size_t held = 0;
   for (size_t i = 0, begin = 0; i < admitted_.size(); ++i) {
-    held += cluster(admitted_[i])->size();
+    held += object_counts_[admitted_[i]];
     if (held < target && i + 1 < admitted_.size()) continue;
     if (chunks == chunks_.size()) chunks_.emplace_back();
     chunks_[chunks].begin = begin;
@@ -441,20 +456,35 @@ void AdaptiveIndex::VerifyInParallel(size_t objects,
     begin = i + 1;
     held = 0;
   }
-  // Chunks only read the index; each writes its own buffer and its own
-  // clusters' dims.
-  Pool().ParallelForDynamic(chunks, [this](size_t k) {
+  // A run verifies its own clusters into its own buffer and updates their
+  // indicators (paper Fig. 5 steps 7-10): it writes only those clusters'
+  // q and candidate blocks and their verify_dims_ entries.
+  Pool().ParallelForDynamic(chunks, [this, slot](size_t k) {
     VerifyChunk& chunk = chunks_[k];
     chunk.out.clear();
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       const Cluster* c = cluster(admitted_[i]);
+      __builtin_prefetch(c->objects.coords_data());
+      __builtin_prefetch(&c->candidates);
+    }
+    for (size_t i = chunk.begin; i < chunk.end; ++i) {
+      Cluster* c = cluster(admitted_[i]);
+      __builtin_prefetch(c->candidates.log_tail(), 1);
+      verify_dims_[i] = 0;
       backend_->VerifyBatch(c->objects.coords_data(), c->objects.ids().data(),
                             c->size(), bq_, &chunk.out, &verify_dims_[i]);
+      c->q += 1.0;
+      LogExploration(c, slot);
     }
   });
   for (size_t k = 0; k < chunks; ++k) {
     out->insert(out->end(), chunks_[k].out.begin(), chunks_[k].out.end());
   }
+  // The metrics in admitted order, as the serial loop adds them.
+  for (size_t i = 0; i < admitted_.size(); ++i) {
+    ChargeExploration(object_counts_[admitted_[i]], verify_dims_[i], m);
+  }
+  m->result_count = out->size() - out_base;
 }
 
 void AdaptiveIndex::LogExploration(Cluster* c, uint16_t slot) {
@@ -624,6 +654,8 @@ void AdaptiveIndex::MergeCluster(ClusterId cid) {
     owner_.Set(oid, ObjectRef{a->id, slot});
   }
   c->objects.Clear();
+  object_counts_[a->id] += static_cast<uint32_t>(n);
+  object_counts_[cid] = 0;
   for (ClusterId ch : c->children) {
     cluster(ch)->parent = a->id;
     a->children.push_back(ch);
@@ -743,6 +775,8 @@ ClusterId AdaptiveIndex::MaterializeCandidate(ClusterId cid, size_t ci) {
     }
   }
   d->objects.Compact();
+  object_counts_[cid] = static_cast<uint32_t>(c->size());
+  object_counts_[did] = static_cast<uint32_t>(d->size());
   return did;
 }
 
@@ -843,6 +877,11 @@ void AdaptiveIndex::CheckInvariants() const {
   ACCL_CHECK(objects == object_count_);
   ACCL_CHECK(owner_.size() == object_count_);
   ACCL_CHECK(sig_table_.size() == live_clusters_);
+  // The object-count column is exact, and 0 for every free id.
+  ACCL_CHECK(object_counts_.size() == clusters_.size());
+  for (size_t id = 0; id < clusters_.size(); ++id) {
+    ACCL_CHECK(object_counts_[id] == (clusters_[id] ? clusters_[id]->size() : 0));
+  }
   // Freed rows are NaN, and the high-water id is one past the top live id.
   const size_t high_water = sig_table_.high_water();
   ACCL_CHECK(high_water <= clusters_.size());
@@ -888,6 +927,7 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
   ClusterId max_id = 0;
   for (const ClusterImage& img : images) max_id = std::max(max_id, img.id);
   idx->clusters_.resize(static_cast<size_t>(max_id) + 1);
+  idx->object_counts_.assign(idx->clusters_.size(), 0);
 
   for (const ClusterImage& img : images) {
     ACCL_CHECK(img.sig.dims() == cfg.nd);
@@ -908,6 +948,7 @@ std::unique_ptr<AdaptiveIndex> AdaptiveIndex::FromImages(
           img.ids[i], ObjectRef{img.id, static_cast<uint32_t>(i)}));
       ++idx->object_count_;
     }
+    idx->object_counts_[img.id] = static_cast<uint32_t>(img.ids.size());
     ++idx->live_clusters_;
     idx->clusters_[img.id] = std::move(c);
   }

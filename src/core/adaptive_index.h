@@ -88,16 +88,19 @@ struct AdaptiveConfig {
   /// backend the build or host lacks aborts at construction — validate
   /// first via kernels::BackendRegistry (ValidateOptions does).
   std::string verify_backend;
-  /// Threads that verify one query's admitted clusters once they hold at
-  /// least AdaptiveIndex::kParallelVerifyObjects objects, and that replay
-  /// and split-scan the clusters of a reorganization slice once it holds
-  /// at least AdaptiveIndex::kParallelScanClusters: the caller plus the
-  /// workers of a pool the index starts on the first such query. 0 = the
-  /// CPUs in the process's affinity mask; 1 = the caller only. Either way
-  /// at most AdaptiveIndex::kMaxVerifyThreads. Answers, QueryMetrics and
-  /// reorganization decisions are identical for every value. An engine
-  /// that already runs its indexes side by side pins this to 1
-  /// (SubscriptionEngine does).
+  /// Threads that explore one query's admitted clusters (verify them and
+  /// update their indicators) once they hold at least
+  /// AdaptiveIndex::kParallelVerifyObjects objects, and that replay and
+  /// split-scan the clusters of a reorganization slice once it holds at
+  /// least AdaptiveIndex::kParallelScanClusters: the caller plus the
+  /// workers of a pool the index starts on the first such query. After a
+  /// fan-out the workers spin for exec::ThreadPool::kSpinWindow, yielding
+  /// their CPUs, before they park, so back-to-back queries skip the
+  /// wake-up. 0 = the CPUs in the process's affinity mask; 1 = the caller
+  /// only. Either way at most AdaptiveIndex::kMaxVerifyThreads. Answers,
+  /// QueryMetrics and reorganization decisions are identical for every
+  /// value. An engine that already runs its indexes side by side pins this
+  /// to 1 (SubscriptionEngine does).
   uint32_t verify_threads = 0;
 };
 
@@ -129,12 +132,14 @@ struct ClusterImage {
 /// (the signature table's query bounds, the admitted list). Concurrent use
 /// therefore requires external serialization per index; the sdi sharded
 /// engine wraps each instance behind a shard mutex and scales out across
-/// instances. Execute may verify, and replay and split-scan the clusters
-/// of a reorganization slice, on the index's own worker threads
-/// (AdaptiveConfig::verify_threads); a verifying worker only reads, a
-/// scanning worker writes only its own clusters' candidate statistics,
-/// and every one has finished before Execute returns, so that changes
-/// nothing for callers.
+/// instances. Execute may explore the admitted clusters, and replay and
+/// split-scan the clusters of a reorganization slice, on the index's own
+/// worker threads (AdaptiveConfig::verify_threads). An exploring worker
+/// writes only its own clusters' q and exploration logs (replaying a full
+/// log against the exploration ring, which stays fixed until the join) and
+/// its own match buffer; a scanning worker writes only its own clusters'
+/// candidate statistics. Every one has finished before Execute returns,
+/// so that changes nothing for callers.
 class AdaptiveIndex : public SpatialIndex {
  public:
   explicit AdaptiveIndex(const AdaptiveConfig& cfg);
@@ -239,7 +244,7 @@ class AdaptiveIndex : public SpatialIndex {
   static constexpr size_t kParallelScanClusters = 64;
 
   /// Objects a query's admitted clusters must hold before Execute splits
-  /// their verification across threads. Below it, the fan-out's wake-up
+  /// their exploration across threads. Below it, the fan-out's hand-off
   /// and join would cost more than the verification they share.
   static constexpr size_t kParallelVerifyObjects = 8192;
   /// Cap on AdaptiveConfig::verify_threads, including its automatic value.
@@ -348,10 +353,18 @@ class AdaptiveIndex : public SpatialIndex {
 
   void HalveAllStats();
 
-  /// Verifies admitted_ against bq_ in contiguous chunks, on verify_pool_
-  /// and the caller: appends the matches to *out in admitted order and
-  /// stores each cluster's dims_checked in verify_dims_.
-  void VerifyInParallel(size_t objects, std::vector<ObjectId>* out);
+  /// Pushes the exploring query `q` into the ring (replaying every log
+  /// first when it is full) and returns its slot.
+  uint16_t PushExploringQuery(const Query& q);
+  /// Adds one explored cluster's terms to *m: `n` objects verified with
+  /// `dims` dimension checks.
+  void ChargeExploration(size_t n, uint64_t dims, QueryMetrics* m) const;
+  /// Explores admitted_, holding `objects` objects, in contiguous runs on
+  /// verify_pool_ and the caller: each run verifies its clusters and
+  /// updates their indicators; then the matches are appended to *out and
+  /// the metrics added to *m in admitted order.
+  void ExploreInParallel(const Query& q, size_t objects,
+                         std::vector<ObjectId>* out, QueryMetrics* m);
 
   /// Appends ring slot `slot` to `c`'s exploration log, replaying the log
   /// first when it is full.
@@ -375,6 +388,9 @@ class AdaptiveIndex : public SpatialIndex {
   /// Packed SoA image of all live signatures, one row per cluster id;
   /// Execute's admit filter sweeps it instead of walking the cluster table.
   SignatureTable sig_table_;
+  /// Live objects per cluster id (0 for a free id), so a query's admitted
+  /// clusters are sized without touching them.
+  std::vector<uint32_t> object_counts_;
   /// Scratch for the ids admitted by the current query.
   std::vector<ClusterId> admitted_;
   /// The queries named by the clusters' exploration logs (candidate
@@ -407,7 +423,7 @@ class AdaptiveIndex : public SpatialIndex {
   size_t verify_threads_;
   /// verify_threads_ - 1 workers, started by the first query that fans out.
   std::unique_ptr<exec::ThreadPool> verify_pool_;
-  /// A run of admitted clusters verified by one claim, and its matches
+  /// A run of admitted clusters explored by one claim, and its matches
   /// (the buffers are reused across queries).
   struct VerifyChunk {
     size_t begin = 0, end = 0;

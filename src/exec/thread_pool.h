@@ -1,6 +1,6 @@
 // Fixed-size thread-pool executor for fork-join sections: the sharded
 // matching subsystem's MatchBatch (execute and finalize phases) and
-// AdaptiveIndex::Execute's verification of a query's admitted clusters and
+// AdaptiveIndex::Execute's exploration of a query's admitted clusters and
 // its reorganization scans.
 //
 // The paper's motivating SDI workload (§1) is many concurrent event streams
@@ -16,6 +16,20 @@
 // through a plain function pointer. Submit serves fire-and-forget work
 // (background checkpoints).
 //
+// Spinning and parking: fork-join sections come in bursts (one per query
+// or batch phase, tens of microseconds apart), so a worker that has just
+// run a fork-join runner watches a publish counter for kSpinWindow,
+// yielding its CPU between probes, before it parks on the condition
+// variable; a job published inside that window is claimed without a
+// wake-up. The caller's join likewise spins on the job's runner count for
+// up to kSpinWindow before it blocks. So the pools behind MatchBatch's two
+// phases and an index's exploration and slice scans spin between jobs. A
+// worker that has just run a Submit task parks at once, so a pool that
+// only serves Submit (the background checkpointer) never spins, and an
+// idle pool of either kind costs no CPU once the window has passed.
+// Yielding rather than busy-pausing keeps a spinner from holding a CPU
+// that the caller, a runner or another process needs.
+//
 // Interplay with epoch-based reclamation (exec/epoch.h): a fan-out caller
 // that reads epoch-protected state pins ONCE, before submitting, and keeps
 // the guard alive across ParallelForDynamic — the workers are covered by
@@ -29,8 +43,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -78,6 +94,10 @@ class ThreadPool {
   /// Suggested shard/task width: worker threads + the caller.
   size_t concurrency() const { return workers_.size() + 1; }
 
+  /// How long a worker that ran a fork-join runner watches for the next
+  /// job, and a caller spins on its runners, before blocking.
+  static constexpr std::chrono::microseconds kSpinWindow{50};
+
  private:
   /// One ParallelForDynamic call; lives on its caller's stack.
   struct Job {
@@ -85,14 +105,18 @@ class ThreadPool {
     void (*call)(void*, size_t);
     size_t n;
     std::atomic<size_t> next{0};  ///< the claim cursor
-    size_t open = 0;              ///< runner slots not yet claimed (mu_)
-    size_t live = 0;              ///< claimed runners still running (mu_)
-    Job* next_job = nullptr;      ///< jobs_ link while open > 0 (mu_)
+    /// Claimed runners still running: raised under mu_, lowered without
+    /// it. A runner touches the job no more after lowering it.
+    std::atomic<size_t> live{0};
+    size_t open = 0;          ///< runner slots not yet claimed (mu_)
+    Job* next_job = nullptr;  ///< jobs_ link while open > 0 (mu_)
   };
 
   void ForkJoin(size_t n, void* body, void (*call)(void*, size_t));
   static void RunIndices(Job* job);
   void WorkerLoop();
+  /// A worker has something to do: a job slot, a task or stop (mu_ held).
+  bool Ready() const { return stop_ || jobs_ != nullptr || !queue_.empty(); }
 
   mutable std::mutex mu_;
   std::condition_variable cv_;      ///< workers: task, open job or stop
@@ -100,6 +124,10 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   Job* jobs_ = nullptr;  ///< jobs with open runner slots, newest first
   bool stop_ = false;
+  size_t spinning_ = 0;  ///< workers watching published_ (mu_)
+  /// Bumped (under mu_) by every job, task and stop; spinning workers
+  /// watch it instead of the condition variable.
+  std::atomic<uint64_t> published_{0};
   std::vector<std::thread> workers_;  ///< last: they use everything above
 };
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -72,6 +75,70 @@ TEST(ThreadPool, ParallelForDynamicFromMultipleCallers) {
   t2.join();
   EXPECT_EQ(a.load(), 500u);
   EXPECT_EQ(b.load(), 500u);
+}
+
+TEST(ThreadPool, JoinWaitsForARunnerThatFinishesLast) {
+  // A worker holds an index well past the caller's last one, so the
+  // caller's join waits on it: for longer than ThreadPool::kSpinWindow
+  // (the join parks) in odd repetitions, within it in even ones. Every
+  // index runs exactly once, and no runner touches the caller's stack job
+  // after the join returns (the sanitizer builds check the second).
+  exec::ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  constexpr size_t kIndices = 16;
+  int late_runs = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    const auto hold = rep % 2 ? 4 * exec::ThreadPool::kSpinWindow
+                              : std::chrono::microseconds(5);
+    std::vector<std::atomic<int>> hit(kIndices);
+    std::atomic<bool> worker_in{false}, caller_waited{false}, late{false};
+    pool.ParallelForDynamic(kIndices, [&](size_t i) {
+      if (std::this_thread::get_id() == caller) {
+        // Let a worker claim a run before the caller takes the rest.
+        if (!caller_waited.exchange(true)) {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+          while (!worker_in.load() && std::chrono::steady_clock::now() < until) {
+            std::this_thread::yield();
+          }
+        }
+      } else if (!worker_in.exchange(true)) {
+        std::this_thread::sleep_for(hold);
+        late.store(true);
+      }
+      hit[i].fetch_add(1);
+    });
+    for (size_t i = 0; i < kIndices; ++i) {
+      ASSERT_EQ(hit[i].load(), 1) << "repetition " << rep << ", index " << i;
+    }
+    if (late.load()) ++late_runs;
+  }
+  EXPECT_GT(late_runs, 0);
+}
+
+double ProcessCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+TEST(ThreadPool, IdlePoolParksAfterTheSpinWindow) {
+  // Workers that ran a fork-join runner spin for kSpinWindow and then
+  // park, so an idle pool costs no CPU: over a 50 ms sleep the process
+  // uses a few ms at most, where three workers that never parked would
+  // use up to 150 ms.
+  exec::ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  // Indices long enough that every worker claims one.
+  pool.ParallelForDynamic(16, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ran.fetch_add(1);
+  });
+  ASSERT_EQ(ran.load(), 16);
+  const double before = ProcessCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(ProcessCpuMs() - before, 5.0);
 }
 
 TEST(ThreadPool, ParallelForDynamicSteadyStateAllocatesNothing) {

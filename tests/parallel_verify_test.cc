@@ -114,12 +114,15 @@ void ExpectSameClusters(const std::vector<ClusterImage>& a,
   }
 }
 
-TEST(AdaptiveIndex, ParallelVerifyEqualsSerial) {
+// Runs the lockstep of ParallelVerifyEqualsSerial over `per_kind` queries
+// of each kind; `merges` says whether the run must merge.
+void VerifyLockstep(uint32_t reorg_period, uint32_t stats_halving_period,
+                    size_t per_kind, bool merges) {
   AdaptiveConfig cfg;
   cfg.nd = kNd;
   cfg.min_observation = 2.0;
-  cfg.reorg_period = 20;
-  cfg.stats_halving_period = 64;
+  cfg.reorg_period = reorg_period;
+  cfg.stats_halving_period = stats_halving_period;
   const Dataset ds = Objects(83);
   const uint32_t threads[] = {1, 2, 3, 4};
   std::vector<std::unique_ptr<AdaptiveIndex>> idx;
@@ -129,7 +132,7 @@ TEST(AdaptiveIndex, ParallelVerifyEqualsSerial) {
     testutil::Load(*idx.back(), ds);
   }
 
-  const std::vector<Query> qs = MixedQueries(100);
+  const std::vector<Query> qs = MixedQueries(per_kind);
   std::vector<ObjectId> serial, out;
   QueryMetrics serial_m, m;
   size_t fanned = 0;
@@ -152,10 +155,12 @@ TEST(AdaptiveIndex, ParallelVerifyEqualsSerial) {
     }
   }
   // The run must have crossed the threshold on a split index, and
-  // reorganized in both directions, for the comparison to mean anything.
+  // reorganized, for the comparison to mean anything.
   EXPECT_GE(fanned, qs.size() / 4);
   EXPECT_GT(idx[0]->reorg_stats().splits, 0u);
-  EXPECT_GT(idx[0]->reorg_stats().merges, 0u);
+  if (merges) {
+    EXPECT_GT(idx[0]->reorg_stats().merges, 0u);
+  }
   EXPECT_EQ(idx[0]->verify_workers(), 0u);
   for (size_t k = 1; k < idx.size(); ++k) {
     EXPECT_EQ(idx[k]->verify_workers(), threads[k] - 1);
@@ -163,6 +168,22 @@ TEST(AdaptiveIndex, ParallelVerifyEqualsSerial) {
     idx[k]->CheckInvariants();
   }
   idx[0]->CheckInvariants();
+}
+
+TEST(AdaptiveIndex, ParallelVerifyEqualsSerial) {
+  // A short period: frequent rounds, halvings and merges.
+  {
+    SCOPED_TRACE("reorg_period 20");
+    VerifyLockstep(20, 64, 100, /*merges=*/true);
+  }
+  // A long one: a cluster's log holds at most 255 explorations, against a
+  // ring of 1,000 slots, so the log of a cluster most queries explore
+  // fills between two visits, inside a fanned-out query whose run then
+  // replays it before logging.
+  {
+    SCOPED_TRACE("reorg_period 500");
+    VerifyLockstep(500, 512, 275, /*merges=*/false);
+  }
 }
 
 /// What one reorganizing call did to the clusters, read from the images
